@@ -23,11 +23,11 @@ verdicts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.stats import qmc
 
 from .domains import DomainDescriptor
 from .errors import DomainError, UnsupportedModelError
@@ -39,7 +39,7 @@ from .families import (
     log_partition_at,
 )
 from .tilt import TiltedFamily, f_gap_info
-from .util import as_batch, parallel_map
+from .util import as_batch, rowdot
 
 __all__ = [
     "GridSpec",
@@ -126,8 +126,7 @@ def mean_grid(domain: DomainDescriptor, spec: GridSpec | None = None,
     axes = [_axis_points(lo, hi, log, per_axis) for lo, hi, log in _axis_specs(domain, spec)]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.column_stack([m.ravel() for m in mesh])
-    keep = np.array([domain.contains(point) for point in grid])
-    grid = grid[keep]
+    grid = grid[domain.contains(grid)]
     if include is not None and domain.contains(np.asarray(include, dtype=float)):
         grid = np.vstack([grid, np.asarray(include, dtype=float)])
     if grid.shape[0] == 0:
@@ -136,28 +135,27 @@ def mean_grid(domain: DomainDescriptor, spec: GridSpec | None = None,
 
 
 def mean_pairs(domain: DomainDescriptor, spec: GridSpec | None = None) -> np.ndarray:
-    """Quasi-random mean pairs (n_pairs, 2, dim) from a seeded Halton sequence."""
+    """Quasi-random mean pairs (n_pairs, 2, dim) from a seeded Halton sequence.
+
+    The first ``n_pairs`` Halton rows whose two points both lie in the
+    domain are kept, in sequence order.
+    """
+    from scipy.stats import qmc  # loading scipy.stats costs most of a cold start
+
     spec = spec or GridSpec()
-    axes = _axis_specs(domain, spec)
-    sampler = qmc.Halton(d=2 * domain.dim, seed=spec.seed)
-    raw = sampler.random(4 * spec.n_pairs)
-    pairs = []
-    for row in raw:
-        point = np.empty((2, domain.dim))
-        for which in (0, 1):
-            for i, (lo, hi, log) in enumerate(axes):
-                t = row[which * domain.dim + i]
-                if log:
-                    point[which, i] = lo * (hi / lo) ** t
-                else:
-                    point[which, i] = lo + (hi - lo) * t
-        if domain.contains(point[0]) and domain.contains(point[1]):
-            pairs.append(point)
-            if len(pairs) == spec.n_pairs:
-                break
-    if not pairs:
+    lo, hi, log = (np.tile(np.array(col), 2) for col in zip(*_axis_specs(domain, spec)))
+    raw = qmc.Halton(d=2 * domain.dim, seed=spec.seed).random(4 * spec.n_pairs)
+    points = lo + (hi - lo) * raw
+    # log axes take the C library's pow one value at a time, so that the
+    # pairs do not depend on which SIMD kernel numpy picks on this CPU
+    for j in np.flatnonzero(log):
+        ratio = float(hi[j] / lo[j])
+        points[:, j] = lo[j] * np.fromiter((ratio ** t for t in raw[:, j]), float, raw.shape[0])
+    pairs = points.reshape(-1, 2, domain.dim)
+    pairs = pairs[np.all(domain.contains(pairs), axis=1)][:spec.n_pairs]
+    if pairs.shape[0] == 0:
         raise DomainError("no valid mean pairs found; supply explicit axis ranges")
-    return np.stack(pairs)
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -187,11 +185,13 @@ class PreconditionReport:
         return self.mean_domain_convex and self.mq_subset_mp and self.bp_subset_bq
 
 
-def _box_subset(inner: DomainDescriptor, outer: DomainDescriptor) -> bool:
+def _box_subset(inner: DomainDescriptor, outer: DomainDescriptor) -> bool | np.ndarray:
+    """Box containment, one answer per box when the bounds carry batch axes."""
     tol_lo = 1e-12 * (1.0 + np.abs(np.where(np.isfinite(outer.lower), outer.lower, 0.0)))
     tol_hi = 1e-12 * (1.0 + np.abs(np.where(np.isfinite(outer.upper), outer.upper, 0.0)))
-    return bool(np.all(inner.lower >= outer.lower - tol_lo)
-                and np.all(inner.upper <= outer.upper + tol_hi))
+    inside = np.all((inner.lower >= outer.lower - tol_lo) & (inner.upper <= outer.upper + tol_hi),
+                    axis=-1)
+    return bool(inside) if inside.ndim == 0 else inside
 
 
 def check_preconditions(null: ExpFamilyDescriptor, tilted: TiltedFamily,
@@ -205,37 +205,33 @@ def check_preconditions(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     alt = tilted.family
     convex = alt.mean_domain.convex
     details: dict = {}
+    in_null = null.mean_domain.contains(grid)
 
     if alt.mean_domain.is_box_like() and null.mean_domain.is_box_like() \
             and null.mean_domain.kind != "custom-predicate":
         mq_in_mp = _box_subset(alt.mean_domain, null.mean_domain)
         details["mean_containment"] = "bounds"
     else:
-        mq_in_mp = all(null.mean_domain.contains(mu) for mu in grid)
+        mq_in_mp = bool(np.all(in_null))
         details["mean_containment"] = "sampled"
 
-    bp_in_bq = True
-    worst = None
-    for mu in grid:
-        if not null.mean_domain.contains(mu):
-            continue
-        bp = null.canonical_domain(mu)
-        bq = alt.canonical_domain(mu)
-        if bp.is_box_like() and bq.is_box_like():
-            ok = _box_subset(bp, bq)
-        else:
-            probes = _beta_probe_points(null, mu, n_extra=4)
-            ok = all(np.isfinite(log_partition_at(alt, b, mu)) for b in probes)
-        if not ok:
-            bp_in_bq = False
-            worst = mu.tolist()
-            break
-    if worst is not None:
-        details["canonical_containment_failure_at"] = worst
+    anchors = grid[in_null]
+    bp = null.canonical_domain(anchors)
+    bq = alt.canonical_domain(anchors)
+    if bp.is_box_like() and bq.is_box_like():
+        ok = np.broadcast_to(_box_subset(bp, bq), anchors.shape[:1])
+    else:
+        owner, probes = _beta_probe_points(null, anchors, n_extra=4)
+        finite = np.isfinite(log_partition_at(alt, probes, anchors[owner]))
+        ok = np.ones(anchors.shape[0], dtype=bool)
+        ok[owner[~finite]] = False
+    bp_in_bq = bool(np.all(ok))
+    if not bp_in_bq:
+        details["canonical_containment_failure_at"] = anchors[np.argmin(ok)].tolist()
     return PreconditionReport(
         mean_domain_convex=bool(convex),
         mq_subset_mp=bool(mq_in_mp),
-        bp_subset_bq=bool(bp_in_bq),
+        bp_subset_bq=bp_in_bq,
         details=details,
     )
 
@@ -248,14 +244,10 @@ def check_sigma_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     relative to the spectral norm of Sigma_p.
     """
     alt = tilted.family
-
-    def margin(mu: np.ndarray) -> float:
-        sp = covariance_at_mean(null, mu)
-        sq = covariance_at_mean(alt, mu)
-        scale = float(np.max(np.abs(np.linalg.eigvalsh(sp))))
-        return float(np.linalg.eigvalsh(sp - sq)[0]) / max(scale, np.finfo(float).tiny)
-
-    margins = parallel_map(margin, list(grid))
+    sp = covariance_at_mean(null, grid)
+    sq = covariance_at_mean(alt, grid)
+    scale = np.max(np.abs(np.linalg.eigvalsh(sp)), axis=-1)
+    margins = np.linalg.eigvalsh(sp - sq)[:, 0] / np.maximum(scale, np.finfo(float).tiny)
     worst_idx = int(np.argmin(margins))
     worst = float(margins[worst_idx])
     return ItemVerdict(
@@ -274,14 +266,10 @@ def check_beta_pairing(null: ExpFamilyDescriptor, tilted: TiltedFamily,
                        pairs: np.ndarray, tol: float = TOL_SCALAR) -> ItemVerdict:
     """Ordering 2: (beta_p - beta_q) . (mu - mu') <= 0 over mean pairs."""
     alt = tilted.family
-
-    def value(pair: np.ndarray) -> float:
-        mu, mu_prime = pair
-        bp = canonical_from_mean(null, mu, mu_prime)
-        bq = canonical_from_mean(alt, mu, mu_prime)
-        return float((bp - bq) @ (mu - mu_prime))
-
-    values = parallel_map(value, list(pairs))
+    mu, mu_prime = pairs[:, 0], pairs[:, 1]
+    bp = canonical_from_mean(null, mu, mu_prime)
+    bq = canonical_from_mean(alt, mu, mu_prime)
+    values = rowdot(bp - bq, mu - mu_prime)
     worst_idx = int(np.argmax(values))
     worst = float(values[worst_idx])
     return ItemVerdict(
@@ -300,12 +288,8 @@ def check_kl_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
                       pairs: np.ndarray, tol: float = TOL_SCALAR) -> ItemVerdict:
     """Ordering 3: D_p(mu || mu') - D_q(mu || mu') <= 0 over mean pairs."""
     alt = tilted.family
-
-    def value(pair: np.ndarray) -> float:
-        mu, mu_prime = pair
-        return kl_between_means(null, mu, mu_prime) - kl_between_means(alt, mu, mu_prime)
-
-    values = parallel_map(value, list(pairs))
+    mu, mu_prime = pairs[:, 0], pairs[:, 1]
+    values = kl_between_means(null, mu, mu_prime) - kl_between_means(alt, mu, mu_prime)
     worst_idx = int(np.argmax(values))
     worst = float(values[worst_idx])
     return ItemVerdict(
@@ -320,43 +304,76 @@ def check_kl_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     )
 
 
-def _beta_probe_points(null: ExpFamilyDescriptor, mu: np.ndarray, n_extra: int = 0) -> list[np.ndarray]:
-    """Canonical probes inside B_p(mu): near each finite face plus tilt-scale steps."""
-    box = null.canonical_domain(mu)
+def _probe_axis_values(box: DomainDescriptor, scales: np.ndarray) -> np.ndarray:
+    """Sorted distinct canonical probe values per (mean, axis); NaN pads the rest.
+
+    Per axis: zero, then four points approaching each finite face, or three
+    tilt-scale steps toward an infinite one.  Returns shape (n, dim, 9).
+    """
+    toward = np.array([1e-4, 1e-2, 1e-1, 0.5])
+    steps = np.array([0.5, 2.0, 8.0, np.nan])
+
+    def side(bound: np.ndarray, sign: float) -> np.ndarray:
+        finite = np.isfinite(bound)[..., None]
+        return np.where(finite, bound[..., None] * (1.0 - toward), sign * steps * scales[..., None])
+
+    upper = np.broadcast_to(box.upper, scales.shape)
+    lower = np.broadcast_to(box.lower, scales.shape)
+    vals = np.concatenate([np.zeros(scales.shape + (1,)), side(upper, 1.0), side(lower, -1.0)], axis=-1)
+    vals.sort(axis=-1)
+    vals[..., 1:][vals[..., 1:] == vals[..., :-1]] = np.nan
+    vals.sort(axis=-1)
+    return vals
+
+
+def _beta_probe_points(null: ExpFamilyDescriptor, mus: np.ndarray,
+                       n_extra: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical probes inside B_p(mu) for every mean of a batch.
+
+    Per mean: near each finite face plus tilt-scale steps, all combinations
+    of them in one dimension and of (min, median, max) per axis above; then
+    ``n_extra`` points from one fixed uniform draw scaled to the box.
+    Returns the owning mean's index and the probe, mean by mean.
+    """
+    box = null.canonical_domain(mus)
     if not box.is_box_like():
         raise UnsupportedModelError("canonical probing needs a box-like domain")
-    cov = covariance_at_mean(null, mu)
-    scales = 1.0 / np.sqrt(np.maximum(np.diag(np.atleast_2d(cov)), np.finfo(float).tiny))
-    per_axis: list[np.ndarray] = []
-    for i in range(box.dim):
-        vals = [0.0]
-        hi, lo, s = float(box.upper[i]), float(box.lower[i]), float(scales[i])
-        if np.isfinite(hi):
-            vals += [hi * (1.0 - g) for g in (1e-4, 1e-2, 1e-1, 0.5)]
-        else:
-            vals += [0.5 * s, 2.0 * s, 8.0 * s]
-        if np.isfinite(lo):
-            vals += [lo * (1.0 - g) for g in (1e-4, 1e-2, 1e-1, 0.5)]
-        else:
-            vals += [-0.5 * s, -2.0 * s, -8.0 * s]
-        per_axis.append(np.unique(np.asarray(vals)))
-    if box.dim == 1:
-        probes = [np.array([v]) for v in per_axis[0]]
+    n, dim = mus.shape
+    cov = covariance_at_mean(null, mus)
+    scales = 1.0 / np.sqrt(np.maximum(np.diagonal(cov, axis1=-2, axis2=-1), np.finfo(float).tiny))
+    vals = _probe_axis_values(box, scales)
+    if dim == 1:
+        probes = vals[:, 0, :, None]                                  # (n, 9, 1)
     else:
-        # cap the cartesian product by thinning each axis to 3 values
-        thin = [np.quantile(v, [0.0, 0.5, 1.0]) for v in per_axis]
-        mesh = np.meshgrid(*thin, indexing="ij")
-        probes = [p for p in np.column_stack([m.ravel() for m in mesh])]
-    probes = [p for p in probes if box.contains(p)]
+        # cap the cartesian product by thinning each axis to 3 values: the
+        # min, median and max of its values, interpolated as np.quantile does
+        count = np.sum(~np.isnan(vals), axis=-1)
+        pos = 0.5 * (count - 1)
+        below = np.floor(pos).astype(int)
+        frac = (pos - below)[..., None]
+        a = np.take_along_axis(vals, below[..., None], axis=-1)
+        b = np.take_along_axis(vals, np.minimum(below + 1, count - 1)[..., None], axis=-1)
+        diff = b - a
+        median = np.where(frac >= 0.5, b - diff * (1.0 - frac), a + diff * frac)
+        thin = np.concatenate([vals[..., :1], median,
+                               np.take_along_axis(vals, (count - 1)[..., None], axis=-1)], axis=-1)
+        combos = np.array(list(itertools.product(range(3), repeat=dim)))   # (3^dim, dim)
+        probes = thin[:, np.arange(dim), combos]                           # (n, 3^dim, dim)
+    # candidates of every mean side by side: (k, n, dim) against per-mean bounds
+    owner, which = np.nonzero(box.contains(np.swapaxes(probes, 0, 1)).T)
+    out = probes[owner, which]
     if n_extra:
         rng = np.random.default_rng(0)
-        base = np.array([0.5 * (u if np.isfinite(u) else 4.0 * s)
-                         for u, s in zip(box.upper, scales)])
-        for _ in range(n_extra):
-            cand = base * rng.random(box.dim)
-            if box.contains(cand):
-                probes.append(cand)
-    return probes
+        draws = np.array([rng.random(dim) for _ in range(n_extra)])        # the same for every mean
+        upper = np.broadcast_to(box.upper, mus.shape)
+        base = 0.5 * np.where(np.isfinite(upper), upper, 4.0 * scales)
+        extra = base[:, None, :] * draws                                   # (n, n_extra, dim)
+        inside = box.contains(np.swapaxes(extra, 0, 1)).T
+        owner = np.concatenate([owner, np.nonzero(inside)[0]])
+        out = np.concatenate([out, extra[inside]])
+        order = np.argsort(owner, kind="stable")
+        owner, out = owner[order], out[order]
+    return owner, out
 
 
 def check_logz_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
@@ -368,23 +385,18 @@ def check_logz_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     finite violates the containment this ordering presumes and is reported
     as a +inf gap; probes past the null's own finite range are skipped.
     """
-    worst = -np.inf
-    worst_loc: list = []
-    count = 0
-    for mu in grid:
-        for beta in _beta_probe_points(null, mu):
-            gap, which = f_gap_info(null, tilted, beta, mu)
-            if which in ("null", "both"):
-                continue
-            count += 1
-            if gap > worst:
-                worst = gap
-                worst_loc = [mu.tolist(), beta.tolist()]
+    owner, probes = _beta_probe_points(null, grid)
+    gaps, which = f_gap_info(null, tilted, probes, grid[owner])
+    counted = (which != "null") & (which != "both")
+    worst, worst_loc = -np.inf, []
+    if np.any(counted):
+        idx = np.flatnonzero(counted)[int(np.argmax(gaps[counted]))]
+        worst, worst_loc = gaps[idx], [grid[owner[idx]].tolist(), probes[idx].tolist()]
     return ItemVerdict(
         name="log_partition_ordering",
         passed=bool(worst <= tol),
         rule="logZ_q(beta; mu) - logZ_p(beta; mu) <= tol on B_p(mu)",
-        n_points=count,
+        n_points=int(np.count_nonzero(counted)),
         worst_value=float(worst),
         threshold=tol,
         worst_location=worst_loc,
@@ -418,27 +430,20 @@ def onedim_shortcut(null: ExpFamilyDescriptor, tilted: TiltedFamily,
         raise UnsupportedModelError("the one-dimensional shortcut needs scalar families")
     if grid is None:
         grid = mean_grid(alt.mean_domain, spec, include=tilted.mu_star)
-    margins = []
-    for mu in grid:
-        sp = float(covariance_at_mean(null, mu)[0, 0])
-        sq = float(covariance_at_mean(alt, mu)[0, 0])
-        margins.append((sp - sq) / max(abs(sp), np.finfo(float).tiny))
+    sp = covariance_at_mean(null, grid)[:, 0, 0]
+    sq = covariance_at_mean(alt, grid)[:, 0, 0]
+    margins = (sp - sq) / np.maximum(np.abs(sp), np.finfo(float).tiny)
     worst = float(np.min(margins))
     variance_ok = bool(worst >= -tol)
 
     means_equal = null.mean_domain.is_box_like() and alt.mean_domain.is_box_like() \
         and _box_subset(null.mean_domain, alt.mean_domain) \
         and _box_subset(alt.mean_domain, null.mean_domain)
-    canon_equal = True
-    for mu in grid:
-        if not null.mean_domain.contains(mu):
-            canon_equal = False
-            break
-        bp, bq = null.canonical_domain(mu), alt.canonical_domain(mu)
-        if not (bp.is_box_like() and bq.is_box_like()
-                and _box_subset(bp, bq) and _box_subset(bq, bp)):
-            canon_equal = False
-            break
+    canon_equal = bool(np.all(null.mean_domain.contains(grid)))
+    if canon_equal:
+        bp, bq = null.canonical_domain(grid), alt.canonical_domain(grid)
+        canon_equal = bp.is_box_like() and bq.is_box_like() \
+            and bool(np.all(_box_subset(bp, bq) & _box_subset(bq, bp)))
     return ShortcutReport(
         applicable=bool(variance_ok and (means_equal or canon_equal)),
         variance_ordering_ok=variance_ok,
@@ -607,13 +612,17 @@ def partition_check(slices: Mapping[str, object],
     return PartitionReport(overall=overall, slices=results)
 
 
+def _require_densities(tilted: TiltedFamily, null: ExpFamilyDescriptor, what: str) -> None:
+    if null.carrier_log_density is None or tilted.family.carrier_log_density is None:
+        raise UnsupportedModelError(f"both families need density evaluation for {what}")
+
+
 def simple_evalue(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu, u):
     """Density ratio q_mu(u) / p_mu(u) of the two members with mean ``mu``."""
     mu_vec = null.vec(mu)
     if not null.mean_domain.contains(mu_vec) or not tilted.family.mean_domain.contains(mu_vec):
         raise DomainError(f"mean {mu_vec} must lie in both mean spaces")
-    if null.carrier_log_density is None or tilted.family.carrier_log_density is None:
-        raise UnsupportedModelError("both families need density evaluation for e-values")
+    _require_densities(tilted, null, "e-values")
     batch, single = as_batch(u, null.element_ndim)
     log_q = np.asarray(tilted.family.carrier_log_density(batch, mu_vec), dtype=float)
     log_p = np.asarray(null.carrier_log_density(batch, mu_vec), dtype=float)
@@ -641,6 +650,7 @@ def growth_rate(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu,
     from .oracles import expect_quadrature
 
     mu_vec = null.vec(mu)
+    _require_densities(tilted, null, "growth rates")
     support = null.support or tilted.family.support
     if support is None:
         raise UnsupportedModelError("growth rate needs a declared support")
@@ -663,6 +673,8 @@ def growth_rate(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu,
         prev = None
         for _ in range(12):
             idx = np.indices((size,) * k).reshape(k, -1).T.astype(float)
+            if null.element_ndim == 0:
+                idx = idx[:, 0]
             lq = np.asarray(tilted.family.carrier_log_density(idx, mu_vec), dtype=float)
             weights = np.exp(lq)
             total = float(weights @ log_ratio(idx))

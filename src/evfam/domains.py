@@ -11,6 +11,15 @@ A domain is one of three kinds:
 
 Membership checks are deterministic and strict: all stated domains are open,
 so boundary points are outside.
+
+Broadcasting contract: points are arrays of shape ``(..., dim)`` and
+``contains`` answers for every point of the batch at once, returning a
+boolean array of the leading shape (a plain ``bool`` for a single ``(dim,)``
+point).  Bounds may themselves carry leading axes, one box per anchor, so a
+descriptor built from a batch of anchors (a family's canonical domains over
+a mean grid) tests a matching batch of points in one call.  A predicate
+receives an ``(n, dim)`` array of points already inside the bounding box
+and returns ``n`` booleans, e.g. ``lambda x: x[..., 0] > x[..., 1] ** 2``.
 """
 
 from __future__ import annotations
@@ -28,26 +37,30 @@ class DomainDescriptor:
     """An open subset of R^d used as a mean or canonical parameter space.
 
     For ``box`` and ``half-space-product`` kinds, ``lower`` and ``upper``
-    are arrays of shape (dim,) with ``lower < upper`` componentwise
-    (infinities allowed).  For ``custom-predicate``, membership is
-    delegated to ``predicate`` and the bounds are advisory only (they may
-    describe a bounding box, or be fully infinite).
+    are arrays of shape (..., dim) with ``lower < upper`` componentwise
+    (infinities allowed); leading axes describe one box per batch entry.
+    For ``custom-predicate``, membership is additionally delegated to
+    ``predicate`` and the bounds are advisory only (they may describe a
+    bounding box, or be fully infinite).
     """
 
     kind: str
     dim: int
     lower: np.ndarray = field(default=None)
     upper: np.ndarray = field(default=None)
-    predicate: Callable[[np.ndarray], bool] | None = None
+    predicate: Callable[[np.ndarray], np.ndarray] | None = None
     convex: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in ("box", "half-space-product", "custom-predicate"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        lower = np.full(self.dim, -np.inf) if self.lower is None else np.asarray(self.lower, dtype=float)
-        upper = np.full(self.dim, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float)
-        if lower.shape != (self.dim,) or upper.shape != (self.dim,):
-            raise ValueError("domain bounds must have shape (dim,)")
+        lower = None if self.lower is None else np.asarray(self.lower, dtype=float)
+        upper = None if self.upper is None else np.asarray(self.upper, dtype=float)
+        shape = next((b.shape for b in (lower, upper) if b is not None), (self.dim,))
+        lower = np.full(shape, -np.inf) if lower is None else lower
+        upper = np.full(shape, np.inf) if upper is None else upper
+        if lower.shape != upper.shape or lower.shape[-1:] != (self.dim,):
+            raise ValueError("domain bounds must have matching shapes (..., dim)")
         if not np.all(lower < upper):
             raise ValueError("domain requires lower < upper componentwise")
         if self.kind == "custom-predicate" and self.predicate is None:
@@ -55,25 +68,37 @@ class DomainDescriptor:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
-    def contains(self, x: np.ndarray | float, margin: float = 0.0) -> bool:
-        """Strict interior membership; ``margin`` shrinks the box on both sides."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dim,):
+    def contains(self, x: np.ndarray | float, margin: float = 0.0) -> bool | np.ndarray:
+        """Strict interior membership of each point of a ``(..., dim)`` batch.
+
+        ``margin`` shrinks the box on both sides.  Non-finite points are
+        outside.  Returns a ``bool`` for a single point and a boolean array
+        of the leading shape otherwise.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            x = x.reshape(1)
+        if x.shape[-1:] != (self.dim,):
             raise ValueError(f"point has shape {x.shape}, domain is {self.dim}-dimensional")
-        if not np.all(np.isfinite(x)):
-            return False
-        inside_box = bool(np.all(x > self.lower + margin) and np.all(x < self.upper - margin))
-        if self.kind == "custom-predicate":
-            return inside_box and bool(self.predicate(x))
-        return inside_box
+        inside = np.all(np.isfinite(x) & (x > self.lower + margin) & (x < self.upper - margin),
+                        axis=-1)
+        if self.kind == "custom-predicate" and np.any(inside):
+            flat = np.broadcast_to(x, inside.shape + (self.dim,)).reshape(-1, self.dim)
+            keep = inside.reshape(-1)
+            keep[keep] = np.asarray(self.predicate(flat[keep]), dtype=bool)
+            inside = keep.reshape(inside.shape)
+        return bool(inside) if inside.ndim == 0 else inside
 
     def shifted(self, delta: np.ndarray) -> "DomainDescriptor":
-        """Translate a box-like domain by ``delta`` (used for re-anchoring)."""
+        """Translate a box-like domain by ``delta`` (used for re-anchoring).
+
+        ``delta`` of shape (..., dim) gives one translated box per entry.
+        """
         if self.kind == "custom-predicate":
             raise ValueError("cannot shift a custom-predicate domain")
-        delta = np.atleast_1d(np.asarray(delta, dtype=float))
-        return DomainDescriptor(self.kind, self.dim, self.lower + delta, self.upper + delta,
-                                convex=self.convex)
+        delta = np.asarray(delta, dtype=float)
+        lower, upper = np.broadcast_arrays(self.lower + delta, self.upper + delta)
+        return DomainDescriptor(self.kind, self.dim, lower, upper, convex=self.convex)
 
     def is_box_like(self) -> bool:
         return self.kind in ("box", "half-space-product")
@@ -87,7 +112,7 @@ class DomainDescriptor:
 
 def box_domain(lower, upper, kind: str = "box", convex: bool = True) -> DomainDescriptor:
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
-    return DomainDescriptor(kind, lower.shape[0], lower, upper, convex=convex)
+    return DomainDescriptor(kind, lower.shape[-1], lower, upper, convex=convex)
 
 
 def positive_orthant(dim: int = 1) -> DomainDescriptor:

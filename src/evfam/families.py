@@ -26,11 +26,22 @@ Numerical contracts:
   beta = canonical_from_mean(mu; mu'), never by a separate formula;
 * log-partitions return +inf outside the canonical domain instead of
   raising, so that domain boundaries can be probed safely.
+
+Broadcasting contract: every map takes batches.  Parameters are arrays of
+shape ``(..., dim)`` and broadcast against each other over the leading axes;
+a single ``(dim,)`` point is the batch with no leading axes and gives a
+float (or one vector / matrix) as before.  The descriptor callables follow
+the same rule: ``log_partition(beta, anchor)`` returns shape ``(...)``,
+``mean_map`` and ``beta_map`` shape ``(..., dim)``, ``cov_map`` shape
+``(..., dim, dim)``, and ``canonical_domain(anchor)`` returns one domain
+whose bounds have the anchors' leading axes.  The public helpers below
+validate shape, finiteness and domain membership once per batch and then
+hand whole arrays to the descriptor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,12 +49,11 @@ import numpy as np
 from .domains import DomainDescriptor
 from .errors import ConvergenceError, DomainError, UnsupportedModelError
 from .numdiff import fd_gradient, fd_hessian, fd_jacobian
-from .util import as_batch
+from .util import as_batch, float_or_array as _scalar, rowdot
 
 __all__ = [
     "SupportSpec",
     "ExpFamilyDescriptor",
-    "ParamPoint",
     "log_partition_at",
     "mean_from_canonical",
     "canonical_from_mean",
@@ -85,19 +95,22 @@ class ExpFamilyDescriptor:
     array.  ``log_partition(beta, anchor)`` and ``carrier_log_density(u,
     anchor)`` implement the anchored normalization above; the carrier at an
     anchor is the log-density of the member whose mean is that anchor.
-    ``canonical_domain`` maps an anchor to the open set of valid tilts.
+    ``canonical_domain`` maps anchors to the open sets of valid tilts.
 
     The optional ``mean_map`` / ``cov_map`` / ``beta_map`` entries are
     closed forms for grad logZ, its Hessian and the inverse mean map;
     ``sampler(mean, n, rng)`` draws from the member with the given mean.
     ``stochastic`` marks families whose log-partition is a Monte Carlo
     estimate, which blocks hard certification downstream.
+
+    The parameter callables take ``(..., dim)`` batches (see the module
+    docstring); they may assume their inputs were validated.
     """
 
     name: str
     dim: int
     suff_stat: Callable[[np.ndarray], np.ndarray]
-    log_partition: Callable[[np.ndarray, np.ndarray], float]
+    log_partition: Callable[[np.ndarray, np.ndarray], np.ndarray]
     mean_domain: DomainDescriptor
     canonical_domain: Callable[[np.ndarray], DomainDescriptor]
     carrier_log_density: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
@@ -116,125 +129,190 @@ class ExpFamilyDescriptor:
             raise ValueError(f"{self.name}: parameter shape {arr.shape}, expected ({self.dim},)")
         return arr
 
-
-@dataclass
-class ParamPoint:
-    """One family member: anchor plus canonical coordinate, mean on demand."""
-
-    anchor: np.ndarray
-    canonical: np.ndarray
-    _mean: np.ndarray | None = field(default=None, repr=False)
-
-    def mean_in(self, fam: ExpFamilyDescriptor) -> np.ndarray:
-        if self._mean is None:
-            self._mean = mean_from_canonical(fam, self.canonical, self.anchor)
-        return self._mean
+    def points(self, x) -> np.ndarray:
+        """Coerce a parameter or a ``(..., dim)`` batch of them to floats."""
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim == 0:
+            arr = arr.reshape(1)
+        if arr.shape[-1:] != (self.dim,):
+            raise ValueError(f"{self.name}: parameter shape {arr.shape}, expected (..., {self.dim})")
+        return arr
 
 
-def _require_mean(fam: ExpFamilyDescriptor, mu: np.ndarray, label: str = "mean") -> np.ndarray:
-    mu = fam.vec(mu)
-    if not fam.mean_domain.contains(mu):
-        raise DomainError(f"{fam.name}: {label} {mu} outside mean domain")
+def _require_mean(fam: ExpFamilyDescriptor, mu, label: str = "mean") -> np.ndarray:
+    mu = fam.points(mu)
+    inside = fam.mean_domain.contains(mu)
+    if not np.all(inside):
+        bad = mu if mu.ndim == 1 else mu[~inside][0]
+        raise DomainError(f"{fam.name}: {label} {bad} outside mean domain")
     return mu
 
 
-def log_partition_at(fam: ExpFamilyDescriptor, beta, anchor) -> float:
-    """Anchored log-partition; +inf outside the canonical domain."""
-    beta = fam.vec(beta)
-    anchor = _require_mean(fam, anchor, "anchor")
-    if not fam.canonical_domain(anchor).contains(beta):
-        return float("inf")
-    val = float(fam.log_partition(beta, anchor))
-    if np.isnan(val):
-        raise ConvergenceError(f"{fam.name}: log-partition returned NaN at beta={beta}")
-    return val
+def _require_canonical(fam: ExpFamilyDescriptor, beta: np.ndarray, anchor: np.ndarray) -> None:
+    inside = fam.canonical_domain(anchor).contains(beta)
+    if not np.all(inside):
+        b, a = np.broadcast_arrays(beta, anchor)
+        first = tuple(np.argwhere(~np.broadcast_to(inside, b.shape[:-1]))[0])
+        raise DomainError(f"{fam.name}: beta {b[first]} outside canonical domain "
+                          f"at anchor {a[first]}")
 
 
-def mean_from_canonical(fam: ExpFamilyDescriptor, beta, anchor) -> np.ndarray:
-    """Mean of the tilted member, i.e. grad_beta logZ(beta; anchor)."""
-    beta = fam.vec(beta)
-    anchor = _require_mean(fam, anchor, "anchor")
-    if not fam.canonical_domain(anchor).contains(beta):
-        raise DomainError(f"{fam.name}: beta {beta} outside canonical domain at anchor {anchor}")
+def _logz(fam: ExpFamilyDescriptor, beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """Log-partition over a validated anchor batch; +inf off the canonical domain."""
+    beta, anchor = np.broadcast_arrays(beta, anchor)
+    inside = np.broadcast_to(fam.canonical_domain(anchor).contains(beta), beta.shape[:-1])
+    out = np.full(beta.shape[:-1], np.inf)
+    if np.any(inside):
+        vals = np.asarray(fam.log_partition(beta[inside], anchor[inside]), dtype=float)
+        if np.any(np.isnan(vals)):
+            raise ConvergenceError(f"{fam.name}: log-partition returned NaN at "
+                                   f"beta={beta[inside][np.isnan(vals)][0]}")
+        out[inside] = vals
+    return out
+
+
+def _mean(fam: ExpFamilyDescriptor, beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """Mean map over validated canonical points; finite differences of logZ if no closed form."""
     if fam.mean_map is not None:
         return np.asarray(fam.mean_map(beta, anchor), dtype=float)
-    grad = fd_gradient(lambda b: log_partition_at(fam, b, anchor), beta)
+    beta, anchor = np.broadcast_arrays(beta, anchor)
+    grad = fd_gradient(lambda b: _logz(fam, b, anchor[..., None, :]), beta)
     if not np.all(np.isfinite(grad)):
-        raise DomainError(f"{fam.name}: finite-difference mean undefined at beta={beta} "
+        raise DomainError(f"{fam.name}: finite-difference mean undefined near beta={beta} "
                           "(too close to the domain boundary)")
     return grad
 
 
-def covariance_at_canonical(fam: ExpFamilyDescriptor, beta, anchor) -> np.ndarray:
-    """Sufficient-statistic covariance of the tilted member (symmetric PD)."""
-    beta = fam.vec(beta)
-    anchor = _require_mean(fam, anchor, "anchor")
-    if not fam.canonical_domain(anchor).contains(beta):
-        raise DomainError(f"{fam.name}: beta {beta} outside canonical domain at anchor {anchor}")
+def _cov(fam: ExpFamilyDescriptor, beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """Symmetrized covariance over validated canonical points."""
+    beta, anchor = np.broadcast_arrays(beta, anchor)
     if fam.cov_map is not None:
         cov = np.asarray(fam.cov_map(beta, anchor), dtype=float)
     elif fam.mean_map is not None:
-        cov = fd_jacobian(lambda b: mean_from_canonical(fam, b, anchor), beta)
+        cov = fd_jacobian(lambda b: _checked_mean(fam, b, anchor[..., None, :]), beta)
     else:
-        cov = fd_hessian(lambda b: log_partition_at(fam, b, anchor), beta)
-    cov = np.atleast_2d(cov)
-    return 0.5 * (cov + cov.T)
+        cov = fd_hessian(lambda b: _logz(fam, b, anchor[..., None, :]), beta)
+    cov = np.broadcast_to(cov, beta.shape + (fam.dim,))
+    return 0.5 * (cov + np.swapaxes(cov, -1, -2))
+
+
+def _checked_mean(fam: ExpFamilyDescriptor, beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    _require_canonical(fam, beta, anchor)
+    return _mean(fam, beta, anchor)
+
+
+def log_partition_at(fam: ExpFamilyDescriptor, beta, anchor):
+    """Anchored log-partition; +inf outside the canonical domain."""
+    beta = fam.points(beta)
+    anchor = _require_mean(fam, anchor, "anchor")
+    return _scalar(_logz(fam, beta, anchor))
+
+
+def mean_from_canonical(fam: ExpFamilyDescriptor, beta, anchor) -> np.ndarray:
+    """Mean of the tilted member, i.e. grad_beta logZ(beta; anchor)."""
+    beta = fam.points(beta)
+    anchor = _require_mean(fam, anchor, "anchor")
+    return _checked_mean(fam, beta, anchor)
+
+
+def covariance_at_canonical(fam: ExpFamilyDescriptor, beta, anchor) -> np.ndarray:
+    """Sufficient-statistic covariance of the tilted member (symmetric PD)."""
+    beta = fam.points(beta)
+    anchor = _require_mean(fam, anchor, "anchor")
+    _require_canonical(fam, beta, anchor)
+    return _cov(fam, beta, anchor)
 
 
 def covariance_at_mean(fam: ExpFamilyDescriptor, mu) -> np.ndarray:
     """Covariance of the member with mean ``mu`` (anchor it there, tilt zero)."""
     mu = _require_mean(fam, mu)
-    return covariance_at_canonical(fam, np.zeros(fam.dim), mu)
+    return _cov(fam, np.zeros_like(mu), mu)
 
 
-def _newton_invert(fam: ExpFamilyDescriptor, mu: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    domain = fam.canonical_domain(anchor)
-    beta = np.zeros(fam.dim)
-    current = mean_from_canonical(fam, beta, anchor)
-    tol = MEAN_TOL * (1.0 + float(np.max(np.abs(mu))))
-    err = float(np.linalg.norm(current - mu))
+def _damped_newton(label: str, target: np.ndarray, mean_of: Callable, cov_of: Callable,
+                   domain: DomainDescriptor) -> np.ndarray:
+    """Solve mean_of(beta) = target row by row, from beta = 0, by damped Newton.
+
+    ``target`` has shape (n, d).  ``mean_of(beta, rows)`` and ``cov_of(beta,
+    rows)`` evaluate the map and its Jacobian for the listed rows only;
+    ``domain`` (bounds broadcastable to (n, d)) holds the admissible betas.
+    Each row stops as soon as its residual satisfies
+    ||mean - target||_inf <= MEAN_TOL (1 + ||target||_inf); a step is halved
+    until it stays in the domain and lowers the residual norm.
+    """
+    beta = np.zeros_like(target)
+    current = np.asarray(mean_of(beta, np.arange(target.shape[0])), dtype=float)
+    tol = MEAN_TOL * (1.0 + np.max(np.abs(target), axis=-1))
+    err = np.linalg.norm(current - target, axis=-1)
     for _ in range(NEWTON_MAX_ITER):
-        if float(np.max(np.abs(current - mu))) <= tol:
+        rows = np.flatnonzero(~(np.max(np.abs(current - target), axis=-1) <= tol))
+        if rows.size == 0:
             return beta
-        jac = covariance_at_canonical(fam, beta, anchor)
         try:
-            step = np.linalg.solve(jac, current - mu)
+            step = np.linalg.solve(cov_of(beta[rows], rows),
+                                   (current[rows] - target[rows])[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"{fam.name}: singular covariance during inversion") from exc
-        scale = 1.0
+            raise ConvergenceError(f"{label}: singular curvature during inversion") from exc
+        scale = np.ones(rows.size)
+        pending = np.ones(rows.size, dtype=bool)
         for _ in range(NEWTON_MAX_HALVINGS):
-            cand = beta - scale * step
-            if domain.contains(cand):
-                cand_mean = mean_from_canonical(fam, cand, anchor)
-                cand_err = float(np.linalg.norm(cand_mean - mu))
-                if np.isfinite(cand_err) and cand_err < err:
-                    beta, current, err = cand, cand_mean, cand_err
-                    break
-            scale *= 0.5
+            slots = np.flatnonzero(pending)
+            idx = rows[slots]
+            cand = beta[idx] - scale[slots, None] * step[slots]
+            trial = beta.copy()
+            trial[idx] = cand
+            ok = np.asarray(domain.contains(trial), dtype=bool).reshape(-1)[idx]
+            cand_mean = np.full_like(cand, np.nan)
+            # an overshooting step may overflow; its residual is then inf and it is rejected
+            with np.errstate(over="ignore", invalid="ignore"):
+                if np.any(ok):
+                    cand_mean[ok] = mean_of(cand[ok], idx[ok])
+                cand_err = np.linalg.norm(cand_mean - target[idx], axis=-1)
+            accept = ok & np.isfinite(cand_err) & (cand_err < err[idx])
+            took = idx[accept]
+            beta[took], current[took], err[took] = cand[accept], cand_mean[accept], cand_err[accept]
+            pending[slots[accept]] = False
+            if not np.any(pending):
+                break
+            scale[pending] *= 0.5
         else:
-            raise ConvergenceError(f"{fam.name}: damped Newton stalled inverting mean {mu}")
-    raise ConvergenceError(f"{fam.name}: mean inversion did not converge for {mu} "
-                           f"(residual {err:.3e})")
+            stuck = target[rows[pending][0]]
+            raise ConvergenceError(f"{label}: damped Newton stalled inverting mean {stuck}")
+    stuck = np.flatnonzero(~(np.max(np.abs(current - target), axis=-1) <= tol))[0]
+    raise ConvergenceError(f"{label}: mean inversion did not converge for {target[stuck]} "
+                           f"(residual {err[stuck]:.3e})")
+
+
+def _beta(fam: ExpFamilyDescriptor, mu: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """Inverse mean map over validated means and anchors."""
+    if fam.beta_map is not None:
+        return np.asarray(fam.beta_map(mu, anchor), dtype=float)
+    mu, anchor = np.broadcast_arrays(mu, anchor)
+    lead = mu.shape[:-1]
+    mu, anchor = mu.reshape(-1, fam.dim), anchor.reshape(-1, fam.dim)
+    beta = _damped_newton(fam.name, mu,
+                          lambda b, rows: _mean(fam, b, anchor[rows]),
+                          lambda b, rows: _cov(fam, b, anchor[rows]),
+                          fam.canonical_domain(anchor))
+    return beta.reshape(lead + (fam.dim,))
 
 
 def canonical_from_mean(fam: ExpFamilyDescriptor, mu, anchor) -> np.ndarray:
     """Canonical coordinate of the member with mean ``mu``, relative to ``anchor``."""
     mu = _require_mean(fam, mu)
     anchor = _require_mean(fam, anchor, "anchor")
-    if fam.beta_map is not None:
-        return np.asarray(fam.beta_map(mu, anchor), dtype=float)
-    return _newton_invert(fam, mu, anchor)
+    return _beta(fam, mu, anchor)
 
 
-def kl_between_means(fam: ExpFamilyDescriptor, mu, mu_prime) -> float:
+def kl_between_means(fam: ExpFamilyDescriptor, mu, mu_prime):
     """D(P_mu || P_mu') via duality: beta . mu - logZ(beta; mu')."""
     mu = _require_mean(fam, mu)
     mu_prime = _require_mean(fam, mu_prime)
-    beta = canonical_from_mean(fam, mu, mu_prime)
-    logz = log_partition_at(fam, beta, mu_prime)
-    if not np.isfinite(logz):
+    beta = _beta(fam, mu, mu_prime)
+    logz = _logz(fam, beta, mu_prime)
+    if not np.all(np.isfinite(logz)):
         raise ConvergenceError(f"{fam.name}: log-partition divergent inside the mean image")
-    return float(beta @ mu - logz)
+    return _scalar(rowdot(beta, mu) - logz)
 
 
 def reparameterize(fam: ExpFamilyDescriptor, beta, anchor_from, anchor_to) -> np.ndarray:
@@ -244,13 +322,11 @@ def reparameterize(fam: ExpFamilyDescriptor, beta, anchor_from, anchor_to) -> np
     canonical coordinate of one anchor seen from the other, so the member is
     unchanged: log-densities agree pointwise.
     """
-    beta = fam.vec(beta)
-    shift = canonical_from_mean(fam, anchor_from, anchor_to)
-    return beta + shift
+    return fam.points(beta) + canonical_from_mean(fam, anchor_from, anchor_to)
 
 
 def log_density(fam: ExpFamilyDescriptor, beta, anchor, u):
-    """Log-density of the tilted member at sample point(s) ``u``.
+    """Log-density of one tilted member at sample point(s) ``u``.
 
     Accepts a single element or a batch with one leading axis; returns a
     float or an array accordingly.
@@ -258,8 +334,8 @@ def log_density(fam: ExpFamilyDescriptor, beta, anchor, u):
     if fam.carrier_log_density is None:
         raise UnsupportedModelError(f"{fam.name}: no density evaluation available")
     beta = fam.vec(beta)
-    anchor = _require_mean(fam, anchor, "anchor")
-    logz = log_partition_at(fam, beta, anchor)
+    anchor = _require_mean(fam, fam.vec(anchor), "anchor")
+    logz = float(_logz(fam, beta, anchor))
     if not np.isfinite(logz):
         raise DomainError(f"{fam.name}: beta {beta} outside canonical domain at anchor {anchor}")
     batch, single = as_batch(u, fam.element_ndim)
@@ -273,7 +349,7 @@ def family_from_root_cumulant(
     dim: int,
     suff_stat: Callable[[np.ndarray], np.ndarray],
     root_anchor,
-    root_cumulant: Callable[[np.ndarray], float],
+    root_cumulant: Callable[[np.ndarray], np.ndarray],
     root_domain: DomainDescriptor,
     mean_domain: DomainDescriptor,
     root_carrier_log_density: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -294,16 +370,19 @@ def family_from_root_cumulant(
         logZ(beta; mu) = K(beta + gamma(mu)) - K(gamma(mu)),
         carrier(u; mu) = gamma(mu) . t(u) - K(gamma(mu)) + root carrier(u).
 
-    gamma is found by the closed form when given, otherwise by Newton
-    inversion of K'; solved anchors are cached, so grid sweeps that revisit
-    anchors do not repeat the solve.
+    The root callables follow the batch contract: ``root_cumulant`` maps
+    ``(..., dim)`` to ``(...)``, ``root_mean`` and ``root_beta`` to
+    ``(..., dim)`` and ``root_cov`` to ``(..., dim, dim)``.  gamma is found
+    by the closed form when given, otherwise by damped Newton inversion of
+    K'; solved anchors are cached, so grid sweeps that revisit anchors do
+    not repeat the solve.
     """
-    root_anchor = np.atleast_1d(np.asarray(root_anchor, dtype=float))
-
-    def eval_cumulant(beta: np.ndarray) -> float:
-        if not root_domain.contains(beta):
-            return float("inf")
-        return float(root_cumulant(beta))
+    def eval_cumulant(beta: np.ndarray) -> np.ndarray:
+        inside = np.broadcast_to(root_domain.contains(beta), beta.shape[:-1])
+        out = np.full(beta.shape[:-1], np.inf)
+        if np.any(inside):
+            out[inside] = root_cumulant(beta[inside])
+        return out
 
     def eval_root_mean(beta: np.ndarray) -> np.ndarray:
         if root_mean is not None:
@@ -312,52 +391,28 @@ def family_from_root_cumulant(
 
     def eval_root_cov(beta: np.ndarray) -> np.ndarray:
         if root_cov is not None:
-            return np.atleast_2d(np.asarray(root_cov(beta), dtype=float))
+            return np.asarray(root_cov(beta), dtype=float)
         if root_mean is not None:
-            return np.atleast_2d(fd_jacobian(eval_root_mean, beta))
-        return np.atleast_2d(fd_hessian(eval_cumulant, beta))
+            return fd_jacobian(eval_root_mean, beta)
+        return fd_hessian(eval_cumulant, beta)
 
     gamma_cache: dict[bytes, np.ndarray] = {}
 
-    def gamma_of(anchor: np.ndarray) -> np.ndarray:
-        key = anchor.tobytes()
-        hit = gamma_cache.get(key)
-        if hit is not None:
-            return hit
+    def solve_gammas(targets: np.ndarray) -> np.ndarray:
         if root_beta is not None:
-            gamma = np.asarray(root_beta(anchor), dtype=float)
-        else:
-            gamma = _solve_root_gamma(anchor)
-        gamma_cache[key] = gamma
-        return gamma
+            return np.asarray(root_beta(targets), dtype=float)
+        return _damped_newton(name, targets, lambda b, rows: eval_root_mean(b),
+                              lambda b, rows: eval_root_cov(b), root_domain)
 
-    def _solve_root_gamma(target: np.ndarray) -> np.ndarray:
-        beta = np.zeros(dim)
-        current = eval_root_mean(beta)
-        tol = MEAN_TOL * (1.0 + float(np.max(np.abs(target))))
-        err = float(np.linalg.norm(current - target))
-        for _ in range(NEWTON_MAX_ITER):
-            if float(np.max(np.abs(current - target))) <= tol:
-                return beta
-            try:
-                step = np.linalg.solve(eval_root_cov(beta), current - target)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(f"{name}: singular curvature during re-anchoring") from exc
-            scale = 1.0
-            for _ in range(NEWTON_MAX_HALVINGS):
-                cand = beta - scale * step
-                if root_domain.contains(cand):
-                    cand_mean = eval_root_mean(cand)
-                    cand_err = float(np.linalg.norm(cand_mean - target))
-                    if np.isfinite(cand_err) and cand_err < err:
-                        beta, current, err = cand, cand_mean, cand_err
-                        break
-                scale *= 0.5
-            else:
-                raise ConvergenceError(f"{name}: re-anchoring stalled at target mean {target}")
-        raise ConvergenceError(f"{name}: re-anchoring did not converge for mean {target}")
+    def gamma_of(anchor: np.ndarray) -> np.ndarray:
+        flat = np.ascontiguousarray(anchor, dtype=float).reshape(-1, dim)
+        keys = [row.tobytes() for row in flat]
+        missing = {key: row for key, row in zip(keys, flat) if key not in gamma_cache}
+        if missing:
+            gamma_cache.update(zip(missing, solve_gammas(np.array(list(missing.values())))))
+        return np.array([gamma_cache[key] for key in keys]).reshape(np.shape(anchor))
 
-    def log_partition(beta: np.ndarray, anchor: np.ndarray) -> float:
+    def log_partition(beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         gamma = gamma_of(anchor)
         return eval_cumulant(beta + gamma) - eval_cumulant(gamma)
 
@@ -380,7 +435,7 @@ def family_from_root_cumulant(
     beta_map = None
     if root_beta is not None:
         def beta_map(mu: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-            return np.asarray(root_beta(mu), dtype=float) - gamma_of(anchor)
+            return gamma_of(mu) - gamma_of(anchor)
 
     return ExpFamilyDescriptor(
         name=name,

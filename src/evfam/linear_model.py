@@ -30,14 +30,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .domains import DomainDescriptor
 from .errors import DataError, DomainError
 from .families import ExpFamilyDescriptor, SupportSpec
 from .models import Pairing
 from .tilt import CarrierAlternative, TiltedFamily, build_tilted_family
+from .util import float_or_array as _scalar, matvec, rowdot
 
 __all__ = [
     "LinearModelDesign",
@@ -92,62 +95,78 @@ class LinearModelDesign:
     def gram_f0(self) -> np.ndarray:
         return self.nuisance.T @ self.x[:, 0]
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """X'X: squared norms and nuisance cross-products of fitted values need only it."""
+        return self.x.T @ self.x
+
+    @cached_property
+    def gram_ff_cholesky(self) -> tuple[np.ndarray, bool]:
+        """Cholesky factor of the nuisance Gram matrix, computed once per design."""
+        return cho_factor(self.gram_ff, lower=True)
+
 
 @dataclass(frozen=True)
 class LinearModelParams:
-    """One member: noise variance and full coefficient vector."""
+    """Members: noise variance and full coefficient vector.
 
-    sigma2: float
+    One member has a float ``sigma2`` and a (d+1,) ``gamma``; a batch has
+    ``sigma2`` of shape (...) and ``gamma`` of shape (..., d+1).
+    """
+
+    sigma2: float | np.ndarray
     gamma: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.sigma2 <= 0:
+        if np.any(np.asarray(self.sigma2) <= 0):
             raise DomainError("sigma2 must be positive")
         object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
 
     @property
-    def theta(self) -> float:
-        return float(self.gamma[0] / self.sigma2)
+    def theta(self) -> float | np.ndarray:
+        return _scalar(self.gamma[..., 0] / self.sigma2)
 
 
 def _fitted(design: LinearModelDesign, params: LinearModelParams) -> np.ndarray:
-    return design.x @ params.gamma
+    return matvec(design.x, params.gamma)
 
 
 def mean_of_params(design: LinearModelDesign, params: LinearModelParams) -> np.ndarray:
-    nu = _fitted(design, params)
-    return np.concatenate([[design.n * params.sigma2 + nu @ nu], design.nuisance.T @ nu])
+    g_gamma = matvec(design.gram, params.gamma)
+    first = design.n * np.asarray(params.sigma2) + rowdot(g_gamma, params.gamma)
+    return np.concatenate([first[..., None], g_gamma[..., 1:]], axis=-1)
 
 
 def covariance_of_params(design: LinearModelDesign, params: LinearModelParams) -> np.ndarray:
-    """Covariance of T(Y) under the member, assembled from its blocks."""
-    s2 = params.sigma2
-    nu = _fitted(design, params)
-    top = 2.0 * s2 * (2.0 * nu @ nu + design.n * s2)
-    side = 2.0 * s2 * (design.nuisance.T @ nu)
-    cov = np.empty((design.d + 1, design.d + 1))
-    cov[0, 0] = top
-    cov[0, 1:] = side
-    cov[1:, 0] = side
-    cov[1:, 1:] = s2 * design.gram_ff
+    """Covariance of T(Y) under the member(s), assembled from its blocks."""
+    s2 = np.asarray(params.sigma2)
+    g_gamma = matvec(design.gram, params.gamma)
+    top = 2.0 * s2 * (2.0 * rowdot(g_gamma, params.gamma) + design.n * s2)
+    side = 2.0 * s2[..., None] * g_gamma[..., 1:]
+    cov = np.empty(s2.shape + (design.d + 1, design.d + 1))
+    cov[..., 0, 0] = top
+    cov[..., 0, 1:] = side
+    cov[..., 1:, 0] = side
+    cov[..., 1:, 1:] = s2[..., None, None] * design.gram_ff
     return cov
 
 
 def _solve_ff(design: LinearModelDesign, rhs: np.ndarray) -> np.ndarray:
+    """G_ff^{-1} rhs for every (..., d) right-hand side, by the cached Cholesky factor."""
+    rhs = np.asarray(rhs, dtype=float)
     if design.d == 0:
-        return np.zeros(0)
-    return np.linalg.solve(design.gram_ff, rhs)
+        return np.zeros(rhs.shape)
+    cols = rhs.reshape(-1, design.d).T
+    return cho_solve(design.gram_ff_cholesky, cols, check_finite=False).T.reshape(rhs.shape)
 
 
-def _nuisance_quadratic(design: LinearModelDesign, mu_f: np.ndarray) -> float:
-    if design.d == 0:
-        return 0.0
-    return float(mu_f @ _solve_ff(design, mu_f))
+def _nuisance_quadratic(design: LinearModelDesign, mu_f: np.ndarray) -> np.ndarray:
+    return rowdot(mu_f, _solve_ff(design, mu_f))
 
 
 def _mean_domain(design: LinearModelDesign) -> DomainDescriptor:
-    def predicate(mu: np.ndarray) -> bool:
-        return float(mu[0]) > _nuisance_quadratic(design, mu[1:])
+    def predicate(mu: np.ndarray) -> np.ndarray:
+        return mu[..., 0] > _nuisance_quadratic(design, mu[..., 1:])
 
     lower = np.full(design.d + 1, -np.inf)
     lower[0] = 0.0
@@ -161,25 +180,28 @@ def params_from_mean(design: LinearModelDesign, theta: float, mu) -> LinearModel
     The nuisance normal equations make gamma affine in v = sigma2, so the
     first mean coordinate becomes a quadratic in v with a negative value at
     v = 0 whenever mu is in the mean space; its unique positive root is the
-    member's variance.
+    member's variance.  ``mu`` may be one mean or a (..., d+1) batch; the
+    members come back batched the same way.
     """
-    mu = np.asarray(mu, dtype=float).reshape(design.d + 1)
-    p = _solve_ff(design, mu[1:])
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape[-1:] != (design.d + 1,):
+        mu = mu.reshape(design.d + 1)
+    p = _solve_ff(design, mu[..., 1:])
     q = _solve_ff(design, design.gram_f0) * theta
-    gamma_a = np.concatenate([[0.0], p])
+    gamma_a = np.concatenate([np.zeros(mu.shape[:-1] + (1,)), p], axis=-1)
     gamma_b = np.concatenate([[theta], -q])
-    fa = design.x @ gamma_a
+    g_a = matvec(design.gram, gamma_a)
     fb = design.x @ gamma_b
     a2 = float(fb @ fb)
-    a1 = design.n + 2.0 * float(fa @ fb)
-    a0 = float(fa @ fa) - float(mu[0])
-    if a0 >= 0.0:
-        raise DomainError(f"mean {mu} outside the linear-model mean space")
-    if a2 <= 1e-14 * max(1.0, a1 * a1):
-        v = -a0 / a1
-    else:
-        v = (-a1 + math.sqrt(a1 * a1 - 4.0 * a2 * a0)) / (2.0 * a2)
-    return LinearModelParams(sigma2=v, gamma=gamma_a + v * gamma_b)
+    a1 = design.n + 2.0 * (g_a @ gamma_b)
+    a0 = rowdot(g_a, gamma_a) - mu[..., 0]
+    if np.any(a0 >= 0.0):
+        bad = mu if mu.ndim == 1 else mu[a0 >= 0.0][0]
+        raise DomainError(f"mean {bad} outside the linear-model mean space")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = np.where(a2 <= 1e-14 * np.maximum(1.0, a1 * a1), -a0 / a1,
+                     (-a1 + np.sqrt(a1 * a1 - 4.0 * a2 * a0)) / (2.0 * a2))
+    return LinearModelParams(sigma2=_scalar(v), gamma=gamma_a + v[..., None] * gamma_b)
 
 
 def _log_density(design: LinearModelDesign, params: LinearModelParams, y: np.ndarray) -> np.ndarray:
@@ -216,42 +238,42 @@ def linmodel_family(design: LinearModelDesign, theta: float) -> ExpFamilyDescrip
     """The exponential family of N(X gamma, sigma2 I) laws with fixed theta."""
     n, d = design.n, design.d
     mean_domain = _mean_domain(design)
-    param_cache: dict[bytes, LinearModelParams] = {}
 
     def params_at(mu: np.ndarray) -> LinearModelParams:
-        key = mu.tobytes()
-        hit = param_cache.get(key)
-        if hit is None:
-            hit = params_from_mean(design, theta, mu)
-            param_cache[key] = hit
-        return hit
+        return params_from_mean(design, theta, mu)
 
     def natural_of(params: LinearModelParams) -> np.ndarray:
-        return np.concatenate([[-0.5 / params.sigma2], params.gamma[1:] / params.sigma2])
+        s2 = np.asarray(params.sigma2)[..., None]
+        return np.concatenate([-0.5 / s2, params.gamma[..., 1:] / s2], axis=-1)
 
     def params_of_natural(eta: np.ndarray) -> LinearModelParams:
-        s2 = -0.5 / eta[0]
-        return LinearModelParams(sigma2=s2, gamma=s2 * np.concatenate([[theta], eta[1:]]))
+        s2 = -0.5 / eta[..., 0]
+        full = np.concatenate([np.full(eta.shape[:-1] + (1,), theta), eta[..., 1:]], axis=-1)
+        return LinearModelParams(sigma2=_scalar(s2), gamma=s2[..., None] * full)
 
-    def potential(params: LinearModelParams) -> float:
-        nu = _fitted(design, params)
-        return float(nu @ nu) / (2.0 * params.sigma2) + 0.5 * n * math.log(2.0 * math.pi * params.sigma2)
+    def potential(params: LinearModelParams) -> np.ndarray:
+        s2 = np.asarray(params.sigma2)
+        norm2 = rowdot(matvec(design.gram, params.gamma), params.gamma)
+        return norm2 / (2.0 * s2) + 0.5 * n * np.log(2.0 * math.pi * s2)
 
     def suff_stat(y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float).reshape(-1, n)
         return np.column_stack([np.sum(y ** 2, axis=1), y @ design.nuisance])
 
-    def log_partition(beta: np.ndarray, anchor: np.ndarray) -> float:
+    def log_partition(beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         eta0 = natural_of(params_at(anchor))
-        eta = eta0 + beta
-        if eta[0] >= 0.0:
-            return float("inf")
-        return potential(params_of_natural(eta)) - potential(params_of_natural(eta0))
+        eta, eta0 = np.broadcast_arrays(eta0 + beta, eta0)
+        inside = eta[..., 0] < 0.0
+        out = np.full(inside.shape, np.inf)
+        if np.any(inside):
+            out[inside] = (potential(params_of_natural(eta[inside]))
+                           - potential(params_of_natural(eta0[inside])))
+        return out
 
     def canonical_domain(anchor: np.ndarray) -> DomainDescriptor:
-        lam0 = -0.5 / params_at(anchor).sigma2
-        upper = np.full(d + 1, np.inf)
-        upper[0] = -lam0
+        sigma2 = np.asarray(params_at(anchor).sigma2)
+        upper = np.full(sigma2.shape + (d + 1,), np.inf)
+        upper[..., 0] = 0.5 / sigma2
         return DomainDescriptor("half-space-product", d + 1, None, upper)
 
     def mean_map(beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ from .domains import DomainDescriptor, box_domain, full_space, positive_orthant
 from .errors import DomainError, UnsupportedModelError
 from .families import ExpFamilyDescriptor, SupportSpec, family_from_root_cumulant
 from .tilt import CarrierAlternative, TiltedFamily, build_tilted_family
+from .util import matvec, rowdot
 
 __all__ = [
     "NefDescriptor",
@@ -110,82 +111,93 @@ def _sum_stat(u: np.ndarray) -> np.ndarray:
 
 def _nef_from_potentials(
     name: str,
-    variance: Callable[[float], float],
-    phi: Callable[[float], float],
-    psi: Callable[[float], float],
+    variance: Callable[[np.ndarray], np.ndarray],
+    phi: Callable[[np.ndarray], np.ndarray],
+    psi: Callable[[np.ndarray], np.ndarray],
     phi_sup: float,
     mean_domain: DomainDescriptor,
-    phi_inv: Callable[[float], float] | None = None,
+    phi_inv: Callable[[np.ndarray], np.ndarray] | None = None,
     suff_stat: Callable | None = None,
     carrier: Callable | None = None,
     sampler: Callable | None = None,
     support: SupportSpec | None = None,
     element_ndim: int = 0,
-    log_partition_closed: Callable[[float, float], float] | None = None,
+    log_partition_closed: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> ExpFamilyDescriptor:
     """One-dimensional family from its mean-domain potentials.
 
-    ``phi_sup`` is the supremum of Phi over the mean domain; the canonical
-    domain at anchor m' is the open interval (-inf, phi_sup - Phi(m')),
-    reflecting that Phi(0+) = -inf for every catalog variance function.
-    When ``phi_inv`` is missing the mean map inverts Phi by bracketed root
-    finding (Phi is strictly increasing, slope 1/V).  A direct
+    The potentials are numpy expressions evaluated elementwise on arrays of
+    means (or canonical values, for ``phi_inv``).  ``phi_sup`` is the
+    supremum of Phi over the mean domain; the canonical domain at anchor m'
+    is the open interval (-inf, phi_sup - Phi(m')), reflecting that
+    Phi(0+) = -inf for every catalog variance function.  When ``phi_inv``
+    is missing the mean map inverts Phi by bracketed root finding, one
+    entry at a time (Phi is strictly increasing, slope 1/V).  A direct
     ``log_partition_closed(beta, anchor_mean)`` bypasses the potential
     composition where that composition cancels badly near a mean boundary.
     """
     lo, hi = float(mean_domain.lower[0]), float(mean_domain.upper[0])
 
-    def invert(x: float) -> float:
-        if phi_inv is not None:
-            return float(phi_inv(x))
+    def invert_one(x: float) -> float:
         low = lo + 1e-12 * max(1.0, abs(lo)) if np.isfinite(lo) else -1.0
         if np.isfinite(lo):
             width = (hi - lo) if np.isfinite(hi) else 1.0
             low = lo + 1e-14 * width
             while phi(low) > x:
                 low = lo + (low - lo) * 1e-3
+                if low == lo:
+                    return float("nan")  # mean below float range
         high = hi - 1e-14 * (hi - lo) if np.isfinite(hi) else max(2.0 * abs(low), 1.0)
         if not np.isfinite(hi):
             while phi(high) < x:
                 high *= 4.0
                 if not np.isfinite(high):
-                    raise OverflowError(f"{name}: mean beyond float range")
+                    return float("nan")  # mean beyond float range
         return float(brentq(lambda t: phi(t) - x, low, high,
                             xtol=1e-300, rtol=8.9e-16, maxiter=1000))
 
-    def log_partition(beta: np.ndarray, anchor: np.ndarray) -> float:
-        x = float(beta[0]) + phi(float(anchor[0]))
-        if x >= phi_sup:
-            return float("inf")
-        if log_partition_closed is not None:
-            return log_partition_closed(float(beta[0]), float(anchor[0]))
-        try:
-            with np.errstate(over="ignore"):
-                return psi(invert(x)) - psi(float(anchor[0]))
-        except (OverflowError, ValueError):
-            # inside the domain but past the float range (or the inverted mean
-            # rounds onto the boundary); inf is the honest value
-            return float("inf")
+    def invert(x: np.ndarray) -> np.ndarray:
+        """Phi^{-1}; NaN or inf where the mean lies past the float range."""
+        if phi_inv is not None:
+            return phi_inv(x)
+        x = np.asarray(x, dtype=float)
+        return np.array([invert_one(v) for v in x.ravel()]).reshape(x.shape)
+
+    def log_partition(beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+        b, a = np.broadcast_arrays(beta[..., 0], anchor[..., 0])
+        x = b + phi(a)
+        inside = x < phi_sup
+        val = np.full(x.shape, np.inf)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if log_partition_closed is not None:
+                val[inside] = log_partition_closed(b[inside], a[inside])
+            else:
+                val[inside] = psi(invert(x[inside])) - psi(a[inside])
+        # inside the domain but past the float range (or the inverted mean
+        # rounds onto the boundary); inf is the honest value
+        val[~np.isfinite(val)] = np.inf
+        return val
 
     def mean_map(beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-        x = float(beta[0]) + phi(float(anchor[0]))
-        if x >= phi_sup:
+        x = beta[..., 0] + phi(anchor[..., 0])
+        if np.any(x >= phi_sup):
             raise DomainError(f"{name}: canonical point at or beyond the domain boundary")
-        try:
-            return np.array([invert(x)])
-        except OverflowError as exc:
-            raise DomainError(str(exc)) from None
+        with np.errstate(over="ignore"):
+            m = np.asarray(invert(x), dtype=float)
+        if not np.all(np.isfinite(m)):
+            raise DomainError(f"{name}: mean beyond float range")
+        return m[..., None]
 
     def cov_map(beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-        m = mean_map(beta, anchor)[0]
-        return np.array([[variance(m)]])
+        m = mean_map(beta, anchor)
+        return np.broadcast_to(variance(m), m.shape)[..., None]
 
     def beta_map(mu: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-        return np.array([phi(float(mu[0])) - phi(float(anchor[0]))])
+        return (phi(mu[..., 0]) - phi(anchor[..., 0]))[..., None]
 
     def canonical_domain(anchor: np.ndarray) -> DomainDescriptor:
-        upper = phi_sup - phi(float(anchor[0]))
-        return box_domain([-np.inf], [upper])
+        upper = np.asarray(phi_sup - phi(anchor[..., 0]))[..., None]
+        return box_domain(np.full(upper.shape, -np.inf), upper)
 
     return ExpFamilyDescriptor(
         name=name,
@@ -209,8 +221,8 @@ def poisson_family() -> ExpFamilyDescriptor:
     return _nef_from_potentials(
         "poisson",
         variance=lambda m: m,
-        phi=math.log,
-        phi_inv=math.exp,
+        phi=np.log,
+        phi_inv=np.exp,
         psi=lambda m: m,
         phi_sup=float("inf"),
         mean_domain=positive_orthant(1),
@@ -229,7 +241,7 @@ def gamma_family(shape: float) -> ExpFamilyDescriptor:
         variance=lambda m: m * m / shape,
         phi=lambda m: -shape / m,
         phi_inv=lambda x: -shape / x,
-        psi=lambda m: shape * math.log(m),
+        psi=lambda m: shape * np.log(m),
         phi_sup=0.0,
         mean_domain=positive_orthant(1),
         carrier=lambda u, anchor: _gamma_logpdf(u, shape, anchor[0]),
@@ -246,9 +258,9 @@ def negbinom_family(successes: float) -> ExpFamilyDescriptor:
     return _nef_from_potentials(
         f"negbinom(n={n:g})",
         variance=lambda m: m * (1.0 + m / n),
-        phi=lambda m: math.log(m / (n + m)),
-        phi_inv=lambda x: n * math.exp(x) / (1.0 - math.exp(x)),
-        psi=lambda m: n * math.log(n + m),
+        phi=lambda m: np.log(m / (n + m)),
+        phi_inv=lambda x: n * np.exp(x) / (1.0 - np.exp(x)),
+        psi=lambda m: n * np.log(n + m),
         phi_sup=0.0,
         mean_domain=positive_orthant(1),
         carrier=lambda u, anchor: _negbinom_logpmf(u, n, anchor[0]),
@@ -277,18 +289,18 @@ def abm_family(s: float, r: int) -> ExpFamilyDescriptor:
     if r == 0:
         return poisson_family()
 
-    def phi(t: float) -> float:
-        val = math.log(t) - math.log(s + t)
+    def phi(t: np.ndarray) -> np.ndarray:
+        val = np.log(t) - np.log(s + t)
         for k in range(2, r + 1):
             val += s ** (k - 1) / ((k - 1) * (s + t) ** (k - 1))
         return val
 
-    def psi(t: float) -> float:
+    def psi(t: np.ndarray) -> np.ndarray:
         if r == 1:
-            return s * math.log(s + t)
+            return s * np.log(s + t)
         return -s ** r / ((r - 1) * (s + t) ** (r - 1))
 
-    phi_inv = (lambda x: s * math.exp(x) / (1.0 - math.exp(x))) if r == 1 else None
+    phi_inv = (lambda x: s * np.exp(x) / (1.0 - np.exp(x))) if r == 1 else None
 
     carrier = sampler = support = None
     if r == 1:
@@ -336,14 +348,14 @@ def tweedie_family(a: float, power: float) -> ExpFamilyDescriptor:
         return inverse_gaussian_family(1.0 / a)
 
     if power == 1:
-        phi = lambda m: math.log(m) / a
-        phi_inv = lambda x: math.exp(a * x)
+        phi = lambda m: np.log(m) / a
+        phi_inv = lambda x: np.exp(a * x)
         phi_sup = float("inf")
     else:
         phi = lambda m: m ** (1.0 - power) / (a * (1.0 - power))
         phi_inv = lambda x: ((1.0 - power) * a * x) ** (1.0 / (1.0 - power))
         phi_sup = 0.0
-    psi = (lambda m: math.log(m) / a) if power == 2 else (lambda m: m ** (2.0 - power) / (a * (2.0 - power)))
+    psi = (lambda m: np.log(m) / a) if power == 2 else (lambda m: m ** (2.0 - power) / (a * (2.0 - power)))
 
     return _nef_from_potentials(
         f"tweedie(a={a:g},power={power:g})",
@@ -364,7 +376,7 @@ def inverse_gaussian_family(lam: float) -> ExpFamilyDescriptor:
         f"invgauss(lam={lam:g})",
         variance=lambda m: m ** 3 / lam,
         phi=lambda m: -lam / (2.0 * m * m),
-        phi_inv=lambda x: math.sqrt(-lam / (2.0 * x)),
+        phi_inv=lambda x: np.sqrt(-lam / (2.0 * x)),
         psi=lambda m: -lam / m,
         phi_sup=0.0,
         mean_domain=positive_orthant(1),
@@ -376,6 +388,16 @@ def inverse_gaussian_family(lam: float) -> ExpFamilyDescriptor:
 
 # ---------------------------------------------------------------------------
 # Gaussian families
+
+def _gaussian_logz(beta: np.ndarray, anchor: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """beta . anchor + beta' cov beta / 2 for (..., d) batches."""
+    return rowdot(beta, anchor) + 0.5 * rowdot(matvec(cov.T, beta), beta)
+
+
+def _solve_each(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """matrix^{-1} rhs for every (..., d) right-hand side."""
+    return np.linalg.solve(matrix, rhs[..., None])[..., 0]
+
 
 def gaussian_location_family(cov) -> ExpFamilyDescriptor:
     """Multivariate normal with known covariance, mean as the parameter."""
@@ -397,13 +419,13 @@ def gaussian_location_family(cov) -> ExpFamilyDescriptor:
         name=f"gaussian-location(d={d})",
         dim=d,
         suff_stat=lambda u: np.asarray(u, dtype=float).reshape(-1, d),
-        log_partition=lambda beta, anchor: float(beta @ anchor + 0.5 * beta @ cov @ beta),
+        log_partition=lambda beta, anchor: _gaussian_logz(beta, anchor, cov),
         mean_domain=full_space(d),
         canonical_domain=lambda anchor: full_space(d),
         carrier_log_density=carrier,
-        mean_map=lambda beta, anchor: anchor + cov @ beta,
+        mean_map=lambda beta, anchor: anchor + matvec(cov, beta),
         cov_map=lambda beta, anchor: cov,
-        beta_map=lambda mu, anchor: np.linalg.solve(cov, mu - anchor),
+        beta_map=lambda mu, anchor: _solve_each(cov, mu - anchor),
         sampler=sampler,
         support=SupportSpec("real-vector", axes=d),
         element_ndim=1,
@@ -422,7 +444,7 @@ def gaussian_scale_family() -> ExpFamilyDescriptor:
         variance=lambda m: 2.0 * m * m,
         phi=lambda m: -0.5 / m,
         phi_inv=lambda x: -0.5 / x,
-        psi=lambda m: 0.5 * math.log(m),
+        psi=lambda m: 0.5 * np.log(m),
         phi_sup=0.0,
         mean_domain=positive_orthant(1),
         suff_stat=lambda u: np.asarray(u, dtype=float).reshape(-1, 1) ** 2,
@@ -448,8 +470,8 @@ def ksample_null_family(kind: str, k: int, sigma2: float = 1.0) -> ExpFamilyDesc
         return _nef_from_potentials(
             f"poisson-{k}sample",
             variance=lambda m: m,
-            phi=math.log,
-            phi_inv=math.exp,
+            phi=np.log,
+            phi_inv=np.exp,
             psi=lambda m: m,
             phi_sup=float("inf"),
             mean_domain=positive_orthant(1),
@@ -466,9 +488,9 @@ def ksample_null_family(kind: str, k: int, sigma2: float = 1.0) -> ExpFamilyDesc
         return _nef_from_potentials(
             f"bernoulli-{k}sample",
             variance=lambda m: m * (1.0 - m / k),
-            phi=lambda m: math.log(m) - math.log(k - m),
+            phi=lambda m: np.log(m) - np.log(k - m),
             phi_inv=lambda x: k * expit(x),
-            psi=lambda m: -k * math.log(k - m),
+            psi=lambda m: -k * np.log(k - m),
             phi_sup=float("inf"),
             mean_domain=box_domain([0.0], [float(k)]),
             suff_stat=_sum_stat,
@@ -477,7 +499,7 @@ def ksample_null_family(kind: str, k: int, sigma2: float = 1.0) -> ExpFamilyDesc
             support=SupportSpec("finite", axes=k, points=points),
             element_ndim=1,
             # the potential route cancels in k - m near the upper boundary
-            log_partition_closed=lambda beta, m: k * math.log1p(m / k * math.expm1(beta)),
+            log_partition_closed=lambda beta, m: k * np.log1p(m / k * np.expm1(beta)),
         )
     if kind == "gaussian":
         if sigma2 <= 0:
@@ -542,8 +564,8 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
         family = _nef_from_potentials(
             f"poisson-{k}sample-alt",
             variance=lambda m: m,
-            phi=math.log,
-            phi_inv=math.exp,
+            phi=np.log,
+            phi_inv=np.exp,
             psi=lambda m: m,
             phi_sup=float("inf"),
             mean_domain=positive_orthant(1),
@@ -574,28 +596,31 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
     elif kind == "bernoulli":
         logits = np.asarray(logit(alt_means), dtype=float)
 
-        def arm_means_at(gamma: float) -> np.ndarray:
-            return expit(logits + gamma)
+        def arm_means_at(gamma) -> np.ndarray:
+            return expit(logits + np.asarray(gamma)[..., None])
 
-        def root_gamma(mu: np.ndarray) -> np.ndarray:
-            target = float(mu[0])
+        def solve_gamma(target: float) -> float:
             f = lambda g: float(arm_means_at(g).sum()) - target
             lo, hi = -1.0, 1.0
             while f(lo) > 0.0:
                 lo *= 2.0
             while f(hi) < 0.0:
                 hi *= 2.0
-            return np.array([brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)])
+            return brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
-        def root_cumulant(beta: np.ndarray) -> float:
-            return float(np.sum(np.log1p(alt_means * np.expm1(beta[0]))))
+        def root_gamma(mu: np.ndarray) -> np.ndarray:
+            target = np.asarray(mu, dtype=float)[..., 0]
+            return np.array([solve_gamma(t) for t in target.ravel()]).reshape(target.shape + (1,))
+
+        def root_cumulant(beta: np.ndarray) -> np.ndarray:
+            return np.sum(np.log1p(alt_means * np.expm1(beta[..., 0, None])), axis=-1)
 
         def root_mean(beta: np.ndarray) -> np.ndarray:
-            return np.array([float(arm_means_at(beta[0]).sum())])
+            return arm_means_at(beta[..., 0]).sum(axis=-1)[..., None]
 
         def root_cov(beta: np.ndarray) -> np.ndarray:
-            w = arm_means_at(beta[0])
-            return np.array([[float(np.sum(w * (1.0 - w)))]])
+            w = arm_means_at(beta[..., 0])
+            return np.sum(w * (1.0 - w), axis=-1)[..., None, None]
 
         def root_carrier(u: np.ndarray) -> np.ndarray:
             return _bern_logpmf(u, alt_means).sum(axis=1)
@@ -713,13 +738,13 @@ def gaussian_location_constrained(cov, d0: int, alt_mean) -> Pairing:
             name=f"gaussian-constrained-{tag}(d={d},d0={d0})",
             dim=dprime,
             suff_stat=lambda u: np.asarray(u, dtype=float).reshape(-1, d) @ a_rows.T,
-            log_partition=lambda beta, anchor: float(beta @ anchor + 0.5 * beta @ stat_cov @ beta),
+            log_partition=lambda beta, anchor: _gaussian_logz(beta, anchor, stat_cov),
             mean_domain=full_space(dprime),
             canonical_domain=lambda anchor: full_space(dprime),
             carrier_log_density=carrier,
-            mean_map=lambda beta, anchor: anchor + stat_cov @ beta,
+            mean_map=lambda beta, anchor: anchor + matvec(stat_cov, beta),
             cov_map=lambda beta, anchor: stat_cov,
-            beta_map=lambda mu, anchor: np.linalg.solve(stat_cov, mu - anchor),
+            beta_map=lambda mu, anchor: _solve_each(stat_cov, mu - anchor),
             sampler=sampler,
             support=SupportSpec("real-vector", axes=d),
             element_ndim=1,
@@ -768,22 +793,22 @@ def gaussian_scale_pairing(m: float, s2: float) -> Pairing:
     def member_params(t: float) -> tuple[float, float]:
         return c * m / t, 0.5 / t
 
-    def root_cumulant(beta: np.ndarray) -> float:
-        t = c - float(beta[0])
-        return -0.5 * math.log(2.0 * s2 * t) + m * m * float(beta[0]) / (2.0 * s2 * t)
+    def root_cumulant(beta: np.ndarray) -> np.ndarray:
+        t = c - beta[..., 0]
+        return -0.5 * np.log(2.0 * s2 * t) + m * m * beta[..., 0] / (2.0 * s2 * t)
 
     def root_mean(beta: np.ndarray) -> np.ndarray:
-        t = c - float(beta[0])
-        return np.array([(2.0 * cm2 + t) / (2.0 * t * t)])
+        t = c - beta[..., 0]
+        return ((2.0 * cm2 + t) / (2.0 * t * t))[..., None]
 
     def root_cov(beta: np.ndarray) -> np.ndarray:
-        t = c - float(beta[0])
-        return np.array([[(4.0 * cm2 + t) / (2.0 * t ** 3)]])
+        t = c - beta[..., 0]
+        return ((4.0 * cm2 + t) / (2.0 * t ** 3))[..., None, None]
 
     def root_beta(mu: np.ndarray) -> np.ndarray:
-        target = float(mu[0])
-        t = (1.0 + math.sqrt(1.0 + 16.0 * target * cm2)) / (4.0 * target)
-        return np.array([c - t])
+        target = np.asarray(mu, dtype=float)[..., 0]
+        t = (1.0 + np.sqrt(1.0 + 16.0 * target * cm2)) / (4.0 * target)
+        return (c - t)[..., None]
 
     def root_carrier(u: np.ndarray) -> np.ndarray:
         return _norm_logpdf(u, m, s2)

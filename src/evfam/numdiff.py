@@ -3,6 +3,11 @@
 Step sizes follow h_i = base * (1 + |x_i|); the default base of 1e-6 is
 near-optimal for first derivatives in double precision, and 1e-4 (about
 eps^(1/4)) for second derivatives.
+
+Every helper builds its whole stencil as one array and calls ``f`` once:
+``f`` maps points of shape ``(..., n)`` to values of shape ``(...)`` (or
+``(..., m)`` for a Jacobian), broadcasting over the leading axes.  ``x`` may
+itself be a batch ``(..., n)``; derivatives come back per batch entry.
 """
 
 from __future__ import annotations
@@ -21,48 +26,57 @@ def _steps(x: np.ndarray, base: float) -> np.ndarray:
     return base * (1.0 + np.abs(x))
 
 
-def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, base: float = DEFAULT_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function."""
-    x = np.asarray(x, dtype=float)
+def _central(f: Callable, x: np.ndarray, base: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f at x + h_i e_i and x - h_i e_i for every axis i, stacked on axis -2 / -1."""
     h = _steps(x, base)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h[i]
-        grad[i] = (f(x + e) - f(x - e)) / (2.0 * h[i])
-    return grad
+    shifts = h[..., None, :] * np.eye(x.shape[-1])             # (..., n, n), row i = h_i e_i
+    stencil = np.concatenate([x[..., None, :] + shifts, x[..., None, :] - shifts], axis=-2)
+    vals = np.asarray(f(stencil), dtype=float)
+    n = x.shape[-1]
+    vals = np.moveaxis(vals, x.ndim - 1, -1) if vals.ndim > x.ndim else vals
+    return vals[..., :n], vals[..., n:], h
 
 
-def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, base: float = DEFAULT_STEP) -> np.ndarray:
-    """Central-difference Jacobian of a vector function, shape (m, n)."""
+def fd_gradient(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                base: float = DEFAULT_STEP) -> np.ndarray:
+    """Central-difference gradient of a scalar function, shape (..., n)."""
     x = np.asarray(x, dtype=float)
-    h = _steps(x, base)
-    cols = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h[i]
-        cols.append((np.asarray(f(x + e), dtype=float) - np.asarray(f(x - e), dtype=float)) / (2.0 * h[i]))
-    return np.stack(cols, axis=-1)
+    plus, minus, h = _central(f, x, base)
+    return (plus - minus) / (2.0 * h)
 
 
-def fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray, base: float = DEFAULT_STEP_SECOND) -> np.ndarray:
-    """Central-difference Hessian of a scalar function.
+def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                base: float = DEFAULT_STEP) -> np.ndarray:
+    """Central-difference Jacobian of a vector function, shape (..., m, n)."""
+    x = np.asarray(x, dtype=float)
+    plus, minus, h = _central(f, x, base)
+    return (plus - minus) / (2.0 * h[..., None, :])
+
+
+def fd_hessian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+               base: float = DEFAULT_STEP_SECOND) -> np.ndarray:
+    """Central-difference Hessian of a scalar function, shape (..., n, n).
 
     Diagonal entries use the three-point second difference, off-diagonal
     entries the four-point cross formula; the result is exactly symmetric.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     h = _steps(x, base)
-    hess = np.empty((n, n))
-    f0 = f(x)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
-        hess[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / h[i] ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h[j]
-            cross = (f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej))
-            hess[i, j] = hess[j, i] = cross / (4.0 * h[i] * h[j])
+    unit = h[..., None, :] * np.eye(n)                         # (..., n, n), row i = h_i e_i
+    iu, ju = np.triu_indices(n, 1)
+    ei, ej = unit[..., iu, :], unit[..., ju, :]
+    offsets = np.concatenate([unit, -unit, ei + ej, ei - ej, -ei + ej, -ei - ej,
+                              np.zeros_like(unit[..., :1, :])], axis=-2)
+    vals = np.asarray(f(x[..., None, :] + offsets), dtype=float)
+    k = iu.size
+    plus, minus = vals[..., :n], vals[..., n:2 * n]
+    pp, pm, mp, mm = (vals[..., 2 * n + j * k:2 * n + (j + 1) * k] for j in range(4))
+    f0 = vals[..., -1:]
+    hess = np.empty(x.shape + (n,))
+    diag = np.arange(n)
+    hess[..., diag, diag] = (plus - 2.0 * f0 + minus) / h ** 2
+    cross = (pp - pm - mp + mm) / (4.0 * h[..., iu] * h[..., ju])
+    hess[..., iu, ju] = cross
+    hess[..., ju, iu] = cross
     return hess

@@ -19,6 +19,7 @@ from scipy.special import logsumexp, xlogy
 
 from .errors import ConvergenceError
 from . import numdiff
+from .util import pointwise
 
 __all__ = [
     "ExpectationEstimate",
@@ -200,16 +201,17 @@ def finite_diff_check(func: Callable, point: np.ndarray, analytic: np.ndarray,
                       kind: str = "gradient", rel_tol: float = 1e-5) -> FdCheck:
     """Compare an analytic derivative against a central finite difference.
 
-    The comparison scale is the larger of the two max norms so that nearly
+    ``func`` takes one point; it is evaluated once per stencil point.  The
+    comparison scale is the larger of the two max norms so that nearly
     zero derivatives are judged absolutely.
     """
     point = np.asarray(point, dtype=float)
     if kind == "gradient":
-        fd = numdiff.fd_gradient(func, point)
+        fd = numdiff.fd_gradient(pointwise(func), point)
     elif kind == "jacobian":
-        fd = numdiff.fd_jacobian(func, point)
+        fd = numdiff.fd_jacobian(pointwise(func), point)
     elif kind == "hessian":
-        fd = numdiff.fd_hessian(func, point)
+        fd = numdiff.fd_hessian(pointwise(func), point)
     else:
         raise ValueError(f"unknown finite-difference kind {kind!r}")
     analytic = np.asarray(analytic, dtype=float)

@@ -39,6 +39,7 @@ from .families import (
     log_partition_at,
     mean_from_canonical,
 )
+from .util import pointwise
 
 __all__ = [
     "CarrierAlternative",
@@ -53,6 +54,7 @@ __all__ = [
 
 PSD_REL_TOL = 1e-9
 MC_SAMPLES_DEFAULT = 200_000
+MC_CHUNK_ELEMENTS = 1 << 15
 DOMAIN_BISECT_STEPS = 40
 DOMAIN_PROBE_MAX = 1e12
 
@@ -63,8 +65,10 @@ class CarrierAlternative:
 
     ``log_density`` maps a batch of observations to log q(u);
     ``mean_of_suff_stat`` is E_q[t(U)], the anchor mean of the family.
-    ``mgf_log`` is beta -> log E_q[exp(beta . t(U))] when available (may
-    return +inf), with ``mgf_domain`` its finiteness region if known.
+    ``mgf_log`` is beta -> log E_q[exp(beta . t(U))] for one ``(dim,)``
+    point when available (may return +inf), with ``mgf_domain`` its
+    finiteness region if known; the tilted family evaluates it point by
+    point.
     ``sampler(n, rng)`` draws from q.  ``known_family`` short-circuits
     construction when the generated family has its own catalog entry.
     """
@@ -123,6 +127,29 @@ def _discover_box(mgf_log: Callable[[np.ndarray], float], dim: int) -> DomainDes
     return box_domain(lower, upper)
 
 
+def _row_logsumexp(w: np.ndarray) -> np.ndarray:
+    """logsumexp of each row; for a few long rows scipy's axis form is slower."""
+    return np.array([logsumexp(row) for row in w])
+
+
+def _tilt_weights(w: np.ndarray) -> np.ndarray:
+    """Self-normalized exponential weights of each row of log-weights."""
+    return np.exp(w - _row_logsumexp(w)[:, None])
+
+
+def _by_chunks(stats: np.ndarray, beta: np.ndarray, reduce: Callable) -> np.ndarray:
+    """``reduce(beta_rows @ stats.T)`` over a (..., dim) batch, a few rows at a time.
+
+    Each row of log-weights has one entry per draw; chunking keeps the
+    (rows x draws) temporaries near MC_CHUNK_ELEMENTS whatever the batch size.
+    """
+    flat = beta.reshape(-1, beta.shape[-1])
+    step = max(1, MC_CHUNK_ELEMENTS // stats.shape[0])
+    out = np.concatenate([np.asarray(reduce(flat[i:i + step] @ stats.T))
+                          for i in range(0, max(flat.shape[0], 1), step)])
+    return out.reshape(beta.shape[:-1] + out.shape[1:])
+
+
 def build_tilted_family(
     null: ExpFamilyDescriptor,
     carrier: CarrierAlternative,
@@ -158,7 +185,7 @@ def build_tilted_family(
             dim=null.dim,
             suff_stat=null.suff_stat,
             root_anchor=mu_star,
-            root_cumulant=carrier.mgf_log,
+            root_cumulant=pointwise(carrier.mgf_log),
             root_domain=domain,
             mean_domain=null.mean_domain,
             root_carrier_log_density=root_carrier,
@@ -178,21 +205,24 @@ def build_tilted_family(
         lo, hi = np.quantile(stats, 0.01, axis=0), np.quantile(stats, 0.99, axis=0)
         span = np.maximum(hi - lo, 1e-12)
 
-        def empirical_cumulant(beta: np.ndarray) -> float:
-            return float(logsumexp(stats @ beta)) - np.log(mc_samples)
+        def empirical_cumulant(beta: np.ndarray) -> np.ndarray:
+            return _by_chunks(stats, beta, lambda w: _row_logsumexp(w) - np.log(mc_samples))
 
         def empirical_mean(beta: np.ndarray) -> np.ndarray:
-            w = stats @ beta
-            w -= logsumexp(w)
-            return np.exp(w) @ stats
+            # one vector-matrix product per row: a row's mean does not depend
+            # on which other rows share its chunk
+            return _by_chunks(stats, beta, lambda w: np.matmul(_tilt_weights(w)[:, None, :], stats)[:, 0])
 
         def empirical_cov(beta: np.ndarray) -> np.ndarray:
-            w = stats @ beta
-            w -= logsumexp(w)
-            weights = np.exp(w)
-            center = weights @ stats
-            resid = stats - center
-            return (resid * weights[:, None]).T @ resid
+            def cov(w: np.ndarray) -> np.ndarray:
+                weights = _tilt_weights(w)
+                out = np.empty((w.shape[0], stats.shape[1], stats.shape[1]))
+                for i, row in enumerate(weights):
+                    resid = stats - row @ stats
+                    out[i] = (resid * row[:, None]).T @ resid
+                return out
+
+            return _by_chunks(stats, beta, cov)
 
         family = family_from_root_cumulant(
             f"tilt-mc[{carrier.name}]",
@@ -214,21 +244,28 @@ def build_tilted_family(
         "carrier provides neither a known family, a log MGF, nor a sampler")
 
 
-def f_gap_info(null: ExpFamilyDescriptor, tilted: TiltedFamily, beta, anchor) -> tuple[float, str | None]:
-    """Gap logZ_q - logZ_p with a which-domain tag when it is +inf."""
-    logz_p = log_partition_at(null, beta, anchor)
-    logz_q = log_partition_at(tilted.family, beta, anchor)
-    p_out, q_out = not np.isfinite(logz_p), not np.isfinite(logz_q)
-    if p_out and q_out:
-        return float("inf"), "both"
-    if q_out:
-        return float("inf"), "tilted"
-    if p_out:
-        return float("inf"), "null"
-    return logz_q - logz_p, None
+def f_gap_info(null: ExpFamilyDescriptor, tilted: TiltedFamily, beta, anchor):
+    """Gap logZ_q - logZ_p with a which-domain tag where it is +inf.
+
+    For one point returns ``(gap, tag)`` with tag None, "tilted", "null" or
+    "both"; for ``(..., dim)`` batches returns the gap array and an object
+    array of tags.
+    """
+    logz_p = np.asarray(log_partition_at(null, beta, anchor))
+    logz_q = np.asarray(log_partition_at(tilted.family, beta, anchor))
+    p_out, q_out = ~np.isfinite(logz_p), ~np.isfinite(logz_q)
+    with np.errstate(invalid="ignore"):
+        gap = np.where(p_out | q_out, np.inf, logz_q - logz_p)
+    which = np.full(gap.shape, None, dtype=object)
+    which[q_out] = "tilted"
+    which[p_out] = "null"
+    which[p_out & q_out] = "both"
+    if gap.ndim == 0:
+        return float(gap), which[()]
+    return gap, which
 
 
-def f_gap(null: ExpFamilyDescriptor, tilted: TiltedFamily, beta, anchor) -> float:
+def f_gap(null: ExpFamilyDescriptor, tilted: TiltedFamily, beta, anchor):
     """Log-partition gap of the pairing; +inf outside either canonical domain."""
     return f_gap_info(null, tilted, beta, anchor)[0]
 

@@ -1,39 +1,42 @@
-"""Small shared helpers: thread capping and batch shape handling."""
+"""Small shared helpers: batch shapes and row-by-row products."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
-__all__ = ["thread_count", "parallel_map", "as_batch"]
-
-THREADS_ENV = "EVFAM_THREADS"
+__all__ = ["as_batch", "float_or_array", "pointwise", "rowdot", "matvec"]
 
 
-def thread_count() -> int:
-    """Worker cap from the EVFAM_THREADS environment variable (default 1)."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+def float_or_array(values):
+    """A float for a batch with no leading axes (one point), the array otherwise."""
+    return float(values) if np.ndim(values) == 0 else np.asarray(values)
 
 
-def parallel_map(fn: Callable, items: Sequence) -> list:
-    """Map preserving order; uses a thread pool only when EVFAM_THREADS > 1.
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis of two broadcasting (..., n) batches.
 
-    Evaluation functions in this package are read-only on shared state, so
-    threads are safe; results are identical to the serial path.
+    Each entry is one stacked vector product, so a batch gives the same
+    numbers as its rows taken one at a time.
     """
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``m @ v`` for every vector of a (..., n) batch, row by row as in ``rowdot``."""
+    return (m @ v[..., :, None])[..., 0]
+
+
+def pointwise(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], np.ndarray]:
+    """Lift a function of one (n,) point to (..., n) batches, one call per point."""
+    def batched(points: np.ndarray) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        flat = points.reshape(-1, points.shape[-1])
+        vals = np.array([np.asarray(fn(p), dtype=float) for p in flat])
+        return vals.reshape(points.shape[:-1] + vals.shape[1:])
+
+    return batched
 
 
 def as_batch(u, element_ndim: int) -> tuple[np.ndarray, bool]:

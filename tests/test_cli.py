@@ -99,6 +99,13 @@ def test_evalue_rejects_malformed_data(capsys, tmp_path):
     assert code == 65
 
 
+def test_growth_without_null_density_exits_64(capsys):
+    code, _, err = run(capsys, "growth", "--model", "abm-vs-poisson",
+                       "--s", "3", "--r", "2", "--mu", "2")
+    assert code == 64
+    assert "density" in err and "Traceback" not in err
+
+
 def test_growth_reports_json(capsys):
     code, out, _ = run(capsys, "growth", "--model", "ksample-poisson",
                        "--alt-means", "0.5,1.5")

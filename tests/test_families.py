@@ -160,7 +160,7 @@ def test_root_cumulant_family_newton_paths():
         dim=1,
         suff_stat=lambda u: np.asarray(u, dtype=float).reshape(-1, 1),
         root_anchor=[mu0],
-        root_cumulant=lambda b: mu0 * b[0] + 0.5 * s2 * b[0] ** 2,
+        root_cumulant=lambda b: mu0 * b[..., 0] + 0.5 * s2 * b[..., 0] ** 2,
         root_domain=full_space(1),
         mean_domain=full_space(1),
     )
@@ -194,7 +194,7 @@ def test_log_density_requires_carrier():
         dim=1,
         suff_stat=lambda u: np.asarray(u, dtype=float).reshape(-1, 1),
         root_anchor=[0.0],
-        root_cumulant=lambda b: 0.5 * b[0] ** 2,
+        root_cumulant=lambda b: 0.5 * b[..., 0] ** 2,
         root_domain=full_space(1),
         mean_domain=full_space(1),
     )
