@@ -20,6 +20,7 @@ from .conditions import (
     onedim_shortcut,
     run_condition_battery,
     simple_evalue,
+    simple_log_evalue,
 )
 from .domains import DomainDescriptor, box_domain, full_space, positive_orthant
 from .errors import (
@@ -135,7 +136,7 @@ __all__ = [
     # battery
     "GridSpec", "ItemVerdict", "ConditionReport", "mean_grid", "mean_pairs",
     "run_condition_battery", "partition_check", "onedim_shortcut",
-    "simple_evalue", "growth_rate",
+    "simple_evalue", "simple_log_evalue", "growth_rate",
     # oracles
     "ExpectationEstimate", "expect_exact_sum", "expect_quadrature",
     "expect_monte_carlo", "finite_diff_check", "psd_test", "poisson_tail_bound",

@@ -17,6 +17,7 @@ files carry their effective configuration as '#' comment lines.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -29,7 +30,7 @@ from .conditions import (
     REFUTED,
     growth_rate,
     run_condition_battery,
-    simple_evalue,
+    simple_log_evalue,
 )
 from .errors import DataError, EvfamError
 from .figures import figure_data, write_figure_csv
@@ -104,15 +105,18 @@ def _require(args, *names):
         raise ValueError(f"model {args.model!r} needs {', '.join(missing)}")
 
 
-def _read_numeric_csv(path) -> np.ndarray:
-    """Rows of numbers; '#' comments skipped, one optional header tolerated."""
+def _is_numeric(row: str) -> bool:
+    try:
+        [float(tok) for tok in row.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_lines(path, lines: list[str]) -> np.ndarray:
+    """Line-by-line reader; raises the error of the first bad line with its number."""
     rows: list[np.ndarray] = []
     header_seen = False
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -133,6 +137,32 @@ def _read_numeric_csv(path) -> np.ndarray:
     if len(widths) != 1:
         raise DataError(f"{path}: rows have unequal lengths {sorted(widths)}")
     return np.vstack(rows)
+
+
+def _read_numeric_csv(path) -> np.ndarray:
+    """Rows of numbers; '#' comments skipped, one optional header tolerated.
+
+    The whole body is parsed in one call (numpy parses each token as Python's
+    ``float`` does).  A file that fails the bulk parse, the finite check or
+    the width check is read again line by line, which raises the error of
+    its first bad line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    rows = [stripped for line in lines
+            if (stripped := line.strip()) and not stripped.startswith("#")]
+    if rows and not _is_numeric(rows[0]):
+        del rows[0]
+    try:
+        flat = np.array(",".join(rows).split(","), dtype=float)
+    except ValueError:
+        return _parse_lines(path, lines)
+    if not np.isfinite(flat).all() or len({row.count(",") for row in rows}) != 1:
+        return _parse_lines(path, lines)
+    return flat.reshape(len(rows), -1)
 
 
 def build_pairing(args):
@@ -242,21 +272,27 @@ def _cmd_evalue(args) -> int:
             return _OVERALL_EXIT[report.overall]
     data = _read_numeric_csv(args.data)
     mu = _anchor_mean(args, pairing)
-    batch = data[:, 0] if pairing.null.element_ndim == 0 else data
+    null = pairing.null
+    width = 1 if null.element_ndim == 0 else null.support.axes
+    if data.shape[1] != width:
+        expected = "one column" if width == 1 else f"{width} columns"
+        raise DataError(f"model {pairing.name} expects {expected}, got {data.shape[1]}")
+    batch = data[:, 0] if null.element_ndim == 0 else data
     try:
-        values = np.atleast_1d(simple_evalue(pairing.tilted, pairing.null, mu, batch))
+        logs = np.atleast_1d(simple_log_evalue(pairing.tilted, null, mu, batch))
     except (ValueError, FloatingPointError) as exc:
         raise DataError(f"data incompatible with model {pairing.name}: {exc}") from None
-    if pairing.null.element_ndim == 0 and data.shape[1] != 1:
-        raise DataError(f"model {pairing.name} expects one column, got {data.shape[1]}")
-    logs = np.log(values)
+    total = logs.sum()
+    with np.errstate(over="ignore"):
+        values = np.exp(logs)
+        product = np.exp(total)
     lines = [f"# model={pairing.name}",
              f"# mu={','.join(f'{v:.17g}' for v in mu)}",
              f"# rows={data.shape[0]}",
              "row,evalue,log_evalue"]
-    for i, (val, lg) in enumerate(zip(values, logs)):
-        lines.append(f"{i},{val:.17g},{lg:.17g}")
-    lines.append(f"product,{np.exp(logs.sum()):.17g},{logs.sum():.17g}")
+    lines += ["%d,%.17g,%.17g" % row
+              for row in zip(range(logs.size), values.tolist(), logs.tolist())]
+    lines.append(f"product,{product:.17g},{total:.17g}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -332,6 +368,7 @@ def _cmd_figure(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="evfam",
                      description="Simple e-values for composite exponential-family nulls.")

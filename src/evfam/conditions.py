@@ -39,7 +39,7 @@ from .families import (
     log_partition_at,
 )
 from .tilt import TiltedFamily, f_gap_info
-from .util import as_batch, rowdot
+from .util import as_batch, float_or_array, rowdot
 
 __all__ = [
     "GridSpec",
@@ -58,6 +58,7 @@ __all__ = [
     "run_condition_battery",
     "partition_check",
     "simple_evalue",
+    "simple_log_evalue",
     "growth_rate",
 ]
 
@@ -617,17 +618,37 @@ def _require_densities(tilted: TiltedFamily, null: ExpFamilyDescriptor, what: st
         raise UnsupportedModelError(f"both families need density evaluation for {what}")
 
 
-def simple_evalue(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu, u):
-    """Density ratio q_mu(u) / p_mu(u) of the two members with mean ``mu``."""
+def _log_densities(tilted: TiltedFamily, null: ExpFamilyDescriptor, batch: np.ndarray,
+                   mu_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-densities (log q_mu, log p_mu) of the two same-mean members on a batch."""
+    log_q = np.asarray(tilted.family.carrier_log_density(batch, mu_vec), dtype=float)
+    log_p = np.asarray(null.carrier_log_density(batch, mu_vec), dtype=float)
+    return log_q, log_p
+
+
+def simple_log_evalue(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu, u):
+    """Log density ratio log q_mu(u) - log p_mu(u) of the two members with mean ``mu``.
+
+    Stays finite where the ratio itself underflows to 0 or overflows to inf.
+    """
     mu_vec = null.vec(mu)
     if not null.mean_domain.contains(mu_vec) or not tilted.family.mean_domain.contains(mu_vec):
         raise DomainError(f"mean {mu_vec} must lie in both mean spaces")
     _require_densities(tilted, null, "e-values")
     batch, single = as_batch(u, null.element_ndim)
-    log_q = np.asarray(tilted.family.carrier_log_density(batch, mu_vec), dtype=float)
-    log_p = np.asarray(null.carrier_log_density(batch, mu_vec), dtype=float)
-    vals = np.exp(log_q - log_p)
-    return float(vals[0]) if single else vals
+    log_q, log_p = _log_densities(tilted, null, batch, mu_vec)
+    logs = log_q - log_p
+    return float(logs[0]) if single else logs
+
+
+def simple_evalue(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu, u):
+    """Density ratio q_mu(u) / p_mu(u) of the two members with mean ``mu``.
+
+    The exponential of :func:`simple_log_evalue`; a ratio past the float
+    range is returned as inf without a warning.
+    """
+    with np.errstate(over="ignore"):
+        return float_or_array(np.exp(simple_log_evalue(tilted, null, mu, u)))
 
 
 def _growth_hints(tilted: TiltedFamily, mu_vec: np.ndarray, seed: int) -> tuple[float, float]:
@@ -656,14 +677,12 @@ def growth_rate(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu,
         raise UnsupportedModelError("growth rate needs a declared support")
 
     def log_ratio(batch: np.ndarray) -> np.ndarray:
-        lq = np.asarray(tilted.family.carrier_log_density(batch, mu_vec), dtype=float)
-        lp = np.asarray(null.carrier_log_density(batch, mu_vec), dtype=float)
+        lq, lp = _log_densities(tilted, null, batch, mu_vec)
         return lq - lp
 
     if support.kind == "finite":
-        pts = np.asarray(support.points(), dtype=float)
-        lq = np.asarray(tilted.family.carrier_log_density(pts, mu_vec), dtype=float)
-        return float(np.exp(lq) @ log_ratio(pts))
+        lq, lp = _log_densities(tilted, null, np.asarray(support.points(), dtype=float), mu_vec)
+        return float(np.exp(lq) @ (lq - lp))
 
     if support.kind == "countable-vector":
         k = support.axes
@@ -675,9 +694,9 @@ def growth_rate(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu,
             idx = np.indices((size,) * k).reshape(k, -1).T.astype(float)
             if null.element_ndim == 0:
                 idx = idx[:, 0]
-            lq = np.asarray(tilted.family.carrier_log_density(idx, mu_vec), dtype=float)
+            lq, lp = _log_densities(tilted, null, idx, mu_vec)
             weights = np.exp(lq)
-            total = float(weights @ log_ratio(idx))
+            total = float(weights @ (lq - lp))
             covered = float(weights.sum())
             if prev is not None and abs(total - prev) <= 1e-12 * (1.0 + abs(total)) \
                     and covered > 1.0 - 1e-10:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from evfam.cli import main
+from evfam.cli import _build_parser, main
 
 NB_ARGS = ["--model", "negbinom-vs-poisson", "--successes", "4", "--mu", "2",
            "--grid-points", "24", "--pairs", "32"]
@@ -97,6 +97,121 @@ def test_evalue_rejects_malformed_data(capsys, tmp_path):
     data.write_text("value\n1\nnot-a-number\n")
     code, _, _ = run(capsys, "evalue", *NB_ARGS, "--data", str(data))
     assert code == 65
+
+
+BAD_CSV_CASES = {
+    "second-non-numeric-line": ("value\nother\n1\n", "{path}:2: non-numeric row 'other'"),
+    "bad-line-after-data": ("value\n1\nnot-a-number\n", "{path}:3: non-numeric row 'not-a-number'"),
+    "comments-blanks-whitespace": ("# note\n\n  value \n 1 \n\n# more\n\t2\t\n 3 x \n",
+                                   "{path}:8: non-numeric row '3 x'"),
+    "empty-token": ("1\n2,\n", "{path}:2: non-numeric row '2,'"),
+    "nan": ("1\nnan\n", "{path}:2: non-finite value"),
+    "nan-first-is-not-a-header": ("nan\n1\n", "{path}:1: non-finite value"),
+    "inf": ("value\n1\n-inf\n", "{path}:3: non-finite value"),
+    "overflow": ("1\n1e400\n", "{path}:2: non-finite value"),
+    "bad-line-beats-ragged": ("1\n1,2\nfoo\n", "{path}:3: non-numeric row 'foo'"),
+    "non-finite-beats-ragged": ("1\n1,2\ninf\n", "{path}:3: non-finite value"),
+    "ragged": ("# c\nvalue\n1\n1,2\n", "{path}: rows have unequal lengths [1, 2]"),
+    "header-only": ("value\n", "{path}: no data rows"),
+    "comments-only": ("# nothing\n\n", "{path}: no data rows"),
+    "missing-file": (None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+}
+
+
+@pytest.mark.parametrize("content, message", BAD_CSV_CASES.values(), ids=BAD_CSV_CASES.keys())
+def test_evalue_csv_contract(capsys, tmp_path, content, message):
+    data = tmp_path / "data.csv"
+    if content is not None:
+        data.write_text(content)
+    code, out, err = run(capsys, "evalue", *NB_ARGS, "--force", "--data", str(data))
+    assert code == 65
+    assert out == ""
+    assert err == f"evfam: data error: {message.format(path=data)}\n"
+
+
+# counts >= 7, whose log e-values survive a log(exp(.)) round trip bit for bit
+GOLDEN_ROWS = """\
+# model=negbinom-vs-poisson
+# mu=2
+# rows=5
+row,evalue,log_evalue
+0,0.31711956904121968,-1.1484763868184187
+1,0.086487155193060147,-2.4477593709486767
+2,0.17297431038611985,-1.7546121903887339
+3,0.0068429397515387957,-4.9845378514435215
+4,0.039917148550643149,-3.2209492591821585
+product,1.295861207455861e-06,-13.55633505878151
+"""
+
+
+def test_evalue_output_is_byte_identical_to_golden(capsys, tmp_path):
+    data = tmp_path / "counts.csv"
+    data.write_text("count\n7\n# comment\n 9 \n8\n\n12\n10\n")
+    out_path = tmp_path / "rows.csv"
+    code, out, err = run(capsys, "evalue", *NB_ARGS, "--data", str(data), "--out", str(out_path))
+    assert (code, out, err) == (0, "", "")
+    assert out_path.read_bytes() == GOLDEN_ROWS.encode()
+
+
+@pytest.mark.parametrize("argv, content, message", [
+    (["--model", "ksample-poisson", "--alt-means", "0.5,1,1.5"], "0\n1\n",
+     "model ksample-poisson expects 3 columns, got 1"),
+    (NB_ARGS, "0,1\n2,3\n", "model negbinom-vs-poisson expects one column, got 2"),
+], ids=["vector-model-one-column", "scalar-model-two-columns"])
+def test_evalue_checks_the_column_count(capsys, tmp_path, argv, content, message):
+    data = tmp_path / "data.csv"
+    data.write_text(content)
+    code, out, err = run(capsys, "evalue", *argv, "--force", "--data", str(data))
+    assert (code, out) == (65, "")
+    assert err == f"evfam: data error: {message}\n"
+
+
+def _evalue_rows(capsys, tmp_path, argv, content):
+    data = tmp_path / "data.csv"
+    data.write_text(content)
+    code, out, err = run(capsys, "evalue", *argv, "--force", "--data", str(data))
+    assert (code, err) == (0, "")
+    return [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
+
+
+def test_evalue_log_column_stays_finite_where_the_evalue_underflows(capsys, tmp_path):
+    from scipy import stats
+
+    rows = _evalue_rows(capsys, tmp_path, NB_ARGS, "300\n")
+    want = stats.poisson.logpmf(300, 2.0) - stats.nbinom.logpmf(300, 4, 4 / 6)
+    assert want == pytest.approx(-893.10, abs=0.01)
+    assert rows[0][1] == "0"
+    assert float(rows[0][2]) == pytest.approx(want, rel=1e-12)
+    assert rows[1][0] == "product" and float(rows[1][2]) == float(rows[0][2])
+
+
+def test_evalue_product_overflows_to_inf_without_a_warning(capsys, tmp_path):
+    rows = _evalue_rows(capsys, tmp_path, ["--model", "ksample-poisson", "--alt-means", "0.5,1,1.5"],
+                        "0,0,9\n" * 400)
+    logs = np.array([float(row[2]) for row in rows[:-1]])
+    assert np.all(np.isfinite(logs)) and np.all(logs > 0)
+    assert rows[-1][1] == "inf"
+    assert float(rows[-1][2]) == pytest.approx(logs.sum(), rel=1e-12)
+    assert float(rows[-1][2]) > 710
+
+
+def test_parser_is_built_once_and_calls_share_no_state(capsys, tmp_path):
+    assert _build_parser() is _build_parser()
+    first = _build_parser().parse_args(["check", *NB_ARGS, "--seed", "7", "--json", "r.json"])
+    second = _build_parser().parse_args(["check", *NB_ARGS])
+    assert (first.seed, first.json) == (7, "r.json")
+    assert (second.seed, second.json) == (None, None)
+
+    report_path = tmp_path / "report.json"
+    code_seeded, _, _ = run(capsys, "check", *NB_ARGS, "--seed", "7", "--json", str(report_path))
+    assert code_seeded == 0 and report_path.exists()
+    report_path.unlink()
+    code, out, _ = run(capsys, "growth", "--model", "ksample-poisson", "--alt-means", "0.5,1.5")
+    assert code == 0 and "growth_rate" in out
+    _, default_out, _ = run(capsys, "check", *NB_ARGS)
+    _, fresh_out, _ = run(capsys, "check", *NB_ARGS, "--seed", "0")
+    assert not report_path.exists()
+    assert default_out == fresh_out
 
 
 def test_growth_without_null_density_exits_64(capsys):

@@ -22,6 +22,7 @@ from evfam.conditions import (
     onedim_shortcut,
     run_condition_battery,
     simple_evalue,
+    simple_log_evalue,
 )
 from evfam.domains import full_space, positive_orthant
 from evfam.errors import DomainError, UnsupportedModelError
@@ -235,6 +236,28 @@ def test_simple_evalue_validates_mean_and_density():
     with pytest.raises(UnsupportedModelError):
         simple_evalue(density_free.tilted, density_free.null,
                       np.array([1.5]), np.array([0.0]))
+
+
+def test_simple_evalue_is_the_exp_of_the_log_evalue():
+    pair = negbinom_vs_poisson(4.0, 2.0)
+    mu = np.array([2.0])
+    counts = np.array([0.0, 1.0, 2.0, 7.0, 300.0])
+    logs = simple_log_evalue(pair.tilted, pair.null, mu, counts)
+    assert np.array_equal(simple_evalue(pair.tilted, pair.null, mu, counts), np.exp(logs))
+    assert simple_log_evalue(pair.tilted, pair.null, mu, 300.0) == logs[-1]
+    # the ratio underflows to 0 at 300 while its log stays finite
+    assert simple_evalue(pair.tilted, pair.null, mu, 300.0) == 0.0
+    assert -894.0 < logs[-1] < -893.0
+    with pytest.raises(DomainError):
+        simple_log_evalue(pair.tilted, pair.null, np.array([-1.0]), counts)
+
+
+def test_simple_evalue_overflows_to_inf_without_a_warning():
+    pair = ksample_pairing("poisson", (0.01, 10.0))
+    mu = np.array([10.01])
+    log_value = simple_log_evalue(pair.tilted, pair.null, mu, np.array([0.0, 1200.0]))
+    assert 709.8 < log_value < np.inf
+    assert simple_evalue(pair.tilted, pair.null, mu, np.array([0.0, 1200.0])) == np.inf
 
 
 def test_growth_rate_finite_enumeration_frozen():
