@@ -28,7 +28,6 @@ from .errors import (
     DataError,
     DomainError,
     EvfamError,
-    StochasticCertificationError,
     UnsupportedModelError,
 )
 from .families import (
@@ -112,7 +111,7 @@ __all__ = [
     "__version__",
     # errors
     "EvfamError", "DomainError", "ConvergenceError", "UnsupportedModelError",
-    "DataError", "StochasticCertificationError",
+    "DataError",
     # domains
     "DomainDescriptor", "box_domain", "positive_orthant", "full_space",
     # families

@@ -30,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .domains import DomainDescriptor
-from .errors import DomainError, UnsupportedModelError
+from .errors import ConvergenceError, DomainError, UnsupportedModelError
 from .families import (
     ExpFamilyDescriptor,
     canonical_from_mean,
@@ -686,11 +686,10 @@ def growth_rate(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu,
 
     if support.kind == "countable-vector":
         k = support.axes
-        total = 0.0
-        covered = 0.0
-        size = 32
+        # the lattice side doubles from 32 while the lattice stays within 4e6 points
+        sides = [32 << j for j in range(12) if j == 0 or (32 << j) ** k <= 4_000_000]
         prev = None
-        for _ in range(12):
+        for size in sides:
             idx = np.indices((size,) * k).reshape(k, -1).T.astype(float)
             if null.element_ndim == 0:
                 idx = idx[:, 0]
@@ -702,10 +701,11 @@ def growth_rate(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu,
                     and covered > 1.0 - 1e-10:
                 return total
             prev = total
-            size *= 2
-            if size ** k > 4_000_000:
-                break
-        return total
+        if covered > 1.0 - 1e-10:
+            return total
+        raise ConvergenceError(
+            f"growth rate: countable support truncated: k={k}, lattice side {size}, "
+            f"alternative mass missing from the lattice {1.0 - covered:.3g}")
 
     if support.kind in ("real-scalar", "positive-scalar"):
         center, scale = _growth_hints(tilted, mu_vec, seed)

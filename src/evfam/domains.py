@@ -103,12 +103,6 @@ class DomainDescriptor:
     def is_box_like(self) -> bool:
         return self.kind in ("box", "half-space-product")
 
-    def clipped_interior(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        """Finite per-axis ranges for grid construction, clipped to [lo, hi]."""
-        lower = np.maximum(self.lower, lo)
-        upper = np.minimum(self.upper, hi)
-        return lower, upper
-
 
 def box_domain(lower, upper, kind: str = "box", convex: bool = True) -> DomainDescriptor:
     lower = np.atleast_1d(np.asarray(lower, dtype=float))

@@ -24,7 +24,3 @@ class UnsupportedModelError(EvfamError):
 
 class DataError(EvfamError):
     """Input data is malformed (bad CSV shape, non-numeric entries, NaN)."""
-
-
-class StochasticCertificationError(EvfamError):
-    """A hard certify/refute verdict was requested from stochastic estimates."""

@@ -41,7 +41,7 @@ hand whole arrays to the descriptor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -297,6 +297,21 @@ def _beta(fam: ExpFamilyDescriptor, mu: np.ndarray, anchor: np.ndarray) -> np.nd
     return beta.reshape(lead + (fam.dim,))
 
 
+def _cached_rows(cache: dict[bytes, np.ndarray], rows: np.ndarray,
+                 solve: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``solve`` over the rows of a (..., k) batch, each distinct row once per cache.
+
+    Rows are keyed by their bytes; only rows not yet in ``cache`` reach
+    ``solve``, as one (n, k) batch.  Returns one solved row per input row.
+    """
+    flat = np.ascontiguousarray(rows, dtype=float).reshape(-1, np.shape(rows)[-1])
+    keys = [row.tobytes() for row in flat]
+    missing = {key: row for key, row in zip(keys, flat) if key not in cache}
+    if missing:
+        cache.update(zip(missing, solve(np.array(list(missing.values())))))
+    return np.array([cache[key] for key in keys])
+
+
 def canonical_from_mean(fam: ExpFamilyDescriptor, mu, anchor) -> np.ndarray:
     """Canonical coordinate of the member with mean ``mu``, relative to ``anchor``."""
     mu = _require_mean(fam, mu)
@@ -376,6 +391,11 @@ def family_from_root_cumulant(
     by the closed form when given, otherwise by damped Newton inversion of
     K'; solved anchors are cached, so grid sweeps that revisit anchors do
     not repeat the solve.
+
+    The inverse mean map is always provided.  With ``root_beta`` it is
+    gamma(mu) - gamma(anchor); without it, each (mean, anchor) row is solved
+    once by the damped Newton of the generic fallback (from beta = 0 at the
+    anchor) and cached, so the KL ordering reuses the pairing's solves.
     """
     def eval_cumulant(beta: np.ndarray) -> np.ndarray:
         inside = np.broadcast_to(root_domain.contains(beta), beta.shape[:-1])
@@ -405,12 +425,7 @@ def family_from_root_cumulant(
                               lambda b, rows: eval_root_cov(b), root_domain)
 
     def gamma_of(anchor: np.ndarray) -> np.ndarray:
-        flat = np.ascontiguousarray(anchor, dtype=float).reshape(-1, dim)
-        keys = [row.tobytes() for row in flat]
-        missing = {key: row for key, row in zip(keys, flat) if key not in gamma_cache}
-        if missing:
-            gamma_cache.update(zip(missing, solve_gammas(np.array(list(missing.values())))))
-        return np.array([gamma_cache[key] for key in keys]).reshape(np.shape(anchor))
+        return _cached_rows(gamma_cache, anchor, solve_gammas).reshape(np.shape(anchor))
 
     def log_partition(beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         gamma = gamma_of(anchor)
@@ -432,12 +447,7 @@ def family_from_root_cumulant(
     def cov_map(beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         return eval_root_cov(beta + gamma_of(anchor))
 
-    beta_map = None
-    if root_beta is not None:
-        def beta_map(mu: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-            return gamma_of(mu) - gamma_of(anchor)
-
-    return ExpFamilyDescriptor(
+    family = ExpFamilyDescriptor(
         name=name,
         dim=dim,
         suff_stat=suff_stat,
@@ -447,9 +457,23 @@ def family_from_root_cumulant(
         carrier_log_density=carrier,
         mean_map=mean_map,
         cov_map=cov_map,
-        beta_map=beta_map,
         sampler=sampler,
         support=support,
         element_ndim=element_ndim,
         stochastic=stochastic,
     )
+    if root_beta is not None:
+        def beta_map(mu: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+            return gamma_of(mu) - gamma_of(anchor)
+    else:
+        # ``family`` has no beta_map, so _beta runs the generic damped Newton
+        # at the anchor; differencing two Newton-solved gammas rounds differently
+        beta_cache: dict[bytes, np.ndarray] = {}
+
+        def beta_map(mu: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+            mu, anchor = np.broadcast_arrays(mu, anchor)
+            solved = _cached_rows(beta_cache, np.concatenate([mu, anchor], axis=-1),
+                                  lambda rows: _beta(family, rows[:, :dim], rows[:, dim:]))
+            return solved.reshape(mu.shape)
+
+    return replace(family, beta_map=beta_map)

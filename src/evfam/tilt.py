@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .domains import DomainDescriptor, box_domain
 from .errors import DomainError, UnsupportedModelError
@@ -128,8 +127,23 @@ def _discover_box(mgf_log: Callable[[np.ndarray], float], dim: int) -> DomainDes
 
 
 def _row_logsumexp(w: np.ndarray) -> np.ndarray:
-    """logsumexp of each row; for a few long rows scipy's axis form is slower."""
-    return np.array([logsumexp(row) for row in w])
+    """logsumexp of each row of a 2-d array, bit for bit as scipy.special.logsumexp.
+
+    scipy's algorithm as reductions along the rows: the ties at the row
+    maximum leave the shifted sum, which enters as log1p(rest / ties) +
+    log(ties) + max.  A row whose result is not finite gets
+    log(sum(exp(row))), so an all -inf row gives -inf.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(w, axis=-1, keepdims=True)
+        at_top = w == top
+        ties = np.sum(at_top, axis=-1, keepdims=True, dtype=float)
+        rest = np.sum(np.exp(np.where(at_top, -np.inf, w) - top), axis=-1, keepdims=True)
+        out = (np.log1p(rest / ties) + np.log(ties) + top)[:, 0]
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            out[bad] = np.log(np.sum(np.exp(w[bad]), axis=-1))
+    return out
 
 
 def _tilt_weights(w: np.ndarray) -> np.ndarray:

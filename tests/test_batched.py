@@ -3,6 +3,7 @@ and the growth-rate fixes that ride along with the batched protocol."""
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -13,8 +14,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from evfam.conditions import CERTIFIED, REFUTED, growth_rate, run_condition_battery
+from evfam.conditions import (
+    CERTIFIED,
+    INCONCLUSIVE,
+    REFUTED,
+    GridSpec,
+    growth_rate,
+    run_condition_battery,
+)
 from evfam.domains import DomainDescriptor, box_domain
+from evfam.errors import ConvergenceError
 from evfam.families import (
     canonical_from_mean,
     covariance_at_mean,
@@ -34,11 +43,13 @@ from evfam.models import (
     gaussian_location_family,
     gaussian_location_constrained,
     gaussian_location_pairing,
+    gaussian_scale_family,
     gaussian_scale_pairing,
     ig_vs_exp_pairing,
     ksample_pairing,
     negbinom_family,
     negbinom_vs_poisson,
+    Pairing,
     poisson_family,
     tweedie_family,
     tweedie_pair,
@@ -241,6 +252,50 @@ def test_catalog_battery_pinned(key, overall, grid_points, pair_count, items):
             assert abs(item.worst_value) <= ROUND_OFF, name
 
 
+# the two generic tilt routes, pinned bit for bit: the log-MGF route runs
+# Newton over finite differences of the log-MGF, the Monte Carlo route Newton
+# over an empirical cumulant; both must keep every worst value's repr
+
+def _generic_mgf_pairing():
+    null = negbinom_family(4.0)
+    carrier = CarrierAlternative(name="poisson(2) by log-mgf", log_density=None,
+                                 mean_of_suff_stat=np.array([2.0]),
+                                 mgf_log=lambda beta: 2.0 * math.expm1(float(beta[0])))
+    return Pairing("negbinom-vs-mgf-poisson", null, build_tilted_family(null, carrier), params={})
+
+
+def _generic_mc_pairing():
+    null = gaussian_scale_family()
+    carrier = CarrierAlternative(name="normal(-3,9) by sampling", log_density=None,
+                                 mean_of_suff_stat=np.array([18.0]),
+                                 sampler=lambda n, rng: rng.normal(-3.0, 3.0, n))
+    tilted = build_tilted_family(null, carrier, mc_samples=20_000, seed=7)
+    return Pairing("gaussian-scale-mc", null, tilted, params={})
+
+
+GENERIC_PINNED = [
+    ("log-mgf", _generic_mgf_pairing, GridSpec(), CERTIFIED, 65, 512,
+     [(65, "1.649465212538473e-05"), (512, "-1.6254489171513791e-09"),
+      (512, "-8.171580787112156e-10"), (520, "2.2026824808563106e-13")]),
+    ("monte-carlo", _generic_mc_pairing, GridSpec(points_per_axis=16, n_pairs=64),
+     INCONCLUSIVE, 17, 64,
+     [(17, "0.01755437671036012"), (64, "-4.601895528835817e-05"),
+      (64, "-2.2997317939101557e-05"), (136, "1.1102230246251565e-16")]),
+]
+
+
+@pytest.mark.parametrize("key, build, spec, overall, grid_points, pair_count, items",
+                         GENERIC_PINNED, ids=[row[0] for row in GENERIC_PINNED])
+def test_generic_route_battery_pinned(key, build, spec, overall, grid_points, pair_count, items):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_condition_battery(build(), spec=spec)
+    assert report.overall == overall
+    assert (report.grid_points, report.pair_count) == (grid_points, pair_count)
+    got = [(report.items[name].n_points, repr(report.items[name].worst_value)) for name in ITEMS]
+    assert got == items
+
+
 # ---------------------------------------------------------------------------
 # cold start
 
@@ -264,3 +319,22 @@ def test_negbinom_growth_matches_scipy_sum():
     log_p = stats.nbinom.logpmf(k, 4.0, 4.0 / 6.0)
     want = float(np.sum(np.exp(log_q) * (log_q - log_p)))
     assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+# the data-path k-sample cases cover the whole alternative mass within the
+# lattice, so their values stay exactly what the doubling loop gave before
+@pytest.mark.parametrize("means, want", [
+    ((0.5, 1.0, 1.5), "0.2616240718822739"),
+    ((0.5, 1.0, 1.5, 2.0), "0.5322006764311199"),
+])
+def test_ksample_poisson_growth_with_full_coverage_is_unchanged(means, want):
+    pair = ksample_pairing("poisson", means)
+    assert repr(growth_rate(pair.tilted, pair.null, pair.tilted.mu_star)) == want
+
+
+def test_ksample_poisson_growth_refuses_a_truncated_lattice():
+    # at k = 4 the lattice stops at side 32 (64^4 exceeds the 4e6-point cap),
+    # which leaves 38.6% of this alternative's mass uncovered
+    pair = ksample_pairing("poisson", (5.0, 10.0, 20.0, 30.0))
+    with pytest.raises(ConvergenceError, match=r"k=4, lattice side 32, .* 0\.386"):
+        growth_rate(pair.tilted, pair.null, pair.tilted.mu_star)

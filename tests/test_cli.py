@@ -221,6 +221,13 @@ def test_growth_without_null_density_exits_64(capsys):
     assert "density" in err and "Traceback" not in err
 
 
+def test_growth_on_a_truncated_lattice_exits_64(capsys):
+    code, out, err = run(capsys, "growth", "--model", "ksample-poisson",
+                         "--alt-means", "5,10,20,30")
+    assert code == 64 and out == ""
+    assert "k=4" in err and "lattice side 32" in err and "Traceback" not in err
+
+
 def test_growth_reports_json(capsys):
     code, out, _ = run(capsys, "growth", "--model", "ksample-poisson",
                        "--alt-means", "0.5,1.5")

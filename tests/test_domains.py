@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from evfam.domains import DomainDescriptor, box_domain, full_space, positive_orthant
+from evfam.domains import DomainDescriptor, box_domain, positive_orthant
 from evfam.numdiff import fd_gradient, fd_hessian, fd_jacobian
 from evfam.util import as_batch
 
@@ -60,13 +60,6 @@ def test_shift_translates_boxes_only():
     custom = DomainDescriptor("custom-predicate", 1, predicate=lambda x: True)
     with pytest.raises(ValueError):
         custom.shifted(np.array([1.0]))
-
-
-def test_clipped_interior_bounds_infinities():
-    lo, hi = full_space(2).clipped_interior(-8.0, 8.0)
-    assert np.array_equal(lo, [-8.0, -8.0]) and np.array_equal(hi, [8.0, 8.0])
-    lo, hi = positive_orthant(1).clipped_interior(1e-4, 1e4)
-    assert lo[0] == 1e-4 and hi[0] == 1e4
 
 
 def test_as_batch_scalar_and_vector_elements():

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from evfam.errors import DomainError, UnsupportedModelError
-from evfam.families import covariance_at_mean, log_partition_at, mean_from_canonical
+from evfam.families import (
+    canonical_from_mean,
+    covariance_at_mean,
+    kl_between_means,
+    log_partition_at,
+    mean_from_canonical,
+)
 from evfam.models import (
     gaussian_scale_family,
     gaussian_scale_pairing,
@@ -17,6 +26,7 @@ from evfam.models import (
 from evfam.oracles import finite_diff_check
 from evfam.tilt import (
     CarrierAlternative,
+    _row_logsumexp,
     build_tilted_family,
     f_gap,
     f_gap_info,
@@ -92,6 +102,63 @@ def test_monte_carlo_route_is_reproducible():
     t1 = build_tilted_family(null, carrier, mc_samples=20_000, seed=9)
     t2 = build_tilted_family(null, carrier, mc_samples=20_000, seed=9)
     assert np.array_equal(t1.mu_star, t2.mu_star)
+
+
+def _logsumexp_rows() -> list[np.ndarray]:
+    rng = np.random.default_rng(3)
+    chunks = []
+    for shape in [(40, 500), (65, 503), (3, 20_000), (200, 3)]:
+        w = rng.normal(scale=30.0, size=shape)
+        w[::3, 1] = w[::3].max(axis=1)                  # ties at the row maximum
+        chunks.append(w)
+    edge = rng.normal(size=(8, 10))
+    edge[0, 2] = np.inf
+    edge[1] = -np.inf
+    edge[2, 3] = np.nan
+    edge[3] = 1.0                                       # every entry ties
+    edge[4, [1, 6]] = -np.inf
+    edge[5, [1, 4]] = np.inf
+    edge[6, 0] = 800.0                                  # exp would overflow
+    edge[7, 0] = -np.inf
+    edge[7, 1] = np.inf
+    chunks.append(edge)
+    return chunks
+
+
+@pytest.mark.parametrize("chunk", range(5))
+def test_row_logsumexp_is_scipy_bit_for_bit(chunk):
+    w = _logsumexp_rows()[chunk]
+    got = _row_logsumexp(w)
+    want = np.array([logsumexp(row) for row in w])
+    assert got.shape == (w.shape[0],)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_row_logsumexp_of_an_all_minus_inf_row_is_minus_inf():
+    got = _row_logsumexp(np.array([[-np.inf, -np.inf], [0.0, 0.0]]))
+    assert got[0] == -np.inf and got[1] == math.log(2.0)
+
+
+def test_mgf_route_kl_reuses_the_pairing_solves():
+    evaluated = []
+
+    def mgf_log(beta):
+        evaluated.append(float(beta[0]))
+        return 2.0 * math.expm1(float(beta[0]))
+
+    carrier = CarrierAlternative(name="poisson(2) by log-mgf", log_density=None,
+                                 mean_of_suff_stat=np.array([2.0]), mgf_log=mgf_log)
+    fam = build_tilted_family(poisson_family(), carrier).family
+    rng = np.random.default_rng(5)
+    mu, mu_prime = rng.uniform(0.5, 4.0, (16, 1)), rng.uniform(0.5, 4.0, (16, 1))
+    beta = canonical_from_mean(fam, mu, mu_prime)
+    evaluated.clear()
+    kl = kl_between_means(fam, mu, mu_prime)
+    # only the log-partition: K(beta + gamma(mu')) and K(gamma(mu')) per pair,
+    # no Newton steps and no finite-difference stencils
+    assert len(evaluated) == 2 * len(mu)
+    assert np.array_equal(canonical_from_mean(fam, mu, mu_prime), beta)
+    np.testing.assert_allclose(kl, (mu * np.log(mu / mu_prime) - mu + mu_prime)[:, 0], rtol=1e-6)
 
 
 def test_route_requires_some_description():
