@@ -6,7 +6,7 @@ standard figure data sets.  Exit codes are part of the contract:
 
     0   battery certified (or the command simply succeeded)
     2   battery refuted the family-wide claim
-    3   battery inconclusive
+    3   battery inconclusive (Monte Carlo families, or failed preconditions)
     64  bad configuration or arguments
     65  malformed data file
 
@@ -27,6 +27,7 @@ from .conditions import (
     CERTIFIED,
     GridSpec,
     INCONCLUSIVE,
+    INCONCLUSIVE_PRECONDITIONS,
     REFUTED,
     growth_rate,
     run_condition_battery,
@@ -55,7 +56,8 @@ EXIT_INCONCLUSIVE = 3
 EXIT_BAD_CONFIG = 64
 EXIT_BAD_DATA = 65
 
-_OVERALL_EXIT = {CERTIFIED: EXIT_OK, REFUTED: EXIT_REFUTED, INCONCLUSIVE: EXIT_INCONCLUSIVE}
+_OVERALL_EXIT = {CERTIFIED: EXIT_OK, REFUTED: EXIT_REFUTED, INCONCLUSIVE: EXIT_INCONCLUSIVE,
+                 INCONCLUSIVE_PRECONDITIONS: EXIT_INCONCLUSIVE}
 
 _MODEL_HELP = {
     "ksample-poisson": "k Poisson arms, equal-rate null (needs --alt-means)",

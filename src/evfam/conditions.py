@@ -17,8 +17,9 @@ each of four checkable orderings:
 The battery evaluates all four on deterministic grids and reports a single
 verdict: certified only when the preconditions hold and every ordering
 passes; refuted when any ordering fails deterministically; otherwise
-inconclusive.  Families with Monte Carlo log-partitions never produce hard
-verdicts.
+inconclusive: ``inconclusive-preconditions`` when the orderings hold but a
+precondition fails, ``inconclusive-stochastic`` for families with Monte
+Carlo log-partitions, which never produce hard verdicts.
 """
 
 from __future__ import annotations
@@ -64,11 +65,12 @@ __all__ = [
 
 TOL_SCALAR = 1e-9
 TOL_PSD = 1e-9
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 CERTIFIED = "simple-evariable-certified"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive-stochastic"
+INCONCLUSIVE_PRECONDITIONS = "inconclusive-preconditions"
 
 
 @dataclass(frozen=True)
@@ -528,8 +530,10 @@ def run_condition_battery(pairing, spec: GridSpec | None = None,
     """Run preconditions and all four orderings for a pairing.
 
     Verdict rules: any deterministic ordering failure refutes the
-    family-wide claim; certification additionally needs every precondition.
-    Stochastic log-partitions cap the verdict at inconclusive.
+    family-wide claim; certification additionally needs every precondition,
+    and orderings that hold with a precondition failing are
+    ``inconclusive-preconditions``.  Stochastic log-partitions cap the
+    verdict at ``inconclusive-stochastic``.
     """
     null, tilted = pairing.null, pairing.tilted
     alt = tilted.family
@@ -553,7 +557,7 @@ def run_condition_battery(pairing, spec: GridSpec | None = None,
     elif pre.all_passed:
         overall, reason = CERTIFIED, "preconditions and all orderings hold on the grids"
     else:
-        overall, reason = INCONCLUSIVE, "orderings hold on the grids but preconditions fail"
+        overall, reason = INCONCLUSIVE_PRECONDITIONS, "orderings hold on the grids but preconditions fail"
     return ConditionReport(
         model=pairing.name,
         params=pairing.params,
@@ -585,11 +589,11 @@ def partition_check(slices: Mapping[str, object],
     A simple e-value for the union alternative exists slice by slice; this
     runs the preconditions and the covariance ordering per slice and
     aggregates: certified only when every slice passes, refuted on any
-    deterministic slice failure.
+    deterministic slice failure, otherwise inconclusive: stochastic when a
+    slice's ordering is Monte Carlo, else for a failed precondition.
     """
     results: dict[str, dict] = {}
-    any_failed = False
-    any_soft = False
+    any_failed = any_stochastic = any_unmet = False
     for label, pairing in slices.items():
         grid = None if grids is None else grids.get(label)
         if grid is None:
@@ -599,15 +603,17 @@ def partition_check(slices: Mapping[str, object],
         verdict = check_sigma_ordering(pairing.null, pairing.tilted, grid, tol_psd)
         results[label] = {"preconditions": pre, "covariance_ordering": verdict}
         if verdict.stochastic:
-            any_soft = True
+            any_stochastic = True
         elif not verdict.passed:
             any_failed = True
         elif not pre.all_passed:
-            any_soft = True
+            any_unmet = True
     if any_failed:
         overall = REFUTED
-    elif any_soft:
+    elif any_stochastic:
         overall = INCONCLUSIVE
+    elif any_unmet:
+        overall = INCONCLUSIVE_PRECONDITIONS
     else:
         overall = CERTIFIED
     return PartitionReport(overall=overall, slices=results)

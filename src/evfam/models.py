@@ -26,11 +26,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import expit, gammaln, logit, xlog1py, xlogy
 
 from .domains import DomainDescriptor, box_domain, full_space, positive_orthant
-from .errors import DomainError, UnsupportedModelError
+from .errors import ConvergenceError, DomainError, UnsupportedModelError
 from .families import ExpFamilyDescriptor, SupportSpec, family_from_root_cumulant
 from .tilt import CarrierAlternative, TiltedFamily, build_tilted_family
 from .util import matvec, rowdot
@@ -107,6 +106,122 @@ def _sum_stat(u: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# root finding on batches
+
+def _nan_checked(fx, x: np.ndarray) -> np.ndarray:
+    fx = np.asarray(fx, dtype=float)
+    bad = np.isnan(fx)
+    if bad.any():
+        raise ValueError(f"the function value at x={x[bad][0]!r} is NaN; the solver cannot continue")
+    return fx
+
+
+def _brentq_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
+                 xtol: float, rtol: float, maxiter: int) -> np.ndarray:
+    """Brent's method on every row of a batch of brackets [a_i, b_i].
+
+    This is scipy's ``brentq`` C loop (Brent 1973, *Algorithms for
+    Minimization without Derivatives*, ch. 4) ported step for step to
+    arrays: the same branch tests, the same operation order in the
+    interpolation and extrapolation steps and the same ``delta`` nudge, so
+    every row gets the root ``scipy.optimize.brentq`` returns for it, bit for
+    bit.  ``f(x, rows)`` evaluates the function of the batch rows ``rows``
+    at ``x``; it is called only on the rows still iterating.
+
+    A NaN function value or a row whose ends share a sign raises
+    ValueError, as scipy does; a row still iterating after ``maxiter`` steps
+    raises ConvergenceError.
+    """
+    xpre = np.array(a, dtype=float).ravel()
+    xcur = np.array(b, dtype=float).ravel()
+    rows = np.arange(xpre.size)
+    fpre = _nan_checked(f(xpre, rows), xpre)
+    fcur = _nan_checked(f(xcur, rows), xcur)
+    root = np.where(fpre == 0, xpre, xcur)
+    run = (fpre != 0) & (fcur != 0)
+    if np.any(run & (np.signbit(fpre) == np.signbit(fcur))):
+        raise ValueError("f(a) and f(b) must have different signs")
+    rows, xpre, xcur, fpre, fcur = rows[run], xpre[run], xcur[run], fpre[run], fcur[run]
+    xblk = fblk = spre = scur = np.zeros(rows.size)
+    for _ in range(maxiter):
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        step = xcur - xpre
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+        fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        if done.any():
+            root[rows[done]] = xcur[done]
+            keep = ~done
+            rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                v[keep] for v in (rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis))
+        if not rows.size:
+            return root
+
+        # both candidate steps for every row; np.where keeps the one scipy takes
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk,
+                            -fcur * (xcur - xpre) / (fcur - fpre),
+                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+        lim = 3 * np.abs(sbis) - delta
+        short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) \
+            & (2 * np.abs(stry) < np.where(np.abs(spre) < lim, np.abs(spre), lim))
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = np.where(np.abs(scur) > delta, xcur + scur, xcur + np.where(sbis > 0, delta, -delta))
+        fcur = _nan_checked(f(xcur, rows), xcur)
+    raise ConvergenceError(f"Brent solve: {rows.size} roots not converged after {maxiter} iterations")
+
+
+def _invert_potential(phi: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+                      x: np.ndarray) -> np.ndarray:
+    """Phi^{-1}(x) for an increasing Phi on the mean interval (lo, hi), lo finite.
+
+    Each entry gets its own bracket: the lower end starts 1e-14 of the
+    interval's width (1 when unbounded) above lo and moves toward lo by a
+    factor 1e-3 while Phi there exceeds the target; an unbounded upper end
+    starts at max(2 low, 1) and grows by 4 while Phi there is below it.
+    One Brent solve then takes every bracketed entry.  NaN where the mean
+    lies past the float range: the lower end rounds onto lo, or the upper
+    end overflows.
+    """
+    x = np.asarray(x, dtype=float)
+    target = x.ravel()
+    live = np.ones(target.shape, dtype=bool)
+    width = (hi - lo) if np.isfinite(hi) else 1.0
+    low = np.full(target.shape, lo + 1e-14 * width)
+    run = phi(low) > target
+    while run.any():
+        low[run] = lo + (low[run] - lo) * 1e-3
+        live &= ~(run & (low == lo))  # mean below float range
+        run &= live
+        run[run] = phi(low[run]) > target[run]
+    if np.isfinite(hi):
+        high = np.full(target.shape, hi - 1e-14 * (hi - lo))
+    else:
+        high = np.maximum(2.0 * np.abs(low), 1.0)
+        run = live.copy()
+        run[live] = phi(high[live]) < target[live]
+        while run.any():
+            high[run] *= 4.0
+            live &= ~(run & ~np.isfinite(high))  # mean beyond float range
+            run &= live
+            run[run] = phi(high[run]) < target[run]
+    out = np.full(target.shape, np.nan)
+    goal = target[live]
+    out[live] = _brentq_rows(lambda t, rows: phi(t) - goal[rows], low[live], high[live],
+                             xtol=1e-300, rtol=8.9e-16, maxiter=1000)
+    return out.reshape(x.shape)
+
+
+# ---------------------------------------------------------------------------
 # scalar NEFs from variance-function potentials
 
 def _nef_from_potentials(
@@ -131,37 +246,19 @@ def _nef_from_potentials(
     supremum of Phi over the mean domain; the canonical domain at anchor m'
     is the open interval (-inf, phi_sup - Phi(m')), reflecting that
     Phi(0+) = -inf for every catalog variance function.  When ``phi_inv``
-    is missing the mean map inverts Phi by bracketed root finding, one
-    entry at a time (Phi is strictly increasing, slope 1/V).  A direct
+    is missing the mean map inverts Phi by bracketed root finding, every
+    entry of a batch in one Brent solve (Phi is strictly increasing, slope
+    1/V); the mean domain's lower bound must then be finite.  A direct
     ``log_partition_closed(beta, anchor_mean)`` bypasses the potential
     composition where that composition cancels badly near a mean boundary.
     """
     lo, hi = float(mean_domain.lower[0]), float(mean_domain.upper[0])
 
-    def invert_one(x: float) -> float:
-        low = lo + 1e-12 * max(1.0, abs(lo)) if np.isfinite(lo) else -1.0
-        if np.isfinite(lo):
-            width = (hi - lo) if np.isfinite(hi) else 1.0
-            low = lo + 1e-14 * width
-            while phi(low) > x:
-                low = lo + (low - lo) * 1e-3
-                if low == lo:
-                    return float("nan")  # mean below float range
-        high = hi - 1e-14 * (hi - lo) if np.isfinite(hi) else max(2.0 * abs(low), 1.0)
-        if not np.isfinite(hi):
-            while phi(high) < x:
-                high *= 4.0
-                if not np.isfinite(high):
-                    return float("nan")  # mean beyond float range
-        return float(brentq(lambda t: phi(t) - x, low, high,
-                            xtol=1e-300, rtol=8.9e-16, maxiter=1000))
-
     def invert(x: np.ndarray) -> np.ndarray:
         """Phi^{-1}; NaN or inf where the mean lies past the float range."""
         if phi_inv is not None:
             return phi_inv(x)
-        x = np.asarray(x, dtype=float)
-        return np.array([invert_one(v) for v in x.ravel()]).reshape(x.shape)
+        return _invert_potential(phi, lo, hi, x)
 
     def log_partition(beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         b, a = np.broadcast_arrays(beta[..., 0], anchor[..., 0])
@@ -216,15 +313,22 @@ def _nef_from_potentials(
     )
 
 
+# V(m) = m: Phi = log, Psi(m) = m; the Poisson family and the Poisson k-sample
+# null and alternative (whose statistic is the arm total) all use these
+_POISSON_POTENTIALS = dict(
+    variance=lambda m: m,
+    phi=np.log,
+    phi_inv=np.exp,
+    psi=lambda m: m,
+    phi_sup=float("inf"),
+)
+
+
 def poisson_family() -> ExpFamilyDescriptor:
     """Poisson counts; V(m) = m, logZ(beta; m') = m' (e^beta - 1)."""
     return _nef_from_potentials(
         "poisson",
-        variance=lambda m: m,
-        phi=np.log,
-        phi_inv=np.exp,
-        psi=lambda m: m,
-        phi_sup=float("inf"),
+        **_POISSON_POTENTIALS,
         mean_domain=positive_orthant(1),
         carrier=lambda u, anchor: _pois_logpmf(u, anchor[0]),
         sampler=lambda mean, n, rng: rng.poisson(mean[0], n).astype(float),
@@ -469,11 +573,7 @@ def ksample_null_family(kind: str, k: int, sigma2: float = 1.0) -> ExpFamilyDesc
     if kind == "poisson":
         return _nef_from_potentials(
             f"poisson-{k}sample",
-            variance=lambda m: m,
-            phi=np.log,
-            phi_inv=np.exp,
-            psi=lambda m: m,
-            phi_sup=float("inf"),
+            **_POISSON_POTENTIALS,
             mean_domain=positive_orthant(1),
             suff_stat=_sum_stat,
             carrier=lambda u, anchor: _pois_logpmf(u, anchor[0] / k).sum(axis=1),
@@ -563,11 +663,7 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
         ratios = alt_means / mu_star
         family = _nef_from_potentials(
             f"poisson-{k}sample-alt",
-            variance=lambda m: m,
-            phi=np.log,
-            phi_inv=np.exp,
-            psi=lambda m: m,
-            phi_sup=float("inf"),
+            **_POISSON_POTENTIALS,
             mean_domain=positive_orthant(1),
             suff_stat=_sum_stat,
             carrier=lambda u, anchor: _pois_logpmf(u, ratios * anchor[0]).sum(axis=1),
@@ -599,18 +695,24 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
         def arm_means_at(gamma) -> np.ndarray:
             return expit(logits + np.asarray(gamma)[..., None])
 
-        def solve_gamma(target: float) -> float:
-            f = lambda g: float(arm_means_at(g).sum()) - target
-            lo, hi = -1.0, 1.0
-            while f(lo) > 0.0:
-                lo *= 2.0
-            while f(hi) < 0.0:
-                hi *= 2.0
-            return brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
-
         def root_gamma(mu: np.ndarray) -> np.ndarray:
             target = np.asarray(mu, dtype=float)[..., 0]
-            return np.array([solve_gamma(t) for t in target.ravel()]).reshape(target.shape + (1,))
+            goal = target.ravel()
+            f = lambda g, rows: arm_means_at(g).sum(axis=-1) - goal[rows]
+            rows = np.arange(goal.size)
+            # each end doubles from -1 or 1 until it brackets its target; a
+            # target outside (0, k) stops at infinity without a bracket
+            lo, hi = np.full(goal.shape, -1.0), np.full(goal.shape, 1.0)
+            run = f(lo, rows) > 0.0
+            while run.any():
+                lo[run] *= 2.0
+                run[run] = np.isfinite(lo[run]) & (f(lo[run], rows[run]) > 0.0)
+            run = f(hi, rows) < 0.0
+            while run.any():
+                hi[run] *= 2.0
+                run[run] = np.isfinite(hi[run]) & (f(hi[run], rows[run]) < 0.0)
+            gamma = _brentq_rows(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=100)
+            return gamma.reshape(target.shape + (1,))
 
         def root_cumulant(beta: np.ndarray) -> np.ndarray:
             return np.sum(np.log1p(alt_means * np.expm1(beta[..., 0, None])), axis=-1)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import logsumexp, xlogy
 
 from .errors import ConvergenceError
@@ -74,6 +73,9 @@ def expect_exact_sum(log_prob: Callable[[np.ndarray], np.ndarray],
 
 def _quad_ladder(f: Callable[[float], float], start: float, t0: float,
                  rel_tol: float, abs_tol: float) -> ExpectationEstimate:
+    # scipy.integrate loads scipy.optimize; importing it here keeps both off the cold start
+    from scipy.integrate import IntegrationWarning, quad
+
     values = []
     evaluations = 0
     growth_streak = 0

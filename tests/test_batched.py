@@ -1,5 +1,6 @@
-"""Batch evaluation: domain membership, the battery on the catalog, cold start,
-and the growth-rate fixes that ride along with the batched protocol."""
+"""Batch evaluation: domain membership, the battery on the catalog, Brent root
+finding on batches, cold start, and the growth-rate fixes that ride along with
+the batched protocol."""
 
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.optimize import brentq
+from scipy.special import expit, logit
 
 from evfam.conditions import (
     CERTIFIED,
@@ -38,6 +41,8 @@ from evfam.linear_model import (
     mean_of_params,
 )
 from evfam.models import (
+    _brentq_rows,
+    _invert_potential,
     abm_family,
     abm_vs_poisson,
     gaussian_location_family,
@@ -252,9 +257,11 @@ def test_catalog_battery_pinned(key, overall, grid_points, pair_count, items):
             assert abs(item.worst_value) <= ROUND_OFF, name
 
 
-# the two generic tilt routes, pinned bit for bit: the log-MGF route runs
-# Newton over finite differences of the log-MGF, the Monte Carlo route Newton
-# over an empirical cumulant; both must keep every worst value's repr
+# the routes that solve for their canonical maps, pinned bit for bit: the
+# log-MGF route runs Newton over finite differences of the log-MGF, the Monte
+# Carlo route Newton over an empirical cumulant, and the abm r = 2 null and
+# the Bernoulli k-sample alternative run Brent's method; all must keep every
+# worst value's repr
 
 def _generic_mgf_pairing():
     null = negbinom_family(4.0)
@@ -281,6 +288,12 @@ GENERIC_PINNED = [
      INCONCLUSIVE, 17, 64,
      [(17, "0.01755437671036012"), (64, "-4.601895528835817e-05"),
       (64, "-2.2997317939101557e-05"), (136, "1.1102230246251565e-16")]),
+    ("abm-brent", PAIRINGS["abm-vs-poisson"], GridSpec(), CERTIFIED, 65, 512,
+     [(65, "6.666333348068348e-05"), (512, "-4.3429202542495095e-09"),
+      (512, "-2.1714453838679463e-09"), (519, "4.4832356143470475e-12")]),
+    ("bernoulli-brent", PAIRINGS["ksample-bernoulli"], GridSpec(), CERTIFIED, 65, 512,
+     [(65, "0.00040475666116105937"), (512, "-4.6996804970565646e-08"),
+      (512, "-2.349845417402331e-08"), (455, "0.0")]),
 ]
 
 
@@ -297,15 +310,150 @@ def test_generic_route_battery_pinned(key, build, spec, overall, grid_points, pa
 
 
 # ---------------------------------------------------------------------------
+# Brent's method on batches, against scipy's brentq one entry at a time
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+_C = np.random.default_rng(5).uniform(-3.0, 3.0, 64)
+_CUBES = _C ** 3
+_CUBES[::8], _CUBES[1::8] = -125.0, 125.0  # f(a) == 0 and f(b) == 0 rows
+_UPPER = np.random.default_rng(6).uniform(4.0, 6.0, 64)
+
+# f(x, rows), per-row brackets, xtol
+BRENT_CASES = {
+    "cubic-with-roots-at-the-ends": (lambda x, r: x ** 3 - _CUBES[r], -5.0, 5.0, 2e-12),
+    "expm1-tiny-xtol": (lambda x, r: np.expm1(x) - _C[r] ** 2, -1.0, _UPPER, 1e-300),
+    "tanh-reversed-bracket": (lambda x, r: np.tanh(x) - _C[r] / 4.0, 5.0, -5.0, 1e-14),
+    "log-per-row-brackets": (lambda x, r: np.log(x) - _C[r], np.exp(_C - 2.0), _UPPER * 10.0, 1e-300),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BRENT_CASES))
+def test_brentq_rows_matches_scipy_bit_for_bit(key):
+    f, a, b, xtol = BRENT_CASES[key]
+    a, b = np.broadcast_to(a, _C.shape), np.broadcast_to(b, _C.shape)
+    got = _brentq_rows(f, a, b, xtol=xtol, rtol=8.9e-16, maxiter=100)
+    want, iterations = [], set()
+    for i in range(_C.size):
+        root, info = brentq(lambda t: float(f(np.array([t]), np.array([i]))[0]), a[i], b[i],
+                            xtol=xtol, rtol=8.9e-16, maxiter=100, full_output=True)
+        want.append(root)
+        iterations.add(info.iterations)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert len(iterations) > 1  # rows leave the batch at different steps
+
+
+def test_brentq_rows_raises_what_scipy_raises_with_typed_convergence():
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq_rows(lambda x, r: np.where(r == 1, np.nan, x), [-1.0, -1.0], [1.0, 1.0],
+                     xtol=1e-14, rtol=8.9e-16, maxiter=100)
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda t: np.nan, -1.0, 1.0)
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq_rows(lambda x, r: x + 2.0 * r, [-1.0, -1.0], [1.0, 1.0],
+                     xtol=1e-14, rtol=8.9e-16, maxiter=100)
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda t: t + 2.0, -1.0, 1.0)
+    # scipy raises an untyped RuntimeError here; evfam's ConvergenceError exits 64
+    with pytest.raises(RuntimeError):
+        brentq(lambda t: t ** 3 - 0.3, -5.0, 5.0, xtol=1e-300, maxiter=3)
+    with pytest.raises(ConvergenceError):
+        _brentq_rows(lambda x, r: x ** 3 - 0.3, [-5.0], [5.0], xtol=1e-300, rtol=8.9e-16, maxiter=3)
+
+
+def _abm_phi(s: float, r: int):
+    """Phi of V(m) = m (1 + m/s)^r, written as abm_family writes it."""
+    def phi(t):
+        val = np.log(t) - np.log(s + t)
+        for k in range(2, r + 1):
+            val += s ** (k - 1) / ((k - 1) * (s + t) ** (k - 1))
+        return val
+    return phi
+
+
+def _per_entry_invert(phi, x: float) -> float:
+    """Phi^{-1} on (0, inf) one entry at a time, as the scalar path did it."""
+    lo = 0.0
+    low = lo + 1e-14
+    while phi(low) > x:
+        low = lo + (low - lo) * 1e-3
+        if low == lo:
+            return float("nan")
+    high = max(2.0 * abs(low), 1.0)
+    while phi(high) < x:
+        high *= 4.0
+        if not np.isfinite(high):
+            return float("nan")
+    return float(brentq(lambda t: phi(t) - x, low, high, xtol=1e-300, rtol=8.9e-16, maxiter=1000))
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_abm_inversion_matches_the_per_entry_path(r):
+    s = 3.0
+    phi = _abm_phi(s, r)
+    fam = abm_family(s, r)
+    means = np.geomspace(1e-300, 1e300, 61)
+    anchor = np.array([2.0])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(_bits(fam.beta_map(means[:, None], anchor)[:, 0]),
+                              _bits(phi(means) - phi(anchor)))
+        # past the float range below, at and past phi_sup = 0 above
+        x = np.concatenate([phi(means), [-np.inf, -1e300, -5e-324, 0.0, 1.0]])
+        got = _invert_potential(phi, 0.0, np.inf, x)
+        # one-element arrays: numpy's vectorized pow may round differently
+        # from the C library's scalar pow, which Python floats use
+        want = [_per_entry_invert(lambda t: phi(np.array([t]))[0], v) for v in x]
+        # the family's mean map at beta = 0 inverts Phi(anchor) itself
+        inside = np.isfinite(got[:61]) & (x[:61] < 0.0)
+        via_family = fam.mean_map(np.zeros((int(inside.sum()), 1)), means[inside, None])[:, 0]
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(via_family), _bits(got[:61][inside]))
+    assert np.all(np.isnan(got[[61, 62, 65]]))  # -inf, -1e300 and 1.0
+    assert np.all(np.isfinite(got[:30]))
+    if r == 2:
+        # no power above one in Phi: Python floats round as the batch does
+        assert np.array_equal(_bits(got), _bits([_per_entry_invert(phi, float(v)) for v in x]))
+
+
+def _per_entry_gamma(logits: np.ndarray, target: float) -> float:
+    f = lambda g: float(expit(logits + np.asarray(g)[..., None]).sum()) - target
+    lo, hi = -1.0, 1.0
+    while f(lo) > 0.0:
+        lo *= 2.0
+    while f(hi) < 0.0:
+        hi *= 2.0
+    return brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
+
+
+@pytest.mark.parametrize("arms", [(1e-6, 0.5, 1.0 - 1e-6), (1e-6, 0.2, 0.5, 0.9, 1.0 - 1e-6)])
+def test_bernoulli_root_gamma_matches_the_per_entry_path(arms):
+    pair = ksample_pairing("bernoulli", arms)
+    k = len(arms)
+    means = k * np.concatenate([[1e-9, 1e-6], np.linspace(0.01, 0.99, 41), [1.0 - 1e-6, 1.0 - 1e-9]])
+    anchor = pair.tilted.mu_star
+    got = pair.tilted.family.beta_map(means[:, None], anchor)[:, 0]
+    logits = logit(np.asarray(arms))
+    at_anchor = _per_entry_gamma(logits, float(anchor[0]))
+    want = [_per_entry_gamma(logits, m) - at_anchor for m in means]
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+# ---------------------------------------------------------------------------
 # cold start
 
 def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats, scipy.integrate and scipy.optimize are loaded by the code
+    # that needs them (Halton pairs, the quadrature ladder), not by the import
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
-    code = "import sys, evfam, evfam.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, evfam, evfam.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,14 @@ def test_check_refuted_exit(capsys):
     assert json.loads(out)["overall"] == "refuted"
 
 
+def test_check_failed_preconditions_exit_3(capsys):
+    code, out, _ = run(capsys, "check", "--model", "tweedie-pair", "--null-a", "1",
+                       "--null-power", "1", "--alt-a", "1e-5", "--alt-power", "1.5",
+                       "--grid-points", "24", "--pairs", "32")
+    assert code == 3
+    assert json.loads(out)["overall"] == "inconclusive-preconditions"
+
+
 def test_check_is_deterministic(capsys):
     code1, out1, _ = run(capsys, "check", *NB_ARGS)
     code2, out2, _ = run(capsys, "check", *NB_ARGS)

@@ -11,6 +11,7 @@ import pytest
 from evfam.conditions import (
     CERTIFIED,
     INCONCLUSIVE,
+    INCONCLUSIVE_PRECONDITIONS,
     REFUTED,
     GridSpec,
     check_preconditions,
@@ -200,6 +201,19 @@ def test_shortcut_needs_scalar_families():
         onedim_shortcut(pair.null, pair.tilted, spec=SPEC)
 
 
+def test_failed_preconditions_are_not_reported_as_stochastic():
+    # the Poisson null's canonical domains are unbounded above, the Tweedie
+    # 1.5 alternative's are not, so B_p is not inside B_q; every ordering
+    # holds on the grids and nothing here is Monte Carlo
+    pair = tweedie_pair((1.0, 1.0), (1e-5, 1.5))
+    report = run_condition_battery(pair, SPEC)
+    assert report.overall == INCONCLUSIVE_PRECONDITIONS
+    assert not report.preconditions.all_passed
+    assert all(item.passed for item in report.items.values())
+    assert not report.stochastic
+    assert partition_check({"only": pair}, spec=SPEC).overall == INCONCLUSIVE_PRECONDITIONS
+
+
 # ---------------------------------------------------------------------------
 # partitioned alternatives
 
@@ -299,7 +313,7 @@ def test_report_round_trips_through_json():
     payload = json.dumps(report.to_dict(), sort_keys=True)
     back = json.loads(payload)
     assert back["overall"] == CERTIFIED
-    assert back["report_version"] == 1
+    assert back["report_version"] == 2
     assert set(back["items"]) == {"covariance_ordering", "canonical_pairing",
                                   "kl_ordering", "log_partition_ordering"}
 
