@@ -54,7 +54,6 @@ from .linear_model import (
     project_onto_null,
 )
 from .models import (
-    NefDescriptor,
     Pairing,
     abm_family,
     abm_vs_poisson,
@@ -70,7 +69,6 @@ from .models import (
     inverse_gaussian_family,
     ksample_null_family,
     ksample_pairing,
-    make_family,
     negbinom_family,
     negbinom_vs_poisson,
     nef_pairing,
@@ -123,8 +121,8 @@ __all__ = [
     "CarrierAlternative", "TiltedFamily", "build_tilted_family",
     "f_gap", "f_gap_info", "f_gradient", "local_evar_check",
     # catalog
-    "Pairing", "NefDescriptor", "make_family", "poisson_family", "gamma_family",
-    "negbinom_family", "abm_family", "tweedie_family", "inverse_gaussian_family",
+    "Pairing", "poisson_family", "gamma_family", "negbinom_family", "abm_family",
+    "tweedie_family", "inverse_gaussian_family",
     "gaussian_location_family", "gaussian_scale_family", "ksample_null_family",
     "ksample_pairing", "gaussian_location_pairing", "gaussian_location_constrained",
     "gaussian_scale_pairing", "nef_pairing", "negbinom_vs_poisson", "abm_vs_poisson",

@@ -59,26 +59,6 @@ EXIT_BAD_DATA = 65
 _OVERALL_EXIT = {CERTIFIED: EXIT_OK, REFUTED: EXIT_REFUTED, INCONCLUSIVE: EXIT_INCONCLUSIVE,
                  INCONCLUSIVE_PRECONDITIONS: EXIT_INCONCLUSIVE}
 
-_MODEL_HELP = {
-    "ksample-poisson": "k Poisson arms, equal-rate null (needs --alt-means)",
-    "ksample-gaussian": "k Gaussian arms, equal-mean null (needs --alt-means; --sigma2)",
-    "ksample-bernoulli": "k Bernoulli arms, equal-rate null (needs --alt-means)",
-    "gaussian-location": "normal location, distinct known covariances "
-                         "(needs --cov-null --cov-alt --alt-mean)",
-    "gaussian-location-constrained": "normal location with pinned coordinates "
-                                     "(needs --cov --constrained --alt-mean)",
-    "gaussian-scale": "centered-normal scale null vs a shifted carrier "
-                      "(needs --carrier-mean --carrier-var)",
-    "negbinom-vs-poisson": "negative binomial null vs Poisson alternative "
-                           "(needs --successes --mu)",
-    "abm-vs-poisson": "variance m(1+m/s)^r null vs Poisson alternative (needs --s --r --mu)",
-    "tweedie-pair": "two power-variance families "
-                    "(needs --null-a --null-power --alt-a --alt-power; --mu)",
-    "ig-vs-exp": "exponential null vs inverse Gaussian alternative (needs --lam --mu)",
-    "linmodel": "Gaussian linear model, first coefficient tested "
-                "(needs --design --sigma2 --gamma)",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 by default, which collides with the refuted verdict
@@ -99,12 +79,6 @@ def _parse_matrix(text: str) -> np.ndarray:
     if len(widths) != 1:
         raise ValueError(f"matrix rows have unequal lengths in {text!r}")
     return np.vstack(rows)
-
-
-def _require(args, *names):
-    missing = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is None]
-    if missing:
-        raise ValueError(f"model {args.model!r} needs {', '.join(missing)}")
 
 
 def _is_numeric(row: str) -> bool:
@@ -167,42 +141,57 @@ def _read_numeric_csv(path) -> np.ndarray:
     return flat.reshape(len(rows), -1)
 
 
+# key -> (description, required flags, optional flags, pairing builder from the parsed args)
+_MODELS = {
+    "ksample-poisson": (
+        "k Poisson arms, equal-rate null", ("--alt-means",), (),
+        lambda a: ksample_pairing("poisson", _parse_vector(a.alt_means), sigma2=a.sigma2)),
+    "ksample-gaussian": (
+        "k Gaussian arms, equal-mean null", ("--alt-means",), ("--sigma2",),
+        lambda a: ksample_pairing("gaussian", _parse_vector(a.alt_means), sigma2=a.sigma2)),
+    "ksample-bernoulli": (
+        "k Bernoulli arms, equal-rate null", ("--alt-means",), (),
+        lambda a: ksample_pairing("bernoulli", _parse_vector(a.alt_means), sigma2=a.sigma2)),
+    "gaussian-location": (
+        "normal location, distinct known covariances", ("--cov-null", "--cov-alt", "--alt-mean"), (),
+        lambda a: gaussian_location_pairing(_parse_matrix(a.cov_null), _parse_matrix(a.cov_alt),
+                                            _parse_vector(a.alt_mean))),
+    "gaussian-location-constrained": (
+        "normal location with pinned coordinates", ("--cov", "--constrained", "--alt-mean"), (),
+        lambda a: gaussian_location_constrained(_parse_matrix(a.cov), a.constrained,
+                                                _parse_vector(a.alt_mean))),
+    "gaussian-scale": (
+        "centered-normal scale null vs a shifted carrier", ("--carrier-mean", "--carrier-var"), (),
+        lambda a: gaussian_scale_pairing(a.carrier_mean, a.carrier_var)),
+    "negbinom-vs-poisson": (
+        "negative binomial null vs Poisson alternative", ("--successes", "--mu"), (),
+        lambda a: negbinom_vs_poisson(a.successes, float(a.mu))),
+    "abm-vs-poisson": (
+        "variance m(1+m/s)^r null vs Poisson alternative", ("--s", "--r", "--mu"), (),
+        lambda a: abm_vs_poisson(a.s, a.r, float(a.mu))),
+    "tweedie-pair": (
+        "two power-variance families", ("--null-a", "--null-power", "--alt-a", "--alt-power"),
+        ("--mu",),
+        lambda a: tweedie_pair((a.null_a, a.null_power), (a.alt_a, a.alt_power),
+                               mu_star=float(a.mu) if a.mu is not None else 1.0)),
+    "ig-vs-exp": (
+        "exponential null vs inverse Gaussian alternative", ("--lam", "--mu"), (),
+        lambda a: ig_vs_exp_pairing(a.lam, float(a.mu))),
+    "linmodel": (
+        "Gaussian linear model, first coefficient tested", ("--design", "--gamma"), ("--sigma2",),
+        lambda a: linmodel_pairing(LinearModelDesign(_read_numeric_csv(a.design)), a.sigma2,
+                                   _parse_vector(a.gamma))),
+}
+
+
 def build_pairing(args):
-    model = args.model
-    if model in ("ksample-poisson", "ksample-gaussian", "ksample-bernoulli"):
-        _require(args, "alt_means")
-        kind = model.split("-")[1]
-        return ksample_pairing(kind, _parse_vector(args.alt_means), sigma2=args.sigma2)
-    if model == "gaussian-location":
-        _require(args, "cov_null", "cov_alt", "alt_mean")
-        return gaussian_location_pairing(_parse_matrix(args.cov_null),
-                                         _parse_matrix(args.cov_alt),
-                                         _parse_vector(args.alt_mean))
-    if model == "gaussian-location-constrained":
-        _require(args, "cov", "constrained", "alt_mean")
-        return gaussian_location_constrained(_parse_matrix(args.cov), args.constrained,
-                                             _parse_vector(args.alt_mean))
-    if model == "gaussian-scale":
-        _require(args, "carrier_mean", "carrier_var")
-        return gaussian_scale_pairing(args.carrier_mean, args.carrier_var)
-    if model == "negbinom-vs-poisson":
-        _require(args, "successes", "mu")
-        return negbinom_vs_poisson(args.successes, float(args.mu))
-    if model == "abm-vs-poisson":
-        _require(args, "s", "r", "mu")
-        return abm_vs_poisson(args.s, args.r, float(args.mu))
-    if model == "tweedie-pair":
-        _require(args, "null_a", "null_power", "alt_a", "alt_power")
-        return tweedie_pair((args.null_a, args.null_power), (args.alt_a, args.alt_power),
-                            mu_star=float(args.mu) if args.mu is not None else 1.0)
-    if model == "ig-vs-exp":
-        _require(args, "lam", "mu")
-        return ig_vs_exp_pairing(args.lam, float(args.mu))
-    if model == "linmodel":
-        _require(args, "design", "sigma2", "gamma")
-        design = LinearModelDesign(_read_numeric_csv(args.design))
-        return linmodel_pairing(design, args.sigma2, _parse_vector(args.gamma))
-    raise ValueError(f"unknown model {model!r} (see 'evfam catalog')")
+    if args.model not in _MODELS:
+        raise ValueError(f"unknown model {args.model!r} (see 'evfam catalog')")
+    _, required, _, build = _MODELS[args.model]
+    missing = [flag for flag in required if getattr(args, flag[2:].replace("-", "_")) is None]
+    if missing:
+        raise ValueError(f"model {args.model!r} needs {', '.join(missing)}")
+    return build(args)
 
 
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
@@ -247,9 +236,11 @@ def _anchor_mean(args, pairing) -> np.ndarray:
 
 
 def _cmd_catalog(_args) -> int:
-    width = max(len(key) for key in _MODEL_HELP)
-    for key in sorted(_MODEL_HELP):
-        print(f"{key:<{width}}  {_MODEL_HELP[key]}")
+    width = max(len(key) for key in _MODELS)
+    for key in sorted(_MODELS):
+        description, required, optional, _ = _MODELS[key]
+        flags = " ".join(required) + ("; " + " ".join(optional) if optional else "")
+        print(f"{key:<{width}}  {description} (needs {flags})")
     return EXIT_OK
 
 

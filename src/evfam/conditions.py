@@ -71,6 +71,22 @@ CERTIFIED = "simple-evariable-certified"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive-stochastic"
 INCONCLUSIVE_PRECONDITIONS = "inconclusive-preconditions"
+# what partition_check reports when slices disagree: the first verdict here that any slice has
+_VERDICT_RANK = (REFUTED, INCONCLUSIVE, INCONCLUSIVE_PRECONDITIONS, CERTIFIED)
+
+
+def _verdict(stochastic: bool, failed: bool, preconditions_met: bool) -> str:
+    """The verdict rule of the battery and of each partition slice.
+
+    Monte Carlo orderings prove nothing, so they decide first; a failed
+    deterministic ordering refutes; orderings that hold beside a failed
+    precondition leave the claim open.
+    """
+    if stochastic:
+        return INCONCLUSIVE
+    if failed:
+        return REFUTED
+    return CERTIFIED if preconditions_met else INCONCLUSIVE_PRECONDITIONS
 
 
 @dataclass(frozen=True)
@@ -550,14 +566,11 @@ def run_condition_battery(pairing, spec: GridSpec | None = None,
     }
     stochastic = null.stochastic or alt.stochastic
     failed = [key for key, verdict in items.items() if not verdict.passed]
-    if stochastic:
-        overall, reason = INCONCLUSIVE, "log-partition estimates are Monte Carlo"
-    elif failed:
-        overall, reason = REFUTED, f"failed: {', '.join(failed)}"
-    elif pre.all_passed:
-        overall, reason = CERTIFIED, "preconditions and all orderings hold on the grids"
-    else:
-        overall, reason = INCONCLUSIVE_PRECONDITIONS, "orderings hold on the grids but preconditions fail"
+    overall = _verdict(stochastic, bool(failed), pre.all_passed)
+    reason = {INCONCLUSIVE: "log-partition estimates are Monte Carlo",
+              REFUTED: f"failed: {', '.join(failed)}",
+              CERTIFIED: "preconditions and all orderings hold on the grids",
+              INCONCLUSIVE_PRECONDITIONS: "orderings hold on the grids but preconditions fail"}[overall]
     return ConditionReport(
         model=pairing.name,
         params=pairing.params,
@@ -593,7 +606,7 @@ def partition_check(slices: Mapping[str, object],
     slice's ordering is Monte Carlo, else for a failed precondition.
     """
     results: dict[str, dict] = {}
-    any_failed = any_stochastic = any_unmet = False
+    verdicts = {CERTIFIED}
     for label, pairing in slices.items():
         grid = None if grids is None else grids.get(label)
         if grid is None:
@@ -602,20 +615,8 @@ def partition_check(slices: Mapping[str, object],
         pre = check_preconditions(pairing.null, pairing.tilted, grid)
         verdict = check_sigma_ordering(pairing.null, pairing.tilted, grid, tol_psd)
         results[label] = {"preconditions": pre, "covariance_ordering": verdict}
-        if verdict.stochastic:
-            any_stochastic = True
-        elif not verdict.passed:
-            any_failed = True
-        elif not pre.all_passed:
-            any_unmet = True
-    if any_failed:
-        overall = REFUTED
-    elif any_stochastic:
-        overall = INCONCLUSIVE
-    elif any_unmet:
-        overall = INCONCLUSIVE_PRECONDITIONS
-    else:
-        overall = CERTIFIED
+        verdicts.add(_verdict(verdict.stochastic, not verdict.passed, pre.all_passed))
+    overall = min(verdicts, key=_VERDICT_RANK.index)
     return PartitionReport(overall=overall, slices=results)
 
 
@@ -692,8 +693,9 @@ def growth_rate(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu,
 
     if support.kind == "countable-vector":
         k = support.axes
-        # the lattice side doubles from 32 while the lattice stays within 4e6 points
-        sides = [32 << j for j in range(12) if j == 0 or (32 << j) ** k <= 4_000_000]
+        # the side doubles from min(32, 4e6^(1/k)), and no lattice exceeds 4e6 points
+        first = min(32, int(4e6 ** (1.0 / k)))
+        sides = [first << j for j in range(12) if (first << j) ** k <= 4_000_000]
         prev = None
         for size in sides:
             idx = np.indices((size,) * k).reshape(k, -1).T.astype(float)

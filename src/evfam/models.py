@@ -22,7 +22,7 @@ members sharing that mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -35,9 +35,7 @@ from .tilt import CarrierAlternative, TiltedFamily, build_tilted_family
 from .util import matvec, rowdot
 
 __all__ = [
-    "NefDescriptor",
     "Pairing",
-    "make_family",
     "poisson_family",
     "gamma_family",
     "negbinom_family",
@@ -503,37 +501,51 @@ def _solve_each(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(matrix, rhs[..., None])[..., 0]
 
 
+def _location_family(name: str, u_cov: np.ndarray, stat_cov: np.ndarray,
+                     suff_stat: Callable[[np.ndarray], np.ndarray],
+                     u_mean_of: Callable[[np.ndarray], np.ndarray]) -> ExpFamilyDescriptor:
+    """Normal observations U with covariance ``u_cov`` and a linear statistic.
+
+    The statistic has covariance ``stat_cov`` whatever the mean, and the
+    member whose statistic mean is ``anchor`` has U-mean ``u_mean_of(anchor)``.
+    """
+    d, dim = u_cov.shape[0], stat_cov.shape[0]
+    chol = np.linalg.cholesky(u_cov)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+
+    def carrier(u: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+        resid = np.linalg.solve(chol, (np.asarray(u, dtype=float) - u_mean_of(anchor)).T)
+        return -0.5 * (np.sum(resid ** 2, axis=0) + d * np.log(2.0 * np.pi) + logdet)
+
+    def sampler(mean: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+        return u_mean_of(mean) + rng.standard_normal((n, d)) @ chol.T
+
+    return ExpFamilyDescriptor(
+        name=name,
+        dim=dim,
+        suff_stat=suff_stat,
+        log_partition=lambda beta, anchor: _gaussian_logz(beta, anchor, stat_cov),
+        mean_domain=full_space(dim),
+        canonical_domain=lambda anchor: full_space(dim),
+        carrier_log_density=carrier,
+        mean_map=lambda beta, anchor: anchor + matvec(stat_cov, beta),
+        cov_map=lambda beta, anchor: stat_cov,
+        beta_map=lambda mu, anchor: _solve_each(stat_cov, mu - anchor),
+        sampler=sampler,
+        support=SupportSpec("real-vector", axes=d),
+        element_ndim=1,
+    )
+
+
 def gaussian_location_family(cov) -> ExpFamilyDescriptor:
     """Multivariate normal with known covariance, mean as the parameter."""
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     d = cov.shape[0]
     if cov.shape != (d, d) or not np.allclose(cov, cov.T):
         raise UnsupportedModelError("location family needs a symmetric covariance")
-    chol = np.linalg.cholesky(cov)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-
-    def carrier(u: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-        resid = np.linalg.solve(chol, (np.asarray(u, dtype=float) - anchor).T)
-        return -0.5 * (np.sum(resid ** 2, axis=0) + d * np.log(2.0 * np.pi) + logdet)
-
-    def sampler(mean: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-        return mean + rng.standard_normal((n, d)) @ chol.T
-
-    return ExpFamilyDescriptor(
-        name=f"gaussian-location(d={d})",
-        dim=d,
-        suff_stat=lambda u: np.asarray(u, dtype=float).reshape(-1, d),
-        log_partition=lambda beta, anchor: _gaussian_logz(beta, anchor, cov),
-        mean_domain=full_space(d),
-        canonical_domain=lambda anchor: full_space(d),
-        carrier_log_density=carrier,
-        mean_map=lambda beta, anchor: anchor + matvec(cov, beta),
-        cov_map=lambda beta, anchor: cov,
-        beta_map=lambda mu, anchor: _solve_each(cov, mu - anchor),
-        sampler=sampler,
-        support=SupportSpec("real-vector", axes=d),
-        element_ndim=1,
-    )
+    return _location_family(f"gaussian-location(d={d})", cov, cov,
+                            lambda u: np.asarray(u, dtype=float).reshape(-1, d),
+                            lambda anchor: anchor)
 
 
 def gaussian_scale_family() -> ExpFamilyDescriptor:
@@ -561,6 +573,48 @@ def gaussian_scale_family() -> ExpFamilyDescriptor:
 # ---------------------------------------------------------------------------
 # k-sample null families (iid arms, statistic = sum of arms)
 
+def _binary_points(k: int) -> np.ndarray:
+    """The 2^k points of {0, 1}^k, one per row."""
+    return np.indices((2,) * k).reshape(k, -1).T.astype(float)
+
+
+def _arm_family(name: str, kind: str, k: int, sigma2: float,
+                arms_at: Callable[[np.ndarray], np.ndarray]) -> ExpFamilyDescriptor:
+    """k independent Poisson or Gaussian arms, statistic the arm total.
+
+    ``arms_at(m)`` gives the arm means of the member with total mean m; the
+    total's variance function is m for Poisson arms and k sigma2 for
+    Gaussian arms, whatever the split between arms.
+    """
+    if kind == "poisson":
+        return _nef_from_potentials(
+            name,
+            **_POISSON_POTENTIALS,
+            mean_domain=positive_orthant(1),
+            suff_stat=_sum_stat,
+            carrier=lambda u, anchor: _pois_logpmf(u, arms_at(anchor[0])).sum(axis=1),
+            sampler=lambda mean, n, rng: rng.poisson(arms_at(mean[0]), (n, k)).astype(float),
+            support=SupportSpec("countable-vector", axes=k),
+            element_ndim=1,
+        )
+    if sigma2 <= 0:
+        raise UnsupportedModelError("gaussian k-sample needs sigma2 > 0")
+    return _nef_from_potentials(
+        name,
+        variance=lambda m: k * sigma2,
+        phi=lambda m: m / (k * sigma2),
+        phi_inv=lambda x: k * sigma2 * x,
+        psi=lambda m: m * m / (2.0 * k * sigma2),
+        phi_sup=float("inf"),
+        mean_domain=full_space(1),
+        suff_stat=_sum_stat,
+        carrier=lambda u, anchor: _norm_logpdf(u, arms_at(anchor[0]), sigma2).sum(axis=1),
+        sampler=lambda mean, n, rng: rng.normal(arms_at(mean[0]), math.sqrt(sigma2), (n, k)),
+        support=SupportSpec("real-vector", axes=k),
+        element_ndim=1,
+    )
+
+
 def ksample_null_family(kind: str, k: int, sigma2: float = 1.0) -> ExpFamilyDescriptor:
     """Null for a k-sample comparison: k iid arms, mean of the arm total.
 
@@ -570,21 +624,9 @@ def ksample_null_family(kind: str, k: int, sigma2: float = 1.0) -> ExpFamilyDesc
     """
     if k < 2:
         raise UnsupportedModelError("k-sample families need k >= 2")
-    if kind == "poisson":
-        return _nef_from_potentials(
-            f"poisson-{k}sample",
-            **_POISSON_POTENTIALS,
-            mean_domain=positive_orthant(1),
-            suff_stat=_sum_stat,
-            carrier=lambda u, anchor: _pois_logpmf(u, anchor[0] / k).sum(axis=1),
-            sampler=lambda mean, n, rng: rng.poisson(mean[0] / k, (n, k)).astype(float),
-            support=SupportSpec("countable-vector", axes=k),
-            element_ndim=1,
-        )
+    if kind in ("poisson", "gaussian"):
+        return _arm_family(f"{kind}-{k}sample", kind, k, sigma2, lambda m: m / k)
     if kind == "bernoulli":
-        def points() -> np.ndarray:
-            grid = np.indices((2,) * k).reshape(k, -1).T
-            return grid.astype(float)
         return _nef_from_potentials(
             f"bernoulli-{k}sample",
             variance=lambda m: m * (1.0 - m / k),
@@ -596,27 +638,10 @@ def ksample_null_family(kind: str, k: int, sigma2: float = 1.0) -> ExpFamilyDesc
             suff_stat=_sum_stat,
             carrier=lambda u, anchor: _bern_logpmf(u, anchor[0] / k).sum(axis=1),
             sampler=lambda mean, n, rng: (rng.random((n, k)) < mean[0] / k).astype(float),
-            support=SupportSpec("finite", axes=k, points=points),
+            support=SupportSpec("finite", axes=k, points=lambda: _binary_points(k)),
             element_ndim=1,
             # the potential route cancels in k - m near the upper boundary
             log_partition_closed=lambda beta, m: k * np.log1p(m / k * np.expm1(beta)),
-        )
-    if kind == "gaussian":
-        if sigma2 <= 0:
-            raise UnsupportedModelError("gaussian k-sample needs sigma2 > 0")
-        return _nef_from_potentials(
-            f"gaussian-{k}sample",
-            variance=lambda m: k * sigma2,
-            phi=lambda m: m / (k * sigma2),
-            phi_inv=lambda x: k * sigma2 * x,
-            psi=lambda m: m * m / (2.0 * k * sigma2),
-            phi_sup=float("inf"),
-            mean_domain=full_space(1),
-            suff_stat=_sum_stat,
-            carrier=lambda u, anchor: _norm_logpdf(u, anchor[0] / k, sigma2).sum(axis=1),
-            sampler=lambda mean, n, rng: rng.normal(mean[0] / k, math.sqrt(sigma2), (n, k)),
-            support=SupportSpec("real-vector", axes=k),
-            element_ndim=1,
         )
     raise UnsupportedModelError(f"unknown k-sample kind {kind!r}")
 
@@ -644,6 +669,23 @@ def _validate_arm_means(kind: str, alt_means: np.ndarray) -> None:
             raise DomainError("poisson arm means must be positive")
 
 
+def _member_pairing(name: str, null: ExpFamilyDescriptor, family: ExpFamilyDescriptor,
+                    anchor: np.ndarray, carrier_name: str, mgf_log: Callable,
+                    params: dict, notes: dict | None = None) -> Pairing:
+    """Pair ``null`` with ``family``, tilted from its member whose statistic mean is ``anchor``."""
+    density, sampler = family.carrier_log_density, family.sampler
+    carrier = CarrierAlternative(
+        name=carrier_name,
+        log_density=None if density is None else lambda u: np.asarray(density(u, anchor), dtype=float),
+        mean_of_suff_stat=anchor,
+        mgf_log=mgf_log,
+        sampler=None if sampler is None else lambda n, rng: sampler(anchor, n, rng),
+        known_family=family,
+    )
+    tilted = build_tilted_family(null, carrier)
+    return Pairing(name=name, null=null, tilted=tilted, params=params, notes=notes or {})
+
+
 def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
     """Product alternative with unequal arm means against the iid null.
 
@@ -661,35 +703,13 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
 
     if kind == "poisson":
         ratios = alt_means / mu_star
-        family = _nef_from_potentials(
-            f"poisson-{k}sample-alt",
-            **_POISSON_POTENTIALS,
-            mean_domain=positive_orthant(1),
-            suff_stat=_sum_stat,
-            carrier=lambda u, anchor: _pois_logpmf(u, ratios * anchor[0]).sum(axis=1),
-            sampler=lambda mean, n, rng: rng.poisson(ratios * mean[0], (n, k)).astype(float),
-            support=SupportSpec("countable-vector", axes=k),
-            element_ndim=1,
-        )
+        family = _arm_family(f"poisson-{k}sample-alt", kind, k, sigma2, lambda m: ratios * m)
         mgf_log = lambda beta: mu_star * math.expm1(beta[0])
     elif kind == "gaussian":
         offsets = alt_means - mu_star / k
-        family = _nef_from_potentials(
-            f"gaussian-{k}sample-alt",
-            variance=lambda m: k * sigma2,
-            phi=lambda m: m / (k * sigma2),
-            phi_inv=lambda x: k * sigma2 * x,
-            psi=lambda m: m * m / (2.0 * k * sigma2),
-            phi_sup=float("inf"),
-            mean_domain=full_space(1),
-            suff_stat=_sum_stat,
-            carrier=lambda u, anchor: _norm_logpdf(u, offsets + anchor[0] / k, sigma2).sum(axis=1),
-            sampler=lambda mean, n, rng: rng.normal(offsets + mean[0] / k, math.sqrt(sigma2), (n, k)),
-            support=SupportSpec("real-vector", axes=k),
-            element_ndim=1,
-        )
+        family = _arm_family(f"gaussian-{k}sample-alt", kind, k, sigma2, lambda m: offsets + m / k)
         mgf_log = lambda beta: mu_star * beta[0] + 0.5 * k * sigma2 * beta[0] ** 2
-    elif kind == "bernoulli":
+    else:  # bernoulli; ksample_null_family rejects every other kind
         logits = np.asarray(logit(alt_means), dtype=float)
 
         def arm_means_at(gamma) -> np.ndarray:
@@ -731,9 +751,6 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
             w = arm_means_at(float(root_gamma(mean)[0]))
             return (rng.random((n, k)) < w).astype(float)
 
-        def points() -> np.ndarray:
-            return np.indices((2,) * k).reshape(k, -1).T.astype(float)
-
         family = family_from_root_cumulant(
             f"bernoulli-{k}sample-alt",
             dim=1,
@@ -747,26 +764,14 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
             root_cov=root_cov,
             root_beta=root_gamma,
             sampler=sampler,
-            support=SupportSpec("finite", axes=k, points=points),
+            support=SupportSpec("finite", axes=k, points=lambda: _binary_points(k)),
             element_ndim=1,
         )
         mgf_log = root_cumulant
-    else:
-        raise UnsupportedModelError(f"unknown k-sample kind {kind!r}")
 
-    carrier = CarrierAlternative(
-        name=f"{kind}-product({', '.join(f'{m:g}' for m in alt_means)})",
-        log_density=lambda u: np.asarray(family.carrier_log_density(u, family.vec(mu_star)), dtype=float),
-        mean_of_suff_stat=np.array([mu_star]),
-        mgf_log=mgf_log,
-        sampler=lambda n, rng: family.sampler(family.vec(mu_star), n, rng),
-        known_family=family,
-    )
-    tilted = build_tilted_family(null, carrier)
-    return Pairing(
-        name=f"ksample-{kind}",
-        null=null,
-        tilted=tilted,
+    return _member_pairing(
+        f"ksample-{kind}", null, family, family.vec(mu_star),
+        f"{kind}-product({', '.join(f'{m:g}' for m in alt_means)})", mgf_log,
         params={"kind": kind, "k": k, "alt_means": alt_means.tolist(), "sigma2": sigma2},
     )
 
@@ -783,19 +788,10 @@ def gaussian_location_pairing(cov_null, cov_alt, alt_mean) -> Pairing:
     family = gaussian_location_family(cov_alt)
     alt_mean = family.vec(alt_mean)
     cov_alt = np.atleast_2d(np.asarray(cov_alt, dtype=float))
-    carrier = CarrierAlternative(
-        name=f"gaussian({np.array2string(alt_mean, precision=3)})",
-        log_density=lambda u: np.asarray(family.carrier_log_density(u, alt_mean), dtype=float),
-        mean_of_suff_stat=alt_mean,
-        mgf_log=lambda beta: float(beta @ alt_mean + 0.5 * beta @ cov_alt @ beta),
-        sampler=lambda n, rng: family.sampler(alt_mean, n, rng),
-        known_family=family,
-    )
-    tilted = build_tilted_family(null, carrier)
-    return Pairing(
-        name="gaussian-location",
-        null=null,
-        tilted=tilted,
+    return _member_pairing(
+        "gaussian-location", null, family, alt_mean,
+        f"gaussian({np.array2string(alt_mean, precision=3)})",
+        lambda beta: float(beta @ alt_mean + 0.5 * beta @ cov_alt @ beta),
         params={"cov_null": np.atleast_2d(cov_null).tolist(),
                 "cov_alt": cov_alt.tolist(), "alt_mean": alt_mean.tolist()},
     )
@@ -819,58 +815,24 @@ def gaussian_location_constrained(cov, d0: int, alt_mean) -> Pairing:
     prec = np.linalg.inv(cov)
     a_rows = prec[free, :]
     stat_cov = prec[free, free]
-    chol = np.linalg.cholesky(cov)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
     dprime = d - d0
     embed = np.zeros((d, dprime))
     embed[free, :] = np.eye(dprime)
 
-    def mvn_logpdf(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
-        resid = np.linalg.solve(chol, (np.asarray(u, dtype=float) - mean).T)
-        return -0.5 * (np.sum(resid ** 2, axis=0) + d * np.log(2.0 * np.pi) + logdet)
-
-    def location_family(u_mean_of: Callable[[np.ndarray], np.ndarray], tag: str) -> ExpFamilyDescriptor:
-        def carrier(u: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-            return mvn_logpdf(u, u_mean_of(anchor))
-
-        def sampler(mean: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-            return u_mean_of(mean) + rng.standard_normal((n, d)) @ chol.T
-
-        return ExpFamilyDescriptor(
-            name=f"gaussian-constrained-{tag}(d={d},d0={d0})",
-            dim=dprime,
-            suff_stat=lambda u: np.asarray(u, dtype=float).reshape(-1, d) @ a_rows.T,
-            log_partition=lambda beta, anchor: _gaussian_logz(beta, anchor, stat_cov),
-            mean_domain=full_space(dprime),
-            canonical_domain=lambda anchor: full_space(dprime),
-            carrier_log_density=carrier,
-            mean_map=lambda beta, anchor: anchor + matvec(stat_cov, beta),
-            cov_map=lambda beta, anchor: stat_cov,
-            beta_map=lambda mu, anchor: _solve_each(stat_cov, mu - anchor),
-            sampler=sampler,
-            support=SupportSpec("real-vector", axes=d),
-            element_ndim=1,
-        )
+    stat = lambda u: np.asarray(u, dtype=float).reshape(-1, d) @ a_rows.T
+    tag = f"(d={d},d0={d0})"
 
     # null members have U-mean (0, nu) with T-mean C nu; alternative members
     # shift alt_mean inside the free coordinates only (Sigma A^T = embedding).
-    null = location_family(lambda t_mean: embed @ np.linalg.solve(stat_cov, t_mean), "null")
+    null = _location_family(f"gaussian-constrained-null{tag}", cov, stat_cov, stat,
+                            lambda t_mean: embed @ np.linalg.solve(stat_cov, t_mean))
     mu_star = a_rows @ alt_mean
-    family = location_family(lambda t_mean: alt_mean + embed @ np.linalg.solve(stat_cov, t_mean - mu_star), "alt")
+    family = _location_family(f"gaussian-constrained-alt{tag}", cov, stat_cov, stat,
+                              lambda t_mean: alt_mean + embed @ np.linalg.solve(stat_cov, t_mean - mu_star))
 
-    carrier = CarrierAlternative(
-        name="gaussian-constrained-alt",
-        log_density=lambda u: mvn_logpdf(u, alt_mean),
-        mean_of_suff_stat=mu_star,
-        mgf_log=lambda beta: float(beta @ mu_star + 0.5 * beta @ stat_cov @ beta),
-        sampler=lambda n, rng: family.sampler(mu_star, n, rng),
-        known_family=family,
-    )
-    tilted = build_tilted_family(null, carrier)
-    return Pairing(
-        name="gaussian-location-constrained",
-        null=null,
-        tilted=tilted,
+    return _member_pairing(
+        "gaussian-location-constrained", null, family, mu_star, "gaussian-constrained-alt",
+        lambda beta: float(beta @ mu_star + 0.5 * beta @ stat_cov @ beta),
         params={"cov": cov.tolist(), "d0": d0, "alt_mean": alt_mean.tolist()},
         notes={"alt_in_null": bool(np.allclose(alt_mean[:d0], 0.0))},
     )
@@ -957,22 +919,8 @@ def nef_pairing(null: ExpFamilyDescriptor, alt: ExpFamilyDescriptor, mu_star: fl
                 name: str, params: dict, notes: dict | None = None) -> Pairing:
     """Pair two scalar NEFs on the same observation space at a shared anchor mean."""
     anchor = alt.vec(mu_star)
-    log_density = None
-    if alt.carrier_log_density is not None:
-        log_density = lambda u: np.asarray(alt.carrier_log_density(u, anchor), dtype=float)
-    sampler = None
-    if alt.sampler is not None:
-        sampler = lambda n, rng: alt.sampler(anchor, n, rng)
-    carrier = CarrierAlternative(
-        name=f"{alt.name}@{mu_star:g}",
-        log_density=log_density,
-        mean_of_suff_stat=anchor,
-        mgf_log=lambda beta: alt.log_partition(beta, anchor),
-        sampler=sampler,
-        known_family=alt,
-    )
-    tilted = build_tilted_family(null, carrier)
-    return Pairing(name=name, null=null, tilted=tilted, params=params, notes=notes or {})
+    return _member_pairing(name, null, alt, anchor, f"{alt.name}@{mu_star:g}",
+                           lambda beta: alt.log_partition(beta, anchor), params, notes)
 
 
 def negbinom_vs_poisson(successes: float, mu_star: float) -> Pairing:
@@ -1051,38 +999,3 @@ def ig_vs_exp_pairing(lam: float, mu: float) -> Pairing:
             "divergence_threshold": ig_divergence_threshold(lam, mu),
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# descriptor-driven construction
-
-@dataclass(frozen=True)
-class NefDescriptor:
-    """Named catalog family plus its parameters, for config-driven use."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-
-_FAMILY_BUILDERS: dict[str, Callable[..., ExpFamilyDescriptor]] = {
-    "poisson": poisson_family,
-    "gamma": gamma_family,
-    "negbinom": negbinom_family,
-    "abm": abm_family,
-    "tweedie": tweedie_family,
-    "inverse-gaussian": inverse_gaussian_family,
-    "gaussian-location": gaussian_location_family,
-    "gaussian-scale": gaussian_scale_family,
-    "poisson-ksample": lambda k: ksample_null_family("poisson", k),
-    "bernoulli-ksample": lambda k: ksample_null_family("bernoulli", k),
-    "gaussian-ksample": lambda k, sigma2=1.0: ksample_null_family("gaussian", k, sigma2),
-}
-
-
-def make_family(descriptor: NefDescriptor) -> ExpFamilyDescriptor:
-    """Instantiate a catalog family from its descriptor."""
-    builder = _FAMILY_BUILDERS.get(descriptor.kind)
-    if builder is None:
-        known = ", ".join(sorted(_FAMILY_BUILDERS))
-        raise UnsupportedModelError(f"unknown family kind {descriptor.kind!r} (known: {known})")
-    return builder(**descriptor.params)

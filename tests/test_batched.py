@@ -480,6 +480,15 @@ def test_ksample_poisson_growth_with_full_coverage_is_unchanged(means, want):
     assert repr(growth_rate(pair.tilted, pair.null, pair.tilted.mu_star)) == want
 
 
+def test_ksample_poisson_growth_at_five_arms_matches_the_closed_form():
+    # side 32 would be 33.5e6 points; the lattice starts at side 20 (3.2e6)
+    means = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
+    pair = ksample_pairing("poisson", means)
+    want = float(np.sum(means * np.log(means / means.mean())))
+    got = growth_rate(pair.tilted, pair.null, pair.tilted.mu_star)
+    assert abs(got - want) <= 1e-10
+
+
 def test_ksample_poisson_growth_refuses_a_truncated_lattice():
     # at k = 4 the lattice stops at side 32 (64^4 exceeds the 4e6-point cap),
     # which leaves 38.6% of this alternative's mass uncovered

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from evfam.cli import _build_parser, main
+from evfam.cli import _MODELS, _build_parser, main
 
 NB_ARGS = ["--model", "negbinom-vs-poisson", "--successes", "4", "--mu", "2",
            "--grid-points", "24", "--pairs", "32"]
@@ -19,11 +19,98 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+CATALOG = """\
+abm-vs-poisson                 variance m(1+m/s)^r null vs Poisson alternative (needs --s --r --mu)
+gaussian-location              normal location, distinct known covariances (needs --cov-null --cov-alt --alt-mean)
+gaussian-location-constrained  normal location with pinned coordinates (needs --cov --constrained --alt-mean)
+gaussian-scale                 centered-normal scale null vs a shifted carrier (needs --carrier-mean --carrier-var)
+ig-vs-exp                      exponential null vs inverse Gaussian alternative (needs --lam --mu)
+ksample-bernoulli              k Bernoulli arms, equal-rate null (needs --alt-means)
+ksample-gaussian               k Gaussian arms, equal-mean null (needs --alt-means; --sigma2)
+ksample-poisson                k Poisson arms, equal-rate null (needs --alt-means)
+linmodel                       Gaussian linear model, first coefficient tested (needs --design --gamma; --sigma2)
+negbinom-vs-poisson            negative binomial null vs Poisson alternative (needs --successes --mu)
+tweedie-pair                   two power-variance families (needs --null-a --null-power --alt-a --alt-power; --mu)
+"""
+
+
 def test_catalog_lists_models(capsys):
-    code, out, _ = run(capsys, "catalog")
-    assert code == 0
-    for key in ("ksample-poisson", "gaussian-scale", "ig-vs-exp", "linmodel"):
-        assert key in out
+    assert run(capsys, "catalog") == (0, CATALOG, "")
+
+
+# One case per CLI model: its flags (DESIGN stands for a design file), the
+# rows of a data file of the model's width, and the exit codes of check,
+# evalue --force and growth.  abm r = 2 and the Tweedie 1.5 pair have no
+# densities (exit 64); the inverse Gaussian alternative is refuted (exit 2).
+DESIGN = "<design>"
+MODEL_CASES = {
+    "ksample-poisson": ({"--alt-means": "0.5,1,1.5"}, "0,1,2\n3,0,1\n", (0, 0, 0)),
+    "ksample-gaussian": ({"--alt-means": "0.2,1,1.8"}, "0.1,-0.5,2\n1,1.2,0.3\n", (0, 0, 0)),
+    "ksample-bernoulli": ({"--alt-means": "0.3,0.5,0.7"}, "0,1,1\n1,0,1\n", (0, 0, 0)),
+    "gaussian-location": ({"--cov-null": "2,0.3;0.3,1", "--cov-alt": "1,0.1;0.1,0.5",
+                           "--alt-mean": "1,-0.5"}, "0.2,1\n-1,0.4\n", (0, 0, 0)),
+    "gaussian-location-constrained": ({"--cov": "1,0.4;0.4,2", "--constrained": "1",
+                                       "--alt-mean": "0.9,1"}, "0.2,1\n-1,0.4\n", (0, 0, 0)),
+    "gaussian-scale": ({"--carrier-mean": "-3", "--carrier-var": "9"}, "0.5\n-2\n", (0, 0, 0)),
+    "negbinom-vs-poisson": ({"--successes": "4", "--mu": "2"}, "0\n3\n", (0, 0, 0)),
+    "abm-vs-poisson": ({"--s": "3", "--r": "2", "--mu": "2"}, "0\n3\n", (0, 64, 64)),
+    "tweedie-pair": ({"--null-a": "1", "--null-power": "1.5", "--alt-a": "0.5",
+                      "--alt-power": "1.5"}, "0.5\n2\n", (0, 64, 64)),
+    "ig-vs-exp": ({"--lam": "2", "--mu": "0.8"}, "0.5\n2\n", (2, 0, 0)),
+    "linmodel": ({"--design": DESIGN, "--gamma": "0.5,-0.3"},
+                 "0.1,-0.4,1.2,0.3,-0.8,0.5,0.9,-1.1\n", (0, 0, 0)),
+}
+
+
+def _model_argv(tmp_path, key, drop=None):
+    flags, _, _ = MODEL_CASES[key]
+    design = tmp_path / "design.csv"
+    if DESIGN in flags.values():
+        rows = np.random.default_rng(0).normal(size=(8, 2))
+        design.write_text("\n".join(",".join(f"{v:.6f}" for v in row) for row in rows) + "\n")
+    return ["--model", key] + [f"{flag}={design if value == DESIGN else value}"
+                               for flag, value in flags.items() if flag != drop]
+
+
+def test_every_model_has_a_smoke_case():
+    assert set(MODEL_CASES) == set(_MODELS)
+    for key, (flags, _, _) in MODEL_CASES.items():
+        _, required, optional, _ = _MODELS[key]
+        assert set(flags) - set(optional) == set(required), key
+
+
+@pytest.mark.parametrize("key", sorted(MODEL_CASES))
+def test_every_model_runs_every_subcommand(capsys, tmp_path, key):
+    _, rows, (check_code, evalue_code, growth_code) = MODEL_CASES[key]
+    data = tmp_path / "data.csv"
+    data.write_text(rows)
+    argv = _model_argv(tmp_path, key)
+
+    code, out, err = run(capsys, "check", *argv)
+    assert code == check_code, err
+    assert json.loads(out)["model"] == key
+
+    code, out, err = run(capsys, "evalue", *argv, "--force", "--data", str(data))
+    assert code == evalue_code, err
+    if code == 0:
+        assert out.splitlines()[-1].startswith("product,")
+    else:
+        assert out == "" and "need density evaluation" in err
+
+    code, out, err = run(capsys, "growth", *argv)
+    assert code == growth_code, err
+    if code == 0:
+        assert json.loads(out)["model"] == key
+    else:
+        assert out == "" and "need density evaluation" in err
+
+
+@pytest.mark.parametrize("key", sorted(MODEL_CASES))
+def test_every_required_flag_is_enforced(capsys, tmp_path, key):
+    for flag in _MODELS[key][1]:
+        code, out, err = run(capsys, "check", *_model_argv(tmp_path, key, drop=flag))
+        assert (code, out) == (64, ""), flag
+        assert err == f"evfam: bad configuration: model {key!r} needs {flag}\n"
 
 
 def test_check_certified_exit_and_json(capsys, tmp_path):
@@ -234,6 +321,15 @@ def test_growth_on_a_truncated_lattice_exits_64(capsys):
                          "--alt-means", "5,10,20,30")
     assert code == 64 and out == ""
     assert "k=4" in err and "lattice side 32" in err and "Traceback" not in err
+
+
+def test_growth_refuses_a_lattice_it_cannot_afford(capsys):
+    # six arms: side 32 would be 1.07e9 points, so the lattice stops at side
+    # 12 (3.0e6 points), which misses part of the alternative's mass
+    code, out, err = run(capsys, "growth", "--model", "ksample-poisson",
+                         "--alt-means", "0.5,1,1.5,2,2.5,3")
+    assert code == 64 and out == ""
+    assert "k=6, lattice side 12" in err and "Traceback" not in err
 
 
 def test_growth_reports_json(capsys):

@@ -131,7 +131,7 @@ def test_battery_refutes_ig_alternative_for_every_anchor():
         assert not report.items["covariance_ordering"].passed
 
 
-def test_battery_is_inconclusive_for_stochastic_families():
+def _monte_carlo_pairing(mc_samples: int = 20_000) -> Pairing:
     null = gaussian_scale_family()
     m, s2 = -3.0, 9.0
     carrier = CarrierAlternative(
@@ -140,9 +140,12 @@ def test_battery_is_inconclusive_for_stochastic_families():
                                       + np.log(2.0 * np.pi * s2)),
         mean_of_suff_stat=None, mgf_log=None,
         sampler=lambda n, rng: rng.normal(m, math.sqrt(s2), n))
-    tilted = build_tilted_family(null, carrier, mc_samples=20_000, seed=0)
-    pair = Pairing(name="mc-demo", null=null, tilted=tilted, params={})
-    report = run_condition_battery(pair, SPEC)
+    tilted = build_tilted_family(null, carrier, mc_samples=mc_samples, seed=0)
+    return Pairing(name="mc-demo", null=null, tilted=tilted, params={})
+
+
+def test_battery_is_inconclusive_for_stochastic_families():
+    report = run_condition_battery(_monte_carlo_pairing(), SPEC)
     assert report.overall == INCONCLUSIVE
     assert "Monte Carlo" in report.reason
     assert report.stochastic
@@ -237,6 +240,17 @@ def test_partition_check_refutes_on_any_bad_slice():
     rep = partition_check(slices, spec=SPEC)
     assert rep.overall == REFUTED
     assert not rep.slices["bad"]["covariance_ordering"].passed
+
+
+def test_partition_check_ranks_a_refuted_slice_above_a_monte_carlo_slice():
+    spec = GridSpec(points_per_axis=16, n_pairs=16)
+    mc = _monte_carlo_pairing(mc_samples=4_000)
+    refuted = partition_check({"mc": mc, "bad": ig_vs_exp_pairing(2.0, 1.5)}, spec=spec)
+    assert refuted.overall == REFUTED
+    assert refuted.slices["mc"]["covariance_ordering"].stochastic
+    open_ = partition_check({"mc": mc, "good": negbinom_vs_poisson(4.0, 2.0)}, spec=spec)
+    assert open_.overall == INCONCLUSIVE
+    assert open_.slices["good"]["covariance_ordering"].passed
 
 
 # ---------------------------------------------------------------------------

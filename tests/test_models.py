@@ -18,7 +18,6 @@ from evfam.families import (
     mean_from_canonical,
 )
 from evfam.models import (
-    NefDescriptor,
     abm_family,
     abm_vs_poisson,
     gamma_family,
@@ -31,7 +30,6 @@ from evfam.models import (
     ig_vs_exp_pairing,
     inverse_gaussian_family,
     ksample_pairing,
-    make_family,
     negbinom_family,
     negbinom_vs_poisson,
     poisson_family,
@@ -458,17 +456,3 @@ def test_ig_expectation_splits_at_threshold():
                               "positive-line", center=5.0, scale=5.0)
     assert above.diverged
 
-
-# ---------------------------------------------------------------------------
-# registry
-
-def test_make_family_registry():
-    fam = make_family(NefDescriptor("negbinom", {"successes": 4.0}))
-    assert fam.name == "negbinom(n=4)"
-    fam = make_family(NefDescriptor("gaussian-ksample", {"k": 3, "sigma2": 2.0}))
-    assert fam.dim == 1
-
-
-def test_make_family_unknown_kind():
-    with pytest.raises(UnsupportedModelError, match="unknown family kind"):
-        make_family(NefDescriptor("zeta", {}))
