@@ -145,13 +145,13 @@ def _read_numeric_csv(path) -> np.ndarray:
 _MODELS = {
     "ksample-poisson": (
         "k Poisson arms, equal-rate null", ("--alt-means",), (),
-        lambda a: ksample_pairing("poisson", _parse_vector(a.alt_means), sigma2=a.sigma2)),
+        lambda a: ksample_pairing("poisson", _parse_vector(a.alt_means))),
     "ksample-gaussian": (
         "k Gaussian arms, equal-mean null", ("--alt-means",), ("--sigma2",),
         lambda a: ksample_pairing("gaussian", _parse_vector(a.alt_means), sigma2=a.sigma2)),
     "ksample-bernoulli": (
         "k Bernoulli arms, equal-rate null", ("--alt-means",), (),
-        lambda a: ksample_pairing("bernoulli", _parse_vector(a.alt_means), sigma2=a.sigma2)),
+        lambda a: ksample_pairing("bernoulli", _parse_vector(a.alt_means))),
     "gaussian-location": (
         "normal location, distinct known covariances", ("--cov-null", "--cov-alt", "--alt-mean"), (),
         lambda a: gaussian_location_pairing(_parse_matrix(a.cov_null), _parse_matrix(a.cov_alt),

@@ -11,12 +11,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .errors import DataError
-from .models import (
-    gamma_family,
-    ig_divergence_threshold,
-    ig_regime,
-    ig_vs_exp_pairing,
-)
+from .models import ig_divergence_threshold, ig_regime, ig_vs_exp_pairing
 from .oracles import expect_quadrature
 
 __all__ = [
@@ -96,7 +91,7 @@ def ig_expectation_curves(lam: float = 2.0, mus=(0.8, 1.5, 2.5),
             rows.append(("fig3", series, float(mu), float("nan"), "not-local"))
             continue
         pairing = ig_vs_exp_pairing(lam, mu)
-        null = gamma_family(1.0)
+        null = pairing.null
         ratio_log = lambda u, _p=pairing, _n=null, _m=mu: (
             np.asarray(_p.tilted.family.carrier_log_density(u, np.array([_m])), dtype=float)
             - np.asarray(_n.carrier_log_density(u, np.array([_m])), dtype=float))

@@ -38,8 +38,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .domains import DomainDescriptor
 from .errors import DataError, DomainError
 from .families import ExpFamilyDescriptor, SupportSpec
-from .models import Pairing
-from .tilt import CarrierAlternative, TiltedFamily, build_tilted_family
+from .models import Pairing, _member_pairing
 from .util import float_or_array as _scalar, matvec, rowdot
 
 __all__ = [
@@ -361,21 +360,8 @@ def linmodel_pairing(design: LinearModelDesign, sigma2: float, gamma) -> Pairing
     theta = params.theta
     null = linmodel_family(design, 0.0)
     family = linmodel_family(design, theta)
-    mu_star = mean_of_params(design, params)
-    carrier = CarrierAlternative(
-        name=f"linmodel-member(theta={theta:g})",
-        log_density=lambda y: _log_density(design, params, y),
-        mean_of_suff_stat=mu_star,
-        sampler=lambda n_draws, rng: family.sampler(mu_star, n_draws, rng),
-        known_family=family,
-    )
-    tilted: TiltedFamily = build_tilted_family(null, carrier)
-    projection = project_onto_null(design, params)
-    return Pairing(
-        name="linmodel",
-        null=null,
-        tilted=tilted,
-        params={"n": design.n, "d": design.d, "sigma2": sigma2,
-                "gamma": params.gamma.tolist()},
-        notes={"theta": theta, "projection": projection, "alt_params": params},
+    return _member_pairing(
+        "linmodel", null, family, mean_of_params(design, params),
+        params={"n": design.n, "d": design.d, "sigma2": sigma2, "gamma": params.gamma.tolist()},
+        notes={"theta": theta, "projection": project_onto_null(design, params), "alt_params": params},
     )

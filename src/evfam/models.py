@@ -31,7 +31,7 @@ from scipy.special import expit, gammaln, logit, xlog1py, xlogy
 from .domains import DomainDescriptor, box_domain, full_space, positive_orthant
 from .errors import ConvergenceError, DomainError, UnsupportedModelError
 from .families import ExpFamilyDescriptor, SupportSpec, family_from_root_cumulant
-from .tilt import CarrierAlternative, TiltedFamily, build_tilted_family
+from .tilt import TiltedFamily
 from .util import matvec, rowdot
 
 __all__ = [
@@ -670,20 +670,20 @@ def _validate_arm_means(kind: str, alt_means: np.ndarray) -> None:
 
 
 def _member_pairing(name: str, null: ExpFamilyDescriptor, family: ExpFamilyDescriptor,
-                    anchor: np.ndarray, carrier_name: str, mgf_log: Callable,
-                    params: dict, notes: dict | None = None) -> Pairing:
-    """Pair ``null`` with ``family``, tilted from its member whose statistic mean is ``anchor``."""
-    density, sampler = family.carrier_log_density, family.sampler
-    carrier = CarrierAlternative(
-        name=carrier_name,
-        log_density=None if density is None else lambda u: np.asarray(density(u, anchor), dtype=float),
-        mean_of_suff_stat=anchor,
-        mgf_log=mgf_log,
-        sampler=None if sampler is None else lambda n, rng: sampler(anchor, n, rng),
-        known_family=family,
-    )
-    tilted = build_tilted_family(null, carrier)
-    return Pairing(name=name, null=null, tilted=tilted, params=params, notes=notes or {})
+                    anchor, params: dict, notes: dict | None = None) -> Pairing:
+    """Pair ``null`` with the member of ``family`` whose statistic mean is ``anchor``.
+
+    ``family`` is the exponential family the alternative generates over the
+    null's statistic, so it is the tilted family as it stands.
+    """
+    mu_star = np.atleast_1d(np.asarray(anchor, dtype=float))
+    if mu_star.shape != (null.dim,):
+        raise DomainError(
+            f"carrier mean has shape {mu_star.shape}, statistic is {null.dim}-dimensional")
+    if not family.mean_domain.contains(mu_star):
+        raise DomainError("carrier mean lies outside its declared family's mean domain")
+    return Pairing(name=name, null=null, tilted=TiltedFamily(family, mu_star), params=params,
+                   notes=notes or {})
 
 
 def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
@@ -704,11 +704,9 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
     if kind == "poisson":
         ratios = alt_means / mu_star
         family = _arm_family(f"poisson-{k}sample-alt", kind, k, sigma2, lambda m: ratios * m)
-        mgf_log = lambda beta: mu_star * math.expm1(beta[0])
     elif kind == "gaussian":
         offsets = alt_means - mu_star / k
         family = _arm_family(f"gaussian-{k}sample-alt", kind, k, sigma2, lambda m: offsets + m / k)
-        mgf_log = lambda beta: mu_star * beta[0] + 0.5 * k * sigma2 * beta[0] ** 2
     else:  # bernoulli; ksample_null_family rejects every other kind
         logits = np.asarray(logit(alt_means), dtype=float)
 
@@ -767,13 +765,11 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
             support=SupportSpec("finite", axes=k, points=lambda: _binary_points(k)),
             element_ndim=1,
         )
-        mgf_log = root_cumulant
 
-    return _member_pairing(
-        f"ksample-{kind}", null, family, family.vec(mu_star),
-        f"{kind}-product({', '.join(f'{m:g}' for m in alt_means)})", mgf_log,
-        params={"kind": kind, "k": k, "alt_means": alt_means.tolist(), "sigma2": sigma2},
-    )
+    params = {"kind": kind, "k": k, "alt_means": alt_means.tolist()}
+    if kind == "gaussian":
+        params["sigma2"] = sigma2
+    return _member_pairing(f"ksample-{kind}", null, family, family.vec(mu_star), params)
 
 
 def gaussian_location_pairing(cov_null, cov_alt, alt_mean) -> Pairing:
@@ -790,8 +786,6 @@ def gaussian_location_pairing(cov_null, cov_alt, alt_mean) -> Pairing:
     cov_alt = np.atleast_2d(np.asarray(cov_alt, dtype=float))
     return _member_pairing(
         "gaussian-location", null, family, alt_mean,
-        f"gaussian({np.array2string(alt_mean, precision=3)})",
-        lambda beta: float(beta @ alt_mean + 0.5 * beta @ cov_alt @ beta),
         params={"cov_null": np.atleast_2d(cov_null).tolist(),
                 "cov_alt": cov_alt.tolist(), "alt_mean": alt_mean.tolist()},
     )
@@ -831,8 +825,7 @@ def gaussian_location_constrained(cov, d0: int, alt_mean) -> Pairing:
                               lambda t_mean: alt_mean + embed @ np.linalg.solve(stat_cov, t_mean - mu_star))
 
     return _member_pairing(
-        "gaussian-location-constrained", null, family, mu_star, "gaussian-constrained-alt",
-        lambda beta: float(beta @ mu_star + 0.5 * beta @ stat_cov @ beta),
+        "gaussian-location-constrained", null, family, mu_star,
         params={"cov": cov.tolist(), "d0": d0, "alt_mean": alt_mean.tolist()},
         notes={"alt_in_null": bool(np.allclose(alt_mean[:d0], 0.0))},
     )
@@ -853,9 +846,6 @@ def gaussian_scale_pairing(m: float, s2: float) -> Pairing:
     c = 0.5 / s2
     cm2 = c * c * m * m
     mu_star = s2 + m * m
-
-    def member_params(t: float) -> tuple[float, float]:
-        return c * m / t, 0.5 / t
 
     def root_cumulant(beta: np.ndarray) -> np.ndarray:
         t = c - beta[..., 0]
@@ -878,8 +868,8 @@ def gaussian_scale_pairing(m: float, s2: float) -> Pairing:
         return _norm_logpdf(u, m, s2)
 
     def sampler(mean: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-        loc, var = member_params(c - float(root_beta(mean)[0]))
-        return rng.normal(loc, math.sqrt(var), n)
+        t = c - float(root_beta(mean)[0])
+        return rng.normal(c * m / t, math.sqrt(0.5 / t), n)
 
     family = family_from_root_cumulant(
         f"gaussian-scale-alt(m={m:g},s2={s2:g})",
@@ -896,31 +886,13 @@ def gaussian_scale_pairing(m: float, s2: float) -> Pairing:
         sampler=sampler,
         support=SupportSpec("real-scalar"),
     )
-    carrier = CarrierAlternative(
-        name=f"normal(m={m:g},s2={s2:g})",
-        log_density=root_carrier,
-        mean_of_suff_stat=np.array([mu_star]),
-        mgf_log=root_cumulant,
-        mgf_domain=box_domain([-np.inf], [c]),
-        sampler=lambda n, rng: rng.normal(m, math.sqrt(s2), n),
-        known_family=family,
-    )
-    tilted = build_tilted_family(null, carrier)
-    return Pairing(
-        name="gaussian-scale",
-        null=null,
-        tilted=tilted,
-        params={"m": m, "s2": s2},
-        notes={"tilt_member_params": member_params},
-    )
+    return _member_pairing("gaussian-scale", null, family, mu_star, params={"m": m, "s2": s2})
 
 
 def nef_pairing(null: ExpFamilyDescriptor, alt: ExpFamilyDescriptor, mu_star: float,
                 name: str, params: dict, notes: dict | None = None) -> Pairing:
     """Pair two scalar NEFs on the same observation space at a shared anchor mean."""
-    anchor = alt.vec(mu_star)
-    return _member_pairing(name, null, alt, anchor, f"{alt.name}@{mu_star:g}",
-                           lambda beta: alt.log_partition(beta, anchor), params, notes)
+    return _member_pairing(name, null, alt, alt.vec(mu_star), params, notes)
 
 
 def negbinom_vs_poisson(successes: float, mu_star: float) -> Pairing:

@@ -7,12 +7,13 @@ the cumulant of t(U) under q.  Anchoring elsewhere only shifts the
 canonical coordinate, so the family built from any of its own members is
 the same family (re-anchoring closure).
 
-Construction picks the best available route:
+Catalog pairings know that family in closed form and hold it directly
+(``models._member_pairing``).  ``build_tilted_family`` builds it for a
+carrier known only through
 
-1. a declared closed-form family equal to the generated one;
-2. a closed-form cumulant (log MGF) of the carrier, with the canonical
-   domain either declared or discovered by bisection along each axis;
-3. Monte Carlo: an empirical cumulant over one fixed draw from the carrier.
+1. a closed-form cumulant (log MGF), with the canonical domain discovered
+   by bisection along each axis; or
+2. a sampler: an empirical cumulant over one fixed draw from the carrier.
    The result is smooth and fully differentiable but stochastic, which is
    recorded on the family and blocks hard certification downstream.
 
@@ -32,7 +33,6 @@ from .domains import DomainDescriptor, box_domain
 from .errors import DomainError, UnsupportedModelError
 from .families import (
     ExpFamilyDescriptor,
-    SupportSpec,
     covariance_at_mean,
     family_from_root_cumulant,
     log_partition_at,
@@ -60,25 +60,20 @@ DOMAIN_PROBE_MAX = 1e12
 
 @dataclass(frozen=True)
 class CarrierAlternative:
-    """The alternative density that seeds a tilted family.
+    """An alternative density known only by its log MGF or a sampler.
 
     ``log_density`` maps a batch of observations to log q(u);
     ``mean_of_suff_stat`` is E_q[t(U)], the anchor mean of the family.
     ``mgf_log`` is beta -> log E_q[exp(beta . t(U))] for one ``(dim,)``
-    point when available (may return +inf), with ``mgf_domain`` its
-    finiteness region if known; the tilted family evaluates it point by
-    point.
-    ``sampler(n, rng)`` draws from q.  ``known_family`` short-circuits
-    construction when the generated family has its own catalog entry.
+    point when available (may return +inf); the tilted family evaluates it
+    point by point.  ``sampler(n, rng)`` draws from q.
     """
 
     name: str
     log_density: Callable[[np.ndarray], np.ndarray] | None
     mean_of_suff_stat: np.ndarray
     mgf_log: Callable[[np.ndarray], float] | None = None
-    mgf_domain: DomainDescriptor | None = None
     sampler: Callable[[int, np.random.Generator], np.ndarray] | None = None
-    known_family: ExpFamilyDescriptor | None = None
 
 
 @dataclass(frozen=True)
@@ -86,9 +81,11 @@ class TiltedFamily:
     """The auxiliary family generated by a carrier, anchored at its mean."""
 
     family: ExpFamilyDescriptor
-    carrier: CarrierAlternative
     mu_star: np.ndarray
-    stochastic: bool = False
+
+    @property
+    def stochastic(self) -> bool:
+        return self.family.stochastic
 
 
 def _discover_box(mgf_log: Callable[[np.ndarray], float], dim: int) -> DomainDescriptor:
@@ -176,19 +173,7 @@ def build_tilted_family(
         raise DomainError(
             f"carrier mean has shape {mu_star.shape}, statistic is {null.dim}-dimensional")
 
-    if carrier.known_family is not None:
-        family = carrier.known_family
-        if family.dim != null.dim:
-            raise DomainError("declared family dimension does not match the null statistic")
-        if not family.mean_domain.contains(mu_star):
-            raise DomainError("carrier mean lies outside its declared family's mean domain")
-        return TiltedFamily(family=family, carrier=carrier, mu_star=mu_star,
-                            stochastic=family.stochastic)
-
     if carrier.mgf_log is not None:
-        domain = carrier.mgf_domain
-        if domain is None:
-            domain = _discover_box(carrier.mgf_log, null.dim)
         root_carrier = None
         if carrier.log_density is not None:
             log_density = carrier.log_density
@@ -200,13 +185,13 @@ def build_tilted_family(
             suff_stat=null.suff_stat,
             root_anchor=mu_star,
             root_cumulant=pointwise(carrier.mgf_log),
-            root_domain=domain,
+            root_domain=_discover_box(carrier.mgf_log, null.dim),
             mean_domain=null.mean_domain,
             root_carrier_log_density=root_carrier,
             support=null.support,
             element_ndim=null.element_ndim,
         )
-        return TiltedFamily(family=family, carrier=carrier, mu_star=mu_star)
+        return TiltedFamily(family=family, mu_star=mu_star)
 
     if carrier.sampler is not None:
         rng = np.random.Generator(np.random.Philox(key=seed))
@@ -252,10 +237,10 @@ def build_tilted_family(
             element_ndim=null.element_ndim,
             stochastic=True,
         )
-        return TiltedFamily(family=family, carrier=carrier, mu_star=anchor, stochastic=True)
+        return TiltedFamily(family=family, mu_star=anchor)
 
     raise UnsupportedModelError(
-        "carrier provides neither a known family, a log MGF, nor a sampler")
+        "carrier provides neither a log MGF nor a sampler")
 
 
 def f_gap_info(null: ExpFamilyDescriptor, tilted: TiltedFamily, beta, anchor):

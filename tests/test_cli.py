@@ -153,6 +153,31 @@ def test_usage_errors_exit_64(capsys):
     capsys.readouterr()
 
 
+OUTSIDE = "evfam: carrier mean lies outside its declared family's mean domain\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--model", "negbinom-vs-poisson", "--successes", "4", "--mu", "-1"], OUTSIDE),
+    (["--model", "tweedie-pair", "--null-a", "1", "--null-power", "1.5", "--alt-a", "0.5",
+      "--alt-power", "1.5", "--mu", "-2"], OUTSIDE),
+    (["--model", "gaussian-location", "--cov-null=2,0.3;0.3,1", "--cov-alt=1,0,0;0,1,0;0,0,1",
+      "--alt-mean=1,-0.5,0"], "evfam: carrier mean has shape (3,), statistic is 2-dimensional\n"),
+])
+def test_anchor_outside_the_alternative_family_exits_64(capsys, argv, message):
+    assert run(capsys, "check", *argv) == (64, "", message)
+
+
+def test_sigma2_is_reported_only_where_it_is_used(capsys):
+    poisson = ["check", "--model", "ksample-poisson", "--alt-means", "0.5,1,1.5"]
+    _, plain, _ = run(capsys, *poisson)
+    _, with_sigma2, _ = run(capsys, *poisson, "--sigma2", "3")
+    assert json.loads(with_sigma2) == json.loads(plain)
+    assert "sigma2" not in json.loads(plain)["params"]
+    _, out, _ = run(capsys, "check", "--model", "ksample-gaussian", "--alt-means", "0.2,1,1.8",
+                    "--sigma2", "3")
+    assert json.loads(out)["params"]["sigma2"] == 3.0
+
+
 def test_evalue_writes_rows_and_product(capsys, tmp_path):
     data = tmp_path / "counts.csv"
     data.write_text("value\n0\n1\n3\n")

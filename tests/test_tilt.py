@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,11 +22,13 @@ from evfam.models import (
     gaussian_scale_pairing,
     ig_vs_exp_pairing,
     negbinom_vs_poisson,
+    nef_pairing,
     poisson_family,
 )
 from evfam.oracles import finite_diff_check
 from evfam.tilt import (
     CarrierAlternative,
+    TiltedFamily,
     _row_logsumexp,
     build_tilted_family,
     f_gap,
@@ -56,7 +59,7 @@ def _normal_carrier(with_mgf: bool, with_mean: bool = True) -> CarrierAlternativ
     )
 
 
-def test_known_family_route_reuses_the_family():
+def test_catalog_pairing_holds_its_alternative_family():
     pair = negbinom_vs_poisson(4.0, 2.0)
     assert pair.tilted.family.name == "poisson"
     assert not pair.tilted.stochastic
@@ -221,12 +224,11 @@ def test_local_check_rejects_anchor_outside_null():
         local_evar_check(pair.null, pair.tilted, mu=np.array([-1.0]))
 
 
-def test_known_family_route_validates_mean_membership():
-    null = poisson_family()
-    # carrier whose stated family cannot place a member at the required mean
-    bad = CarrierAlternative(
-        name="bad-mean", log_density=lambda u: np.zeros_like(u),
-        mean_of_suff_stat=np.array([-2.0]), mgf_log=None, sampler=None,
-        known_family=poisson_family())
-    with pytest.raises(DomainError):
-        build_tilted_family(null, bad)
+def test_member_pairing_validates_mean_membership():
+    # the alternative family has no member at the required mean
+    with pytest.raises(DomainError, match="outside its declared family's mean domain"):
+        nef_pairing(poisson_family(), poisson_family(), -2.0, name="bad-mean", params={})
+
+
+def test_tilted_family_is_a_family_and_its_anchor():
+    assert [f.name for f in dataclasses.fields(TiltedFamily)] == ["family", "mu_star"]
