@@ -89,6 +89,25 @@ def _is_numeric(row: str) -> bool:
     return True
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--flag -0.5,1`` as ``--flag=-0.5,1``.
+
+    argparse reads a token that starts with '-' as an option unless it is a
+    plain negative number such as -1 or -0.5, so a vector or matrix whose
+    first entry is negative, or a number like -1e-3, would never reach its
+    flag.  A token joins the long flag before it when its first entry
+    parses as a number.
+    """
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and token.startswith("-") and _is_numeric(token.split(";")[0].split(",")[0])):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _parse_lines(path, lines: list[str]) -> np.ndarray:
     """Line-by-line reader; raises the error of the first bad line with its number."""
     rows: list[np.ndarray] = []
@@ -416,7 +435,8 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(
+            _join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         # argparse handles --help and usage errors by exiting; keep the code
         return int(exc.code or 0)

@@ -681,7 +681,8 @@ def _member_pairing(name: str, null: ExpFamilyDescriptor, family: ExpFamilyDescr
         raise DomainError(
             f"carrier mean has shape {mu_star.shape}, statistic is {null.dim}-dimensional")
     if not family.mean_domain.contains(mu_star):
-        raise DomainError("carrier mean lies outside its declared family's mean domain")
+        raise DomainError(f"alternative mean {', '.join(map(repr, mu_star.tolist()))} "
+                          f"lies outside the mean domain of {family.name}")
     return Pairing(name=name, null=null, tilted=TiltedFamily(family, mu_star), params=params,
                    notes=notes or {})
 

@@ -15,7 +15,13 @@ carrier known only through
    by bisection along each axis; or
 2. a sampler: an empirical cumulant over one fixed draw from the carrier.
    The result is smooth and fully differentiable but stochastic, which is
-   recorded on the family and blocks hard certification downstream.
+   recorded on the family and blocks hard certification downstream.  Every
+   moment is a self-normalized importance-weighted average over the draw:
+   one weight pass per tilt row (log-weights, their logsumexp, normalized
+   weights) gives both the mean and the covariance of that row, and the
+   covariance is kept until the next covariance request, which damped
+   Newton makes at the rows it has just accepted.  Passes run a few rows
+   at a time, so memory stays bounded by MC_CHUNK_ELEMENTS per call.
 
 The gap function here is the log-partition difference logZ_q - logZ_p at a
 shared anchor; its gradient is the mean difference between the two tilted
@@ -33,6 +39,7 @@ from .domains import DomainDescriptor, box_domain
 from .errors import DomainError, UnsupportedModelError
 from .families import (
     ExpFamilyDescriptor,
+    _cached_rows,
     covariance_at_mean,
     family_from_root_cumulant,
     log_partition_at,
@@ -53,6 +60,9 @@ __all__ = [
 
 PSD_REL_TOL = 1e-9
 MC_SAMPLES_DEFAULT = 200_000
+# rows x draws of one Monte Carlo weight pass: a chunk's log-weights, weights
+# and covariance residuals take a few times this many floats (times the
+# dimension for the residuals), whatever the number of rows requested
 MC_CHUNK_ELEMENTS = 1 << 15
 DOMAIN_BISECT_STEPS = 40
 DOMAIN_PROBE_MAX = 1e12
@@ -148,15 +158,16 @@ def _tilt_weights(w: np.ndarray) -> np.ndarray:
     return np.exp(w - _row_logsumexp(w)[:, None])
 
 
-def _by_chunks(stats: np.ndarray, beta: np.ndarray, reduce: Callable) -> np.ndarray:
-    """``reduce(beta_rows @ stats.T)`` over a (..., dim) batch, a few rows at a time.
+def _by_chunks(beta: np.ndarray, draws: int, reduce: Callable) -> np.ndarray:
+    """``reduce(beta_rows)`` over a (..., dim) batch, a few rows at a time.
 
     Each row of log-weights has one entry per draw; chunking keeps the
-    (rows x draws) temporaries near MC_CHUNK_ELEMENTS whatever the batch size.
+    (rows x draws) temporaries of a weight pass near MC_CHUNK_ELEMENTS
+    whatever the batch size.
     """
     flat = beta.reshape(-1, beta.shape[-1])
-    step = max(1, MC_CHUNK_ELEMENTS // stats.shape[0])
-    out = np.concatenate([np.asarray(reduce(flat[i:i + step] @ stats.T))
+    step = max(1, MC_CHUNK_ELEMENTS // draws)
+    out = np.concatenate([np.asarray(reduce(flat[i:i + step]))
                           for i in range(0, max(flat.shape[0], 1), step)])
     return out.reshape(beta.shape[:-1] + out.shape[1:])
 
@@ -203,25 +214,47 @@ def build_tilted_family(
         # meaningless with one fixed draw
         lo, hi = np.quantile(stats, 0.01, axis=0), np.quantile(stats, 0.99, axis=0)
         span = np.maximum(hi - lo, 1e-12)
+        dim = null.dim
 
-        def empirical_cumulant(beta: np.ndarray) -> np.ndarray:
-            return _by_chunks(stats, beta, lambda w: _row_logsumexp(w) - np.log(mc_samples))
+        def log_weights(rows: np.ndarray) -> np.ndarray:
+            # at dim 1 each beta . t has one term, so the elementwise product is
+            # the matmul's exact value at a fraction of its cost; at dim >= 2
+            # the matmul stays, as any copy of stats.T changes gemm's last bits
+            return rows * stats[:, 0] if dim == 1 else rows @ stats.T
 
-        def empirical_mean(beta: np.ndarray) -> np.ndarray:
+        def moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """Mean and covariance of each row from one set of normalized weights."""
+            weights = _tilt_weights(log_weights(rows))
             # one vector-matrix product per row: a row's mean does not depend
             # on which other rows share its chunk
-            return _by_chunks(stats, beta, lambda w: np.matmul(_tilt_weights(w)[:, None, :], stats)[:, 0])
+            mean = np.matmul(weights[:, None, :], stats)[:, 0]
+            resid = stats - mean[:, None, :]
+            return mean, np.matmul((resid * weights[..., None]).swapaxes(1, 2), resid)
+
+        # The covariance of every row whose mean was computed since the last
+        # covariance request, keyed by the row's bytes.  Damped Newton asks for
+        # the Jacobian exactly at rows it has just accepted from mean
+        # evaluations, so that request runs no weight pass; it then clears
+        # the memo, which thus holds d x d floats per row evaluated in between.
+        cov_memo: dict[bytes, np.ndarray] = {}
+
+        def mean_keeping_cov(rows: np.ndarray) -> np.ndarray:
+            mean, cov = moments(rows)
+            cov_memo.update(zip((row.tobytes() for row in rows), cov))
+            return mean
+
+        def empirical_cumulant(beta: np.ndarray) -> np.ndarray:
+            return _by_chunks(beta, len(stats),
+                              lambda rows: _row_logsumexp(log_weights(rows)) - np.log(mc_samples))
+
+        def empirical_mean(beta: np.ndarray) -> np.ndarray:
+            return _by_chunks(beta, len(stats), mean_keeping_cov)
 
         def empirical_cov(beta: np.ndarray) -> np.ndarray:
-            def cov(w: np.ndarray) -> np.ndarray:
-                weights = _tilt_weights(w)
-                out = np.empty((w.shape[0], stats.shape[1], stats.shape[1]))
-                for i, row in enumerate(weights):
-                    resid = stats - row @ stats
-                    out[i] = (resid * row[:, None]).T @ resid
-                return out
-
-            return _by_chunks(stats, beta, cov)
+            cov = _cached_rows(cov_memo, beta,
+                               lambda rows: _by_chunks(rows, len(stats), lambda r: moments(r)[1]))
+            cov_memo.clear()
+            return cov.reshape(beta.shape + (dim,))
 
         family = family_from_root_cumulant(
             f"tilt-mc[{carrier.name}]",

@@ -153,18 +153,51 @@ def test_usage_errors_exit_64(capsys):
     capsys.readouterr()
 
 
-OUTSIDE = "evfam: carrier mean lies outside its declared family's mean domain\n"
-
-
 @pytest.mark.parametrize("argv, message", [
-    (["--model", "negbinom-vs-poisson", "--successes", "4", "--mu", "-1"], OUTSIDE),
+    (["--model", "negbinom-vs-poisson", "--successes", "4", "--mu", "-1"],
+     "evfam: alternative mean -1.0 lies outside the mean domain of poisson\n"),
     (["--model", "tweedie-pair", "--null-a", "1", "--null-power", "1.5", "--alt-a", "0.5",
-      "--alt-power", "1.5", "--mu", "-2"], OUTSIDE),
+      "--alt-power", "1.5", "--mu", "-2"],
+     "evfam: alternative mean -2.0 lies outside the mean domain of tweedie(a=0.5,power=1.5)\n"),
     (["--model", "gaussian-location", "--cov-null=2,0.3;0.3,1", "--cov-alt=1,0,0;0,1,0;0,0,1",
       "--alt-mean=1,-0.5,0"], "evfam: carrier mean has shape (3,), statistic is 2-dimensional\n"),
 ])
 def test_anchor_outside_the_alternative_family_exits_64(capsys, argv, message):
     assert run(capsys, "check", *argv) == (64, "", message)
+
+
+NOT_PD = "evfam: bad configuration: Matrix is not positive definite\n"
+COV_NULL, COV_ALT = ["--cov-null", "2,0.3;0.3,1"], ["--cov-alt", "1,0.1;0.1,0.5"]
+SMALL_GRID = ["--grid-points", "8", "--pairs", "8"]
+
+
+# argparse reads a token such as -0.5,1 as an option unless it is joined to its
+# flag; the space-separated form must reach the model as the "=" form does
+@pytest.mark.parametrize("flag, value, rest, code, message", [
+    ("--alt-means", "-0.5,1,1.5", ["--model", "ksample-poisson"], 64,
+     "evfam: poisson arm means must be positive\n"),
+    ("--alt-mean", "-1,-0.5", ["--model", "gaussian-location", *COV_NULL, *COV_ALT, *SMALL_GRID],
+     0, ""),
+    ("--mu", "-1e-3", ["--model", "negbinom-vs-poisson", "--successes", "4"], 64,
+     "evfam: alternative mean -0.001 lies outside the mean domain of poisson\n"),
+    ("--gamma", "-0.5,0.3", ["--model", "linmodel", "--design", DESIGN, *SMALL_GRID], 0, ""),
+    ("--cov", "-1,0.4;0.4,2", ["--model", "gaussian-location-constrained", "--constrained", "1",
+                                "--alt-mean", "0.9,1"], 64, NOT_PD),
+    ("--cov-null", "-2,0.3;0.3,1", ["--model", "gaussian-location", *COV_ALT, "--alt-mean", "1,0"],
+     64, NOT_PD),
+    ("--cov-alt", "-1,0.1;0.1,0.5", ["--model", "gaussian-location", *COV_NULL, "--alt-mean", "1,0"],
+     64, NOT_PD),
+])
+def test_a_negative_first_entry_reaches_the_model(capsys, tmp_path, flag, value, rest, code,
+                                                   message):
+    design = tmp_path / "design.csv"
+    design.write_text("1,0.5\n0.2,-1\n-0.7,0.3\n1.5,1\n-0.4,-0.8\n0.9,0.1\n")
+    rest = [str(design) if arg == DESIGN else arg for arg in rest]
+    spaced = run(capsys, "check", *rest, flag, value)
+    assert spaced == run(capsys, "check", *rest, f"{flag}={value}")
+    assert (spaced[0], spaced[2]) == (code, message)
+    if code == 0:
+        assert json.loads(spaced[1])["model"] == rest[1]
 
 
 def test_sigma2_is_reported_only_where_it_is_used(capsys):

@@ -4,20 +4,24 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from evfam import tilt
 from evfam.errors import DomainError, UnsupportedModelError
 from evfam.families import (
     canonical_from_mean,
+    covariance_at_canonical,
     covariance_at_mean,
     kl_between_means,
     log_partition_at,
     mean_from_canonical,
 )
 from evfam.models import (
+    gaussian_location_family,
     gaussian_scale_family,
     gaussian_scale_pairing,
     ig_vs_exp_pairing,
@@ -105,6 +109,89 @@ def test_monte_carlo_route_is_reproducible():
     t1 = build_tilted_family(null, carrier, mc_samples=20_000, seed=9)
     t2 = build_tilted_family(null, carrier, mc_samples=20_000, seed=9)
     assert np.array_equal(t1.mu_star, t2.mu_star)
+
+
+def _skewed_pair_family():
+    """Sampler-route family over a 2-d statistic: gamma and correlated normal coordinates."""
+    def sampler(n, rng):
+        g = rng.gamma(3.0, 0.5, n)
+        return np.column_stack([g, rng.normal(0.0, 1.0, n) + 0.4 * g])
+
+    carrier = CarrierAlternative(name="skewed pair", log_density=None,
+                                 mean_of_suff_stat=np.array([1.5, 0.6]), sampler=sampler)
+    return build_tilted_family(gaussian_location_family(np.eye(2)), carrier,
+                               mc_samples=3000, seed=5)
+
+
+def test_monte_carlo_route_in_two_dimensions_is_pinned():
+    # values of the Monte Carlo route at dimension 2, where the log-weights are
+    # a matmul and 3000 draws put ten rows in each chunk
+    tilted = _skewed_pair_family()
+    fam, anchor = tilted.family, tilted.mu_star
+    np.testing.assert_array_equal(anchor, [1.4999608336811665, 0.5980769932123335])
+    betas = np.array([[0.0, 0.0], [0.3, -0.2], [-0.5, 0.4], [0.2, 0.25]])
+    mus = np.array([[1.2, 0.3], [1.8, 1.0], [1.4, 0.9]])
+    pinned = [
+        (log_partition_at(fam, betas, anchor),
+         [0.0, 0.3715072378790456, -0.3868264850709746, 0.5231708038903111]),
+        (mean_from_canonical(fam, betas, anchor),
+         [[1.499960833681166, 0.5980769932123342], [1.6943788832217495, 0.4695530394619701],
+          [1.2760285152737205, 0.9295189927647893], [1.793075615302193, 0.9813978714609914]]),
+        (covariance_at_canonical(fam, betas, anchor),
+         [[[0.780764897983724, 0.3170566757283838], [0.3170566757283838, 1.1721333433520993]],
+          [[1.0196710424754034, 0.42177751309323464], [0.42177751309323464, 1.2135735435319313]],
+          [[0.5580013520723135, 0.2190460295507364], [0.2190460295507364, 1.1497715023709154]],
+          [[1.220923298617246, 0.5183558589028698], [0.5183558589028698, 1.2712277645497463]]]),
+        (canonical_from_mean(fam, mus, anchor),
+         [[-0.41840741724536684, -0.1702344654445893], [0.1993093148633411, 0.2648968630249892],
+          [-0.26890137750292614, 0.32588387451590234]]),
+        (canonical_from_mean(fam, mus, np.array([1.3, 0.5])),
+         [[-0.12654923659381873, -0.1535812693916787], [0.4911674917214692, 0.28155005904204544],
+          [0.02295679905154959, 0.3425370705518374]]),
+    ]
+    for got, want in pinned:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _scale_family_at_20k():
+    tilted = build_tilted_family(gaussian_scale_family(), _normal_carrier(with_mgf=False),
+                                 mc_samples=20_000, seed=7)
+    return tilted.family, tilted.mu_star
+
+
+SCALE_BETAS = np.linspace(-0.02, 0.02, 512)[:, None]
+
+
+@pytest.mark.parametrize("op", [mean_from_canonical, covariance_at_canonical, log_partition_at])
+def test_monte_carlo_memory_stays_bounded(op):
+    fam, anchor = _scale_family_at_20k()
+    op(fam, SCALE_BETAS[:1], anchor)                    # solve the anchor outside the trace
+    tracemalloc.start()
+    try:
+        op(fam, SCALE_BETAS, anchor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 512 rows of 20 000 weights would take 82 MB; chunks keep a pass near 1 MB
+    assert peak < 4 * 2 ** 20
+
+
+def test_monte_carlo_covariance_reuses_the_mean_pass(monkeypatch):
+    fam, anchor = _scale_family_at_20k()
+    fresh = covariance_at_canonical(fam, SCALE_BETAS[:40], anchor)
+    fam, anchor = _scale_family_at_20k()
+    log_partition_at(fam, SCALE_BETAS[:1], anchor)     # solve the anchor first
+    passes = []
+    monkeypatch.setattr(tilt, "_row_logsumexp",
+                        lambda w: passes.append(len(w)) or _row_logsumexp(w))
+    mean_from_canonical(fam, SCALE_BETAS[:40], anchor)
+    assert sum(passes) == 40
+    passes.clear()
+    np.testing.assert_array_equal(covariance_at_canonical(fam, SCALE_BETAS[:40], anchor), fresh)
+    assert passes == []
+    # the request consumed the memo: the next one makes its own weight pass
+    covariance_at_canonical(fam, SCALE_BETAS[:40], anchor)
+    assert sum(passes) == 40
 
 
 def _logsumexp_rows() -> list[np.ndarray]:
@@ -226,7 +313,8 @@ def test_local_check_rejects_anchor_outside_null():
 
 def test_member_pairing_validates_mean_membership():
     # the alternative family has no member at the required mean
-    with pytest.raises(DomainError, match="outside its declared family's mean domain"):
+    with pytest.raises(DomainError,
+                       match=r"alternative mean -2\.0 lies outside the mean domain of poisson"):
         nef_pairing(poisson_family(), poisson_family(), -2.0, name="bad-mean", params={})
 
 
