@@ -274,6 +274,19 @@ def _cmd_check(args) -> int:
     return _OVERALL_EXIT[report.overall]
 
 
+def _format_rows(values: np.ndarray, logs: np.ndarray) -> str:
+    """The ``row,evalue,log_evalue`` lines, each ending in a newline.
+
+    One ``%`` call formats every row: the row indices, values and logs are
+    interleaved into one tuple for a format string repeated once per row.
+    """
+    fields: list = [None] * (3 * logs.size)
+    fields[0::3] = range(logs.size)
+    fields[1::3] = values.tolist()
+    fields[2::3] = logs.tolist()
+    return ("%d,%.17g,%.17g\n" * logs.size) % tuple(fields)
+
+
 def _cmd_evalue(args) -> int:
     pairing = build_pairing(args)
     if not args.force:
@@ -298,14 +311,12 @@ def _cmd_evalue(args) -> int:
     with np.errstate(over="ignore"):
         values = np.exp(logs)
         product = np.exp(total)
-    lines = [f"# model={pairing.name}",
-             f"# mu={','.join(f'{v:.17g}' for v in mu)}",
-             f"# rows={data.shape[0]}",
-             "row,evalue,log_evalue"]
-    lines += ["%d,%.17g,%.17g" % row
-              for row in zip(range(logs.size), values.tolist(), logs.tolist())]
-    lines.append(f"product,{product:.17g},{total:.17g}")
-    text = "\n".join(lines) + "\n"
+    text = (f"# model={pairing.name}\n"
+            f"# mu={','.join(f'{v:.17g}' for v in mu)}\n"
+            f"# rows={data.shape[0]}\n"
+            "row,evalue,log_evalue\n"
+            + _format_rows(values, logs)
+            + f"product,{product:.17g},{total:.17g}\n")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

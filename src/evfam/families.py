@@ -63,6 +63,7 @@ __all__ = [
     "reparameterize",
     "log_density",
     "family_from_root_cumulant",
+    "law_kl",
 ]
 
 MEAN_TOL = 1e-9
@@ -101,7 +102,11 @@ class ExpFamilyDescriptor:
     closed forms for grad logZ, its Hessian and the inverse mean map;
     ``sampler(mean, n, rng)`` draws from the member with the given mean.
     ``stochastic`` marks families whose log-partition is a Monte Carlo
-    estimate, which blocks hard certification downstream.
+    estimate, which blocks hard certification downstream.  ``law(mean)``,
+    where the observation law of the member with that mean has a closed
+    form, describes it as ``("poisson", arm_means)`` or ``("bernoulli",
+    arm_probs)`` (independent arms) or ``("normal", mean_vector,
+    cov_matrix)``; :func:`law_kl` turns two such laws into a divergence.
 
     The parameter callables take ``(..., dim)`` batches (see the module
     docstring); they may assume their inputs were validated.
@@ -121,6 +126,7 @@ class ExpFamilyDescriptor:
     support: SupportSpec | None = None
     element_ndim: int = 0
     stochastic: bool = False
+    law: Callable[[np.ndarray], tuple] | None = None
 
     def vec(self, x) -> np.ndarray:
         """Coerce a parameter to a float vector of the family dimension."""
@@ -375,6 +381,7 @@ def family_from_root_cumulant(
     support: SupportSpec | None = None,
     element_ndim: int = 0,
     stochastic: bool = False,
+    law: Callable[[np.ndarray], tuple] | None = None,
 ) -> ExpFamilyDescriptor:
     """Build an anchored family from a single cumulant at one root anchor.
 
@@ -396,6 +403,7 @@ def family_from_root_cumulant(
     gamma(mu) - gamma(anchor); without it, each (mean, anchor) row is solved
     once by the damped Newton of the generic fallback (from beta = 0 at the
     anchor) and cached, so the KL ordering reuses the pairing's solves.
+    ``law`` is passed to the descriptor as it is.
     """
     def eval_cumulant(beta: np.ndarray) -> np.ndarray:
         inside = np.broadcast_to(root_domain.contains(beta), beta.shape[:-1])
@@ -461,6 +469,7 @@ def family_from_root_cumulant(
         support=support,
         element_ndim=element_ndim,
         stochastic=stochastic,
+        law=law,
     )
     if root_beta is not None:
         def beta_map(mu: np.ndarray, anchor: np.ndarray) -> np.ndarray:
@@ -477,3 +486,32 @@ def family_from_root_cumulant(
             return solved.reshape(mu.shape)
 
     return replace(family, beta_map=beta_map)
+
+
+def law_kl(q: tuple, p: tuple) -> float | None:
+    """KL(Q || P) between two observation laws of one kind; None when the kinds differ.
+
+    The laws are ``ExpFamilyDescriptor.law`` tuples.  Independent arms add
+    their divergences: Poisson arms sum a log(a/b) - a + b, Bernoulli arms
+    a log(a/b) + (1 - a) log((1 - a)/(1 - b)).  For normal laws,
+
+        KL = [tr(S_p^-1 S_q) - d + D' S_p^-1 D + log det S_p - log det S_q] / 2
+
+    with D = m_p - m_q, evaluated through the Cholesky factors of both
+    covariances, which the families declaring the law keep positive definite.
+    """
+    if q[0] != p[0]:
+        return None
+    if q[0] == "normal":
+        (m_q, cov_q), (m_p, cov_p) = q[1:], p[1:]
+        chol_p, chol_q = np.linalg.cholesky(cov_p), np.linalg.cholesky(cov_q)
+        ratio = np.linalg.solve(chol_p, chol_q)  # tr(S_p^-1 S_q) is its squared norm
+        shift = np.linalg.solve(chol_p, m_p - m_q)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol_p)) - np.log(np.diag(chol_q)))
+        return float(0.5 * (np.sum(ratio * ratio) - len(m_q) + shift @ shift + logdet))
+    a, b = np.broadcast_arrays(np.asarray(q[1], dtype=float), np.asarray(p[1], dtype=float))
+    if q[0] == "poisson":
+        return float(np.sum(a * np.log(a / b) - a + b))
+    if q[0] == "bernoulli":
+        return float(np.sum(a * np.log(a / b) + (1.0 - a) * np.log((1.0 - a) / (1.0 - b))))
+    raise UnsupportedModelError(f"no divergence for laws of kind {q[0]!r}")

@@ -293,6 +293,10 @@ def linmodel_family(design: LinearModelDesign, theta: float) -> ExpFamilyDescrip
         params = params_at(np.asarray(mean, dtype=float))
         return _fitted(design, params) + rng.standard_normal((n_draws, n)) * math.sqrt(params.sigma2)
 
+    def law(mean: np.ndarray) -> tuple:
+        params = params_at(mean)
+        return "normal", _fitted(design, params), params.sigma2 * np.eye(n)
+
     return ExpFamilyDescriptor(
         name=f"linmodel(n={n},d={d},theta={theta:g})",
         dim=d + 1,
@@ -307,6 +311,7 @@ def linmodel_family(design: LinearModelDesign, theta: float) -> ExpFamilyDescrip
         sampler=sampler,
         support=SupportSpec("real-vector", axes=n),
         element_ndim=1,
+        law=law,
     )
 
 

@@ -236,6 +236,7 @@ def _nef_from_potentials(
     support: SupportSpec | None = None,
     element_ndim: int = 0,
     log_partition_closed: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    law: Callable[[np.ndarray], tuple] | None = None,
 ) -> ExpFamilyDescriptor:
     """One-dimensional family from its mean-domain potentials.
 
@@ -249,6 +250,7 @@ def _nef_from_potentials(
     1/V); the mean domain's lower bound must then be finite.  A direct
     ``log_partition_closed(beta, anchor_mean)`` bypasses the potential
     composition where that composition cancels badly near a mean boundary.
+    ``law`` is passed to the descriptor as it is.
     """
     lo, hi = float(mean_domain.lower[0]), float(mean_domain.upper[0])
 
@@ -308,6 +310,7 @@ def _nef_from_potentials(
         sampler=sampler,
         support=support,
         element_ndim=element_ndim,
+        law=law,
     )
 
 
@@ -501,16 +504,25 @@ def _solve_each(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(matrix, rhs[..., None])[..., 0]
 
 
-def _location_family(name: str, u_cov: np.ndarray, stat_cov: np.ndarray,
+def _cholesky(cov: np.ndarray, label: str) -> np.ndarray:
+    """Lower Cholesky factor of the covariance argument ``label``; it must be positive definite."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise DomainError(
+            f"bad covariance {label}: {cov.tolist()} is not positive definite") from None
+
+
+def _location_family(name: str, u_cov: np.ndarray, chol: np.ndarray, stat_cov: np.ndarray,
                      suff_stat: Callable[[np.ndarray], np.ndarray],
                      u_mean_of: Callable[[np.ndarray], np.ndarray]) -> ExpFamilyDescriptor:
     """Normal observations U with covariance ``u_cov`` and a linear statistic.
 
-    The statistic has covariance ``stat_cov`` whatever the mean, and the
-    member whose statistic mean is ``anchor`` has U-mean ``u_mean_of(anchor)``.
+    ``chol`` is the lower Cholesky factor of ``u_cov``.  The statistic has
+    covariance ``stat_cov`` whatever the mean, and the member whose
+    statistic mean is ``anchor`` is N(``u_mean_of(anchor)``, ``u_cov``).
     """
     d, dim = u_cov.shape[0], stat_cov.shape[0]
-    chol = np.linalg.cholesky(u_cov)
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
 
     def carrier(u: np.ndarray, anchor: np.ndarray) -> np.ndarray:
@@ -534,16 +546,21 @@ def _location_family(name: str, u_cov: np.ndarray, stat_cov: np.ndarray,
         sampler=sampler,
         support=SupportSpec("real-vector", axes=d),
         element_ndim=1,
+        law=lambda anchor: ("normal", u_mean_of(anchor), u_cov),
     )
 
 
-def gaussian_location_family(cov) -> ExpFamilyDescriptor:
-    """Multivariate normal with known covariance, mean as the parameter."""
+def gaussian_location_family(cov, label: str = "cov") -> ExpFamilyDescriptor:
+    """Multivariate normal with known covariance, mean as the parameter.
+
+    ``label`` names the covariance in the error raised when it is not
+    positive definite.
+    """
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     d = cov.shape[0]
     if cov.shape != (d, d) or not np.allclose(cov, cov.T):
         raise UnsupportedModelError("location family needs a symmetric covariance")
-    return _location_family(f"gaussian-location(d={d})", cov, cov,
+    return _location_family(f"gaussian-location(d={d})", cov, _cholesky(cov, label), cov,
                             lambda u: np.asarray(u, dtype=float).reshape(-1, d),
                             lambda anchor: anchor)
 
@@ -567,6 +584,7 @@ def gaussian_scale_family() -> ExpFamilyDescriptor:
         carrier=lambda u, anchor: _norm_logpdf(u, 0.0, anchor[0]),
         sampler=lambda mean, n, rng: rng.normal(0.0, math.sqrt(mean[0]), n),
         support=SupportSpec("real-scalar"),
+        law=lambda mean: ("normal", np.zeros(1), np.reshape(mean, (1, 1))),
     )
 
 
@@ -596,6 +614,7 @@ def _arm_family(name: str, kind: str, k: int, sigma2: float,
             sampler=lambda mean, n, rng: rng.poisson(arms_at(mean[0]), (n, k)).astype(float),
             support=SupportSpec("countable-vector", axes=k),
             element_ndim=1,
+            law=lambda mean: ("poisson", arms_at(mean[0])),
         )
     if sigma2 <= 0:
         raise UnsupportedModelError("gaussian k-sample needs sigma2 > 0")
@@ -612,6 +631,7 @@ def _arm_family(name: str, kind: str, k: int, sigma2: float,
         sampler=lambda mean, n, rng: rng.normal(arms_at(mean[0]), math.sqrt(sigma2), (n, k)),
         support=SupportSpec("real-vector", axes=k),
         element_ndim=1,
+        law=lambda mean: ("normal", np.broadcast_to(arms_at(mean[0]), (k,)), sigma2 * np.eye(k)),
     )
 
 
@@ -642,6 +662,7 @@ def ksample_null_family(kind: str, k: int, sigma2: float = 1.0) -> ExpFamilyDesc
             element_ndim=1,
             # the potential route cancels in k - m near the upper boundary
             log_partition_closed=lambda beta, m: k * np.log1p(m / k * np.expm1(beta)),
+            law=lambda mean: ("bernoulli", np.full(k, mean[0] / k)),
         )
     raise UnsupportedModelError(f"unknown k-sample kind {kind!r}")
 
@@ -765,6 +786,7 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
             sampler=sampler,
             support=SupportSpec("finite", axes=k, points=lambda: _binary_points(k)),
             element_ndim=1,
+            law=lambda mean: ("bernoulli", arm_means_at(root_gamma(mean)[0])),
         )
 
     params = {"kind": kind, "k": k, "alt_means": alt_means.tolist()}
@@ -781,8 +803,8 @@ def gaussian_location_pairing(cov_null, cov_alt, alt_mean) -> Pairing:
     cov_null - cov_alt being positive semidefinite, independently of the
     mean point.
     """
-    null = gaussian_location_family(cov_null)
-    family = gaussian_location_family(cov_alt)
+    null = gaussian_location_family(cov_null, label="cov_null")
+    family = gaussian_location_family(cov_alt, label="cov_alt")
     alt_mean = family.vec(alt_mean)
     cov_alt = np.atleast_2d(np.asarray(cov_alt, dtype=float))
     return _member_pairing(
@@ -806,6 +828,7 @@ def gaussian_location_constrained(cov, d0: int, alt_mean) -> Pairing:
     if not 0 < d0 < d:
         raise UnsupportedModelError("constrained location pairing needs 0 < d0 < dim")
     alt_mean = np.asarray(alt_mean, dtype=float).reshape(d)
+    chol = _cholesky(cov, "cov")
     free = slice(d0, d)
     prec = np.linalg.inv(cov)
     a_rows = prec[free, :]
@@ -819,10 +842,10 @@ def gaussian_location_constrained(cov, d0: int, alt_mean) -> Pairing:
 
     # null members have U-mean (0, nu) with T-mean C nu; alternative members
     # shift alt_mean inside the free coordinates only (Sigma A^T = embedding).
-    null = _location_family(f"gaussian-constrained-null{tag}", cov, stat_cov, stat,
+    null = _location_family(f"gaussian-constrained-null{tag}", cov, chol, stat_cov, stat,
                             lambda t_mean: embed @ np.linalg.solve(stat_cov, t_mean))
     mu_star = a_rows @ alt_mean
-    family = _location_family(f"gaussian-constrained-alt{tag}", cov, stat_cov, stat,
+    family = _location_family(f"gaussian-constrained-alt{tag}", cov, chol, stat_cov, stat,
                               lambda t_mean: alt_mean + embed @ np.linalg.solve(stat_cov, t_mean - mu_star))
 
     return _member_pairing(
@@ -868,9 +891,18 @@ def gaussian_scale_pairing(m: float, s2: float) -> Pairing:
     def root_carrier(u: np.ndarray) -> np.ndarray:
         return _norm_logpdf(u, m, s2)
 
-    def sampler(mean: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    def member(mean: np.ndarray) -> tuple[float, float]:
+        """Location and variance of the member with second-moment mean ``mean``."""
         t = c - float(root_beta(mean)[0])
-        return rng.normal(c * m / t, math.sqrt(0.5 / t), n)
+        return c * m / t, 0.5 / t
+
+    def sampler(mean: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+        loc, var = member(mean)
+        return rng.normal(loc, math.sqrt(var), n)
+
+    def law(mean: np.ndarray) -> tuple:
+        loc, var = member(mean)
+        return "normal", np.array([loc]), np.array([[var]])
 
     family = family_from_root_cumulant(
         f"gaussian-scale-alt(m={m:g},s2={s2:g})",
@@ -886,6 +918,7 @@ def gaussian_scale_pairing(m: float, s2: float) -> Pairing:
         root_beta=root_beta,
         sampler=sampler,
         support=SupportSpec("real-scalar"),
+        law=law,
     )
     return _member_pairing("gaussian-scale", null, family, mu_star, params={"m": m, "s2": s2})
 

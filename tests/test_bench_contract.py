@@ -12,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from evfam import errors
 from evfam.conditions import GridSpec, run_condition_battery
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import inputs  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
@@ -40,3 +42,20 @@ def test_every_traced_name_is_a_callable(target):
 def test_generic_route_pairings_run_the_battery(build, expected):
     report = run_condition_battery(build(), spec=GridSpec(points_per_axis=8, n_pairs=16))
     assert report.overall == expected
+
+
+def test_every_growth_op_returns_a_float_that_passes_its_check(tmp_path):
+    # the harness subtracts the reference from each value, so a growth rate must
+    # be a Python float; the one typed error expected is abm r = 2's missing density
+    ops = workloads.growth_ops(inputs.make_inputs("data-path", 21, tmp_path))
+    failures = {}
+    for op in ops:
+        try:
+            output = op.run(0)
+        except Exception as exc:  # the harness hands a raised error to the op's check
+            output = exc
+        if type(output) is not float and not isinstance(output, errors.EvfamError):
+            failures[op.label] = f"returned {type(output).__name__}"
+        elif (reason := op.check(output)) is not None:
+            failures[op.label] = reason
+    assert failures == {}

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from evfam.cli import _MODELS, _build_parser, main
+from evfam.cli import _MODELS, _build_parser, _format_rows, main
 
 NB_ARGS = ["--model", "negbinom-vs-poisson", "--successes", "4", "--mu", "2",
            "--grid-points", "24", "--pairs", "32"]
@@ -166,7 +166,10 @@ def test_anchor_outside_the_alternative_family_exits_64(capsys, argv, message):
     assert run(capsys, "check", *argv) == (64, "", message)
 
 
-NOT_PD = "evfam: bad configuration: Matrix is not positive definite\n"
+def not_pd(label, matrix):
+    return f"evfam: bad covariance {label}: {matrix} is not positive definite\n"
+
+
 COV_NULL, COV_ALT = ["--cov-null", "2,0.3;0.3,1"], ["--cov-alt", "1,0.1;0.1,0.5"]
 SMALL_GRID = ["--grid-points", "8", "--pairs", "8"]
 
@@ -182,11 +185,11 @@ SMALL_GRID = ["--grid-points", "8", "--pairs", "8"]
      "evfam: alternative mean -0.001 lies outside the mean domain of poisson\n"),
     ("--gamma", "-0.5,0.3", ["--model", "linmodel", "--design", DESIGN, *SMALL_GRID], 0, ""),
     ("--cov", "-1,0.4;0.4,2", ["--model", "gaussian-location-constrained", "--constrained", "1",
-                                "--alt-mean", "0.9,1"], 64, NOT_PD),
+                                "--alt-mean", "0.9,1"], 64, not_pd("cov", [[-1.0, 0.4], [0.4, 2.0]])),
     ("--cov-null", "-2,0.3;0.3,1", ["--model", "gaussian-location", *COV_ALT, "--alt-mean", "1,0"],
-     64, NOT_PD),
+     64, not_pd("cov_null", [[-2.0, 0.3], [0.3, 1.0]])),
     ("--cov-alt", "-1,0.1;0.1,0.5", ["--model", "gaussian-location", *COV_NULL, "--alt-mean", "1,0"],
-     64, NOT_PD),
+     64, not_pd("cov_alt", [[-1.0, 0.1], [0.1, 0.5]])),
 ])
 def test_a_negative_first_entry_reaches_the_model(capsys, tmp_path, flag, value, rest, code,
                                                    message):
@@ -198,6 +201,19 @@ def test_a_negative_first_entry_reaches_the_model(capsys, tmp_path, flag, value,
     assert (spaced[0], spaced[2]) == (code, message)
     if code == 0:
         assert json.loads(spaced[1])["model"] == rest[1]
+
+
+# an indefinite matrix with a positive diagonal is refused by name as well
+@pytest.mark.parametrize("argv, label", [
+    (["--model", "gaussian-location", "--cov-null=1,2;2,1", *COV_ALT, "--alt-mean=1,0"],
+     "cov_null"),
+    (["--model", "gaussian-location", *COV_NULL, "--cov-alt=1,2;2,1", "--alt-mean=1,0"],
+     "cov_alt"),
+    (["--model", "gaussian-location-constrained", "--cov=1,2;2,1", "--constrained", "1",
+      "--alt-mean=0.9,1"], "cov"),
+], ids=["cov-null", "cov-alt", "cov"])
+def test_a_covariance_that_is_not_positive_definite_is_named(capsys, argv, label):
+    assert run(capsys, "check", *argv) == (64, "", not_pd(label, [[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_sigma2_is_reported_only_where_it_is_used(capsys):
@@ -348,6 +364,19 @@ def test_evalue_product_overflows_to_inf_without_a_warning(capsys, tmp_path):
     assert float(rows[-1][2]) > 710
 
 
+@pytest.mark.parametrize("logs", [
+    [],
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, np.inf, -np.inf,
+     1.0, -13.55633505878151, 0.1, 709.78, -745.2],
+], ids=["no-rows", "special-values"])
+def test_evalue_rows_format_as_one_row_at_a_time(logs):
+    logs = np.array(logs)
+    values = logs[::-1].copy()  # the value column gets every special value too
+    want = "".join("%d,%.17g,%.17g\n" % row
+                   for row in zip(range(logs.size), values.tolist(), logs.tolist()))
+    assert _format_rows(values, logs) == want
+
+
 def test_parser_is_built_once_and_calls_share_no_state(capsys, tmp_path):
     assert _build_parser() is _build_parser()
     first = _build_parser().parse_args(["check", *NB_ARGS, "--seed", "7", "--json", "r.json"])
@@ -375,19 +404,36 @@ def test_growth_without_null_density_exits_64(capsys):
 
 
 def test_growth_on_a_truncated_lattice_exits_64(capsys):
-    code, out, err = run(capsys, "growth", "--model", "ksample-poisson",
-                         "--alt-means", "5,10,20,30")
+    # the lattice ends at 65535 counts, far below this Poisson alternative's mass
+    code, out, err = run(capsys, "growth", "--model", "negbinom-vs-poisson",
+                         "--successes", "4", "--mu", "1e5")
     assert code == 64 and out == ""
-    assert "k=4" in err and "lattice side 32" in err and "Traceback" not in err
+    assert "k=1, lattice side 65536" in err and "Traceback" not in err
 
 
-def test_growth_refuses_a_lattice_it_cannot_afford(capsys):
-    # six arms: side 32 would be 1.07e9 points, so the lattice stops at side
-    # 12 (3.0e6 points), which misses part of the alternative's mass
-    code, out, err = run(capsys, "growth", "--model", "ksample-poisson",
-                         "--alt-means", "0.5,1,1.5,2,2.5,3")
-    assert code == 64 and out == ""
-    assert "k=6, lattice side 12" in err and "Traceback" not in err
+# products of Poisson arms have a closed-form growth at any number of arms;
+# a lattice of side 32 would have needed 1.07e9 (k = 6) or 1.1e12 (k = 8) points
+@pytest.mark.parametrize("means", ["0.5,1,1.5,2,2.5,3", "0.5,1,1.5,2,2.5,3,3.5,4"],
+                         ids=["k6", "k8"])
+def test_growth_of_many_poisson_arms_is_the_closed_form(capsys, means):
+    code, out, err = run(capsys, "growth", "--model", "ksample-poisson", "--alt-means", means)
+    assert (code, err) == (0, "")
+    arms = np.array([float(m) for m in means.split(",")])
+    want = float(np.sum(arms * np.log(arms / arms.mean())))
+    assert json.loads(out)["growth_rate"] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "ksample-poisson", "--alt-means", "0.5,1.5", "--mu", "0"],
+    ["--model", "ksample-poisson", "--alt-means", "0.5,1.5", "--mu", "-1"],
+    ["--model", "ksample-bernoulli", "--alt-means", "0.3,0.5,0.7", "--mu", "3.5"],
+    ["--model", "gaussian-scale", "--carrier-mean=-3", "--carrier-var=9", "--mu", "-1"],
+    ["--model", "gaussian-location", *COV_NULL, *COV_ALT, "--alt-mean=1,-0.5", "--mu=nan,0"],
+], ids=["poisson-zero", "poisson-negative", "bernoulli-above-k", "scale-negative", "location-nan"])
+def test_growth_at_a_mean_outside_the_mean_spaces_exits_64(capsys, argv):
+    code, out, err = run(capsys, "growth", *argv)
+    assert (code, out) == (64, "")
+    assert err.startswith("evfam: mean [") and err.endswith("must lie in both mean spaces\n")
 
 
 def test_growth_reports_json(capsys):

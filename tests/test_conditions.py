@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -291,7 +292,7 @@ def test_simple_evalue_overflows_to_inf_without_a_warning():
 def test_growth_rate_finite_enumeration_frozen():
     pair = ksample_pairing("bernoulli", (0.375, 0.625))
     got = growth_rate(pair.tilted, pair.null, np.array([1.0]))
-    # exact enumeration up to the scalar tilt solve inside the member lookup
+    # the product route is exact up to the scalar tilt solve inside the member lookup
     assert got == pytest.approx(0.06316788636642343, abs=1e-7)
     kl = lambda a, b: a * math.log(a / b) + (1 - a) * math.log((1 - a) / (1 - b))
     assert got == pytest.approx(kl(0.375, 0.5) + kl(0.625, 0.5), abs=1e-7)
@@ -311,6 +312,27 @@ def test_growth_rate_quadrature_matches_monte_carlo():
                             n=400_000, seed=7)
     assert got == pytest.approx(mc.value, abs=max(mc.error_bound, 1e-4))
     assert got > 0.0
+
+
+def _without_laws(pair: Pairing) -> Pairing:
+    family = dataclasses.replace(pair.tilted.family, law=None)
+    return dataclasses.replace(pair, null=dataclasses.replace(pair.null, law=None),
+                               tilted=dataclasses.replace(pair.tilted, family=family))
+
+
+# families that declare no law take the support's route: enumeration on finite
+# supports, a lattice on countable ones, Monte Carlo on real vectors
+@pytest.mark.parametrize("kind, means, abs_tol", [
+    ("bernoulli", (0.3, 0.5, 0.7), 0.0),
+    ("poisson", (0.5, 1.0, 1.5), 0.0),
+    ("gaussian", (0.2, 1.0, 1.8), 4.0 * math.sqrt(1.28 / 50_000)),  # 4 SE of the log ratio
+])
+def test_growth_rate_without_declared_laws_takes_the_support_route(kind, means, abs_tol):
+    pair = ksample_pairing(kind, means)
+    bare = _without_laws(pair)
+    got = growth_rate(bare.tilted, bare.null, pair.tilted.mu_star, n_mc=50_000, seed=3)
+    exact = growth_rate(pair.tilted, pair.null, pair.tilted.mu_star)
+    assert got == pytest.approx(exact, rel=1e-12, abs=abs_tol)
 
 
 def test_growth_rate_at_matched_mean_is_zero_for_identical_members():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from evfam.conditions import simple_evalue
+from evfam.conditions import growth_rate, simple_evalue
 from evfam.errors import DataError, DomainError
 from evfam.families import covariance_at_mean, log_partition_at, mean_from_canonical
 from evfam.linear_model import (
@@ -144,6 +144,17 @@ def test_pairing_evalue_matches_direct_ratio():
     via_family = simple_evalue(pair.tilted, pair.null, pair.tilted.mu_star, y)
     direct = linmodel_evalue(design, params, y)
     assert np.allclose(via_family, direct, rtol=1e-9)
+
+
+def test_pairing_growth_is_the_gaussian_kl_to_the_projection():
+    design = _design(4, n=20)
+    params = LinearModelParams(sigma2=0.9, gamma=np.array([0.7, -0.4, 1.1]))
+    pair = linmodel_pairing(design, params.sigma2, params.gamma)
+    null = project_onto_null(design, params)
+    ratio = params.sigma2 / null.sigma2
+    gap = design.x @ (params.gamma - null.gamma)
+    want = 0.5 * design.n * (ratio - 1.0 - math.log(ratio)) + gap @ gap / (2.0 * null.sigma2)
+    assert growth_rate(pair.tilted, pair.null, pair.tilted.mu_star) == pytest.approx(want, rel=1e-12)
 
 
 def test_pairing_expectation_under_projection_is_one():

@@ -14,9 +14,11 @@ from evfam.families import (
     canonical_from_mean,
     covariance_at_mean,
     kl_between_means,
+    law_kl,
     log_partition_at,
     mean_from_canonical,
 )
+from evfam.linear_model import LinearModelDesign, linmodel_pairing
 from evfam.models import (
     abm_family,
     abm_vs_poisson,
@@ -251,13 +253,11 @@ def test_poisson_two_sample_growth_frozen():
 
 
 def test_gaussian_ksample_growth_closed_form():
-    # vector support goes through monte carlo: tolerance is the 3 sigma band
     means = np.array([0.2, 1.0, 1.8])
     pair = ksample_pairing("gaussian", means, sigma2=0.7)
-    got = growth_rate(pair.tilted, pair.null, np.array([means.sum()]), n_mc=200_000)
+    got = growth_rate(pair.tilted, pair.null, np.array([means.sum()]))
     want = float(np.sum((means - means.mean()) ** 2) / (2.0 * 0.7))
-    spread = math.sqrt(float(np.sum((means - means.mean()) ** 2)) / 0.7)
-    assert got == pytest.approx(want, abs=3.5 * spread / math.sqrt(200_000))
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_ksample_validates_arm_means():
@@ -297,9 +297,9 @@ def test_location_growth_is_half_trace_term():
     # E_Q log(q/p) for same-mean gaussians: 0.5 (tr(Sp^-1 Sq) - d + log det Sp/det Sq)
     cov_p, cov_q = np.array([[2.0]]), np.array([[0.8]])
     pair = gaussian_location_pairing(cov_p, cov_q, [0.7])
-    got = growth_rate(pair.tilted, pair.null, np.array([0.7]), n_mc=200_000)
+    got = growth_rate(pair.tilted, pair.null, np.array([0.7]))
     want = 0.5 * (0.8 / 2.0 - 1.0 + math.log(2.0 / 0.8))
-    assert got == pytest.approx(want, abs=0.01)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_constrained_location_inside_null_is_trivial():
@@ -340,8 +340,8 @@ def test_constrained_location_outside_null_is_nontrivial():
     delta = alt_mean - null_u_mean
     want = 0.5 * float(delta @ prec @ delta)
     assert float(a @ alt_mean + c0) == pytest.approx(want, abs=1e-10)
-    got = growth_rate(pair.tilted, pair.null, pair.tilted.mu_star, n_mc=100_000, seed=2)
-    assert got == pytest.approx(want, abs=0.02)
+    got = growth_rate(pair.tilted, pair.null, pair.tilted.mu_star)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_constrained_location_validates_block():
@@ -381,7 +381,7 @@ def test_scale_pairing_growth_matches_quadrature_kl():
     got = growth_rate(pair.tilted, pair.null, np.array([18.0]))
     # KL( N(-3, 9) || N(0, 18) ) in closed form
     want = 0.5 * (math.log(18.0 / 9.0) + 9.0 / 18.0 + 9.0 / 18.0 - 1.0)
-    assert got == pytest.approx(want, rel=1e-8)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -456,3 +456,104 @@ def test_ig_expectation_splits_at_threshold():
                               "positive-line", center=5.0, scale=5.0)
     assert above.diverged
 
+
+
+# ---------------------------------------------------------------------------
+# declared observation laws
+
+LAW_DESIGN = LinearModelDesign(np.random.default_rng(11).normal(size=(12, 3)))
+
+# pairing, and three means inside both of its mean spaces
+LAW_PAIRINGS = {
+    "ksample-poisson": (lambda: ksample_pairing("poisson", (0.5, 1.0, 1.5)), [[1.0], [3.0], [7.5]]),
+    "ksample-gaussian": (lambda: ksample_pairing("gaussian", (0.2, 1.0, 1.8), sigma2=0.7),
+                         [[-2.0], [3.0], [5.5]]),
+    "ksample-bernoulli": (lambda: ksample_pairing("bernoulli", (0.3, 0.5, 0.7)),
+                          [[0.4], [1.5], [2.7]]),
+    "gaussian-location": (lambda: gaussian_location_pairing([[2.0, 0.3], [0.3, 1.0]],
+                                                            [[1.0, 0.1], [0.1, 0.5]], [1.0, -0.5]),
+                          [[1.0, -0.5], [0.0, 0.0], [-3.0, 2.0]]),
+    "gaussian-location-constrained": (
+        lambda: gaussian_location_constrained([[1.0, 0.4], [0.4, 2.0]], 1, [0.9, 1.0]),
+        [[0.1], [1.2], [-2.0]]),
+    "gaussian-scale": (lambda: gaussian_scale_pairing(-3.0, 9.0), [[0.5], [18.0], [60.0]]),
+    "linmodel": (lambda: linmodel_pairing(LAW_DESIGN, 0.8, [0.5, -0.3, 0.2]), None),
+}
+
+
+def _law_pairing(key):
+    build, means = LAW_PAIRINGS[key]
+    pair = build()
+    if means is None:  # raising the first coordinate stays inside the linmodel mean space
+        means = [pair.tilted.mu_star * np.array([f, 1.0, 1.0]) for f in (1.0, 1.5, 3.0)]
+    return pair, [np.asarray(m, dtype=float) for m in means]
+
+
+def _law_log_density(law, u):
+    if law[0] == "poisson":
+        return st.poisson.logpmf(u, law[1]).sum(axis=1)
+    if law[0] == "bernoulli":
+        return st.bernoulli.logpmf(u, law[1]).sum(axis=1)
+    return st.multivariate_normal(law[1], law[2]).logpdf(u.reshape(len(u), -1))
+
+
+@pytest.mark.parametrize("side", ["null", "alternative"])
+@pytest.mark.parametrize("key", sorted(LAW_PAIRINGS))
+def test_each_declared_law_is_its_members_carrier(key, side):
+    pair, means = _law_pairing(key)
+    fam = pair.null if side == "null" else pair.tilted.family
+    rng = np.random.default_rng(5)
+    for mu in means:
+        u = np.asarray(fam.sampler(mu, 20, rng), dtype=float)
+        want = _law_log_density(fam.law(mu), u)
+        assert np.allclose(fam.carrier_log_density(u, mu), want, rtol=1e-12, atol=0.0), mu
+
+
+@pytest.mark.parametrize("key", sorted(LAW_PAIRINGS))
+def test_growth_is_the_kl_of_the_declared_laws(key):
+    pair, means = _law_pairing(key)
+    for mu in means:
+        want = law_kl(pair.tilted.family.law(mu), pair.null.law(mu))
+        assert growth_rate(pair.tilted, pair.null, mu) == want
+
+
+def _kl_from_log_densities(log_q, log_p):
+    return float(np.exp(log_q) @ (log_q - log_p))
+
+
+@pytest.mark.parametrize("mu", [1.0, 3.0, 7.5])
+def test_poisson_law_kl_matches_the_lattice_sum(mu):
+    pair = ksample_pairing("poisson", (0.5, 1.0, 1.5))
+    q, p = pair.tilted.family.law(np.array([mu])), pair.null.law(np.array([mu]))
+    u = np.indices((40, 40, 40)).reshape(3, -1).T
+    got = law_kl(q, p)
+    want = _kl_from_log_densities(st.poisson.logpmf(u, q[1]).sum(axis=1),
+                                  st.poisson.logpmf(u, p[1]).sum(axis=1))
+    assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("mu", [0.4, 1.5, 2.7])
+def test_bernoulli_law_kl_matches_enumeration(mu):
+    pair = ksample_pairing("bernoulli", (0.3, 0.5, 0.7))
+    q, p = pair.tilted.family.law(np.array([mu])), pair.null.law(np.array([mu]))
+    u = np.indices((2, 2, 2)).reshape(3, -1).T
+    want = _kl_from_log_densities(st.bernoulli.logpmf(u, q[1]).sum(axis=1),
+                                  st.bernoulli.logpmf(u, p[1]).sum(axis=1))
+    assert law_kl(q, p) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("mu", [0.5, 18.0, 60.0])
+def test_gaussian_scale_law_kl_matches_quadrature(mu):
+    from scipy.integrate import quad
+
+    pair = gaussian_scale_pairing(-3.0, 9.0)
+    q, p = pair.tilted.family.law(np.array([mu])), pair.null.law(np.array([mu]))
+    alt = st.norm(q[1][0], math.sqrt(q[2][0, 0]))
+    null = st.norm(0.0, math.sqrt(p[2][0, 0]))
+    want, _ = quad(lambda x: alt.pdf(x) * (alt.logpdf(x) - null.logpdf(x)), -np.inf, np.inf,
+                   epsabs=1e-14, epsrel=1e-12, limit=200)
+    assert law_kl(q, p) == pytest.approx(want, rel=1e-10)
+
+
+def test_law_kl_of_laws_of_different_kinds_is_none():
+    assert law_kl(("poisson", np.ones(2)), ("normal", np.zeros(2), np.eye(2))) is None
