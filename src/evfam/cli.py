@@ -134,30 +134,46 @@ def _parse_lines(path, lines: list[str]) -> np.ndarray:
     return np.vstack(rows)
 
 
+def _first_data_line(handle) -> int | None:
+    """Index of the first data line: past leading blank or '#' lines and one header."""
+    header_seen = False
+    for index, line in enumerate(handle):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if header_seen or _is_numeric(stripped):
+            return index
+        header_seen = True
+    return None
+
+
 def _read_numeric_csv(path) -> np.ndarray:
     """Rows of numbers; '#' comments skipped, one optional header tolerated.
 
-    The whole body is parsed in one call (numpy parses each token as Python's
-    ``float`` does).  A file that fails the bulk parse, the finite check or
-    the width check is read again line by line, which raises the error of
-    its first bad line.
+    The lines past the leading comments and the header are parsed in one
+    ``np.loadtxt`` call.  It accepts a subset of what Python's ``float``
+    accepts and rounds the same way; it refuses comments, underscores and
+    ragged rows inside the body.  A file that it refuses, or that holds a
+    non-finite value, is read again line by line, which accepts what the
+    line reader accepts and raises the error of the first bad line.
     """
     try:
+        with open(path, "r", encoding="utf-8") as handle:
+            start = _first_data_line(handle)
+        if start is not None:
+            try:
+                table = np.loadtxt(path, delimiter=",", comments=None, skiprows=start, ndmin=2,
+                                   encoding="utf-8")
+            except ValueError:
+                pass
+            else:
+                if np.isfinite(table).all():
+                    return table
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    rows = [stripped for line in lines
-            if (stripped := line.strip()) and not stripped.startswith("#")]
-    if rows and not _is_numeric(rows[0]):
-        del rows[0]
-    try:
-        flat = np.array(",".join(rows).split(","), dtype=float)
-    except ValueError:
-        return _parse_lines(path, lines)
-    if not np.isfinite(flat).all() or len({row.count(",") for row in rows}) != 1:
-        return _parse_lines(path, lines)
-    return flat.reshape(len(rows), -1)
+    return _parse_lines(path, lines)
 
 
 # key -> (description, required flags, optional flags, pairing builder from the parsed args)
@@ -277,14 +293,40 @@ def _cmd_check(args) -> int:
 def _format_rows(values: np.ndarray, logs: np.ndarray) -> str:
     """The ``row,evalue,log_evalue`` lines, each ending in a newline.
 
-    One ``%`` call formats every row: the row indices, values and logs are
-    interleaved into one tuple for a format string repeated once per row.
+    Two routes give the same bytes.  When the rows hold at most half as many
+    distinct ``(evalue, log_evalue)`` bit patterns as there are rows (count
+    data, where the log e-value depends only on a few distinct observations),
+    each distinct pair is formatted with ``%.17g`` once, and one ``%d,%s``
+    pass stitches the row numbers to their pair's text.  Otherwise a single
+    ``%`` call formats every row from one interleaved tuple.  Patterns are
+    compared as bits, so 0.0 and -0.0 stay apart; one sort of the log bits
+    counts them.
     """
-    fields: list = [None] * (3 * logs.size)
-    fields[0::3] = range(logs.size)
+    n = logs.size
+    values = np.ascontiguousarray(values, dtype=float)
+    logs = np.ascontiguousarray(logs, dtype=float)
+    log_bits = logs.view(np.int64)
+    sorted_bits = np.sort(log_bits)
+    if 2 * (1 + np.count_nonzero(sorted_bits[1:] != sorted_bits[:-1])) <= n:
+        distinct, inverse = np.unique(log_bits, return_inverse=True)
+        distinct_values = np.empty(distinct.size)
+        distinct_values[inverse] = values
+        # an e-value is exp of its log, so each log pattern has one value; check the bits
+        if np.array_equal(distinct_values[inverse].view(np.int64), values.view(np.int64)):
+            pairs: list = [None] * (2 * distinct.size)
+            pairs[0::2] = distinct_values.tolist()
+            pairs[1::2] = distinct.view(float).tolist()
+            cells = np.array((("%.17g,%.17g\n" * distinct.size) % tuple(pairs)).splitlines(),
+                             dtype=object)
+            fields: list = [None] * (2 * n)
+            fields[0::2] = range(n)
+            fields[1::2] = cells[inverse].tolist()
+            return ("%d,%s\n" * n) % tuple(fields)
+    fields = [None] * (3 * n)
+    fields[0::3] = range(n)
     fields[1::3] = values.tolist()
     fields[2::3] = logs.tolist()
-    return ("%d,%.17g,%.17g\n" * logs.size) % tuple(fields)
+    return ("%d,%.17g,%.17g\n" * n) % tuple(fields)
 
 
 def _cmd_evalue(args) -> int:

@@ -106,7 +106,8 @@ class ExpFamilyDescriptor:
     where the observation law of the member with that mean has a closed
     form, describes it as ``("poisson", arm_means)`` or ``("bernoulli",
     arm_probs)`` (independent arms) or ``("normal", mean_vector,
-    cov_matrix)``; :func:`law_kl` turns two such laws into a divergence.
+    cov_matrix)``, where a scalar variance v stands for v I;
+    :func:`law_kl` turns two such laws into a divergence.
 
     The parameter callables take ``(..., dim)`` batches (see the module
     docstring); they may assume their inputs were validated.
@@ -499,16 +500,25 @@ def law_kl(q: tuple, p: tuple) -> float | None:
 
     with D = m_p - m_q, evaluated through the Cholesky factors of both
     covariances, which the families declaring the law keep positive definite.
+    A normal law may give its covariance as one variance v, meaning v I; when
+    both laws do, the factors are the scalars sqrt(v), each diagonal term
+    counts d times, and the divergence takes O(d) work.
     """
     if q[0] != p[0]:
         return None
     if q[0] == "normal":
         (m_q, cov_q), (m_p, cov_p) = q[1:], p[1:]
-        chol_p, chol_q = np.linalg.cholesky(cov_p), np.linalg.cholesky(cov_q)
-        ratio = np.linalg.solve(chol_p, chol_q)  # tr(S_p^-1 S_q) is its squared norm
-        shift = np.linalg.solve(chol_p, m_p - m_q)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol_p)) - np.log(np.diag(chol_q)))
-        return float(0.5 * (np.sum(ratio * ratio) - len(m_q) + shift @ shift + logdet))
+        d = len(m_q)
+        if np.ndim(cov_q) == np.ndim(cov_p) == 0:
+            diag_p, diag_q, copies = np.sqrt(cov_p), np.sqrt(cov_q), d
+            ratio, shift = diag_q / diag_p, (m_p - m_q) / diag_p
+        else:
+            chol_p, chol_q = np.linalg.cholesky(cov_p), np.linalg.cholesky(cov_q)
+            ratio = np.linalg.solve(chol_p, chol_q)  # tr(S_p^-1 S_q) is its squared norm
+            shift = np.linalg.solve(chol_p, m_p - m_q)
+            diag_p, diag_q, copies = np.diag(chol_p), np.diag(chol_q), 1
+        logdet = 2.0 * copies * np.sum(np.log(diag_p) - np.log(diag_q))
+        return float(0.5 * (copies * np.sum(ratio * ratio) - d + shift @ shift + logdet))
     a, b = np.broadcast_arrays(np.asarray(q[1], dtype=float), np.asarray(p[1], dtype=float))
     if q[0] == "poisson":
         return float(np.sum(a * np.log(a / b) - a + b))

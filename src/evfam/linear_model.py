@@ -295,7 +295,7 @@ def linmodel_family(design: LinearModelDesign, theta: float) -> ExpFamilyDescrip
 
     def law(mean: np.ndarray) -> tuple:
         params = params_at(mean)
-        return "normal", _fitted(design, params), params.sigma2 * np.eye(n)
+        return "normal", _fitted(design, params), float(params.sigma2)  # sigma2 I
 
     return ExpFamilyDescriptor(
         name=f"linmodel(n={n},d={d},theta={theta:g})",

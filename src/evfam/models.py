@@ -550,16 +550,23 @@ def _location_family(name: str, u_cov: np.ndarray, chol: np.ndarray, stat_cov: n
     )
 
 
+def _symmetric(cov) -> np.ndarray:
+    """The covariance argument as a float matrix; it must be square and symmetric."""
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    d = cov.shape[0]
+    if cov.shape != (d, d) or not np.allclose(cov, cov.T):
+        raise UnsupportedModelError("location family needs a symmetric covariance")
+    return cov
+
+
 def gaussian_location_family(cov, label: str = "cov") -> ExpFamilyDescriptor:
     """Multivariate normal with known covariance, mean as the parameter.
 
     ``label`` names the covariance in the error raised when it is not
     positive definite.
     """
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    cov = _symmetric(cov)
     d = cov.shape[0]
-    if cov.shape != (d, d) or not np.allclose(cov, cov.T):
-        raise UnsupportedModelError("location family needs a symmetric covariance")
     return _location_family(f"gaussian-location(d={d})", cov, _cholesky(cov, label), cov,
                             lambda u: np.asarray(u, dtype=float).reshape(-1, d),
                             lambda anchor: anchor)
@@ -823,7 +830,7 @@ def gaussian_location_constrained(cov, d0: int, alt_mean) -> Pairing:
     difference vanishes identically: the simple e-value exists and, when the
     alternative also has zero constrained block, equals one.
     """
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    cov = _symmetric(cov)
     d = cov.shape[0]
     if not 0 < d0 < d:
         raise UnsupportedModelError("constrained location pairing needs 0 < d0 < dim")

@@ -6,6 +6,10 @@ stopping time without inflating the type-I error.  The two-sample
 Bernoulli process here picks its per-round alternative by plugging in
 posterior means from earlier rounds only, which keeps every factor a valid
 e-value for the equal-means null.
+
+The simulation draws each path's outcomes from its own Philox stream and
+evaluates paths in blocks of whole arrays, so its memory grows with the
+block size, not with the number of paths.
 """
 
 from __future__ import annotations
@@ -133,28 +137,38 @@ class SimulationResult:
     seed: int
 
 
-def _path_outcomes(arm_means, rounds: int, path_indices, seed: int):
-    m1, m2 = arm_means
-    x1 = np.empty((len(path_indices), rounds))
-    x2 = np.empty((len(path_indices), rounds))
-    for row, path in enumerate(path_indices):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, path], dtype=np.uint64)))
-        u = rng.random((rounds, 2))
-        x1[row] = u[:, 0] < m1
-        x2[row] = u[:, 1] < m2
-    return x1, x2
+def _fill_uniforms(out: np.ndarray, first_path: int, seed: int) -> None:
+    """Fill ``out[i]`` with the (rounds, 2) uniforms of path ``first_path + i``.
+
+    One Philox generator is re-keyed to ``(seed, path)`` through its public
+    ``state`` setter for each path, which gives the same stream as a fresh
+    ``Philox(key=(seed, path))`` without building a generator per path.
+    """
+    gen = np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64)))
+    state = gen.bit_generator.state  # a fresh stream: counter 0, empty buffer
+    key = state["state"]["key"]
+    for row in range(out.shape[0]):
+        key[:] = (seed, first_path + row)
+        gen.bit_generator.state = state
+        gen.random(out=out[row])
 
 
 def simulate_two_sample(arm_means, rounds: int = 500, n_paths: int = 1000,
                         alpha: float = 0.05, seed: int = 0,
                         prior=(1.0, 1.0, 1.0, 1.0), tail_window: int = 100,
-                        block_size: int = 2000) -> SimulationResult:
+                        block_size: int = 500) -> SimulationResult:
     """Simulate the Beta plug-in e-process over independent outcome paths.
 
     Each path draws from its own counter-based stream keyed by (seed, path
     index), so results are reproducible regardless of blocking.  The tail
     growth rate averages the per-round log increments over the final
     ``tail_window`` rounds, after the plug-in means have settled.
+
+    ``block_size`` bounds the number of paths held in memory at once.  A
+    block holds its uniforms and a few float64 arrays of shape ``(2,
+    block_size, rounds)``, about 100 bytes per path and round at the peak:
+    25 MB for the default 500 paths of 500 rounds.  The results do not
+    depend on it.
     """
     m1, m2 = (float(v) for v in arm_means)
     if not (0.0 < m1 < 1.0 and 0.0 < m2 < 1.0):
@@ -163,32 +177,38 @@ def simulate_two_sample(arm_means, rounds: int = 500, n_paths: int = 1000,
         raise DataError("tail window must lie in 1..rounds")
     a1, b1, a2, b2 = (float(v) for v in prior)
     threshold = np.log(1.0 / alpha)
-    t = np.arange(rounds, dtype=float)
+    # one row per arm of the (2, paths, rounds) block: a, and a + b + t in round t
+    wins_prior = np.array([a1, a2])[:, None, None]
+    totals = (np.array([a1 + b1, a2 + b2])[:, None] + np.arange(rounds, dtype=float))[:, None, :]
 
     crossed = np.zeros(n_paths, dtype=bool)
     first_crossing = np.full(n_paths, np.nan)
     final_log = np.empty(n_paths)
     tail_sums = np.empty(n_paths)
+    uniforms = np.empty((min(block_size, n_paths), rounds, 2))
 
     for start in range(0, n_paths, block_size):
-        paths = range(start, min(start + block_size, n_paths))
-        x1, x2 = _path_outcomes((m1, m2), rounds, paths, seed)
-        prior_wins1 = np.concatenate([np.zeros((len(paths), 1)), np.cumsum(x1, axis=1)[:, :-1]], axis=1)
-        prior_wins2 = np.concatenate([np.zeros((len(paths), 1)), np.cumsum(x2, axis=1)[:, :-1]], axis=1)
-        p1 = (a1 + prior_wins1) / (a1 + b1 + t)
-        p2 = (a2 + prior_wins2) / (a2 + b2 + t)
-        p_bar = 0.5 * (p1 + p2)
-        log_inc = (xlogy(x1, p1 / p_bar) + xlogy(1.0 - x1, (1.0 - p1) / (1.0 - p_bar))
-                   + xlogy(x2, p2 / p_bar) + xlogy(1.0 - x2, (1.0 - p2) / (1.0 - p_bar)))
-        log_path = np.maximum(np.cumsum(log_inc, axis=1), LOG_FLOOR)
+        stop = min(start + block_size, n_paths)
+        u = uniforms[:stop - start]
+        _fill_uniforms(u, start, seed)
+        x = np.stack([u[..., 0] < m1, u[..., 1] < m2])
+        # successes before round t: the running count minus round t's own outcome
+        p = (wins_prior + (np.cumsum(x, axis=2, dtype=np.int32) - x)) / totals
+        p_bar = 0.5 * (p[0] + p[1])
+        # only the observed outcome's ratio enters an arm's log factor; xlogy(1, r) is
+        # libm's log, where np.log's SIMD loop can differ in the last bit
+        log_ratio = np.where(x, p, 1.0 - p)
+        log_ratio /= np.where(x, p_bar, 1.0 - p_bar)
+        xlogy(1.0, log_ratio, out=log_ratio)
+        log_path = np.maximum(np.cumsum(log_ratio[0] + log_ratio[1], axis=1), LOG_FLOOR)
         over = log_path >= threshold
         block_crossed = over.any(axis=1)
-        crossed[paths.start:paths.stop] = block_crossed
+        crossed[start:stop] = block_crossed
         hits = np.argmax(over, axis=1) + 1.0
-        first_crossing[paths.start:paths.stop] = np.where(block_crossed, hits, np.nan)
-        final_log[paths.start:paths.stop] = log_path[:, -1]
+        first_crossing[start:stop] = np.where(block_crossed, hits, np.nan)
+        final_log[start:stop] = log_path[:, -1]
         before_tail = log_path[:, rounds - tail_window - 1] if tail_window < rounds else 0.0
-        tail_sums[paths.start:paths.stop] = log_path[:, -1] - before_tail
+        tail_sums[start:stop] = log_path[:, -1] - before_tail
 
     return SimulationResult(
         ever_crossed_fraction=float(crossed.mean()),

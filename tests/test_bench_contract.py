@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from evfam import errors
-from evfam.conditions import GridSpec, run_condition_battery
+from evfam.conditions import GridSpec, growth_rate, run_condition_battery
+from evfam.linear_model import LinearModelDesign, linmodel_pairing
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import inputs  # noqa: E402
@@ -59,3 +60,21 @@ def test_every_growth_op_returns_a_float_that_passes_its_check(tmp_path):
         elif (reason := op.check(output)) is not None:
             failures[op.label] = reason
     assert failures == {}
+
+
+def test_every_evalue_and_sequential_op_passes_its_check(tmp_path):
+    # the harness reads the evalue CSV back and judges the simulation's growth
+    ops = [op for op in workloads.data_path_ops(inputs.make_inputs("data-path", 21, tmp_path),
+                                                tmp_path)
+           if op.kind in ("evalue", "sequential")]
+    assert [op.kind for op in ops] == ["evalue", "evalue", "sequential", "sequential"]
+    failures = {op.label: reason for op in ops if (reason := op.check(op.run(0))) is not None}
+    assert failures == {}
+
+
+def test_linmodel_growth_is_the_reference_closed_form(tmp_path):
+    lm = inputs.make_inputs("data-path", 21, tmp_path)["linmodel"]
+    pairing = linmodel_pairing(LinearModelDesign(lm["design"]), lm["sigma2"], lm["gamma"])
+    got = growth_rate(pairing.tilted, pairing.null, pairing.tilted.mu_star)
+    want = workloads.ref().linmodel_growth(lm["design"], lm["sigma2"], lm["gamma"])
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from evfam.cli import _MODELS, _build_parser, _format_rows, main
+from evfam.cli import _MODELS, _build_parser, _format_rows, _read_numeric_csv, main
+from evfam.errors import DataError
 
 NB_ARGS = ["--model", "negbinom-vs-poisson", "--successes", "4", "--mu", "2",
            "--grid-points", "24", "--pairs", "32"]
@@ -216,6 +217,17 @@ def test_a_covariance_that_is_not_positive_definite_is_named(capsys, argv, label
     assert run(capsys, "check", *argv) == (64, "", not_pd(label, [[1.0, 2.0], [2.0, 1.0]]))
 
 
+# both location models refuse a covariance that is not symmetric, with one message
+@pytest.mark.parametrize("argv", [
+    ["--model", "gaussian-location", "--cov-null=2,0.3;0.1,1", *COV_ALT, "--alt-mean=1,0"],
+    ["--model", "gaussian-location-constrained", "--cov=1,0.5;0.2,1", "--constrained", "1",
+     "--alt-mean=0.9,1"],
+], ids=["gaussian-location", "gaussian-location-constrained"])
+def test_a_covariance_that_is_not_symmetric_is_refused(capsys, argv):
+    assert run(capsys, "check", *argv) == (
+        64, "", "evfam: location family needs a symmetric covariance\n")
+
+
 def test_sigma2_is_reported_only_where_it_is_used(capsys):
     poisson = ["check", "--model", "ksample-poisson", "--alt-means", "0.5,1,1.5"]
     _, plain, _ = run(capsys, *poisson)
@@ -313,6 +325,38 @@ product,1.295861207455861e-06,-13.55633505878151
 """
 
 
+# the bulk parse and the line reader accept and refuse the same files; each case is
+# one where a plain np.loadtxt would differ, or a layout the bulk parse must take
+READER_CASES = {
+    "underscore-digits": ("1_0\n2\n", [[10.0], [2.0]]),
+    "comment-after-a-value": ("1\n1 # c\n", "{path}:2: non-numeric row '1 # c'"),
+    "comment-after-the-first-value-is-a-header": ("1 # c\n2\n", [[2.0]]),
+    "indented-comments": ("  # c\n1\n  # d\n2\n", [[1.0], [2.0]]),
+    "infinity": ("1\ninfinity\n", "{path}:2: non-finite value"),
+    "crlf": (b"x,y\r\n1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "blank-lines": ("\n1\n\n  \n2\n\n", [[1.0], [2.0]]),
+    "plus-sign": ("+1,-2\n+0.5,3e+2\n", [[1.0, -2.0], [0.5, 300.0]]),
+    "tabs": ("\tx,y\t\n\t1\t,\t2\n3\t,4\t\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "comments-around-the-header": ("# c\n\nx\n# d\n5\n", [[5.0]]),
+}
+
+
+@pytest.mark.parametrize("content, expected", READER_CASES.values(), ids=READER_CASES.keys())
+def test_csv_reader_accepts_what_the_line_reader_accepts(tmp_path, content, expected):
+    data = tmp_path / "data.csv"
+    if isinstance(content, bytes):
+        data.write_bytes(content)
+    else:
+        data.write_text(content)
+    if isinstance(expected, str):
+        with pytest.raises(DataError) as err:
+            _read_numeric_csv(data)
+        assert str(err.value) == expected.format(path=data)
+    else:
+        got = _read_numeric_csv(data)
+        assert got.dtype == float and got.tolist() == expected
+
+
 def test_evalue_output_is_byte_identical_to_golden(capsys, tmp_path):
     data = tmp_path / "counts.csv"
     data.write_text("count\n7\n# comment\n 9 \n8\n\n12\n10\n")
@@ -364,14 +408,21 @@ def test_evalue_product_overflows_to_inf_without_a_warning(capsys, tmp_path):
     assert float(rows[-1][2]) > 710
 
 
-@pytest.mark.parametrize("logs", [
-    [],
-    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, np.inf, -np.inf,
-     1.0, -13.55633505878151, 0.1, 709.78, -745.2],
-], ids=["no-rows", "special-values"])
-def test_evalue_rows_format_as_one_row_at_a_time(logs):
-    logs = np.array(logs)
-    values = logs[::-1].copy()  # the value column gets every special value too
+SPECIAL_LOGS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                         np.inf, -np.inf, 1.0, -13.55633505878151, 0.1, 709.78, -745.2])
+# five bit patterns, 0.0 and -0.0 among them, repeated over 200 rows
+REPEATED_LOGS = np.tile([0.0, -0.0, np.nan, -13.55633505878151, 709.78], 40)
+
+
+# all-distinct rows take the one-pass route; repeated rows whose value is exp(log)
+# take the table of distinct rows; repeated logs with unrelated values fall back
+@pytest.mark.parametrize("logs, values", [
+    (np.array([]), np.array([])),
+    (SPECIAL_LOGS, SPECIAL_LOGS[::-1].copy()),
+    (REPEATED_LOGS, np.exp(REPEATED_LOGS)),
+    (REPEATED_LOGS, np.arange(REPEATED_LOGS.size, dtype=float)),
+], ids=["no-rows", "special-values", "repeated-values", "repeated-logs-distinct-values"])
+def test_evalue_rows_format_as_one_row_at_a_time(logs, values):
     want = "".join("%d,%.17g,%.17g\n" % row
                    for row in zip(range(logs.size), values.tolist(), logs.tolist()))
     assert _format_rows(values, logs) == want

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -557,3 +558,21 @@ def test_gaussian_scale_law_kl_matches_quadrature(mu):
 
 def test_law_kl_of_laws_of_different_kinds_is_none():
     assert law_kl(("poisson", np.ones(2)), ("normal", np.zeros(2), np.eye(2))) is None
+
+
+# linmodel declares sigma2 I by its variance: the KL takes O(n d) work and agrees
+# with the Cholesky route on the dense matrices
+@pytest.mark.parametrize("rows", [20, 200, 2000])
+def test_isotropic_normal_law_kl_matches_the_dense_route(rows):
+    rng = np.random.default_rng(rows)
+    pair = linmodel_pairing(LinearModelDesign(rng.normal(size=(rows, 3))), 0.8,
+                            rng.normal(size=3))
+    mu = pair.tilted.mu_star * np.array([1.5, 1.0, 1.0])
+    q, p = pair.tilted.family.law(mu), pair.null.law(mu)
+    assert np.ndim(q[2]) == np.ndim(p[2]) == 0
+    dense = law_kl((*q[:2], q[2] * np.eye(rows)), (*p[:2], p[2] * np.eye(rows)))
+    start = time.perf_counter()
+    got = growth_rate(pair.tilted, pair.null, mu)
+    elapsed = time.perf_counter() - start
+    assert got == pytest.approx(dense, rel=1e-12, abs=0.0)
+    assert elapsed < 0.02

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,12 +115,56 @@ def test_simulation_is_deterministic_and_block_invariant():
     r1 = simulate_two_sample(**kwargs)
     r2 = simulate_two_sample(**kwargs)
     assert np.array_equal(r1.final_log_values, r2.final_log_values)
-    r3 = simulate_two_sample(**kwargs, block_size=7)
-    assert np.array_equal(r1.final_log_values, r3.final_log_values)
-    np.testing.assert_array_equal(r1.first_crossing, r3.first_crossing)
+    # one path per block, a ragged last block, exactly one block, a block past n_paths
+    for block_size in (1, 7, 40, 500):
+        r3 = simulate_two_sample(**kwargs, block_size=block_size)
+        assert np.array_equal(r1.final_log_values, r3.final_log_values)
+        np.testing.assert_array_equal(r1.first_crossing, r3.first_crossing)
     r4 = simulate_two_sample(arm_means=(0.375, 0.625), rounds=60, n_paths=40,
                              seed=4, tail_window=20)
     assert not np.array_equal(r1.final_log_values, r4.final_log_values)
+
+
+# repr of (ever_crossed_fraction, mean_log_growth, tail_log_growth), then sha256 of the
+# final_log_values and first_crossing bytes, as the per-path generator loop gave them
+PINNED_RUNS = {
+    "arms-0.375-0.625": (
+        dict(arm_means=(0.375, 0.625), rounds=500, n_paths=4000, seed=21),
+        "(1.0, 0.057601959152427995, 0.06222995802859268)",
+        "a0d36578665bb34d65b9b26fe13de27f18b53a149025a3f1f52557e21519d25a",
+        "74f6ec8f73a03a5b89487d53db405f6f2cd1bac5293bf7fe5a7443414d66e88d"),
+    "null-0.5-0.5": (
+        dict(arm_means=(0.5, 0.5), rounds=500, n_paths=4000, seed=21),
+        "(0.0305, -0.004910945808680944, -0.001230304648596372)",
+        "6affff42c042708b9be3b484a0c1e18fcde32dc61d31682855d63647c057f289",
+        "950f0b2b4b0d0742c958c9862ef560a747393f4ba7715aa60fb6210646b22735"),
+    "prior-alpha-window": (
+        dict(arm_means=(0.2, 0.35), rounds=300, n_paths=700, seed=5, alpha=0.01,
+             prior=(2.0, 0.5, 0.5, 3.0), tail_window=300),
+        "(0.45571428571428574, 0.01221207134007876, 0.01221207134007876)",
+        "91830e01a00f0fcdae22cc1bc3f30f49b477b0caff522d11a6e1a625404f910d",
+        "8e09b5cc82510a0888ffadfe7ccfda3bf7e314e7e295f20b53b0c3eda054e152"),
+}
+
+
+@pytest.mark.parametrize("kwargs, scalars, final_sha, crossing_sha", PINNED_RUNS.values(),
+                         ids=PINNED_RUNS.keys())
+def test_simulation_keeps_its_bits(kwargs, scalars, final_sha, crossing_sha):
+    res = simulate_two_sample(**kwargs)
+    assert repr((res.ever_crossed_fraction, res.mean_log_growth, res.tail_log_growth)) == scalars
+    assert hashlib.sha256(res.final_log_values.tobytes()).hexdigest() == final_sha
+    assert hashlib.sha256(res.first_crossing.tobytes()).hexdigest() == crossing_sha
+
+
+def test_simulation_memory_is_bounded_by_the_block():
+    tracemalloc.start()
+    try:
+        simulate_two_sample(arm_means=(0.375, 0.625), rounds=500, n_paths=4000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 500-path block of 500 rounds needs about 25 MB; 2000-path blocks needed 100 MB
+    assert peak < 40e6
 
 
 def test_simulation_agrees_with_the_scalar_process():
