@@ -173,6 +173,16 @@ def _read_numeric_csv(path) -> np.ndarray:
             lines = handle.readlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError:
+        # the text reader decodes chunk by chunk, so the error's own offset is
+        # relative to its chunk: decode the whole file for the offset in it
+        with open(path, "rb") as handle:
+            try:
+                handle.read().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                                f"at byte offset {exc.start}") from None
+        raise
     return _parse_lines(path, lines)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp, xlogy
 
-from .errors import DataError
+from .errors import DataError, DomainError
 
 __all__ = [
     "EProcessState",
@@ -175,6 +175,8 @@ def simulate_two_sample(arm_means, rounds: int = 500, n_paths: int = 1000,
         raise DataError("arm means must lie strictly inside (0, 1)")
     if tail_window <= 0 or tail_window > rounds:
         raise DataError("tail window must lie in 1..rounds")
+    if not 0 <= seed < 2 ** 64:
+        raise DomainError(f"seed {seed} must lie in 0..2**64-1, the range of a Philox key word")
     a1, b1, a2, b2 = (float(v) for v in prior)
     threshold = np.log(1.0 / alpha)
     # one row per arm of the (2, paths, rounds) block: a, and a + b + t in round t

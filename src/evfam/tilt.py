@@ -17,10 +17,10 @@ carrier known only through
    The result is smooth and fully differentiable but stochastic, which is
    recorded on the family and blocks hard certification downstream.  Every
    moment is a self-normalized importance-weighted average over the draw:
-   one weight pass per tilt row (log-weights, their logsumexp, normalized
-   weights) gives both the mean and the covariance of that row, and the
-   covariance is kept until the next covariance request, which damped
-   Newton makes at the rows it has just accepted.  Passes run a few rows
+   one weight pass per distinct tilt row (log-weights, their logsumexp,
+   normalized weights) gives the cumulant, the mean and the covariance of
+   that row, which the family keeps for its lifetime, so a row asked for
+   again, by any of the three, makes no second pass.  Passes run a few rows
    at a time, so memory stays bounded by MC_CHUNK_ELEMENTS per call.
 
 The gap function here is the log-partition difference logZ_q - logZ_p at a
@@ -144,8 +144,10 @@ def _row_logsumexp(w: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         top = np.max(w, axis=-1, keepdims=True)
         at_top = w == top
-        ties = np.sum(at_top, axis=-1, keepdims=True, dtype=float)
-        rest = np.sum(np.exp(np.where(at_top, -np.inf, w) - top), axis=-1, keepdims=True)
+        ties = np.count_nonzero(at_top, axis=-1, keepdims=True)
+        shifted = w - top
+        np.copyto(shifted, -np.inf, where=at_top)
+        rest = np.sum(np.exp(shifted, out=shifted), axis=-1, keepdims=True)
         out = (np.log1p(rest / ties) + np.log(ties) + top)[:, 0]
         bad = ~np.isfinite(out)
         if np.any(bad):
@@ -153,23 +155,15 @@ def _row_logsumexp(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tilt_weights(w: np.ndarray) -> np.ndarray:
-    """Self-normalized exponential weights of each row of log-weights."""
-    return np.exp(w - _row_logsumexp(w)[:, None])
-
-
-def _by_chunks(beta: np.ndarray, draws: int, reduce: Callable) -> np.ndarray:
-    """``reduce(beta_rows)`` over a (..., dim) batch, a few rows at a time.
+def _by_chunks(rows: np.ndarray, draws: int, reduce: Callable) -> np.ndarray:
+    """``reduce`` over the rows of a non-empty (n, dim) batch, a few rows at a time.
 
     Each row of log-weights has one entry per draw; chunking keeps the
     (rows x draws) temporaries of a weight pass near MC_CHUNK_ELEMENTS
     whatever the batch size.
     """
-    flat = beta.reshape(-1, beta.shape[-1])
     step = max(1, MC_CHUNK_ELEMENTS // draws)
-    out = np.concatenate([np.asarray(reduce(flat[i:i + step]))
-                          for i in range(0, max(flat.shape[0], 1), step)])
-    return out.reshape(beta.shape[:-1] + out.shape[1:])
+    return np.concatenate([reduce(rows[i:i + step]) for i in range(0, len(rows), step)])
 
 
 def build_tilted_family(
@@ -218,43 +212,42 @@ def build_tilted_family(
 
         def log_weights(rows: np.ndarray) -> np.ndarray:
             # at dim 1 each beta . t has one term, so the elementwise product is
-            # the matmul's exact value at a fraction of its cost; at dim >= 2
-            # the matmul stays, as any copy of stats.T changes gemm's last bits
-            return rows * stats[:, 0] if dim == 1 else rows @ stats.T
+            # exact; at dim >= 2 one matrix-vector product per row, as gemm's
+            # last bits depend on how many rows share the call
+            return rows * stats[:, 0] if dim == 1 else np.matmul(stats, rows[..., None])[..., 0]
 
-        def moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """Mean and covariance of each row from one set of normalized weights."""
-            weights = _tilt_weights(log_weights(rows))
+        def moments(rows: np.ndarray) -> np.ndarray:
+            """Packed [logsumexp, mean, covariance] of each row from one weight pass."""
+            w = log_weights(rows)
+            lse = _row_logsumexp(w)
+            weights = np.exp(np.subtract(w, lse[:, None], out=w), out=w)
             # one vector-matrix product per row: a row's mean does not depend
             # on which other rows share its chunk
             mean = np.matmul(weights[:, None, :], stats)[:, 0]
             resid = stats - mean[:, None, :]
-            return mean, np.matmul((resid * weights[..., None]).swapaxes(1, 2), resid)
+            cov = np.matmul((resid * weights[..., None]).swapaxes(1, 2), resid)
+            return np.concatenate([lse[:, None], mean, cov.reshape(len(rows), -1)], axis=1)
 
-        # The covariance of every row whose mean was computed since the last
-        # covariance request, keyed by the row's bytes.  Damped Newton asks for
-        # the Jacobian exactly at rows it has just accepted from mean
-        # evaluations, so that request runs no weight pass; it then clears
-        # the memo, which thus holds d x d floats per row evaluated in between.
-        cov_memo: dict[bytes, np.ndarray] = {}
+        # The packed moments of every row evaluated so far, keyed by the row's
+        # bytes and kept for the family's lifetime like its gamma and beta
+        # caches: 1 + d + d^2 floats per distinct row.  Newton starts, the
+        # log-partition's gamma rows and the Jacobian at accepted rows all
+        # ask again for rows already evaluated.
+        moment_cache: dict[bytes, np.ndarray] = {}
 
-        def mean_keeping_cov(rows: np.ndarray) -> np.ndarray:
-            mean, cov = moments(rows)
-            cov_memo.update(zip((row.tobytes() for row in rows), cov))
-            return mean
+        def cached_moments(beta: np.ndarray) -> np.ndarray:
+            packed = _cached_rows(moment_cache, beta,
+                                  lambda rows: _by_chunks(rows, len(stats), moments))
+            return packed.reshape(beta.shape[:-1] + (1 + dim + dim * dim,))
 
         def empirical_cumulant(beta: np.ndarray) -> np.ndarray:
-            return _by_chunks(beta, len(stats),
-                              lambda rows: _row_logsumexp(log_weights(rows)) - np.log(mc_samples))
+            return cached_moments(beta)[..., 0] - np.log(mc_samples)
 
         def empirical_mean(beta: np.ndarray) -> np.ndarray:
-            return _by_chunks(beta, len(stats), mean_keeping_cov)
+            return cached_moments(beta)[..., 1:1 + dim]
 
         def empirical_cov(beta: np.ndarray) -> np.ndarray:
-            cov = _cached_rows(cov_memo, beta,
-                               lambda rows: _by_chunks(rows, len(stats), lambda r: moments(r)[1]))
-            cov_memo.clear()
-            return cov.reshape(beta.shape + (dim,))
+            return cached_moments(beta)[..., 1 + dim:].reshape(beta.shape + (dim,))
 
         family = family_from_root_cumulant(
             f"tilt-mc[{carrier.name}]",

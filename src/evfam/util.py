@@ -33,7 +33,7 @@ def pointwise(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], np.n
     def batched(points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         flat = points.reshape(-1, points.shape[-1])
-        vals = np.array([np.asarray(fn(p), dtype=float) for p in flat])
+        vals = np.array([fn(p) for p in flat], dtype=float)
         return vals.reshape(points.shape[:-1] + vals.shape[1:])
 
     return batched

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from evfam import errors
+from evfam import errors, tilt
 from evfam.conditions import GridSpec, growth_rate, run_condition_battery
 from evfam.linear_model import LinearModelDesign, linmodel_pairing
 
@@ -43,6 +43,22 @@ def test_every_traced_name_is_a_callable(target):
 def test_generic_route_pairings_run_the_battery(build, expected):
     report = run_condition_battery(build(), spec=GridSpec(points_per_axis=8, n_pairs=16))
     assert report.overall == expected
+
+
+def test_monte_carlo_battery_makes_one_weight_pass_per_distinct_root_row(monkeypatch, tmp_path):
+    (op,) = [op for op in workloads.generic_ops(inputs.make_inputs("generic-check", 1, tmp_path))
+             if op.label == "gaussian-scale-monte-carlo"]
+    requested, passes = set(), []
+    cached_rows, row_logsumexp = tilt._cached_rows, tilt._row_logsumexp
+
+    def requesting(cache, rows, solve):
+        requested.update(row.tobytes() for row in rows.reshape(-1, rows.shape[-1]))
+        return cached_rows(cache, rows, solve)
+
+    monkeypatch.setattr(tilt, "_cached_rows", requesting)
+    monkeypatch.setattr(tilt, "_row_logsumexp", lambda w: passes.append(len(w)) or row_logsumexp(w))
+    assert op.check(op.run(0)) is None
+    assert sum(passes) == len(requested)
 
 
 def test_every_growth_op_returns_a_float_that_passes_its_check(tmp_path):

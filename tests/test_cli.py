@@ -517,6 +517,24 @@ def test_sequential_validates_arm_means(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_sequential_seed_outside_a_philox_key_word_exits_64(capsys, tmp_path, seed):
+    code, out, err = run(capsys, "sequential", "--arm-means", "0.375,0.625", "--rounds", "5",
+                         "--paths", "2", "--tail-window", "2", "--seed", seed,
+                         "--out", str(tmp_path / "run"))
+    assert (code, out) == (64, "")
+    assert err == f"evfam: seed {seed} must lie in 0..2**64-1, the range of a Philox key word\n"
+
+
+def test_evalue_data_that_is_not_utf8_exits_65_with_the_byte_offset(capsys, tmp_path):
+    data = tmp_path / "latin1.csv"
+    # past the text reader's first decode chunk, so its own offset would be wrong
+    data.write_bytes(b"value\n" + b"1\n" * 10_000 + b"caf\xe9\n")
+    code, out, err = run(capsys, "evalue", *NB_ARGS, "--force", "--data", str(data))
+    assert (code, out) == (65, "")
+    assert err == f"evfam: data error: {data}: not UTF-8 text: byte 0xe9 at byte offset 20009\n"
+
+
 def test_figure_command_round_trips(capsys, tmp_path):
     out_path = tmp_path / "fig2.csv"
     code, out, _ = run(capsys, "figure", "--id", "fig2", "--out", str(out_path))

@@ -111,7 +111,7 @@ def test_monte_carlo_route_is_reproducible():
     assert np.array_equal(t1.mu_star, t2.mu_star)
 
 
-def _skewed_pair_family():
+def _skewed_pair_family(mc_samples: int = 3000):
     """Sampler-route family over a 2-d statistic: gamma and correlated normal coordinates."""
     def sampler(n, rng):
         g = rng.gamma(3.0, 0.5, n)
@@ -120,12 +120,12 @@ def _skewed_pair_family():
     carrier = CarrierAlternative(name="skewed pair", log_density=None,
                                  mean_of_suff_stat=np.array([1.5, 0.6]), sampler=sampler)
     return build_tilted_family(gaussian_location_family(np.eye(2)), carrier,
-                               mc_samples=3000, seed=5)
+                               mc_samples=mc_samples, seed=5)
 
 
 def test_monte_carlo_route_in_two_dimensions_is_pinned():
-    # values of the Monte Carlo route at dimension 2, where the log-weights are
-    # a matmul and 3000 draws put ten rows in each chunk
+    # values of the Monte Carlo route at dimension 2, where the log-weights are one
+    # matrix-vector product per row and 3000 draws put ten rows in each chunk
     tilted = _skewed_pair_family()
     fam, anchor = tilted.family, tilted.mu_star
     np.testing.assert_array_equal(anchor, [1.4999608336811665, 0.5980769932123335])
@@ -185,13 +185,33 @@ def test_monte_carlo_covariance_reuses_the_mean_pass(monkeypatch):
     monkeypatch.setattr(tilt, "_row_logsumexp",
                         lambda w: passes.append(len(w)) or _row_logsumexp(w))
     mean_from_canonical(fam, SCALE_BETAS[:40], anchor)
-    assert sum(passes) == 40
+    assert sum(passes) == 39                            # the log-partition evaluated row 0
     passes.clear()
     np.testing.assert_array_equal(covariance_at_canonical(fam, SCALE_BETAS[:40], anchor), fresh)
+    # the family keeps every evaluated row: asking again, by any moment, makes no weight pass
+    for op in (covariance_at_canonical, mean_from_canonical, log_partition_at):
+        op(fam, SCALE_BETAS[:40], anchor)
     assert passes == []
-    # the request consumed the memo: the next one makes its own weight pass
-    covariance_at_canonical(fam, SCALE_BETAS[:40], anchor)
-    assert sum(passes) == 40
+
+
+def test_monte_carlo_memo_rows_are_the_rows_of_a_fresh_family():
+    # 300 draws put 109 rows in a chunk, so one request for all rows evaluates
+    # each row among other neighbours than overlapping and one-row requests do
+    betas = np.column_stack([np.linspace(-0.4, 0.4, 240), np.linspace(0.3, -0.3, 240) ** 3])
+    ops = (log_partition_at, mean_from_canonical, covariance_at_canonical)
+    fresh = _skewed_pair_family(300)
+    want = [op(fresh.family, betas, fresh.mu_star) for op in ops]
+
+    tilted = _skewed_pair_family(300)
+    fam, anchor = tilted.family, tilted.mu_star
+    for beta in betas[:40:3]:
+        log_partition_at(fam, beta, anchor)
+    mean_from_canonical(fam, betas[:50], anchor)
+    log_partition_at(fam, betas[30:170:3], anchor)
+    covariance_at_canonical(fam, betas[::-7], anchor)
+    mean_from_canonical(fam, betas[100:], anchor)
+    for op, expected in zip(ops, want):
+        np.testing.assert_array_equal(op(fam, betas, anchor), expected)
 
 
 def _logsumexp_rows() -> list[np.ndarray]:
