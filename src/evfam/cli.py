@@ -350,7 +350,7 @@ def _cmd_evalue(args) -> int:
     data = _read_numeric_csv(args.data)
     mu = _anchor_mean(args, pairing)
     null = pairing.null
-    width = 1 if null.element_ndim == 0 else null.support.axes
+    width = 1 if null.element_ndim == 0 else null.support_at(mu).axes
     if data.shape[1] != width:
         expected = "one column" if width == 1 else f"{width} columns"
         raise DataError(f"model {pairing.name} expects {expected}, got {data.shape[1]}")

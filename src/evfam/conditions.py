@@ -696,13 +696,9 @@ def growth_rate(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu,
         value = law_kl(tilted.family.law(mu_vec), null.law(mu_vec))
         if value is not None:
             return value
-    support = null.support or tilted.family.support
+    support = null.support_at(mu_vec) or tilted.family.support_at(mu_vec)
     if support is None:
         raise UnsupportedModelError("growth rate needs a declared support")
-
-    def log_ratio(batch: np.ndarray) -> np.ndarray:
-        lq, lp = _log_densities(tilted, null, batch, mu_vec)
-        return lq - lp
 
     if support.kind == "finite":
         lq, lp = _log_densities(tilted, null, np.asarray(support.points(), dtype=float), mu_vec)
@@ -735,18 +731,18 @@ def growth_rate(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu,
     if support.kind in ("real-scalar", "positive-scalar"):
         center, scale = _growth_hints(tilted, mu_vec, seed)
 
-        def density(x: np.ndarray) -> np.ndarray:
-            return np.exp(np.asarray(tilted.family.carrier_log_density(np.atleast_1d(x), mu_vec),
-                                     dtype=float))
-
-        def integrand(x: np.ndarray) -> np.ndarray:
-            return log_ratio(np.atleast_1d(x))
+        def weighted_log_ratio(x: np.ndarray) -> np.ndarray:
+            # q_mu log(q_mu / p_mu) from one evaluation of each density; the
+            # quadrature only ever multiplies its density by its integrand
+            lq, lp = _log_densities(tilted, null, np.atleast_1d(x), mu_vec)
+            return np.exp(lq) * (lq - lp)
 
         domain = "positive-line" if support.kind == "positive-scalar" else "real-line"
-        est = expect_quadrature(density, integrand, domain, center=center, scale=scale)
-        return est.value
+        return expect_quadrature(np.ones_like, weighted_log_ratio, domain,
+                                 center=center, scale=scale).value
 
     if tilted.family.sampler is None:
         raise UnsupportedModelError("growth rate on vector supports needs a sampler")
     draws = tilted.family.sampler(mu_vec, n_mc, np.random.default_rng(seed))
-    return float(np.mean(log_ratio(np.asarray(draws, dtype=float))))
+    lq, lp = _log_densities(tilted, null, np.asarray(draws, dtype=float), mu_vec)
+    return float(np.mean(lq - lp))

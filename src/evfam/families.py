@@ -12,8 +12,10 @@ statistic covariance) is positive definite in the interior.
 
 A descriptor bundles the callable handles (sufficient statistic, anchored
 log-partition, carrier log-density) plus optional closed forms for the mean
-map, covariance map and inverse mean map.  Operations fall back to damped
-Newton inversion and central finite differences when a closed form is not
+map, covariance map and inverse mean map.  A family with a named observation
+law declares only that law, and its carrier density, sampler and support come
+from the table of law kinds below.  Operations fall back to damped Newton
+inversion and central finite differences when a closed form is not
 provided, so a family defined only through its log-partition still supports
 the full API.
 
@@ -42,9 +44,11 @@ hand whole arrays to the descriptor.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .domains import DomainDescriptor
 from .errors import ConvergenceError, DomainError, UnsupportedModelError
@@ -64,6 +68,7 @@ __all__ = [
     "log_density",
     "family_from_root_cumulant",
     "law_kl",
+    "law_log_density",
 ]
 
 MEAN_TOL = 1e-9
@@ -102,12 +107,15 @@ class ExpFamilyDescriptor:
     closed forms for grad logZ, its Hessian and the inverse mean map;
     ``sampler(mean, n, rng)`` draws from the member with the given mean.
     ``stochastic`` marks families whose log-partition is a Monte Carlo
-    estimate, which blocks hard certification downstream.  ``law(mean)``,
-    where the observation law of the member with that mean has a closed
-    form, describes it as ``("poisson", arm_means)`` or ``("bernoulli",
-    arm_probs)`` (independent arms) or ``("normal", mean_vector,
-    cov_matrix)``, where a scalar variance v stands for v I;
-    :func:`law_kl` turns two such laws into a divergence.
+    estimate, which blocks hard certification downstream.  ``law(mean)``
+    names the observation law of the member with that mean:
+    ``("poisson", arm_means)`` or ``("bernoulli", arm_probs)`` (independent
+    arms), ``("normal", mean_vector, cov)`` (a scalar variance v stands for
+    v I), ``("negbinom", successes, mean)``, ``("gamma", shape, mean)`` or
+    ``("inverse-gaussian", mean, lam)``.  A family that declares it passes
+    no carrier, sampler or support: the first two are derived from the law,
+    and :meth:`support_at` reads the support off the law at a mean
+    (evaluating a law can cost a root solve, so construction does not).
 
     The parameter callables take ``(..., dim)`` batches (see the module
     docstring); they may assume their inputs were validated.
@@ -128,6 +136,29 @@ class ExpFamilyDescriptor:
     element_ndim: int = 0
     stochastic: bool = False
     law: Callable[[np.ndarray], tuple] | None = None
+
+    def __post_init__(self) -> None:
+        if self.law is None:
+            return
+        derived = (None, _law_log_density, _law_sample)  # dataclasses.replace hands these back
+        if self.support is not None or any(getattr(f, "func", f) not in derived
+                                           for f in (self.carrier_log_density, self.sampler)):
+            raise ValueError(f"{self.name}: a family that declares its law takes its density, "
+                             "sampler and support from it")
+        object.__setattr__(self, "carrier_log_density", partial(_law_log_density, self.law))
+        object.__setattr__(self, "sampler", partial(_law_sample, self.law, self.element_ndim))
+
+    def support_at(self, mean) -> SupportSpec | None:
+        """The declared ``support``, or the one the law of the member with this mean implies."""
+        if self.law is None:
+            return self.support
+        kind, first = self.law(mean)[:2]  # vector elements: first is the arm or mean vector
+        axes = len(first) if self.element_ndim else 1
+        space = _LAW_KINDS[kind].spaces[self.element_ndim]
+        if space != "finite":
+            return SupportSpec(space, axes)
+        return SupportSpec(space, axes,  # the 2^axes points of {0, 1}^axes, one per row
+                           lambda: np.indices((2,) * axes).reshape(axes, -1).T.astype(float))
 
     def vec(self, x) -> np.ndarray:
         """Coerce a parameter to a float vector of the family dimension."""
@@ -378,8 +409,6 @@ def family_from_root_cumulant(
     root_mean: Callable[[np.ndarray], np.ndarray] | None = None,
     root_cov: Callable[[np.ndarray], np.ndarray] | None = None,
     root_beta: Callable[[np.ndarray], np.ndarray] | None = None,
-    sampler: Callable[[np.ndarray, int, np.random.Generator], np.ndarray] | None = None,
-    support: SupportSpec | None = None,
     element_ndim: int = 0,
     stochastic: bool = False,
     law: Callable[[np.ndarray], tuple] | None = None,
@@ -466,8 +495,6 @@ def family_from_root_cumulant(
         carrier_log_density=carrier,
         mean_map=mean_map,
         cov_map=cov_map,
-        sampler=sampler,
-        support=support,
         element_ndim=element_ndim,
         stochastic=stochastic,
         law=law,
@@ -489,12 +516,105 @@ def family_from_root_cumulant(
     return replace(family, beta_map=beta_map)
 
 
-def law_kl(q: tuple, p: tuple) -> float | None:
-    """KL(Q || P) between two observation laws of one kind; None when the kinds differ.
+# ---------------------------------------------------------------------------
+# observation laws: one table of kinds gives each law's log-density, sampler,
+# support and same-kind divergence
 
-    The laws are ``ExpFamilyDescriptor.law`` tuples.  Independent arms add
-    their divergences: Poisson arms sum a log(a/b) - a + b, Bernoulli arms
-    a log(a/b) + (1 - a) log((1 - a)/(1 - b)).  For normal laws,
+def _normal_log(u: np.ndarray, mean: np.ndarray, cov) -> np.ndarray:
+    if np.ndim(cov) == 0:  # v I: one term per element
+        return -0.5 * ((u - mean) ** 2 / cov + np.log(2.0 * np.pi * cov))
+    chol = np.linalg.cholesky(cov)
+    resid = np.linalg.solve(chol, (u - mean).T)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    return -0.5 * (np.sum(resid ** 2, axis=0) + len(mean) * np.log(2.0 * np.pi) + logdet)
+
+
+def _normal_sample(rng: np.random.Generator, size, mean: np.ndarray, cov) -> np.ndarray:
+    if np.ndim(cov) == 0:
+        return rng.normal(mean, np.sqrt(cov), size)
+    return mean + rng.standard_normal(size) @ np.linalg.cholesky(cov).T
+
+
+def _normal_kl(q: tuple, p: tuple) -> float:
+    (m_q, cov_q), (m_p, cov_p) = q, p
+    d = len(m_q)
+    if np.ndim(cov_q) == np.ndim(cov_p) == 0:
+        diag_p, diag_q, copies = np.sqrt(cov_p), np.sqrt(cov_q), d
+        ratio, shift = diag_q / diag_p, (m_p - m_q) / diag_p
+    else:
+        chol_p, chol_q = np.linalg.cholesky(cov_p), np.linalg.cholesky(cov_q)
+        ratio = np.linalg.solve(chol_p, chol_q)  # tr(S_p^-1 S_q) is its squared norm
+        shift = np.linalg.solve(chol_p, m_p - m_q)
+        diag_p, diag_q, copies = np.diag(chol_p), np.diag(chol_q), 1
+    logdet = 2.0 * copies * np.sum(np.log(diag_p) - np.log(diag_q))
+    return float(0.5 * (copies * np.sum(ratio * ratio) - d + shift @ shift + logdet))
+
+
+def _arms_kl(term: Callable) -> Callable[[tuple, tuple], float]:
+    """KL of independent arms: ``term`` of the broadcast arm parameters, summed."""
+    return lambda q, p: float(np.sum(term(*np.broadcast_arrays(np.asarray(q[0], dtype=float),
+                                                                np.asarray(p[0], dtype=float)))))
+
+
+class _LawKind(NamedTuple):
+    log_density: Callable   # (u, *params) -> log-density per element, or per observation
+    sample: Callable        # (rng, size, *params) -> draws
+    spaces: tuple           # SupportSpec kind for scalar elements, for vector elements
+    kl: Callable | None     # (q params, p params) -> KL(Q || P); None: no closed form
+
+
+_LAW_KINDS = {
+    "poisson": _LawKind(
+        lambda u, arms: xlogy(u, arms) - arms - gammaln(u + 1.0),
+        lambda rng, size, arms: rng.poisson(arms, size).astype(float),
+        ("countable-vector", "countable-vector"),
+        _arms_kl(lambda a, b: a * np.log(a / b) - a + b)),
+    "bernoulli": _LawKind(
+        lambda u, probs: xlogy(u, probs) + xlog1py(1.0 - u, -probs),
+        lambda rng, size, probs: (rng.random(size) < probs).astype(float),
+        (None, "finite"),
+        _arms_kl(lambda a, b: a * np.log(a / b) + (1.0 - a) * np.log((1.0 - a) / (1.0 - b)))),
+    "normal": _LawKind(_normal_log, _normal_sample, ("real-scalar", "real-vector"), _normal_kl),
+    "negbinom": _LawKind(
+        lambda u, n, mean: (gammaln(u + n) - gammaln(n) - gammaln(u + 1.0)
+                            + n * np.log1p(-mean / (n + mean)) + xlogy(u, mean / (n + mean))),
+        lambda rng, size, n, mean: rng.negative_binomial(n, n / (n + mean), size).astype(float),
+        ("countable-vector", None), None),
+    "gamma": _LawKind(
+        lambda u, shape, mean: (xlogy(shape - 1.0, u) - u / (mean / shape) - gammaln(shape)
+                                - shape * np.log(mean / shape)),
+        lambda rng, size, shape, mean: rng.gamma(shape, mean / shape, size),
+        ("positive-scalar", None), None),
+    "inverse-gaussian": _LawKind(
+        lambda u, mean, lam: (0.5 * (np.log(lam) - np.log(2.0 * np.pi) - 3.0 * np.log(u))
+                              - lam * (u - mean) ** 2 / (2.0 * mean ** 2 * u)),
+        lambda rng, size, mean, lam: rng.wald(mean, lam, size),
+        ("positive-scalar", None), None),
+}
+
+
+def law_log_density(law: tuple, u) -> np.ndarray:
+    """Log-density of an observation law (a ``law`` tuple) at each element of the batch ``u``."""
+    vals = _LAW_KINDS[law[0]].log_density(np.asarray(u, dtype=float), *law[1:])
+    return vals.sum(axis=1) if vals.ndim > 1 else vals  # independent elements add
+
+
+def _law_log_density(law: Callable, u: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """Carrier of a law-declaring family: the log-density of the anchor member's law."""
+    return law_log_density(law(anchor), u)
+
+
+def _law_sample(law: Callable, element_ndim: int, mean: np.ndarray, n: int, rng) -> np.ndarray:
+    """Sampler of a law-declaring family: n draws, one element (one row of arms) each."""
+    kind, *params = law(mean)
+    return _LAW_KINDS[kind].sample(rng, (n, len(params[0])) if element_ndim else n, *params)
+
+
+def law_kl(q: tuple, p: tuple) -> float | None:
+    """KL(Q || P) between two observation laws; None without a closed form.
+
+    The laws are ``ExpFamilyDescriptor.law`` tuples of one kind: Poisson or
+    Bernoulli arms, whose divergences add, or normal laws, for which
 
         KL = [tr(S_p^-1 S_q) - d + D' S_p^-1 D + log det S_p - log det S_q] / 2
 
@@ -504,24 +624,5 @@ def law_kl(q: tuple, p: tuple) -> float | None:
     both laws do, the factors are the scalars sqrt(v), each diagonal term
     counts d times, and the divergence takes O(d) work.
     """
-    if q[0] != p[0]:
-        return None
-    if q[0] == "normal":
-        (m_q, cov_q), (m_p, cov_p) = q[1:], p[1:]
-        d = len(m_q)
-        if np.ndim(cov_q) == np.ndim(cov_p) == 0:
-            diag_p, diag_q, copies = np.sqrt(cov_p), np.sqrt(cov_q), d
-            ratio, shift = diag_q / diag_p, (m_p - m_q) / diag_p
-        else:
-            chol_p, chol_q = np.linalg.cholesky(cov_p), np.linalg.cholesky(cov_q)
-            ratio = np.linalg.solve(chol_p, chol_q)  # tr(S_p^-1 S_q) is its squared norm
-            shift = np.linalg.solve(chol_p, m_p - m_q)
-            diag_p, diag_q, copies = np.diag(chol_p), np.diag(chol_q), 1
-        logdet = 2.0 * copies * np.sum(np.log(diag_p) - np.log(diag_q))
-        return float(0.5 * (copies * np.sum(ratio * ratio) - d + shift @ shift + logdet))
-    a, b = np.broadcast_arrays(np.asarray(q[1], dtype=float), np.asarray(p[1], dtype=float))
-    if q[0] == "poisson":
-        return float(np.sum(a * np.log(a / b) - a + b))
-    if q[0] == "bernoulli":
-        return float(np.sum(a * np.log(a / b) + (1.0 - a) * np.log((1.0 - a) / (1.0 - b))))
-    raise UnsupportedModelError(f"no divergence for laws of kind {q[0]!r}")
+    kl = _LAW_KINDS[q[0]].kl if q[0] == p[0] else None
+    return None if kl is None else kl(q[1:], p[1:])

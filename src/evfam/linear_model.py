@@ -37,7 +37,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .domains import DomainDescriptor
 from .errors import DataError, DomainError
-from .families import ExpFamilyDescriptor, SupportSpec
+from .families import ExpFamilyDescriptor, law_log_density
 from .models import Pairing, _member_pairing
 from .util import float_or_array as _scalar, matvec, rowdot
 
@@ -203,13 +203,6 @@ def params_from_mean(design: LinearModelDesign, theta: float, mu) -> LinearModel
     return LinearModelParams(sigma2=_scalar(v), gamma=gamma_a + v[..., None] * gamma_b)
 
 
-def _log_density(design: LinearModelDesign, params: LinearModelParams, y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=float).reshape(-1, design.n)
-    resid = y - _fitted(design, params)
-    return -0.5 * (np.sum(resid ** 2, axis=1) / params.sigma2
-                   + design.n * math.log(2.0 * math.pi * params.sigma2))
-
-
 def project_onto_null(design: LinearModelDesign, params: LinearModelParams) -> LinearModelParams:
     """Closest null member: least-squares fit in the nuisance columns.
 
@@ -227,10 +220,11 @@ def project_onto_null(design: LinearModelDesign, params: LinearModelParams) -> L
 def linmodel_evalue(design: LinearModelDesign, params: LinearModelParams, y) -> np.ndarray | float:
     """Simple e-value: member density over its null projection, at data y."""
     y_arr = np.asarray(y, dtype=float)
-    single = y_arr.ndim == 1
-    null_params = project_onto_null(design, params)
-    vals = np.exp(_log_density(design, params, y_arr) - _log_density(design, null_params, y_arr))
-    return float(vals[0]) if single else vals
+    batch = y_arr.reshape(-1, design.n)
+    log_q, log_p = (law_log_density(("normal", _fitted(design, p), p.sigma2), batch)
+                    for p in (params, project_onto_null(design, params)))
+    vals = np.exp(log_q - log_p)
+    return float(vals[0]) if y_arr.ndim == 1 else vals
 
 
 def linmodel_family(design: LinearModelDesign, theta: float) -> ExpFamilyDescriptor:
@@ -286,13 +280,6 @@ def linmodel_family(design: LinearModelDesign, theta: float) -> ExpFamilyDescrip
     def beta_map(mu: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         return natural_of(params_at(mu)) - natural_of(params_at(anchor))
 
-    def carrier(y: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-        return _log_density(design, params_at(anchor), y)
-
-    def sampler(mean: np.ndarray, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-        params = params_at(np.asarray(mean, dtype=float))
-        return _fitted(design, params) + rng.standard_normal((n_draws, n)) * math.sqrt(params.sigma2)
-
     def law(mean: np.ndarray) -> tuple:
         params = params_at(mean)
         return "normal", _fitted(design, params), float(params.sigma2)  # sigma2 I
@@ -304,12 +291,9 @@ def linmodel_family(design: LinearModelDesign, theta: float) -> ExpFamilyDescrip
         log_partition=log_partition,
         mean_domain=mean_domain,
         canonical_domain=canonical_domain,
-        carrier_log_density=carrier,
         mean_map=mean_map,
         cov_map=cov_map,
         beta_map=beta_map,
-        sampler=sampler,
-        support=SupportSpec("real-vector", axes=n),
         element_ndim=1,
         law=law,
     )

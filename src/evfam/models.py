@@ -11,7 +11,8 @@ with m = Phi^{-1}(beta + Phi(m')), and D(P_m || P_m') follows from duality.
 Every closed form in the catalog (Poisson, gamma, negative binomial, the
 ABM class V(m) = m (1 + m/s)^r, Tweedie powers V(m) = a m^g with g >= 1,
 inverse Gaussian) is an instance of this one mechanism, which keeps the
-algebra in a single place.
+algebra in a single place.  A family with a named observation law declares
+only that law (``ExpFamilyDescriptor.law``), never its density or sampler.
 
 Pairings bundle a null family with a tilted alternative family anchored at
 the alternative's sufficient-statistic mean.  The simple e-value of a
@@ -21,16 +22,16 @@ members sharing that mean.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, gammaln, logit, xlog1py, xlogy
+from scipy.special import expit, logit
 
 from .domains import DomainDescriptor, box_domain, full_space, positive_orthant
 from .errors import ConvergenceError, DomainError, UnsupportedModelError
-from .families import ExpFamilyDescriptor, SupportSpec, family_from_root_cumulant
+from .families import ExpFamilyDescriptor, family_from_root_cumulant
 from .tilt import TiltedFamily
 from .util import matvec, rowdot
 
@@ -57,42 +58,6 @@ __all__ = [
     "ig_divergence_threshold",
     "ig_regime",
 ]
-
-
-# ---------------------------------------------------------------------------
-# density building blocks (vectorized, used as family carriers)
-
-def _pois_logpmf(y, mean):
-    y = np.asarray(y, dtype=float)
-    return xlogy(y, mean) - mean - gammaln(y + 1.0)
-
-
-def _bern_logpmf(y, p):
-    y = np.asarray(y, dtype=float)
-    return xlogy(y, p) + xlog1py(1.0 - y, -p)
-
-
-def _norm_logpdf(y, mean, var):
-    y = np.asarray(y, dtype=float)
-    return -0.5 * ((y - mean) ** 2 / var + np.log(2.0 * np.pi * var))
-
-
-def _gamma_logpdf(y, shape, mean):
-    y = np.asarray(y, dtype=float)
-    scale = mean / shape
-    return xlogy(shape - 1.0, y) - y / scale - gammaln(shape) - shape * np.log(scale)
-
-
-def _negbinom_logpmf(y, n, mean):
-    y = np.asarray(y, dtype=float)
-    q = mean / (n + mean)
-    return gammaln(y + n) - gammaln(n) - gammaln(y + 1.0) + n * np.log1p(-q) + xlogy(y, q)
-
-
-def _invgauss_logpdf(y, mean, lam):
-    y = np.asarray(y, dtype=float)
-    return 0.5 * (np.log(lam) - np.log(2.0 * np.pi) - 3.0 * np.log(y)) \
-        - lam * (y - mean) ** 2 / (2.0 * mean ** 2 * y)
 
 
 def _scalar_stat(u: np.ndarray) -> np.ndarray:
@@ -231,9 +196,6 @@ def _nef_from_potentials(
     mean_domain: DomainDescriptor,
     phi_inv: Callable[[np.ndarray], np.ndarray] | None = None,
     suff_stat: Callable | None = None,
-    carrier: Callable | None = None,
-    sampler: Callable | None = None,
-    support: SupportSpec | None = None,
     element_ndim: int = 0,
     log_partition_closed: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
     law: Callable[[np.ndarray], tuple] | None = None,
@@ -303,12 +265,9 @@ def _nef_from_potentials(
         log_partition=log_partition,
         mean_domain=mean_domain,
         canonical_domain=canonical_domain,
-        carrier_log_density=carrier,
         mean_map=mean_map,
         cov_map=cov_map,
         beta_map=beta_map,
-        sampler=sampler,
-        support=support,
         element_ndim=element_ndim,
         law=law,
     )
@@ -331,9 +290,7 @@ def poisson_family() -> ExpFamilyDescriptor:
         "poisson",
         **_POISSON_POTENTIALS,
         mean_domain=positive_orthant(1),
-        carrier=lambda u, anchor: _pois_logpmf(u, anchor[0]),
-        sampler=lambda mean, n, rng: rng.poisson(mean[0], n).astype(float),
-        support=SupportSpec("countable-vector", axes=1),
+        law=lambda mean: ("poisson", mean),
     )
 
 
@@ -349,9 +306,7 @@ def gamma_family(shape: float) -> ExpFamilyDescriptor:
         psi=lambda m: shape * np.log(m),
         phi_sup=0.0,
         mean_domain=positive_orthant(1),
-        carrier=lambda u, anchor: _gamma_logpdf(u, shape, anchor[0]),
-        sampler=lambda mean, n, rng: rng.gamma(shape, mean[0] / shape, n),
-        support=SupportSpec("positive-scalar"),
+        law=lambda mean: ("gamma", shape, mean[0]),
     )
 
 
@@ -368,9 +323,7 @@ def negbinom_family(successes: float) -> ExpFamilyDescriptor:
         psi=lambda m: n * np.log(n + m),
         phi_sup=0.0,
         mean_domain=positive_orthant(1),
-        carrier=lambda u, anchor: _negbinom_logpmf(u, n, anchor[0]),
-        sampler=lambda mean, n_draws, rng: rng.negative_binomial(n, n / (n + mean[0]), n_draws).astype(float),
-        support=SupportSpec("countable-vector", axes=1),
+        law=lambda mean: ("negbinom", n, mean[0]),
     )
 
 
@@ -378,7 +331,7 @@ def abm_family(s: float, r: int) -> ExpFamilyDescriptor:
     """The class V(m) = m (1 + m/s)^r for integer r >= 0.
 
     r = 0 is Poisson and r = 1 the negative binomial with successes s; those
-    instances keep their densities and samplers.  For r >= 2 the family is
+    instances keep their observation laws.  For r >= 2 the family is
     density-free here: canonical maps, log-partitions and divergences all
     come from the potentials, which is what the condition battery needs.
 
@@ -407,12 +360,6 @@ def abm_family(s: float, r: int) -> ExpFamilyDescriptor:
 
     phi_inv = (lambda x: s * np.exp(x) / (1.0 - np.exp(x))) if r == 1 else None
 
-    carrier = sampler = support = None
-    if r == 1:
-        carrier = lambda u, anchor: _negbinom_logpmf(u, s, anchor[0])
-        sampler = lambda mean, n_draws, rng: rng.negative_binomial(s, s / (s + mean[0]), n_draws).astype(float)
-        support = SupportSpec("countable-vector", axes=1)
-
     return _nef_from_potentials(
         f"abm(s={s:g},r={r})",
         variance=lambda m: m * (1.0 + m / s) ** r,
@@ -421,9 +368,7 @@ def abm_family(s: float, r: int) -> ExpFamilyDescriptor:
         psi=psi,
         phi_sup=0.0,
         mean_domain=positive_orthant(1),
-        carrier=carrier,
-        sampler=sampler,
-        support=support,
+        law=(lambda mean: ("negbinom", s, mean[0])) if r == 1 else None,
     )
 
 
@@ -485,9 +430,7 @@ def inverse_gaussian_family(lam: float) -> ExpFamilyDescriptor:
         psi=lambda m: -lam / m,
         phi_sup=0.0,
         mean_domain=positive_orthant(1),
-        carrier=lambda u, anchor: _invgauss_logpdf(u, anchor[0], lam),
-        sampler=lambda mean, n, rng: rng.wald(mean[0], lam, n),
-        support=SupportSpec("positive-scalar"),
+        law=lambda mean: ("inverse-gaussian", mean[0], lam),
     )
 
 
@@ -504,34 +447,16 @@ def _solve_each(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(matrix, rhs[..., None])[..., 0]
 
 
-def _cholesky(cov: np.ndarray, label: str) -> np.ndarray:
-    """Lower Cholesky factor of the covariance argument ``label``; it must be positive definite."""
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise DomainError(
-            f"bad covariance {label}: {cov.tolist()} is not positive definite") from None
-
-
-def _location_family(name: str, u_cov: np.ndarray, chol: np.ndarray, stat_cov: np.ndarray,
+def _location_family(name: str, u_cov: np.ndarray, stat_cov: np.ndarray,
                      suff_stat: Callable[[np.ndarray], np.ndarray],
                      u_mean_of: Callable[[np.ndarray], np.ndarray]) -> ExpFamilyDescriptor:
-    """Normal observations U with covariance ``u_cov`` and a linear statistic.
+    """Normal observations U with positive definite covariance ``u_cov`` and a linear statistic.
 
-    ``chol`` is the lower Cholesky factor of ``u_cov``.  The statistic has
-    covariance ``stat_cov`` whatever the mean, and the member whose
-    statistic mean is ``anchor`` is N(``u_mean_of(anchor)``, ``u_cov``).
+    The statistic has covariance ``stat_cov`` whatever the mean, and the
+    member whose statistic mean is ``anchor`` is N(``u_mean_of(anchor)``,
+    ``u_cov``).
     """
-    d, dim = u_cov.shape[0], stat_cov.shape[0]
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-
-    def carrier(u: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-        resid = np.linalg.solve(chol, (np.asarray(u, dtype=float) - u_mean_of(anchor)).T)
-        return -0.5 * (np.sum(resid ** 2, axis=0) + d * np.log(2.0 * np.pi) + logdet)
-
-    def sampler(mean: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-        return u_mean_of(mean) + rng.standard_normal((n, d)) @ chol.T
-
+    dim = stat_cov.shape[0]
     return ExpFamilyDescriptor(
         name=name,
         dim=dim,
@@ -539,23 +464,25 @@ def _location_family(name: str, u_cov: np.ndarray, chol: np.ndarray, stat_cov: n
         log_partition=lambda beta, anchor: _gaussian_logz(beta, anchor, stat_cov),
         mean_domain=full_space(dim),
         canonical_domain=lambda anchor: full_space(dim),
-        carrier_log_density=carrier,
         mean_map=lambda beta, anchor: anchor + matvec(stat_cov, beta),
         cov_map=lambda beta, anchor: stat_cov,
         beta_map=lambda mu, anchor: _solve_each(stat_cov, mu - anchor),
-        sampler=sampler,
-        support=SupportSpec("real-vector", axes=d),
         element_ndim=1,
         law=lambda anchor: ("normal", u_mean_of(anchor), u_cov),
     )
 
 
-def _symmetric(cov) -> np.ndarray:
-    """The covariance argument as a float matrix; it must be square and symmetric."""
+def _covariance(cov, label: str) -> np.ndarray:
+    """``cov`` as a float matrix; it must be symmetric positive definite (``label`` names it)."""
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     d = cov.shape[0]
     if cov.shape != (d, d) or not np.allclose(cov, cov.T):
         raise UnsupportedModelError("location family needs a symmetric covariance")
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise DomainError(
+            f"bad covariance {label}: {cov.tolist()} is not positive definite") from None
     return cov
 
 
@@ -565,9 +492,9 @@ def gaussian_location_family(cov, label: str = "cov") -> ExpFamilyDescriptor:
     ``label`` names the covariance in the error raised when it is not
     positive definite.
     """
-    cov = _symmetric(cov)
+    cov = _covariance(cov, label)
     d = cov.shape[0]
-    return _location_family(f"gaussian-location(d={d})", cov, _cholesky(cov, label), cov,
+    return _location_family(f"gaussian-location(d={d})", cov, cov,
                             lambda u: np.asarray(u, dtype=float).reshape(-1, d),
                             lambda anchor: anchor)
 
@@ -588,20 +515,12 @@ def gaussian_scale_family() -> ExpFamilyDescriptor:
         phi_sup=0.0,
         mean_domain=positive_orthant(1),
         suff_stat=lambda u: np.asarray(u, dtype=float).reshape(-1, 1) ** 2,
-        carrier=lambda u, anchor: _norm_logpdf(u, 0.0, anchor[0]),
-        sampler=lambda mean, n, rng: rng.normal(0.0, math.sqrt(mean[0]), n),
-        support=SupportSpec("real-scalar"),
-        law=lambda mean: ("normal", np.zeros(1), np.reshape(mean, (1, 1))),
+        law=lambda mean: ("normal", np.zeros(1), mean[0]),
     )
 
 
 # ---------------------------------------------------------------------------
 # k-sample null families (iid arms, statistic = sum of arms)
-
-def _binary_points(k: int) -> np.ndarray:
-    """The 2^k points of {0, 1}^k, one per row."""
-    return np.indices((2,) * k).reshape(k, -1).T.astype(float)
-
 
 def _arm_family(name: str, kind: str, k: int, sigma2: float,
                 arms_at: Callable[[np.ndarray], np.ndarray]) -> ExpFamilyDescriptor:
@@ -617,11 +536,8 @@ def _arm_family(name: str, kind: str, k: int, sigma2: float,
             **_POISSON_POTENTIALS,
             mean_domain=positive_orthant(1),
             suff_stat=_sum_stat,
-            carrier=lambda u, anchor: _pois_logpmf(u, arms_at(anchor[0])).sum(axis=1),
-            sampler=lambda mean, n, rng: rng.poisson(arms_at(mean[0]), (n, k)).astype(float),
-            support=SupportSpec("countable-vector", axes=k),
             element_ndim=1,
-            law=lambda mean: ("poisson", arms_at(mean[0])),
+            law=lambda mean: ("poisson", np.broadcast_to(arms_at(mean[0]), (k,))),
         )
     if sigma2 <= 0:
         raise UnsupportedModelError("gaussian k-sample needs sigma2 > 0")
@@ -634,11 +550,8 @@ def _arm_family(name: str, kind: str, k: int, sigma2: float,
         phi_sup=float("inf"),
         mean_domain=full_space(1),
         suff_stat=_sum_stat,
-        carrier=lambda u, anchor: _norm_logpdf(u, arms_at(anchor[0]), sigma2).sum(axis=1),
-        sampler=lambda mean, n, rng: rng.normal(arms_at(mean[0]), math.sqrt(sigma2), (n, k)),
-        support=SupportSpec("real-vector", axes=k),
         element_ndim=1,
-        law=lambda mean: ("normal", np.broadcast_to(arms_at(mean[0]), (k,)), sigma2 * np.eye(k)),
+        law=lambda mean: ("normal", np.broadcast_to(arms_at(mean[0]), (k,)), sigma2),  # sigma2 I
     )
 
 
@@ -663,9 +576,6 @@ def ksample_null_family(kind: str, k: int, sigma2: float = 1.0) -> ExpFamilyDesc
             phi_sup=float("inf"),
             mean_domain=box_domain([0.0], [float(k)]),
             suff_stat=_sum_stat,
-            carrier=lambda u, anchor: _bern_logpmf(u, anchor[0] / k).sum(axis=1),
-            sampler=lambda mean, n, rng: (rng.random((n, k)) < mean[0] / k).astype(float),
-            support=SupportSpec("finite", axes=k, points=lambda: _binary_points(k)),
             element_ndim=1,
             # the potential route cancels in k - m near the upper boundary
             log_partition_closed=lambda beta, m: k * np.log1p(m / k * np.expm1(beta)),
@@ -761,6 +671,10 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
             gamma = _brentq_rows(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=100)
             return gamma.reshape(target.shape + (1,))
 
+        @lru_cache(maxsize=None)  # the law is read once per carrier or sampler call
+        def gamma_at(total: float) -> float:
+            return float(root_gamma(np.array([total]))[0])
+
         def root_cumulant(beta: np.ndarray) -> np.ndarray:
             return np.sum(np.log1p(alt_means * np.expm1(beta[..., 0, None])), axis=-1)
 
@@ -771,13 +685,6 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
             w = arm_means_at(beta[..., 0])
             return np.sum(w * (1.0 - w), axis=-1)[..., None, None]
 
-        def root_carrier(u: np.ndarray) -> np.ndarray:
-            return _bern_logpmf(u, alt_means).sum(axis=1)
-
-        def sampler(mean: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-            w = arm_means_at(float(root_gamma(mean)[0]))
-            return (rng.random((n, k)) < w).astype(float)
-
         family = family_from_root_cumulant(
             f"bernoulli-{k}sample-alt",
             dim=1,
@@ -786,14 +693,11 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
             root_cumulant=root_cumulant,
             root_domain=full_space(1),
             mean_domain=box_domain([0.0], [float(k)]),
-            root_carrier_log_density=root_carrier,
             root_mean=root_mean,
             root_cov=root_cov,
             root_beta=root_gamma,
-            sampler=sampler,
-            support=SupportSpec("finite", axes=k, points=lambda: _binary_points(k)),
             element_ndim=1,
-            law=lambda mean: ("bernoulli", arm_means_at(root_gamma(mean)[0])),
+            law=lambda mean: ("bernoulli", arm_means_at(gamma_at(float(mean[0])))),
         )
 
     params = {"kind": kind, "k": k, "alt_means": alt_means.tolist()}
@@ -830,12 +734,11 @@ def gaussian_location_constrained(cov, d0: int, alt_mean) -> Pairing:
     difference vanishes identically: the simple e-value exists and, when the
     alternative also has zero constrained block, equals one.
     """
-    cov = _symmetric(cov)
+    cov = _covariance(cov, "cov")
     d = cov.shape[0]
     if not 0 < d0 < d:
         raise UnsupportedModelError("constrained location pairing needs 0 < d0 < dim")
     alt_mean = np.asarray(alt_mean, dtype=float).reshape(d)
-    chol = _cholesky(cov, "cov")
     free = slice(d0, d)
     prec = np.linalg.inv(cov)
     a_rows = prec[free, :]
@@ -849,10 +752,10 @@ def gaussian_location_constrained(cov, d0: int, alt_mean) -> Pairing:
 
     # null members have U-mean (0, nu) with T-mean C nu; alternative members
     # shift alt_mean inside the free coordinates only (Sigma A^T = embedding).
-    null = _location_family(f"gaussian-constrained-null{tag}", cov, chol, stat_cov, stat,
+    null = _location_family(f"gaussian-constrained-null{tag}", cov, stat_cov, stat,
                             lambda t_mean: embed @ np.linalg.solve(stat_cov, t_mean))
     mu_star = a_rows @ alt_mean
-    family = _location_family(f"gaussian-constrained-alt{tag}", cov, chol, stat_cov, stat,
+    family = _location_family(f"gaussian-constrained-alt{tag}", cov, stat_cov, stat,
                               lambda t_mean: alt_mean + embed @ np.linalg.solve(stat_cov, t_mean - mu_star))
 
     return _member_pairing(
@@ -895,21 +798,9 @@ def gaussian_scale_pairing(m: float, s2: float) -> Pairing:
         t = (1.0 + np.sqrt(1.0 + 16.0 * target * cm2)) / (4.0 * target)
         return (c - t)[..., None]
 
-    def root_carrier(u: np.ndarray) -> np.ndarray:
-        return _norm_logpdf(u, m, s2)
-
-    def member(mean: np.ndarray) -> tuple[float, float]:
-        """Location and variance of the member with second-moment mean ``mean``."""
-        t = c - float(root_beta(mean)[0])
-        return c * m / t, 0.5 / t
-
-    def sampler(mean: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-        loc, var = member(mean)
-        return rng.normal(loc, math.sqrt(var), n)
-
     def law(mean: np.ndarray) -> tuple:
-        loc, var = member(mean)
-        return "normal", np.array([loc]), np.array([[var]])
+        t = c - float(root_beta(mean)[0])
+        return "normal", np.array([c * m / t]), 0.5 / t
 
     family = family_from_root_cumulant(
         f"gaussian-scale-alt(m={m:g},s2={s2:g})",
@@ -919,12 +810,9 @@ def gaussian_scale_pairing(m: float, s2: float) -> Pairing:
         root_cumulant=root_cumulant,
         root_domain=box_domain([-np.inf], [c]),
         mean_domain=positive_orthant(1),
-        root_carrier_log_density=root_carrier,
         root_mean=root_mean,
         root_cov=root_cov,
         root_beta=root_beta,
-        sampler=sampler,
-        support=SupportSpec("real-scalar"),
         law=law,
     )
     return _member_pairing("gaussian-scale", null, family, mu_star, params={"m": m, "s2": s2})

@@ -14,6 +14,7 @@ block size, not with the number of paths.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +176,10 @@ def simulate_two_sample(arm_means, rounds: int = 500, n_paths: int = 1000,
         raise DataError("arm means must lie strictly inside (0, 1)")
     if tail_window <= 0 or tail_window > rounds:
         raise DataError("tail window must lie in 1..rounds")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise DomainError(f"seed {seed!r} must be an integer") from None
     if not 0 <= seed < 2 ** 64:
         raise DomainError(f"seed {seed} must lie in 0..2**64-1, the range of a Philox key word")
     a1, b1, a2, b2 = (float(v) for v in prior)

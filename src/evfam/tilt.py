@@ -179,11 +179,6 @@ def build_tilted_family(
             f"carrier mean has shape {mu_star.shape}, statistic is {null.dim}-dimensional")
 
     if carrier.mgf_log is not None:
-        root_carrier = None
-        if carrier.log_density is not None:
-            log_density = carrier.log_density
-            def root_carrier(u: np.ndarray) -> np.ndarray:
-                return np.asarray(log_density(u), dtype=float)
         family = family_from_root_cumulant(
             f"tilt[{carrier.name}]",
             dim=null.dim,
@@ -192,8 +187,7 @@ def build_tilted_family(
             root_cumulant=pointwise(carrier.mgf_log),
             root_domain=_discover_box(carrier.mgf_log, null.dim),
             mean_domain=null.mean_domain,
-            root_carrier_log_density=root_carrier,
-            support=null.support,
+            root_carrier_log_density=carrier.log_density,
             element_ndim=null.element_ndim,
         )
         return TiltedFamily(family=family, mu_star=mu_star)
@@ -259,7 +253,6 @@ def build_tilted_family(
             mean_domain=box_domain(lo + 1e-9 * span, hi - 1e-9 * span),
             root_mean=empirical_mean,
             root_cov=empirical_cov,
-            support=null.support,
             element_ndim=null.element_ndim,
             stochastic=True,
         )

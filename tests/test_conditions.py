@@ -315,9 +315,12 @@ def test_growth_rate_quadrature_matches_monte_carlo():
 
 
 def _without_laws(pair: Pairing) -> Pairing:
-    family = dataclasses.replace(pair.tilted.family, law=None)
-    return dataclasses.replace(pair, null=dataclasses.replace(pair.null, law=None),
-                               tilted=dataclasses.replace(pair.tilted, family=family))
+    """The pairing with its laws dropped; each family keeps the carrier, sampler and support they gave."""
+    def strip(fam):
+        return dataclasses.replace(fam, law=None, support=fam.support_at(pair.tilted.mu_star))
+
+    return dataclasses.replace(pair, null=strip(pair.null),
+                               tilted=dataclasses.replace(pair.tilted, family=strip(pair.tilted.family)))
 
 
 # families that declare no law take the support's route: enumeration on finite

@@ -14,6 +14,8 @@ from evfam.figures import (
     scale_tilt_trajectories,
     write_figure_csv,
 )
+from evfam.models import ig_vs_exp_pairing
+from evfam.oracles import expect_quadrature
 
 
 def test_scale_trajectories_anchor_and_projection():
@@ -110,3 +112,29 @@ def test_csv_writer_is_deterministic(tmp_path):
     for row, line in zip(rows, lines[header_idx + 1:]):
         cells = line.split(",")
         assert float(cells[2]) == row[2] and float(cells[3]) == row[3]
+
+
+def _quadrature_expectation(lam, mu, mu_prime):
+    """E_{P_mu'}[q_mu / p_mu] by adaptive quadrature of the fused integrand."""
+    pairing = ig_vs_exp_pairing(lam, mu)
+    null, alt, anchor = pairing.null, pairing.tilted.family, np.array([mu])
+
+    def weighted(u):
+        logs = (null.carrier_log_density(u, np.array([mu_prime]))
+                + alt.carrier_log_density(u, anchor) - null.carrier_log_density(u, anchor))
+        with np.errstate(over="ignore"):
+            return np.exp(logs)
+
+    return expect_quadrature(weighted, np.ones_like, "positive-line", center=mu_prime, scale=mu_prime)
+
+
+# the closed form against the independent quadrature route, on both sides of
+# the mu = 1.5 threshold (4.5) and in the all-finite regime
+@pytest.mark.parametrize("mu, grid_range", [(0.8, (0.2, 7.0)), (1.5, (0.5, 6.0))])
+def test_ig_curve_points_match_quadrature(mu, grid_range):
+    rows, _ = ig_expectation_curves(lam=2.0, mus=(mu,), grid_range=grid_range, n_points=5)
+    for _, _, mu_prime, y, flag in rows:
+        est = _quadrature_expectation(2.0, mu, mu_prime)
+        assert flag == ("diverged" if est.diverged else "finite")
+        if flag == "finite":
+            assert y == pytest.approx(est.value, rel=1e-10)

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evfam.errors import DataError
+from evfam.errors import DataError, DomainError
 from evfam.sequential import (
     BetaPluginEProcess,
     EProcessState,
@@ -203,3 +203,18 @@ def test_simulation_validates_arguments():
     with pytest.raises(DataError):
         simulate_two_sample(arm_means=(0.4, 0.5), rounds=10, n_paths=2,
                             tail_window=11)
+
+
+# a float seed was cast into the Philox key: 1.5 ran seed 1 and reported 1.5
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+def test_non_integer_seed_is_refused(seed):
+    with pytest.raises(DomainError, match="seed .* must be an integer"):
+        simulate_two_sample((0.3, 0.6), rounds=20, n_paths=5, seed=seed, tail_window=5)
+
+
+def test_numpy_integer_seed_runs_that_seed():
+    kwargs = dict(arm_means=(0.3, 0.6), rounds=20, n_paths=5, tail_window=5)
+    res = simulate_two_sample(seed=np.int64(3), **kwargs)
+    assert res.seed == 3 and type(res.seed) is int
+    np.testing.assert_array_equal(res.final_log_values,
+                                  simulate_two_sample(seed=3, **kwargs).final_log_values)
