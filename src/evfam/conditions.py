@@ -25,7 +25,8 @@ Carlo log-partitions, which never produce hard verdicts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Mapping
 
 import numpy as np
@@ -41,7 +42,7 @@ from .families import (
     log_partition_at,
 )
 from .tilt import TiltedFamily, f_gap_info
-from .util import as_batch, float_or_array, rowdot
+from .util import TOL_PSD, as_batch, float_or_array, psd_margin, rowdot
 
 __all__ = [
     "GridSpec",
@@ -65,8 +66,10 @@ __all__ = [
 ]
 
 TOL_SCALAR = 1e-9
-TOL_PSD = 1e-9
 REPORT_VERSION = 2
+MAX_GRID_POINTS = 4096
+LOG_AXIS_RANGE = (1e-4, 1e4)
+FREE_AXIS_RANGE = (-8.0, 8.0)
 
 CERTIFIED = "simple-evariable-certified"
 REFUTED = "refuted"
@@ -95,19 +98,16 @@ class GridSpec:
     """Deterministic evaluation grids for the battery.
 
     Mean grids default to 64 points per axis in one dimension and 8 per
-    axis above (capped at ``max_points`` total); positive axes are
-    log-spaced and clipped to ``clip``, bounded axes uniform in the
-    interior, unbounded axes linear on ``default_range``.  Mean pairs come
-    from a seeded Halton sequence over the same ranges.
+    axis above (capped at MAX_GRID_POINTS total); positive axes are
+    log-spaced on LOG_AXIS_RANGE, bounded axes uniform in the interior,
+    unbounded axes linear on FREE_AXIS_RANGE.  Mean pairs come from a
+    Halton sequence seeded by ``seed`` over the same ranges.
     """
 
     points_per_axis: int | None = None
     axis_ranges: tuple[tuple[float, float], ...] | None = None
     n_pairs: int = 512
     seed: int = 0
-    clip: tuple[float, float] = (1e-4, 1e4)
-    default_range: tuple[float, float] = (-8.0, 8.0)
-    max_points: int = 4096
 
 
 def _axis_specs(domain: DomainDescriptor, spec: GridSpec) -> list[tuple[float, float, bool]]:
@@ -122,18 +122,12 @@ def _axis_specs(domain: DomainDescriptor, spec: GridSpec) -> list[tuple[float, f
             pad = (hi - lo) * 1e-3
             specs.append((lo + pad, hi - pad, False))
         elif np.isfinite(lo):
-            specs.append((max(lo, 0.0) + spec.clip[0], spec.clip[1], True))
+            specs.append((max(lo, 0.0) + LOG_AXIS_RANGE[0], LOG_AXIS_RANGE[1], True))
         elif np.isfinite(hi):
-            specs.append((hi - spec.clip[1], hi - spec.clip[0], False))
+            specs.append((hi - LOG_AXIS_RANGE[1], hi - LOG_AXIS_RANGE[0], False))
         else:
-            specs.append((spec.default_range[0], spec.default_range[1], False))
+            specs.append((*FREE_AXIS_RANGE, False))
     return specs
-
-
-def _axis_points(lo: float, hi: float, log: bool, n: int) -> np.ndarray:
-    if log:
-        return np.geomspace(lo, hi, n)
-    return np.linspace(lo, hi, n)
 
 
 def mean_grid(domain: DomainDescriptor, spec: GridSpec | None = None,
@@ -141,9 +135,10 @@ def mean_grid(domain: DomainDescriptor, spec: GridSpec | None = None,
     """Cartesian mean grid inside the domain, optionally forcing a point in."""
     spec = spec or GridSpec()
     per_axis = spec.points_per_axis or (64 if domain.dim == 1 else 8)
-    while per_axis ** domain.dim > spec.max_points and per_axis > 2:
+    while per_axis ** domain.dim > MAX_GRID_POINTS and per_axis > 2:
         per_axis -= 1
-    axes = [_axis_points(lo, hi, log, per_axis) for lo, hi, log in _axis_specs(domain, spec)]
+    axes = [(np.geomspace if log else np.linspace)(lo, hi, per_axis)
+            for lo, hi, log in _axis_specs(domain, spec)]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.column_stack([m.ravel() for m in mesh])
     grid = grid[domain.contains(grid)]
@@ -191,6 +186,21 @@ class ItemVerdict:
     worst_location: list
     stochastic: bool = False
     note: str = ""
+
+
+def _ordering_verdict(null: ExpFamilyDescriptor, tilted: TiltedFamily, name: str, rule: str,
+                      values: np.ndarray, locations: np.ndarray, threshold: float,
+                      at_least: bool = False) -> ItemVerdict:
+    """Verdict of one ordering from its value at each of ``locations``.
+
+    The ordering holds where a value is at most ``threshold`` (at least, if
+    ``at_least``); the worst value is the first one furthest past that side.
+    """
+    idx = int(np.argmin(values) if at_least else np.argmax(values))
+    worst = float(values[idx])
+    passed = bool(worst >= threshold if at_least else worst <= threshold)
+    return ItemVerdict(name, passed, rule, len(values), worst, threshold, locations[idx].tolist(),
+                       null.stochastic or tilted.family.stochastic)
 
 
 @dataclass(frozen=True)
@@ -257,71 +267,35 @@ def check_preconditions(null: ExpFamilyDescriptor, tilted: TiltedFamily,
 
 
 def check_sigma_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
-                         grid: np.ndarray, tol: float = TOL_PSD) -> ItemVerdict:
+                         grid: np.ndarray) -> ItemVerdict:
     """Ordering 1: Sigma_p - Sigma_q positive semidefinite over the grid.
 
     The margin at each point is the smallest eigenvalue of the difference
-    relative to the spectral norm of Sigma_p.
+    relative to the spectral norm of Sigma_p (:func:`util.psd_margin`).
     """
-    alt = tilted.family
-    sp = covariance_at_mean(null, grid)
-    sq = covariance_at_mean(alt, grid)
-    scale = np.max(np.abs(np.linalg.eigvalsh(sp)), axis=-1)
-    margins = np.linalg.eigvalsh(sp - sq)[:, 0] / np.maximum(scale, np.finfo(float).tiny)
-    worst_idx = int(np.argmin(margins))
-    worst = float(margins[worst_idx])
-    return ItemVerdict(
-        name="covariance_ordering",
-        passed=bool(worst >= -tol),
-        rule="min eigenvalue of Sigma_p - Sigma_q, relative to ||Sigma_p||, >= -tol",
-        n_points=len(margins),
-        worst_value=worst,
-        threshold=-tol,
-        worst_location=grid[worst_idx].tolist(),
-        stochastic=null.stochastic or alt.stochastic,
-    )
+    eigs, scale = psd_margin(covariance_at_mean(null, grid), covariance_at_mean(tilted.family, grid))
+    return _ordering_verdict(null, tilted, "covariance_ordering",
+                             "min eigenvalue of Sigma_p - Sigma_q, relative to ||Sigma_p||, >= -tol",
+                             eigs[:, 0] / scale, grid, -TOL_PSD, at_least=True)
 
 
 def check_beta_pairing(null: ExpFamilyDescriptor, tilted: TiltedFamily,
-                       pairs: np.ndarray, tol: float = TOL_SCALAR) -> ItemVerdict:
+                       pairs: np.ndarray) -> ItemVerdict:
     """Ordering 2: (beta_p - beta_q) . (mu - mu') <= 0 over mean pairs."""
-    alt = tilted.family
     mu, mu_prime = pairs[:, 0], pairs[:, 1]
     bp = canonical_from_mean(null, mu, mu_prime)
-    bq = canonical_from_mean(alt, mu, mu_prime)
-    values = rowdot(bp - bq, mu - mu_prime)
-    worst_idx = int(np.argmax(values))
-    worst = float(values[worst_idx])
-    return ItemVerdict(
-        name="canonical_pairing",
-        passed=bool(worst <= tol),
-        rule="(beta_p - beta_q) . (mu - mu') <= tol",
-        n_points=len(values),
-        worst_value=worst,
-        threshold=tol,
-        worst_location=pairs[worst_idx].tolist(),
-        stochastic=null.stochastic or alt.stochastic,
-    )
+    bq = canonical_from_mean(tilted.family, mu, mu_prime)
+    return _ordering_verdict(null, tilted, "canonical_pairing", "(beta_p - beta_q) . (mu - mu') <= tol",
+                             rowdot(bp - bq, mu - mu_prime), pairs, TOL_SCALAR)
 
 
 def check_kl_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
-                      pairs: np.ndarray, tol: float = TOL_SCALAR) -> ItemVerdict:
+                      pairs: np.ndarray) -> ItemVerdict:
     """Ordering 3: D_p(mu || mu') - D_q(mu || mu') <= 0 over mean pairs."""
-    alt = tilted.family
     mu, mu_prime = pairs[:, 0], pairs[:, 1]
-    values = kl_between_means(null, mu, mu_prime) - kl_between_means(alt, mu, mu_prime)
-    worst_idx = int(np.argmax(values))
-    worst = float(values[worst_idx])
-    return ItemVerdict(
-        name="kl_ordering",
-        passed=bool(worst <= tol),
-        rule="D_p(mu || mu') - D_q(mu || mu') <= tol",
-        n_points=len(values),
-        worst_value=worst,
-        threshold=tol,
-        worst_location=pairs[worst_idx].tolist(),
-        stochastic=null.stochastic or alt.stochastic,
-    )
+    values = kl_between_means(null, mu, mu_prime) - kl_between_means(tilted.family, mu, mu_prime)
+    return _ordering_verdict(null, tilted, "kl_ordering", "D_p(mu || mu') - D_q(mu || mu') <= tol",
+                             values, pairs, TOL_SCALAR)
 
 
 def _probe_axis_values(box: DomainDescriptor, scales: np.ndarray) -> np.ndarray:
@@ -397,31 +371,24 @@ def _beta_probe_points(null: ExpFamilyDescriptor, mus: np.ndarray,
 
 
 def check_logz_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
-                        grid: np.ndarray, tol: float = TOL_SCALAR) -> ItemVerdict:
+                        grid: np.ndarray) -> ItemVerdict:
     """Ordering 4: logZ_p >= logZ_q on the null's canonical domain.
 
     At each grid mean, canonical probes cover near-boundary and tilt-scale
     points of B_p(mu).  A probe where logZ_q is infinite while logZ_p is
     finite violates the containment this ordering presumes and is reported
     as a +inf gap; probes past the null's own finite range are skipped.
+    Locations are [grid mean, probe] pairs; with no probe counted it holds at -inf.
     """
     owner, probes = _beta_probe_points(null, grid)
     gaps, which = f_gap_info(null, tilted, probes, grid[owner])
     counted = (which != "null") & (which != "both")
-    worst, worst_loc = -np.inf, []
-    if np.any(counted):
-        idx = np.flatnonzero(counted)[int(np.argmax(gaps[counted]))]
-        worst, worst_loc = gaps[idx], [grid[owner[idx]].tolist(), probes[idx].tolist()]
-    return ItemVerdict(
-        name="log_partition_ordering",
-        passed=bool(worst <= tol),
-        rule="logZ_q(beta; mu) - logZ_p(beta; mu) <= tol on B_p(mu)",
-        n_points=int(np.count_nonzero(counted)),
-        worst_value=float(worst),
-        threshold=tol,
-        worst_location=worst_loc,
-        stochastic=null.stochastic or tilted.family.stochastic,
-    )
+    rule = "logZ_q(beta; mu) - logZ_p(beta; mu) <= tol on B_p(mu)"
+    if not np.any(counted):
+        return ItemVerdict("log_partition_ordering", True, rule, 0, -np.inf, TOL_SCALAR, [],
+                           null.stochastic or tilted.family.stochastic)
+    return _ordering_verdict(null, tilted, "log_partition_ordering", rule, gaps[counted],
+                             np.stack([grid[owner], probes], axis=1)[counted], TOL_SCALAR)
 
 
 @dataclass(frozen=True)
@@ -437,8 +404,7 @@ class ShortcutReport:
 
 
 def onedim_shortcut(null: ExpFamilyDescriptor, tilted: TiltedFamily,
-                    grid: np.ndarray | None = None, spec: GridSpec | None = None,
-                    tol: float = TOL_PSD) -> ShortcutReport:
+                    grid: np.ndarray | None = None, spec: GridSpec | None = None) -> ShortcutReport:
     """Scalar-family shortcut to the full battery.
 
     When sigma_p^2 >= sigma_q^2 on the alternative's mean space and either
@@ -450,11 +416,8 @@ def onedim_shortcut(null: ExpFamilyDescriptor, tilted: TiltedFamily,
         raise UnsupportedModelError("the one-dimensional shortcut needs scalar families")
     if grid is None:
         grid = mean_grid(alt.mean_domain, spec, include=tilted.mu_star)
-    sp = covariance_at_mean(null, grid)[:, 0, 0]
-    sq = covariance_at_mean(alt, grid)[:, 0, 0]
-    margins = (sp - sq) / np.maximum(np.abs(sp), np.finfo(float).tiny)
-    worst = float(np.min(margins))
-    variance_ok = bool(worst >= -tol)
+    # 1 x 1 eigenvalues are the entries: the margins are (sp - sq) / |sp|
+    variance = check_sigma_ordering(null, tilted, grid)
 
     means_equal = null.mean_domain.is_box_like() and alt.mean_domain.is_box_like() \
         and _box_subset(null.mean_domain, alt.mean_domain) \
@@ -465,12 +428,12 @@ def onedim_shortcut(null: ExpFamilyDescriptor, tilted: TiltedFamily,
         canon_equal = bp.is_box_like() and bq.is_box_like() \
             and bool(np.all(_box_subset(bp, bq) & _box_subset(bq, bp)))
     return ShortcutReport(
-        applicable=bool(variance_ok and (means_equal or canon_equal)),
-        variance_ordering_ok=variance_ok,
+        applicable=bool(variance.passed and (means_equal or canon_equal)),
+        variance_ordering_ok=variance.passed,
         mean_domains_equal=bool(means_equal),
         canonical_domains_equal=bool(canon_equal),
-        worst_margin=worst,
-        n_points=len(margins),
+        worst_margin=variance.worst_value,
+        n_points=variance.n_points,
     )
 
 
@@ -490,60 +453,38 @@ class ConditionReport:
     stochastic: bool
 
     def to_dict(self) -> dict:
-        def scrub(value):
-            if isinstance(value, dict):
-                return {k: scrub(v) for k, v in value.items()}
-            if isinstance(value, (list, tuple)):
-                return [scrub(v) for v in value]
-            if isinstance(value, np.ndarray):
-                return scrub(value.tolist())
-            if isinstance(value, (np.floating, float)):
-                value = float(value)
-                return value if np.isfinite(value) else repr(value)
-            if isinstance(value, (np.integer,)):
-                return int(value)
-            if isinstance(value, (np.bool_,)):
-                return bool(value)
-            return value
+        """JSON-ready fields in declaration order; an item drops its name, which is its key."""
+        report = _scrub(self)
+        for item in report["items"].values():
+            del item["name"]
+        return {"report_version": REPORT_VERSION, **report}
 
-        items = {
-            key: {
-                "passed": bool(v.passed),
-                "rule": v.rule,
-                "n_points": v.n_points,
-                "worst_value": scrub(v.worst_value),
-                "threshold": scrub(v.threshold),
-                "worst_location": scrub(v.worst_location),
-                "stochastic": bool(v.stochastic),
-                "note": v.note,
-            }
-            for key, v in self.items.items()
-        }
-        return {
-            "report_version": REPORT_VERSION,
-            "model": self.model,
-            "params": scrub(self.params),
-            "preconditions": {
-                "mean_domain_convex": self.preconditions.mean_domain_convex,
-                "mq_subset_mp": self.preconditions.mq_subset_mp,
-                "bp_subset_bq": self.preconditions.bp_subset_bq,
-                "details": scrub(self.preconditions.details),
-            },
-            "items": items,
-            "overall": self.overall,
-            "reason": self.reason,
-            "grid_points": self.grid_points,
-            "pair_count": self.pair_count,
-            "tolerances": scrub(self.tolerances),
-            "stochastic": self.stochastic,
-        }
+
+def _scrub(value):
+    """Plain JSON values, as ``dataclasses.asdict`` gives them but without its deep copy."""
+    if isinstance(value, (str, int)):
+        return value
+    if isinstance(value, (np.floating, float)):
+        value = float(value)
+        return value if math.isfinite(value) else repr(value)
+    if isinstance(value, dict):
+        return {k: _scrub(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_scrub(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _scrub(value.tolist())
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if is_dataclass(value):
+        return {f.name: _scrub(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 def run_condition_battery(pairing, spec: GridSpec | None = None,
                           grid: np.ndarray | None = None,
-                          pairs: np.ndarray | None = None,
-                          tol_scalar: float = TOL_SCALAR,
-                          tol_psd: float = TOL_PSD) -> ConditionReport:
+                          pairs: np.ndarray | None = None) -> ConditionReport:
     """Run preconditions and all four orderings for a pairing.
 
     Verdict rules: any deterministic ordering failure refutes the
@@ -560,10 +501,10 @@ def run_condition_battery(pairing, spec: GridSpec | None = None,
         pairs = mean_pairs(alt.mean_domain, spec)
     pre = check_preconditions(null, tilted, grid)
     items = {
-        "covariance_ordering": check_sigma_ordering(null, tilted, grid, tol_psd),
-        "canonical_pairing": check_beta_pairing(null, tilted, pairs, tol_scalar),
-        "kl_ordering": check_kl_ordering(null, tilted, pairs, tol_scalar),
-        "log_partition_ordering": check_logz_ordering(null, tilted, grid, tol_scalar),
+        "covariance_ordering": check_sigma_ordering(null, tilted, grid),
+        "canonical_pairing": check_beta_pairing(null, tilted, pairs),
+        "kl_ordering": check_kl_ordering(null, tilted, pairs),
+        "log_partition_ordering": check_logz_ordering(null, tilted, grid),
     }
     stochastic = null.stochastic or alt.stochastic
     failed = [key for key, verdict in items.items() if not verdict.passed]
@@ -581,7 +522,7 @@ def run_condition_battery(pairing, spec: GridSpec | None = None,
         reason=reason,
         grid_points=int(grid.shape[0]),
         pair_count=int(pairs.shape[0]),
-        tolerances={"scalar": tol_scalar, "psd_relative": tol_psd},
+        tolerances={"scalar": TOL_SCALAR, "psd_relative": TOL_PSD},
         stochastic=stochastic,
     )
 
@@ -595,9 +536,8 @@ class PartitionReport:
 
 
 def partition_check(slices: Mapping[str, object],
-                              grids: Mapping[str, np.ndarray] | None = None,
-                              spec: GridSpec | None = None,
-                              tol_psd: float = TOL_PSD) -> PartitionReport:
+                    grids: Mapping[str, np.ndarray] | None = None,
+                    spec: GridSpec | None = None) -> PartitionReport:
     """Check each slice of a partitioned alternative separately.
 
     A simple e-value for the union alternative exists slice by slice; this
@@ -614,7 +554,7 @@ def partition_check(slices: Mapping[str, object],
             grid = mean_grid(pairing.tilted.family.mean_domain, spec,
                              include=pairing.tilted.mu_star)
         pre = check_preconditions(pairing.null, pairing.tilted, grid)
-        verdict = check_sigma_ordering(pairing.null, pairing.tilted, grid, tol_psd)
+        verdict = check_sigma_ordering(pairing.null, pairing.tilted, grid)
         results[label] = {"preconditions": pre, "covariance_ordering": verdict}
         verdicts.add(_verdict(verdict.stochastic, not verdict.passed, pre.all_passed))
     overall = min(verdicts, key=_VERDICT_RANK.index)
@@ -686,7 +626,8 @@ def growth_rate(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu,
     Otherwise it is exact summation on finite supports, a lattice sum on
     countable supports (at most 4e6 points, refused when it misses more than
     1e-10 of the alternative's mass), adaptive quadrature on scalar
-    continuous supports, and Monte Carlo with ``n_mc`` draws otherwise.
+    continuous supports (a ConvergenceError when it finds no finite value),
+    and Monte Carlo with ``n_mc`` draws otherwise.
     """
     from .oracles import expect_quadrature
 
@@ -738,8 +679,12 @@ def growth_rate(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu,
             return np.exp(lq) * (lq - lp)
 
         domain = "positive-line" if support.kind == "positive-scalar" else "real-line"
-        return expect_quadrature(np.ones_like, weighted_log_ratio, domain,
-                                 center=center, scale=scale).value
+        with np.errstate(all="ignore"):  # a NaN or inf integrand value is refused below
+            estimate = expect_quadrature(np.ones_like, weighted_log_ratio, domain,
+                                         center=center, scale=scale)
+        if estimate.diverged or not np.isfinite(estimate.value):
+            raise ConvergenceError(f"growth rate: quadrature found no finite value at mean {mu_vec.tolist()}")
+        return estimate.value
 
     if tilted.family.sampler is None:
         raise UnsupportedModelError("growth rate on vector supports needs a sampler")

@@ -104,9 +104,9 @@ class DomainDescriptor:
         return self.kind in ("box", "half-space-product")
 
 
-def box_domain(lower, upper, kind: str = "box", convex: bool = True) -> DomainDescriptor:
+def box_domain(lower, upper) -> DomainDescriptor:
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
-    return DomainDescriptor(kind, lower.shape[-1], lower, upper, convex=convex)
+    return DomainDescriptor("box", lower.shape[-1], lower, upper)
 
 
 def positive_orthant(dim: int = 1) -> DomainDescriptor:

@@ -39,7 +39,7 @@ from .domains import DomainDescriptor
 from .errors import DataError, DomainError
 from .families import ExpFamilyDescriptor, law_log_density
 from .models import Pairing, _member_pairing
-from .util import float_or_array as _scalar, matvec, rowdot
+from .util import TOL_PSD, float_or_array as _scalar, matvec, psd_margin, rowdot
 
 __all__ = [
     "LinearModelDesign",
@@ -314,7 +314,7 @@ class LinModelPsdReport:
 
 
 def linmodel_psd_check(design: LinearModelDesign, theta: float, mu,
-                       tol: float = 1e-9) -> LinModelPsdReport:
+                       tol: float = TOL_PSD) -> LinModelPsdReport:
     """Compare same-mean null and theta-family covariances at ``mu``.
 
     Verifies the difference by its eigenvalues and independently by the
@@ -323,19 +323,20 @@ def linmodel_psd_check(design: LinearModelDesign, theta: float, mu,
     mu = np.asarray(mu, dtype=float).reshape(design.d + 1)
     null_params = params_from_mean(design, 0.0, mu)
     alt_params = params_from_mean(design, theta, mu)
-    delta = covariance_of_params(design, null_params) - covariance_of_params(design, alt_params)
+    sigma_null = covariance_of_params(design, null_params)
+    sigma_alt = covariance_of_params(design, alt_params)
+    eigs, scale = psd_margin(sigma_null, sigma_alt)
+    delta = sigma_null - sigma_alt
     gap = null_params.sigma2 - alt_params.sigma2
-    eigs = np.linalg.eigvalsh(delta)
-    scale = float(np.max(np.abs(np.linalg.eigvalsh(covariance_of_params(design, null_params)))))
     if design.d == 0 or abs(gap) * float(np.max(np.abs(design.gram_ff))) < 1e-300:
         schur = float(delta[0, 0])
     else:
         schur = float(delta[0, 0] - delta[1:, 0] @ np.linalg.solve(delta[1:, 1:], delta[1:, 0]))
     return LinModelPsdReport(
-        passed=bool(eigs[0] >= -tol * scale),
+        passed=bool(eigs[0] / scale >= -tol),
         mu=mu,
         min_eigenvalue=float(eigs[0]),
-        threshold=-tol * scale,
+        threshold=-tol * float(scale),
         schur_margin=schur,
         variance_gap=gap,
         null_params=null_params,

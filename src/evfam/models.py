@@ -143,6 +143,11 @@ def _brentq_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
     raise ConvergenceError(f"Brent solve: {rows.size} roots not converged after {maxiter} iterations")
 
 
+def _require_positive(value: float, owner: str, name: str) -> None:
+    if not 0.0 < value < np.inf:
+        raise UnsupportedModelError(f"{owner} needs a finite {name} > 0, got {name}={value!r}")
+
+
 def _invert_potential(phi: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                       x: np.ndarray) -> np.ndarray:
     """Phi^{-1}(x) for an increasing Phi on the mean interval (lo, hi), lo finite.
@@ -296,8 +301,7 @@ def poisson_family() -> ExpFamilyDescriptor:
 
 def gamma_family(shape: float) -> ExpFamilyDescriptor:
     """Gamma with fixed shape; V(m) = m^2 / shape.  shape = 1 is exponential."""
-    if shape <= 0:
-        raise UnsupportedModelError("gamma family needs shape > 0")
+    _require_positive(shape, "gamma family", "shape")
     return _nef_from_potentials(
         f"gamma(shape={shape:g})",
         variance=lambda m: m * m / shape,
@@ -312,8 +316,7 @@ def gamma_family(shape: float) -> ExpFamilyDescriptor:
 
 def negbinom_family(successes: float) -> ExpFamilyDescriptor:
     """Negative binomial with fixed success count; V(m) = m + m^2 / successes."""
-    if successes <= 0:
-        raise UnsupportedModelError("negative binomial family needs successes > 0")
+    _require_positive(successes, "negative binomial family", "successes")
     n = float(successes)
     return _nef_from_potentials(
         f"negbinom(n={n:g})",
@@ -339,11 +342,12 @@ def abm_family(s: float, r: int) -> ExpFamilyDescriptor:
     t/V(t) = s^r / (s+t)^r, from which Phi and Psi below follow by direct
     integration.
     """
-    if s <= 0:
-        raise UnsupportedModelError("abm family needs s > 0")
+    _require_positive(s, "abm family", "s")
     if r < 0 or int(r) != r:
         raise UnsupportedModelError("abm family needs integer r >= 0")
     r = int(r)
+    if r >= 2 and r * np.log(s) >= np.log(np.finfo(float).max):  # Phi and Psi take s^1 .. s^r
+        raise UnsupportedModelError(f"abm family: s ** r overflows the float range for s={s!r}, r={r}")
     if r == 0:
         return poisson_family()
 
@@ -382,8 +386,7 @@ def tweedie_family(a: float, power: float) -> ExpFamilyDescriptor:
     power 3 (inverse Gaussian with lam = 1/a); other instances support the
     canonical maps and divergences but no density evaluation.
     """
-    if a <= 0:
-        raise UnsupportedModelError("tweedie family needs a > 0")
+    _require_positive(a, "tweedie family", "a")
     if power < 0:
         raise UnsupportedModelError(
             "tweedie variance power < 0: family is not regular, outside scope")
@@ -405,14 +408,12 @@ def tweedie_family(a: float, power: float) -> ExpFamilyDescriptor:
         phi = lambda m: m ** (1.0 - power) / (a * (1.0 - power))
         phi_inv = lambda x: ((1.0 - power) * a * x) ** (1.0 / (1.0 - power))
         phi_sup = 0.0
-    psi = (lambda m: np.log(m) / a) if power == 2 else (lambda m: m ** (2.0 - power) / (a * (2.0 - power)))
-
     return _nef_from_potentials(
         f"tweedie(a={a:g},power={power:g})",
         variance=lambda m: a * m ** power,
         phi=phi,
         phi_inv=phi_inv,
-        psi=psi,
+        psi=lambda m: m ** (2.0 - power) / (a * (2.0 - power)),
         phi_sup=phi_sup,
         mean_domain=positive_orthant(1),
     )
@@ -420,8 +421,7 @@ def tweedie_family(a: float, power: float) -> ExpFamilyDescriptor:
 
 def inverse_gaussian_family(lam: float) -> ExpFamilyDescriptor:
     """Inverse Gaussian with fixed shape lam; V(m) = m^3 / lam."""
-    if lam <= 0:
-        raise UnsupportedModelError("inverse Gaussian family needs lam > 0")
+    _require_positive(lam, "inverse Gaussian family", "lam")
     return _nef_from_potentials(
         f"invgauss(lam={lam:g})",
         variance=lambda m: m ** 3 / lam,
@@ -539,8 +539,7 @@ def _arm_family(name: str, kind: str, k: int, sigma2: float,
             element_ndim=1,
             law=lambda mean: ("poisson", np.broadcast_to(arms_at(mean[0]), (k,))),
         )
-    if sigma2 <= 0:
-        raise UnsupportedModelError("gaussian k-sample needs sigma2 > 0")
+    _require_positive(sigma2, "gaussian k-sample", "sigma2")
     return _nef_from_potentials(
         name,
         variance=lambda m: k * sigma2,
@@ -774,8 +773,7 @@ def gaussian_scale_pairing(m: float, s2: float) -> Pairing:
     t = c - beta.  The anchor mean is s2 + m^2 and the member at that anchor
     is the alternative itself.
     """
-    if s2 <= 0:
-        raise UnsupportedModelError("gaussian scale pairing needs s2 > 0")
+    _require_positive(s2, "gaussian scale pairing", "s2")
     null = gaussian_scale_family()
     c = 0.5 / s2
     cm2 = c * c * m * m
@@ -866,10 +864,10 @@ def tweedie_pair(null_ag: tuple[float, float], alt_ag: tuple[float, float], mu_s
 
 def ig_divergence_threshold(lam: float, mu: float) -> float:
     """Null mean above which E_{P_mu'}[q_mu / p_mu] is infinite; inf if never."""
-    rate = 1.0 / mu - lam / (2.0 * mu * mu)
-    if rate <= 0.0:
+    if 2.0 * mu <= lam:
         return float("inf")
-    return 1.0 / rate
+    # lam / (2 mu) / mu, not lam / (2 mu^2): the square underflows to 0 below mu ~ 1e-154
+    return 1.0 / (1.0 / mu - lam / (2.0 * mu) / mu)
 
 
 def ig_regime(lam: float, mu: float) -> str:
@@ -889,8 +887,8 @@ def ig_vs_exp_pairing(lam: float, mu: float) -> Pairing:
     the threshold null mean 1 / (1/mu - lam/(2 mu^2)); for mu > lam even the
     local check fails.
     """
-    if lam <= 0 or mu <= 0:
-        raise UnsupportedModelError("inverse-Gaussian-vs-exponential needs lam > 0 and mu > 0")
+    _require_positive(lam, "inverse-Gaussian-vs-exponential", "lam")
+    _require_positive(mu, "inverse-Gaussian-vs-exponential", "mu")
     return nef_pairing(
         gamma_family(1.0), inverse_gaussian_family(lam), mu,
         name="ig-vs-exp",

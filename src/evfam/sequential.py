@@ -182,7 +182,13 @@ def simulate_two_sample(arm_means, rounds: int = 500, n_paths: int = 1000,
         raise DomainError(f"seed {seed!r} must be an integer") from None
     if not 0 <= seed < 2 ** 64:
         raise DomainError(f"seed {seed} must lie in 0..2**64-1, the range of a Philox key word")
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha {alpha!r} must lie strictly inside (0, 1)")
+    if n_paths < 1:
+        raise DomainError(f"n_paths {n_paths!r} must be at least 1")
     a1, b1, a2, b2 = (float(v) for v in prior)
+    if not all(0.0 < v < np.inf for v in (a1, b1, a2, b2)):
+        raise DomainError(f"Beta prior {(a1, b1, a2, b2)!r} must be four finite values > 0")
     threshold = np.log(1.0 / alpha)
     # one row per arm of the (2, paths, rounds) block: a, and a + b + t in round t
     wins_prior = np.array([a1, a2])[:, None, None]

@@ -45,7 +45,7 @@ from .families import (
     log_partition_at,
     mean_from_canonical,
 )
-from .util import pointwise
+from .util import TOL_PSD, pointwise, psd_margin
 
 __all__ = [
     "CarrierAlternative",
@@ -58,7 +58,6 @@ __all__ = [
     "local_evar_check",
 ]
 
-PSD_REL_TOL = 1e-9
 MC_SAMPLES_DEFAULT = 200_000
 # rows x draws of one Monte Carlo weight pass: a chunk's log-weights, weights
 # and covariance residuals take a few times this many floats (times the
@@ -307,28 +306,25 @@ class LocalCheckReport:
     stochastic: bool
 
 
-def local_evar_check(null: ExpFamilyDescriptor, tilted: TiltedFamily, mu=None,
-                     tol: float = PSD_REL_TOL) -> LocalCheckReport:
+def local_evar_check(null: ExpFamilyDescriptor, tilted: TiltedFamily, mu=None) -> LocalCheckReport:
     """Check Sigma_p(mu) - Sigma_q(mu) >= 0, the local existence condition.
 
     The density ratio of the two members with mean ``mu`` is an e-variable
     in a neighborhood of the null member exactly when this difference is
     positive semidefinite; failure here rules the simple e-value out
-    everywhere.  ``mu`` defaults to the carrier anchor.
+    everywhere.  ``mu`` defaults to the carrier anchor; the rule is :func:`util.psd_margin`'s.
     """
     anchor = tilted.mu_star if mu is None else null.vec(mu)
     if not null.mean_domain.contains(anchor):
         raise DomainError(f"anchor {anchor} has no same-mean member in the null family")
     sigma_p = covariance_at_mean(null, anchor)
     sigma_q = covariance_at_mean(tilted.family, anchor)
-    eigs = np.linalg.eigvalsh(sigma_p - sigma_q)
-    scale = float(np.max(np.abs(np.linalg.eigvalsh(sigma_p))))
-    threshold = -tol * max(scale, np.finfo(float).tiny)
+    eigs, scale = psd_margin(sigma_p, sigma_q)
     return LocalCheckReport(
-        passed=bool(eigs[0] >= threshold),
+        passed=bool(eigs[0] / scale >= -TOL_PSD),
         anchor=anchor,
         min_eigenvalue=float(eigs[0]),
-        threshold=threshold,
+        threshold=-TOL_PSD * float(scale),
         eigenvalues=eigs,
         sigma_null=sigma_p,
         sigma_tilted=sigma_q,

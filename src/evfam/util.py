@@ -1,4 +1,4 @@
-"""Small shared helpers: batch shapes and row-by-row products."""
+"""Small shared helpers: batch shapes, row-by-row products and the covariance ordering."""
 
 from __future__ import annotations
 
@@ -6,7 +6,10 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["as_batch", "float_or_array", "pointwise", "rowdot", "matvec"]
+__all__ = ["as_batch", "float_or_array", "pointwise", "rowdot", "matvec", "psd_margin", "TOL_PSD"]
+
+# the covariance ordering's tolerance on the relative minimum eigenvalue (psd_margin)
+TOL_PSD = 1e-9
 
 
 def float_or_array(values):
@@ -52,3 +55,14 @@ def as_batch(u, element_ndim: int) -> tuple[np.ndarray, bool]:
     if arr.ndim == element_ndim + 1:
         return arr, False
     raise ValueError(f"expected ndim {element_ndim} or {element_ndim + 1}, got {arr.ndim}")
+
+
+def psd_margin(sigma_p: np.ndarray, sigma_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of Sigma_p - Sigma_q, ascending, and the spectral norm of Sigma_p.
+
+    For (d, d) or (..., d, d) batches; the norm is floored at the smallest normal
+    float.  The ordering holds where ``eigs[..., 0] / scale >= -TOL_PSD``.
+    """
+    eigs = np.linalg.eigvalsh(sigma_p - sigma_q)
+    scale = np.maximum(np.max(np.abs(np.linalg.eigvalsh(sigma_p)), axis=-1), np.finfo(float).tiny)
+    return eigs, scale

@@ -487,6 +487,30 @@ def test_growth_at_a_mean_outside_the_mean_spaces_exits_64(capsys, argv):
     assert err.startswith("evfam: mean [") and err.endswith("must lie in both mean spaces\n")
 
 
+# 2 mu^2 underflowed in the divergence threshold (ZeroDivisionError), and the
+# inverse Gaussian density at such a mean is NaN, so the quadrature finds no value
+@pytest.mark.parametrize("lam", ["2.5", "1e-300"])
+def test_ig_growth_at_a_mean_whose_square_underflows_exits_64(capsys, lam):
+    code, out, err = run(capsys, "growth", "--model", "ig-vs-exp", f"--lam={lam}", "--mu=1e-300")
+    assert (code, out) == (64, "")
+    assert err == "evfam: growth rate: quadrature found no finite value at mean [1e-300]\n"
+
+
+# NaN and inf passed the builders' `x <= 0` checks: the first two exited 0 with
+# non-JSON growth values, the third raised OverflowError in the abm potentials
+@pytest.mark.parametrize("argv, message", [
+    (["growth", "--model", "ig-vs-exp", "--lam=nan", "--mu=1"],
+     "inverse-Gaussian-vs-exponential needs a finite lam > 0, got lam=nan"),
+    (["growth", "--model", "negbinom-vs-poisson", "--successes=inf", "--mu=0.5"],
+     "negative binomial family needs a finite successes > 0, got successes=inf"),
+    (["check", "--model", "abm-vs-poisson", "--s=1e300", "--r=50", "--mu=1e300"],
+     "abm family: s ** r overflows the float range for s=1e+300, r=50"),
+], ids=["ig-lam-nan", "negbinom-successes-inf", "abm-overflow"])
+def test_a_model_parameter_out_of_range_exits_64_naming_it(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (64, "", f"evfam: {message}\n")
+
+
 def test_growth_reports_json(capsys):
     code, out, _ = run(capsys, "growth", "--model", "ksample-poisson",
                        "--alt-means", "0.5,1.5")
@@ -515,6 +539,21 @@ def test_sequential_validates_arm_means(capsys):
     code = main(["sequential", "--arm-means", "0.3,0.4,0.5", "--out", "/tmp/x"])
     capsys.readouterr()
     assert code == 64
+
+
+# these ran: alpha 1.5 gave a negative threshold, alpha nan printed NaN, and
+# zero paths gave NaN summaries
+@pytest.mark.parametrize("flag, value, message", [
+    ("--alpha", "1.5", "alpha 1.5 must lie strictly inside (0, 1)"),
+    ("--alpha", "nan", "alpha nan must lie strictly inside (0, 1)"),
+    ("--paths", "0", "n_paths 0 must be at least 1"),
+    ("--prior", "1,nan,1,1", "Beta prior (1.0, nan, 1.0, 1.0) must be four finite values > 0"),
+])
+def test_sequential_out_of_range_settings_exit_64(capsys, tmp_path, flag, value, message):
+    code, out, err = run(capsys, "sequential", "--arm-means", "0.375,0.625", "--rounds", "5",
+                         "--tail-window", "2", f"{flag}={value}", "--out", str(tmp_path / "run"))
+    assert (code, out, err) == (64, "", f"evfam: {message}\n")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])

@@ -28,6 +28,7 @@ from evfam.conditions import (
 )
 from evfam.domains import full_space, positive_orthant
 from evfam.errors import DomainError, UnsupportedModelError
+from evfam.linear_model import LinearModelDesign, linmodel_pairing, linmodel_psd_check
 from evfam.models import (
     Pairing,
     abm_vs_poisson,
@@ -40,7 +41,8 @@ from evfam.models import (
     tweedie_pair,
 )
 from evfam.oracles import expect_monte_carlo
-from evfam.tilt import CarrierAlternative, build_tilted_family
+from evfam.tilt import CarrierAlternative, build_tilted_family, local_evar_check
+from evfam.util import TOL_PSD
 
 SPEC = GridSpec(n_pairs=64)
 
@@ -203,6 +205,39 @@ def test_shortcut_needs_scalar_families():
     pair = gaussian_location_pairing(COV_P, COV_Q, [1.0, -0.5])
     with pytest.raises(UnsupportedModelError):
         onedim_shortcut(pair.null, pair.tilted, spec=SPEC)
+
+
+# one covariance-ordering rule: the relative minimum eigenvalue of Sigma_p - Sigma_q
+# against -TOL_PSD, whichever check reads it, at the pairing's anchor mean
+LINMODEL_DESIGN = LinearModelDesign(np.random.default_rng(11).normal(size=(12, 3)))
+SHARED_COVARIANCE_PAIRS = {
+    "negbinom-vs-poisson": lambda: negbinom_vs_poisson(4.0, 2.0),
+    "ig-vs-exp-2.5": lambda: ig_vs_exp_pairing(2.0, 2.5),
+    "gaussian-location": lambda: gaussian_location_pairing(COV_P, COV_Q, [1.0, -0.5]),
+    "gaussian-location-swapped": lambda: gaussian_location_pairing(COV_Q, COV_P, [1.0, -0.5]),
+    "linmodel": lambda: linmodel_pairing(LINMODEL_DESIGN, 0.8, [0.5, -0.3, 0.2]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SHARED_COVARIANCE_PAIRS))
+def test_every_covariance_check_reads_one_margin(key):
+    pair = SHARED_COVARIANCE_PAIRS[key]()
+    mu = pair.tilted.mu_star
+    ordering = check_sigma_ordering(pair.null, pair.tilted, mu[None])
+    # (passed, relative margin) of each check; a threshold is -TOL_PSD times the scale
+    verdicts = {"ordering": (ordering.passed, ordering.worst_value)}
+    local = local_evar_check(pair.null, pair.tilted)
+    verdicts["local"] = (local.passed, local.min_eigenvalue / local.threshold * -TOL_PSD)
+    if pair.null.dim == 1:
+        shortcut = onedim_shortcut(pair.null, pair.tilted, grid=mu[None])
+        verdicts["shortcut"] = (shortcut.variance_ordering_ok, shortcut.worst_margin)
+    if key == "linmodel":
+        lin = linmodel_psd_check(LINMODEL_DESIGN, pair.notes["theta"], mu)
+        verdicts["linmodel"] = (lin.passed, lin.min_eigenvalue / lin.threshold * -TOL_PSD)
+    for name, (passed, margin) in verdicts.items():
+        assert passed == ordering.passed, name
+        assert margin == pytest.approx(ordering.worst_value, rel=1e-12), name
+    assert ordering.passed == (key not in ("ig-vs-exp-2.5", "gaussian-location-swapped"))
 
 
 def test_failed_preconditions_are_not_reported_as_stochastic():

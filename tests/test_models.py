@@ -172,6 +172,28 @@ def test_abm_validates_parameters():
         abm_family(2.0, 1.5)
     with pytest.raises(UnsupportedModelError):
         abm_family(2.0, -1)
+    # Phi and Psi take s ** r, which would raise OverflowError
+    with pytest.raises(UnsupportedModelError, match=r"s \*\* r overflows .* s=1e\+300, r=50"):
+        abm_family(1e300, 50)
+
+
+# NaN and +inf passed the old `x <= 0` checks and reached the potentials
+@pytest.mark.parametrize("build, name", [
+    (lambda v: gamma_family(v), "shape"),
+    (lambda v: negbinom_family(v), "successes"),
+    (lambda v: abm_family(v, 2), "s"),
+    (lambda v: tweedie_family(v, 1.5), "a"),
+    (lambda v: inverse_gaussian_family(v), "lam"),
+    (lambda v: gaussian_scale_pairing(-3.0, v), "s2"),
+    (lambda v: ksample_pairing("gaussian", (0.2, 1.0), sigma2=v), "sigma2"),
+    (lambda v: ig_vs_exp_pairing(v, 1.0), "lam"),
+    (lambda v: ig_vs_exp_pairing(2.0, v), "mu"),
+], ids=["gamma", "negbinom", "abm", "tweedie", "invgauss", "gaussian-scale", "ksample-gaussian",
+        "ig-lam", "ig-mu"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_a_parameter_that_is_not_finite_and_positive_is_refused(build, name, value):
+    with pytest.raises(UnsupportedModelError, match=f"finite {name} > 0, got {name}={value!r}"):
+        build(value)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +441,9 @@ def test_ig_thresholds_frozen():
     assert ig_divergence_threshold(2.0, 1.5) == pytest.approx(4.5, abs=1e-12)
     assert ig_divergence_threshold(2.0, 1.8) == pytest.approx(4.05, abs=1e-12)
     assert ig_divergence_threshold(2.0, 0.8) == math.inf
+    # 2 mu^2 underflows to 0 below mu ~ 1e-154, which divided by zero
+    assert ig_divergence_threshold(2.5, 1e-300) == math.inf
+    assert ig_divergence_threshold(1e-300, 1e-300) == pytest.approx(2e-300, rel=1e-15)
 
 
 def test_ig_regimes():
