@@ -32,7 +32,6 @@ from .errors import (
 )
 from .families import (
     ExpFamilyDescriptor,
-    SupportSpec,
     canonical_from_mean,
     covariance_at_canonical,
     covariance_at_mean,
@@ -113,7 +112,7 @@ __all__ = [
     # domains
     "DomainDescriptor", "box_domain", "positive_orthant", "full_space",
     # families
-    "ExpFamilyDescriptor", "SupportSpec", "family_from_root_cumulant",
+    "ExpFamilyDescriptor", "family_from_root_cumulant",
     "log_partition_at", "mean_from_canonical", "covariance_at_canonical",
     "covariance_at_mean", "canonical_from_mean", "kl_between_means",
     "reparameterize", "log_density",

@@ -350,7 +350,7 @@ def _cmd_evalue(args) -> int:
     data = _read_numeric_csv(args.data)
     mu = _anchor_mean(args, pairing)
     null = pairing.null
-    width = 1 if null.element_ndim == 0 else null.support_at(mu).axes
+    width = 1 if null.element_ndim == 0 else len(null.law(mu)[1])  # the arm or mean vector
     if data.shape[1] != width:
         expected = "one column" if width == 1 else f"{width} columns"
         raise DataError(f"model {pairing.name} expects {expected}, got {data.shape[1]}")
@@ -380,9 +380,10 @@ def _cmd_evalue(args) -> int:
 def _cmd_growth(args) -> int:
     pairing = build_pairing(args)
     mu = _anchor_mean(args, pairing)
-    value = growth_rate(pairing.tilted, pairing.null, mu, seed=args.seed or 0)
-    print(json.dumps({"growth_rate": value, "model": pairing.name,
-                      "mu": [float(v) for v in mu]}, sort_keys=True))
+    value = growth_rate(pairing.tilted, pairing.null, mu)
+    print(json.dumps({"growth_rate": "inf" if value == np.inf else value,
+                      "model": pairing.name, "mu": [float(v) for v in mu]},
+                     sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
@@ -472,7 +473,6 @@ def _build_parser() -> _Parser:
 
     growth = sub.add_parser("growth", help="expected log e-value under the alternative")
     _add_model_arguments(growth)
-    growth.add_argument("--seed", type=int, help="seed for sampled estimators")
     growth.set_defaults(fn=_cmd_growth)
 
     seq = sub.add_parser("sequential", help="simulate the two-sample plug-in e-process")

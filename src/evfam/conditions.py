@@ -32,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from .domains import DomainDescriptor
-from .errors import ConvergenceError, DomainError, UnsupportedModelError
+from .errors import DomainError, UnsupportedModelError
 from .families import (
     ExpFamilyDescriptor,
     canonical_from_mean,
@@ -237,8 +237,7 @@ def check_preconditions(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     details: dict = {}
     in_null = null.mean_domain.contains(grid)
 
-    if alt.mean_domain.is_box_like() and null.mean_domain.is_box_like() \
-            and null.mean_domain.kind != "custom-predicate":
+    if alt.mean_domain.is_box_like() and null.mean_domain.is_box_like():
         mq_in_mp = _box_subset(alt.mean_domain, null.mean_domain)
         details["mean_containment"] = "bounds"
     else:
@@ -566,14 +565,6 @@ def _require_densities(tilted: TiltedFamily, null: ExpFamilyDescriptor, what: st
         raise UnsupportedModelError(f"both families need density evaluation for {what}")
 
 
-def _log_densities(tilted: TiltedFamily, null: ExpFamilyDescriptor, batch: np.ndarray,
-                   mu_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log-densities (log q_mu, log p_mu) of the two same-mean members on a batch."""
-    log_q = np.asarray(tilted.family.carrier_log_density(batch, mu_vec), dtype=float)
-    log_p = np.asarray(null.carrier_log_density(batch, mu_vec), dtype=float)
-    return log_q, log_p
-
-
 def _shared_mean(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu) -> np.ndarray:
     """``mu`` as a vector; it must lie in both mean spaces."""
     mu_vec = null.vec(mu)
@@ -590,7 +581,8 @@ def simple_log_evalue(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu, u):
     mu_vec = _shared_mean(tilted, null, mu)
     _require_densities(tilted, null, "e-values")
     batch, single = as_batch(u, null.element_ndim)
-    log_q, log_p = _log_densities(tilted, null, batch, mu_vec)
+    log_q = np.asarray(tilted.family.carrier_log_density(batch, mu_vec), dtype=float)
+    log_p = np.asarray(null.carrier_log_density(batch, mu_vec), dtype=float)
     logs = log_q - log_p
     return float(logs[0]) if single else logs
 
@@ -605,89 +597,19 @@ def simple_evalue(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu, u):
         return float_or_array(np.exp(simple_log_evalue(tilted, null, mu, u)))
 
 
-def _growth_hints(tilted: TiltedFamily, mu_vec: np.ndarray, seed: int) -> tuple[float, float]:
-    sampler = tilted.family.sampler
-    if sampler is None:
-        return 0.0, 1.0
-    draws = np.asarray(sampler(mu_vec, 256, np.random.default_rng(seed)), dtype=float).ravel()
-    spread = float(draws.std())
-    return float(draws.mean()), max(spread, 1e-6)
-
-
 def growth_rate(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu,
                 n_mc: int = 200_000, seed: int = 0) -> float:
     """Expected log e-value under the alternative member with mean ``mu``.
 
     This is the KL divergence from that member to its same-mean null
-    companion, returned as a float.  ``mu`` must lie in both mean spaces.
-    When both families declare their members' laws (``law``) and the two
-    laws are of one kind, the divergence is :func:`families.law_kl`'s
-    closed form: products of Poisson or Bernoulli arms and normal laws.
-    Otherwise it is exact summation on finite supports, a lattice sum on
-    countable supports (at most 4e6 points, refused when it misses more than
-    1e-10 of the alternative's mass), adaptive quadrature on scalar
-    continuous supports (a ConvergenceError when it finds no finite value),
-    and Monte Carlo with ``n_mc`` draws otherwise.
+    companion, :func:`families.law_kl` of the two members' declared laws.
+    ``mu`` must lie in both mean spaces, and both families must declare
+    their laws (``law``); otherwise it raises an UnsupportedModelError.
+    ``n_mc`` and ``seed`` are unused, since no route samples; they stay for
+    callers that pass them (``perfbench/workloads.py``).
     """
-    from .oracles import expect_quadrature
-
     mu_vec = _shared_mean(tilted, null, mu)
     _require_densities(tilted, null, "growth rates")
-    if tilted.family.law is not None and null.law is not None:
-        value = law_kl(tilted.family.law(mu_vec), null.law(mu_vec))
-        if value is not None:
-            return value
-    support = null.support_at(mu_vec) or tilted.family.support_at(mu_vec)
-    if support is None:
-        raise UnsupportedModelError("growth rate needs a declared support")
-
-    if support.kind == "finite":
-        lq, lp = _log_densities(tilted, null, np.asarray(support.points(), dtype=float), mu_vec)
-        return float(np.exp(lq) @ (lq - lp))
-
-    if support.kind == "countable-vector":
-        k = support.axes
-        # the side doubles from min(32, 4e6^(1/k)), and no lattice exceeds 4e6 points
-        first = min(32, int(4e6 ** (1.0 / k)))
-        sides = [first << j for j in range(12) if (first << j) ** k <= 4_000_000]
-        prev = None
-        for size in sides:
-            idx = np.indices((size,) * k).reshape(k, -1).T.astype(float)
-            if null.element_ndim == 0:
-                idx = idx[:, 0]
-            lq, lp = _log_densities(tilted, null, idx, mu_vec)
-            weights = np.exp(lq)
-            total = float(weights @ (lq - lp))
-            covered = float(weights.sum())
-            if prev is not None and abs(total - prev) <= 1e-12 * (1.0 + abs(total)) \
-                    and covered > 1.0 - 1e-10:
-                return total
-            prev = total
-        if covered > 1.0 - 1e-10:
-            return total
-        raise ConvergenceError(
-            f"growth rate: countable support truncated: k={k}, lattice side {size}, "
-            f"alternative mass missing from the lattice {1.0 - covered:.3g}")
-
-    if support.kind in ("real-scalar", "positive-scalar"):
-        center, scale = _growth_hints(tilted, mu_vec, seed)
-
-        def weighted_log_ratio(x: np.ndarray) -> np.ndarray:
-            # q_mu log(q_mu / p_mu) from one evaluation of each density; the
-            # quadrature only ever multiplies its density by its integrand
-            lq, lp = _log_densities(tilted, null, np.atleast_1d(x), mu_vec)
-            return np.exp(lq) * (lq - lp)
-
-        domain = "positive-line" if support.kind == "positive-scalar" else "real-line"
-        with np.errstate(all="ignore"):  # a NaN or inf integrand value is refused below
-            estimate = expect_quadrature(np.ones_like, weighted_log_ratio, domain,
-                                         center=center, scale=scale)
-        if estimate.diverged or not np.isfinite(estimate.value):
-            raise ConvergenceError(f"growth rate: quadrature found no finite value at mean {mu_vec.tolist()}")
-        return estimate.value
-
-    if tilted.family.sampler is None:
-        raise UnsupportedModelError("growth rate on vector supports needs a sampler")
-    draws = tilted.family.sampler(mu_vec, n_mc, np.random.default_rng(seed))
-    lq, lp = _log_densities(tilted, null, np.asarray(draws, dtype=float), mu_vec)
-    return float(np.mean(lq - lp))
+    if tilted.family.law is None or null.law is None:
+        raise UnsupportedModelError("growth rate needs both families to declare their laws")
+    return law_kl(tilted.family.law(mu_vec), null.law(mu_vec))

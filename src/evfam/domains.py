@@ -1,11 +1,8 @@
 """Open parameter domains for mean and canonical spaces.
 
-A domain is one of three kinds:
+A domain is one of two kinds:
 
 * ``box``: a product of open intervals, bounds may be infinite;
-* ``half-space-product``: same representation as a box, but tagged to record
-  that it arose as a product of one-sided constraints (e.g. the canonical
-  domain ``(-inf, c) x R^d`` of a family that is steep in one coordinate);
 * ``custom-predicate``: membership decided by a callable, for domains that
   are not axis-aligned (e.g. means coupled through a quadratic form).
 
@@ -36,9 +33,9 @@ __all__ = ["DomainDescriptor", "box_domain", "positive_orthant", "full_space"]
 class DomainDescriptor:
     """An open subset of R^d used as a mean or canonical parameter space.
 
-    For ``box`` and ``half-space-product`` kinds, ``lower`` and ``upper``
-    are arrays of shape (..., dim) with ``lower < upper`` componentwise
-    (infinities allowed); leading axes describe one box per batch entry.
+    For the ``box`` kind, ``lower`` and ``upper`` are arrays of shape
+    (..., dim) with ``lower < upper`` componentwise (infinities allowed);
+    leading axes describe one box per batch entry.
     For ``custom-predicate``, membership is additionally delegated to
     ``predicate`` and the bounds are advisory only (they may describe a
     bounding box, or be fully infinite).
@@ -52,7 +49,7 @@ class DomainDescriptor:
     convex: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in ("box", "half-space-product", "custom-predicate"):
+        if self.kind not in ("box", "custom-predicate"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
         lower = None if self.lower is None else np.asarray(self.lower, dtype=float)
         upper = None if self.upper is None else np.asarray(self.upper, dtype=float)
@@ -68,11 +65,10 @@ class DomainDescriptor:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
-    def contains(self, x: np.ndarray | float, margin: float = 0.0) -> bool | np.ndarray:
+    def contains(self, x: np.ndarray | float) -> bool | np.ndarray:
         """Strict interior membership of each point of a ``(..., dim)`` batch.
 
-        ``margin`` shrinks the box on both sides.  Non-finite points are
-        outside.  Returns a ``bool`` for a single point and a boolean array
+        Non-finite points are outside.  Returns a ``bool`` for a single point and a boolean array
         of the leading shape otherwise.
         """
         x = np.asarray(x, dtype=float)
@@ -80,8 +76,7 @@ class DomainDescriptor:
             x = x.reshape(1)
         if x.shape[-1:] != (self.dim,):
             raise ValueError(f"point has shape {x.shape}, domain is {self.dim}-dimensional")
-        inside = np.all(np.isfinite(x) & (x > self.lower + margin) & (x < self.upper - margin),
-                        axis=-1)
+        inside = np.all(np.isfinite(x) & (x > self.lower) & (x < self.upper), axis=-1)
         if self.kind == "custom-predicate" and np.any(inside):
             flat = np.broadcast_to(x, inside.shape + (self.dim,)).reshape(-1, self.dim)
             keep = inside.reshape(-1)
@@ -101,7 +96,7 @@ class DomainDescriptor:
         return DomainDescriptor(self.kind, self.dim, lower, upper, convex=self.convex)
 
     def is_box_like(self) -> bool:
-        return self.kind in ("box", "half-space-product")
+        return self.kind == "box"
 
 
 def box_domain(lower, upper) -> DomainDescriptor:

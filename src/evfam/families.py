@@ -13,8 +13,8 @@ statistic covariance) is positive definite in the interior.
 A descriptor bundles the callable handles (sufficient statistic, anchored
 log-partition, carrier log-density) plus optional closed forms for the mean
 map, covariance map and inverse mean map.  A family with a named observation
-law declares only that law, and its carrier density, sampler and support come
-from the table of law kinds below.  Operations fall back to damped Newton
+law declares only that law, and its carrier density and sampler come from
+the table of law kinds below.  Operations fall back to damped Newton
 inversion and central finite differences when a closed form is not
 provided, so a family defined only through its log-partition still supports
 the full API.
@@ -48,7 +48,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
+from scipy.special import exp1, gammaln, psi, xlog1py, xlogy
 
 from .domains import DomainDescriptor
 from .errors import ConvergenceError, DomainError, UnsupportedModelError
@@ -56,7 +56,6 @@ from .numdiff import fd_gradient, fd_hessian, fd_jacobian
 from .util import as_batch, float_or_array as _scalar, rowdot
 
 __all__ = [
-    "SupportSpec",
     "ExpFamilyDescriptor",
     "log_partition_at",
     "mean_from_canonical",
@@ -74,23 +73,6 @@ __all__ = [
 MEAN_TOL = 1e-9
 NEWTON_MAX_ITER = 200
 NEWTON_MAX_HALVINGS = 60
-
-
-@dataclass(frozen=True)
-class SupportSpec:
-    """Shape of the sample space, used to pick expectation strategies.
-
-    kind is one of:
-      "finite"           -- finitely many elements, ``points()`` enumerates them;
-      "countable-vector" -- product of copies of {0, 1, 2, ...};
-      "real-scalar"      -- scalar observations on the real line;
-      "positive-scalar"  -- scalar observations on (0, inf);
-      "real-vector"      -- observations in R^axes.
-    """
-
-    kind: str
-    axes: int = 1
-    points: Callable[[], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -113,9 +95,8 @@ class ExpFamilyDescriptor:
     arms), ``("normal", mean_vector, cov)`` (a scalar variance v stands for
     v I), ``("negbinom", successes, mean)``, ``("gamma", shape, mean)`` or
     ``("inverse-gaussian", mean, lam)``.  A family that declares it passes
-    no carrier, sampler or support: the first two are derived from the law,
-    and :meth:`support_at` reads the support off the law at a mean
-    (evaluating a law can cost a root solve, so construction does not).
+    no carrier or sampler: both are derived from the law (evaluating a law
+    can cost a root solve, so construction does not).
 
     The parameter callables take ``(..., dim)`` batches (see the module
     docstring); they may assume their inputs were validated.
@@ -132,7 +113,6 @@ class ExpFamilyDescriptor:
     cov_map: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     beta_map: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     sampler: Callable[[np.ndarray, int, np.random.Generator], np.ndarray] | None = None
-    support: SupportSpec | None = None
     element_ndim: int = 0
     stochastic: bool = False
     law: Callable[[np.ndarray], tuple] | None = None
@@ -141,24 +121,11 @@ class ExpFamilyDescriptor:
         if self.law is None:
             return
         derived = (None, _law_log_density, _law_sample)  # dataclasses.replace hands these back
-        if self.support is not None or any(getattr(f, "func", f) not in derived
-                                           for f in (self.carrier_log_density, self.sampler)):
-            raise ValueError(f"{self.name}: a family that declares its law takes its density, "
-                             "sampler and support from it")
+        if any(getattr(f, "func", f) not in derived for f in (self.carrier_log_density, self.sampler)):
+            raise ValueError(f"{self.name}: a family that declares its law takes its density "
+                             "and sampler from it")
         object.__setattr__(self, "carrier_log_density", partial(_law_log_density, self.law))
         object.__setattr__(self, "sampler", partial(_law_sample, self.law, self.element_ndim))
-
-    def support_at(self, mean) -> SupportSpec | None:
-        """The declared ``support``, or the one the law of the member with this mean implies."""
-        if self.law is None:
-            return self.support
-        kind, first = self.law(mean)[:2]  # vector elements: first is the arm or mean vector
-        axes = len(first) if self.element_ndim else 1
-        space = _LAW_KINDS[kind].spaces[self.element_ndim]
-        if space != "finite":
-            return SupportSpec(space, axes)
-        return SupportSpec(space, axes,  # the 2^axes points of {0, 1}^axes, one per row
-                           lambda: np.indices((2,) * axes).reshape(axes, -1).T.astype(float))
 
     def vec(self, x) -> np.ndarray:
         """Coerce a parameter to a float vector of the family dimension."""
@@ -517,8 +484,8 @@ def family_from_root_cumulant(
 
 
 # ---------------------------------------------------------------------------
-# observation laws: one table of kinds gives each law's log-density, sampler,
-# support and same-kind divergence
+# observation laws: one table of kinds gives each law's log-density and
+# sampler, and one table of kind pairs gives the divergence between two laws
 
 def _normal_log(u: np.ndarray, mean: np.ndarray, cov) -> np.ndarray:
     if np.ndim(cov) == 0:  # v I: one term per element
@@ -535,61 +502,31 @@ def _normal_sample(rng: np.random.Generator, size, mean: np.ndarray, cov) -> np.
     return mean + rng.standard_normal(size) @ np.linalg.cholesky(cov).T
 
 
-def _normal_kl(q: tuple, p: tuple) -> float:
-    (m_q, cov_q), (m_p, cov_p) = q, p
-    d = len(m_q)
-    if np.ndim(cov_q) == np.ndim(cov_p) == 0:
-        diag_p, diag_q, copies = np.sqrt(cov_p), np.sqrt(cov_q), d
-        ratio, shift = diag_q / diag_p, (m_p - m_q) / diag_p
-    else:
-        chol_p, chol_q = np.linalg.cholesky(cov_p), np.linalg.cholesky(cov_q)
-        ratio = np.linalg.solve(chol_p, chol_q)  # tr(S_p^-1 S_q) is its squared norm
-        shift = np.linalg.solve(chol_p, m_p - m_q)
-        diag_p, diag_q, copies = np.diag(chol_p), np.diag(chol_q), 1
-    logdet = 2.0 * copies * np.sum(np.log(diag_p) - np.log(diag_q))
-    return float(0.5 * (copies * np.sum(ratio * ratio) - d + shift @ shift + logdet))
-
-
-def _arms_kl(term: Callable) -> Callable[[tuple, tuple], float]:
-    """KL of independent arms: ``term`` of the broadcast arm parameters, summed."""
-    return lambda q, p: float(np.sum(term(*np.broadcast_arrays(np.asarray(q[0], dtype=float),
-                                                                np.asarray(p[0], dtype=float)))))
-
-
 class _LawKind(NamedTuple):
     log_density: Callable   # (u, *params) -> log-density per element, or per observation
     sample: Callable        # (rng, size, *params) -> draws
-    spaces: tuple           # SupportSpec kind for scalar elements, for vector elements
-    kl: Callable | None     # (q params, p params) -> KL(Q || P); None: no closed form
 
 
 _LAW_KINDS = {
     "poisson": _LawKind(
         lambda u, arms: xlogy(u, arms) - arms - gammaln(u + 1.0),
-        lambda rng, size, arms: rng.poisson(arms, size).astype(float),
-        ("countable-vector", "countable-vector"),
-        _arms_kl(lambda a, b: a * np.log(a / b) - a + b)),
+        lambda rng, size, arms: rng.poisson(arms, size).astype(float)),
     "bernoulli": _LawKind(
         lambda u, probs: xlogy(u, probs) + xlog1py(1.0 - u, -probs),
-        lambda rng, size, probs: (rng.random(size) < probs).astype(float),
-        (None, "finite"),
-        _arms_kl(lambda a, b: a * np.log(a / b) + (1.0 - a) * np.log((1.0 - a) / (1.0 - b)))),
-    "normal": _LawKind(_normal_log, _normal_sample, ("real-scalar", "real-vector"), _normal_kl),
+        lambda rng, size, probs: (rng.random(size) < probs).astype(float)),
+    "normal": _LawKind(_normal_log, _normal_sample),
     "negbinom": _LawKind(
         lambda u, n, mean: (gammaln(u + n) - gammaln(n) - gammaln(u + 1.0)
                             + n * np.log1p(-mean / (n + mean)) + xlogy(u, mean / (n + mean))),
-        lambda rng, size, n, mean: rng.negative_binomial(n, n / (n + mean), size).astype(float),
-        ("countable-vector", None), None),
+        lambda rng, size, n, mean: rng.negative_binomial(n, n / (n + mean), size).astype(float)),
     "gamma": _LawKind(
         lambda u, shape, mean: (xlogy(shape - 1.0, u) - u / (mean / shape) - gammaln(shape)
                                 - shape * np.log(mean / shape)),
-        lambda rng, size, shape, mean: rng.gamma(shape, mean / shape, size),
-        ("positive-scalar", None), None),
+        lambda rng, size, shape, mean: rng.gamma(shape, mean / shape, size)),
     "inverse-gaussian": _LawKind(
         lambda u, mean, lam: (0.5 * (np.log(lam) - np.log(2.0 * np.pi) - 3.0 * np.log(u))
                               - lam * (u - mean) ** 2 / (2.0 * mean ** 2 * u)),
-        lambda rng, size, mean, lam: rng.wald(mean, lam, size),
-        ("positive-scalar", None), None),
+        lambda rng, size, mean, lam: rng.wald(mean, lam, size)),
 }
 
 
@@ -610,19 +547,134 @@ def _law_sample(law: Callable, element_ndim: int, mean: np.ndarray, n: int, rng)
     return _LAW_KINDS[kind].sample(rng, (n, len(params[0])) if element_ndim else n, *params)
 
 
-def law_kl(q: tuple, p: tuple) -> float | None:
-    """KL(Q || P) between two observation laws; None without a closed form.
+# Divergence rules: each takes the two full law tuples (q, p) of members with
+# one mean and returns KL(Q || P).
 
-    The laws are ``ExpFamilyDescriptor.law`` tuples of one kind: Poisson or
-    Bernoulli arms, whose divergences add, or normal laws, for which
+def _arms_kl(term: Callable) -> Callable[[tuple, tuple], float]:
+    """KL of independent arms: ``term`` of the broadcast arm parameters, summed."""
+    return lambda q, p: float(np.sum(term(*np.broadcast_arrays(np.asarray(q[1], dtype=float),
+                                                                np.asarray(p[1], dtype=float)))))
 
-        KL = [tr(S_p^-1 S_q) - d + D' S_p^-1 D + log det S_p - log det S_q] / 2
 
-    with D = m_p - m_q, evaluated through the Cholesky factors of both
-    covariances, which the families declaring the law keep positive definite.
-    A normal law may give its covariance as one variance v, meaning v I; when
-    both laws do, the factors are the scalars sqrt(v), each diagonal term
-    counts d times, and the divergence takes O(d) work.
+def _normal_kl(q: tuple, p: tuple) -> float:
+    (_, m_q, cov_q), (_, m_p, cov_p) = q, p
+    d = len(m_q)
+    if np.ndim(cov_q) == np.ndim(cov_p) == 0:
+        diag_p, diag_q, copies = np.sqrt(cov_p), np.sqrt(cov_q), d
+        ratio, shift = diag_q / diag_p, (m_p - m_q) / diag_p
+    else:
+        chol_p, chol_q = np.linalg.cholesky(cov_p), np.linalg.cholesky(cov_q)
+        ratio = np.linalg.solve(chol_p, chol_q)  # tr(S_p^-1 S_q) is its squared norm
+        shift = np.linalg.solve(chol_p, m_p - m_q)
+        diag_p, diag_q, copies = np.diag(chol_p), np.diag(chol_q), 1
+    logdet = 2.0 * copies * np.sum(np.log(diag_p) - np.log(diag_q))
+    return float(0.5 * (copies * np.sum(ratio * ratio) - d + shift @ shift + logdet))
+
+
+def _scaled_exp1(x: float) -> float:
+    """e^x E_1(x) for x > 0, finite where e^x overflows (x past about 709).
+
+    Up to x = 50 it is the product; above, the even contraction of the
+    continued fraction of Abramowitz and Stegun 5.1.22, from its 40th term back:
+    e^x E_1(x) = 1 / (x + 1 - 1 / (x + 3 - 4 / (x + 5 - 9 / (x + 7 - ...)))).
     """
-    kl = _LAW_KINDS[q[0]].kl if q[0] == p[0] else None
-    return None if kl is None else kl(q[1:], p[1:])
+    if x <= 50.0:
+        return float(np.exp(x) * exp1(x))
+    tail = 0.0
+    for n in range(40, 0, -1):
+        tail = n * n / (x + 2 * n + 1 - tail)
+    return 1.0 / (x + 1.0 - tail)
+
+
+def _inverse_gaussian_gamma_kl(q: tuple, p: tuple) -> float:
+    (_, mean, lam), k = q, p[1]
+    # with x = 2 lam / mean, E_q[log X] = log mean - e^x E_1(x), and the mean cancels
+    log_x = np.log(2.0) + np.log(lam) - np.log(mean)
+    x = float(np.exp(log_x))
+    # below 1e-300, e^x E_1(x) = -euler_gamma - log x to within x log x
+    scaled = _scaled_exp1(x) if x > 1e-300 else -np.euler_gamma - log_x
+    return float(0.5 * (log_x - np.log(4.0 * np.pi)) - 0.5 + k - k * np.log(k) + gammaln(k)
+                 + (k + 0.5) * scaled)
+
+
+def _gamma_inverse_gaussian_kl(q: tuple, p: tuple) -> float:
+    (_, k, mean), lam = q, p[2]
+    if k <= 1.0:
+        return np.inf  # E_q[1 / X] diverges
+    return float((k + 0.5) * psi(k) - k - gammaln(k)
+                 - 0.5 * (np.log(lam) - np.log(mean) + np.log(k) - np.log(2.0 * np.pi))
+                 + lam / (2.0 * mean * (k - 1.0)))
+
+
+def _count_lattice_kl(q: tuple, p: tuple) -> float:
+    """Sum q log(q / p) over the counts 0, 1, 2, ... on a lattice that doubles from 32.
+
+    It stops once two sides agree to 1e-12 and the lattice holds all but 1e-10
+    of Q's mass; past 65536 counts it refuses a lattice that misses more.
+    """
+    prev = None
+    for size in (32 << j for j in range(12)):
+        counts = np.arange(size, dtype=float)
+        lq, lp = law_log_density(q, counts), law_log_density(p, counts)
+        weights = np.exp(lq)
+        total = float(weights @ (lq - lp))
+        covered = float(weights.sum())
+        if prev is not None and abs(total - prev) <= 1e-12 * (1.0 + abs(total)) \
+                and covered > 1.0 - 1e-10:
+            return total
+        prev = total
+    if covered > 1.0 - 1e-10:
+        return total
+    raise ConvergenceError(f"growth rate: countable support truncated: k=1, lattice side {size}, "
+                           f"alternative mass missing from the lattice {1.0 - covered:.3g}")
+
+
+_LAW_KL = {
+    ("poisson", "poisson"): _arms_kl(lambda a, b: a * np.log(a / b) - a + b),
+    ("bernoulli", "bernoulli"): _arms_kl(
+        lambda a, b: a * np.log(a / b) + (1.0 - a) * np.log((1.0 - a) / (1.0 - b))),
+    ("normal", "normal"): _normal_kl,
+    ("gamma", "gamma"): lambda q, p: float(  # shapes q[1], p[1]; the shared mean cancels
+        (q[1] - p[1]) * (psi(q[1]) - 1.0) + gammaln(p[1]) - gammaln(q[1])
+        + p[1] * (np.log(q[1]) - np.log(p[1]))),
+    ("inverse-gaussian", "inverse-gaussian"): lambda q, p: float(  # shapes q[2], p[2]
+        0.5 * (p[2] / q[2] - 1.0 - np.log(p[2]) + np.log(q[2]))),
+    ("inverse-gaussian", "gamma"): _inverse_gaussian_gamma_kl,
+    ("gamma", "inverse-gaussian"): _gamma_inverse_gaussian_kl,
+    ("poisson", "negbinom"): _count_lattice_kl,
+    ("negbinom", "poisson"): _count_lattice_kl,
+    ("negbinom", "negbinom"): _count_lattice_kl,
+}
+
+
+def law_kl(q: tuple, p: tuple) -> float:
+    """KL(Q || P) between the observation laws of two members with one mean.
+
+    The laws are ``ExpFamilyDescriptor.law`` tuples, and the pair of their
+    kinds picks the rule:
+
+    * Poisson or Bernoulli arms: the arms' divergences add;
+    * normal laws: [tr(S_p^-1 S_q) - d + D' S_p^-1 D + log det S_p - log det S_q] / 2
+      with D = m_p - m_q, through the Cholesky factors of both covariances
+      (a covariance given as one variance v means v I; when both laws do,
+      each diagonal term counts d times and the work is O(d));
+    * gamma shapes k_q, k_p: (k_q - k_p)(psi(k_q) - 1) + log G(k_p) - log G(k_q)
+      + k_p log(k_q / k_p);
+    * inverse Gaussian shapes lam_q, lam_p: [r - 1 - log r] / 2 with r = lam_p / lam_q;
+    * inverse Gaussian (lam) against gamma (k), with x = 2 lam / mean:
+      log(x / 4 pi) / 2 - 1/2 + k - k log k + log G(k) + (k + 1/2) e^x E_1(x);
+    * gamma (k) against inverse Gaussian (lam):
+      (k + 1/2) psi(k) - k - log G(k) - log(lam k / (2 pi mean)) / 2 + lam / (2 mean (k - 1)),
+      and +inf for k <= 1;
+    * Poisson and negative binomial laws against each other: a lattice sum over
+      the counts (a ConvergenceError when it misses more than 1e-10 of Q's mass).
+
+    Any other pair of kinds lies on different sample spaces and raises an
+    UnsupportedModelError naming both.
+    """
+    rule = _LAW_KL.get((q[0], p[0]))
+    if rule is None:
+        raise UnsupportedModelError(f"growth rate: no divergence between a {q[0]} alternative "
+                                    f"law and a {p[0]} null law (different sample spaces)")
+    with np.errstate(over="ignore"):  # a term past the float range is an infinite divergence
+        return rule(q, p)

@@ -267,7 +267,7 @@ def linmodel_family(design: LinearModelDesign, theta: float) -> ExpFamilyDescrip
         sigma2 = np.asarray(params_at(anchor).sigma2)
         upper = np.full(sigma2.shape + (d + 1,), np.inf)
         upper[..., 0] = 0.5 / sigma2
-        return DomainDescriptor("half-space-product", d + 1, None, upper)
+        return DomainDescriptor("box", d + 1, None, upper)
 
     def mean_map(beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         eta = natural_of(params_at(anchor)) + beta

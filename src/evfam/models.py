@@ -387,6 +387,8 @@ def tweedie_family(a: float, power: float) -> ExpFamilyDescriptor:
     canonical maps and divergences but no density evaluation.
     """
     _require_positive(a, "tweedie family", "a")
+    if not np.isfinite(power):
+        raise UnsupportedModelError(f"tweedie family needs a finite power, got power={power!r}")
     if power < 0:
         raise UnsupportedModelError(
             "tweedie variance power < 0: family is not regular, outside scope")

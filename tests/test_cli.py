@@ -487,13 +487,39 @@ def test_growth_at_a_mean_outside_the_mean_spaces_exits_64(capsys, argv):
     assert err.startswith("evfam: mean [") and err.endswith("must lie in both mean spaces\n")
 
 
-# 2 mu^2 underflowed in the divergence threshold (ZeroDivisionError), and the
-# inverse Gaussian density at such a mean is NaN, so the quadrature finds no value
-@pytest.mark.parametrize("lam", ["2.5", "1e-300"])
-def test_ig_growth_at_a_mean_whose_square_underflows_exits_64(capsys, lam):
+# 2 mu^2 underflows there, and the inverse Gaussian density at such a mean is
+# NaN; the closed form reads neither, and depends on lam / mu only (mpmath values)
+@pytest.mark.parametrize("lam, want", [("2.5", 345.42697078183926), ("1e-300", 0.12305439212766114)],
+                         ids=["2.5", "1e-300"])
+def test_ig_growth_at_a_mean_whose_square_underflows_is_the_closed_form(capsys, lam, want):
     code, out, err = run(capsys, "growth", "--model", "ig-vs-exp", f"--lam={lam}", "--mu=1e-300")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["growth_rate"] == pytest.approx(want, rel=0.0, abs=1e-9)
+
+
+# E_q[1 / X] diverges under a gamma law of shape 1, and the second arms sum
+# overflows: both growths are +inf, printed as the string "inf" that JSON allows
+@pytest.mark.parametrize("argv", [
+    ["--model", "tweedie-pair", "--null-a", "1", "--null-power", "3", "--alt-a", "1", "--alt-power", "2"],
+    ["--model", "ksample-gaussian", "--alt-means=1e300,1"],
+], ids=["gamma-vs-inverse-gaussian", "ksample-gaussian-overflow"])
+def test_an_infinite_growth_prints_the_string_inf(capsys, argv):
+    code, out, err = run(capsys, "growth", *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out, parse_constant=pytest.fail)["growth_rate"] == "inf"
+
+
+# a gamma law against a Poisson one: the quadrature summed or integrated the
+# wrong density and printed -0.0868 and 0.965
+@pytest.mark.parametrize("null_power, alt_power, alt, null", [("2", "1", "poisson", "gamma"),
+                                                              ("1", "2", "gamma", "poisson")])
+def test_growth_between_laws_on_different_sample_spaces_exits_64(capsys, null_power, alt_power,
+                                                                 alt, null):
+    code, out, err = run(capsys, "growth", "--model", "tweedie-pair", "--null-a", "1",
+                         "--null-power", null_power, "--alt-a", "1", "--alt-power", alt_power)
     assert (code, out) == (64, "")
-    assert err == "evfam: growth rate: quadrature found no finite value at mean [1e-300]\n"
+    assert err == (f"evfam: growth rate: no divergence between a {alt} alternative law and "
+                   f"a {null} null law (different sample spaces)\n")
 
 
 # NaN and inf passed the builders' `x <= 0` checks: the first two exited 0 with
@@ -505,7 +531,12 @@ def test_ig_growth_at_a_mean_whose_square_underflows_exits_64(capsys, lam):
      "negative binomial family needs a finite successes > 0, got successes=inf"),
     (["check", "--model", "abm-vs-poisson", "--s=1e300", "--r=50", "--mu=1e300"],
      "abm family: s ** r overflows the float range for s=1e+300, r=50"),
-], ids=["ig-lam-nan", "negbinom-successes-inf", "abm-overflow"])
+    (["check", "--model", "tweedie-pair", "--null-a", "1", "--null-power", "nan", "--alt-a", "0.5",
+      "--alt-power", "1.5"], "tweedie family needs a finite power, got power=nan"),
+    (["check", "--model", "tweedie-pair", "--null-a", "1", "--null-power", "inf", "--alt-a", "0.5",
+      "--alt-power", "1.5"], "tweedie family needs a finite power, got power=inf"),
+], ids=["ig-lam-nan", "negbinom-successes-inf", "abm-overflow", "tweedie-power-nan",
+        "tweedie-power-inf"])
 def test_a_model_parameter_out_of_range_exits_64_naming_it(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (64, "", f"evfam: {message}\n")

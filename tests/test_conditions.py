@@ -349,28 +349,18 @@ def test_growth_rate_quadrature_matches_monte_carlo():
     assert got > 0.0
 
 
-def _without_laws(pair: Pairing) -> Pairing:
-    """The pairing with its laws dropped; each family keeps the carrier, sampler and support they gave."""
-    def strip(fam):
-        return dataclasses.replace(fam, law=None, support=fam.support_at(pair.tilted.mu_star))
-
-    return dataclasses.replace(pair, null=strip(pair.null),
-                               tilted=dataclasses.replace(pair.tilted, family=strip(pair.tilted.family)))
-
-
-# families that declare no law take the support's route: enumeration on finite
-# supports, a lattice on countable ones, Monte Carlo on real vectors
-@pytest.mark.parametrize("kind, means, abs_tol", [
-    ("bernoulli", (0.3, 0.5, 0.7), 0.0),
-    ("poisson", (0.5, 1.0, 1.5), 0.0),
-    ("gaussian", (0.2, 1.0, 1.8), 4.0 * math.sqrt(1.28 / 50_000)),  # 4 SE of the log ratio
-])
-def test_growth_rate_without_declared_laws_takes_the_support_route(kind, means, abs_tol):
-    pair = ksample_pairing(kind, means)
-    bare = _without_laws(pair)
-    got = growth_rate(bare.tilted, bare.null, pair.tilted.mu_star, n_mc=50_000, seed=3)
-    exact = growth_rate(pair.tilted, pair.null, pair.tilted.mu_star)
-    assert got == pytest.approx(exact, rel=1e-12, abs=abs_tol)
+# dropping a law keeps the density derived from it, so only the law check refuses
+@pytest.mark.parametrize("side", ["null", "alternative"])
+def test_growth_rate_of_a_family_without_a_declared_law_is_refused(side):
+    pair = ksample_pairing("poisson", (0.5, 1.0, 1.5))
+    if side == "null":
+        pair = dataclasses.replace(pair, null=dataclasses.replace(pair.null, law=None))
+    else:
+        bare = dataclasses.replace(pair.tilted.family, law=None)
+        pair = dataclasses.replace(pair, tilted=dataclasses.replace(pair.tilted, family=bare))
+    assert simple_evalue(pair.tilted, pair.null, pair.tilted.mu_star, np.ones(3)) > 0.0
+    with pytest.raises(UnsupportedModelError, match="declare their laws"):
+        growth_rate(pair.tilted, pair.null, pair.tilted.mu_star)
 
 
 def test_growth_rate_at_matched_mean_is_zero_for_identical_members():

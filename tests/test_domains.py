@@ -19,19 +19,6 @@ def test_box_membership_is_strict():
     assert not dom.contains(np.array([np.inf]))
 
 
-def test_box_margin_shrinks_both_sides():
-    dom = box_domain([0.0], [1.0])
-    assert not dom.contains(np.array([0.05]), margin=0.1)
-    assert dom.contains(np.array([0.5]), margin=0.1)
-
-
-def test_halfspace_product_keeps_bounds():
-    dom = DomainDescriptor("half-space-product", 2, None, np.array([0.5, np.inf]))
-    assert dom.is_box_like()
-    assert dom.contains(np.array([0.0, 100.0]))
-    assert not dom.contains(np.array([0.5, 0.0]))
-
-
 def test_custom_predicate_combines_with_box():
     dom = DomainDescriptor("custom-predicate", 2, np.array([0.0, -np.inf]), None,
                            predicate=lambda x: x[..., 0] > x[..., 1] ** 2)

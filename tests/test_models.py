@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats as st
+from scipy.special import exp1
 
 from evfam.conditions import growth_rate, simple_evalue
 from evfam.errors import DomainError, UnsupportedModelError
 from evfam.families import (
-    SupportSpec,
+    _scaled_exp1,
     canonical_from_mean,
     covariance_at_mean,
     kl_between_means,
@@ -509,14 +510,12 @@ LAW_PAIRINGS = {
     "gaussian-scale": (lambda: gaussian_scale_pairing(-3.0, 9.0), [[0.5], [18.0], [60.0]]),
     "linmodel": (lambda: linmodel_pairing(LAW_DESIGN, 0.8, [0.5, -0.3, 0.2]), None),
     # scalar NEFs: Poisson, negative binomial (also as abm r=1), gamma and
-    # inverse Gaussian laws, whose pairings have no closed-form divergence
+    # inverse Gaussian laws; the count pairings take a lattice sum
     "negbinom-vs-poisson": (lambda: negbinom_vs_poisson(4.0, 2.0), [[0.6], [2.0], [7.5]]),
     "abm-r1-vs-poisson": (lambda: abm_vs_poisson(3.0, 1, 2.0), [[0.6], [2.0], [7.5]]),
     "ig-vs-exp": (lambda: ig_vs_exp_pairing(2.0, 0.8), [[0.3], [0.8], [1.5]]),
     "tweedie-gamma": (lambda: tweedie_pair((1.0, 2.0), (0.5, 2.0)), [[0.3], [1.0], [4.0]]),
 }
-# pairings whose laws are of different kinds, or of a kind without a closed-form KL
-SUPPORT_ROUTE = {"negbinom-vs-poisson", "abm-r1-vs-poisson", "ig-vs-exp", "tweedie-gamma"}
 
 
 def _law_pairing(key):
@@ -560,7 +559,7 @@ def test_each_declared_law_is_its_members_carrier(key, side):
         assert np.allclose(fam.carrier_log_density(u, mu), want, rtol=1e-12, atol=0.0), mu
 
 
-@pytest.mark.parametrize("key", sorted(set(LAW_PAIRINGS) - SUPPORT_ROUTE))
+@pytest.mark.parametrize("key", sorted(LAW_PAIRINGS))
 def test_growth_is_the_kl_of_the_declared_laws(key):
     pair, means = _law_pairing(key)
     for mu in means:
@@ -607,8 +606,15 @@ def test_gaussian_scale_law_kl_matches_quadrature(mu):
     assert law_kl(q, p) == pytest.approx(want, rel=1e-10)
 
 
-def test_law_kl_of_laws_of_different_kinds_is_none():
-    assert law_kl(("poisson", np.ones(2)), ("normal", np.zeros(2), np.eye(2))) is None
+@pytest.mark.parametrize("q, p", [
+    (("poisson", np.ones(2)), ("normal", np.zeros(2), np.eye(2))),
+    (("gamma", 1.0, 1.0), ("poisson", np.ones(1))),
+    (("poisson", np.ones(1)), ("gamma", 1.0, 1.0)),
+], ids=["poisson-normal", "gamma-poisson", "poisson-gamma"])
+def test_law_kl_of_laws_on_different_sample_spaces_is_refused(q, p):
+    with pytest.raises(UnsupportedModelError,
+                       match=f"between a {q[0]} alternative law and a {p[0]} null law"):
+        law_kl(q, p)
 
 
 # linmodel declares sigma2 I by its variance: the KL takes O(n d) work and agrees
@@ -706,45 +712,50 @@ def test_law_derived_carriers_and_samplers_keep_their_pinned_bits(key):
 # ---------------------------------------------------------------------------
 # the law table
 
-def test_a_declared_law_is_the_only_source_of_density_sampler_and_support():
+def test_a_declared_law_is_the_only_source_of_density_and_sampler():
     fam = poisson_family()
     for extra in ({"carrier_log_density": lambda u, anchor: u},
-                  {"sampler": lambda mean, n, rng: rng.poisson(mean[0], n)},
-                  {"support": SupportSpec("countable-vector")}):
-        with pytest.raises(ValueError, match="takes its density, sampler and support from it"):
+                  {"sampler": lambda mean, n, rng: rng.poisson(mean[0], n)}):
+        with pytest.raises(ValueError, match="takes its density and sampler from it"):
             dataclasses.replace(fam, **extra)
     # replace hands the derived fields back; they are re-derived, not refused
     renamed = dataclasses.replace(fam, name="counts")
     mu = np.array([2.3])
     assert renamed.carrier_log_density(POINTS, mu).tolist() == fam.carrier_log_density(POINTS, mu).tolist()
-    assert renamed.support_at(mu) == SupportSpec("countable-vector", axes=1)
 
 
-@pytest.mark.parametrize("kind, params", [("gamma", (2.0, 1.5)), ("negbinom", (4.0, 1.5)),
-                                          ("inverse-gaussian", (1.5, 2.0))])
-def test_law_kl_without_a_closed_form_is_none(kind, params):
-    assert law_kl((kind, *params), (kind, *params)) is None
+# KL(Q || P) by mpmath quadrature at 30 digits, rounded to double; the gamma
+# pair at shapes (2, 1) is ln 2 - euler_gamma, the inverse Gaussian pair
+# (lam_p / lam_q = r) is [r - 1 - ln r] / 2, and a gamma law of shape <= 1
+# against an inverse Gaussian one has E_q[1 / X] = inf
+@pytest.mark.parametrize("q, p, want", [
+    (("inverse-gaussian", 0.8, 2.0), ("gamma", 1.0, 0.8), 0.29484009715950309),
+    (("inverse-gaussian", 1.0, 2.0), ("gamma", 2.0, 1.0), 0.057204820708048877),
+    (("inverse-gaussian", 1.0, 1.0), ("gamma", 1.0, 1.0), 0.12305439212766114),
+    (("gamma", 4.0, 1.0), ("inverse-gaussian", 1.0, 1.0), 0.25322805802644123),
+    (("gamma", 1.0, 1.0), ("inverse-gaussian", 1.0, 1.0), math.inf),
+    (("gamma", 0.5, 1.0), ("inverse-gaussian", 1.0, 1.0), math.inf),
+    (("gamma", 2.0, 1.0), ("gamma", 1.0, 1.0), math.log(2.0) - np.euler_gamma),
+    (("gamma", 0.5, 2.0), ("gamma", 3.0, 2.0), 2.1542788950046387),
+    (("inverse-gaussian", 1.3, 2.0), ("inverse-gaussian", 1.3, 0.5), 0.31814718055994531),
+], ids=["ig-exp", "ig-gamma2", "ig-exp-x2", "gamma4-ig", "gamma1-ig", "gamma-half-ig",
+        "gamma2-gamma1", "gamma-half-gamma3", "ig-ig"])
+def test_law_kl_closed_forms_match_high_precision_quadrature(q, p, want):
+    assert law_kl(q, p) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
-def test_gamma_pair_growth_keeps_its_quadrature_value():
+def test_scaled_exp1_matches_the_product_and_the_asymptotic_series():
+    xs = np.concatenate([np.linspace(0.01, 700.0, 2801), [49.999, 50.0, 50.001]])
+    got = np.array([_scaled_exp1(x) for x in xs])
+    np.testing.assert_allclose(got, np.exp(xs) * exp1(xs), rtol=1e-14, atol=0.0)
+    for x in (1e3, 1e4, 1e8, 1e300):
+        term, series = 1.0 / x, 0.0
+        for n in range(1, 12):  # (-1)^m m! / x^(m+1) for m < 11; the first omitted term is below 1e-28
+            series += term
+            term *= -n / x
+        assert _scaled_exp1(x) == pytest.approx(series, rel=1e-15, abs=0.0)
+
+
+def test_gamma_pair_growth_is_ln_2_minus_euler_gamma():
     pair = tweedie_pair((1.0, 2.0), (0.5, 2.0))
-    assert growth_rate(pair.tilted, pair.null, pair.tilted.mu_star) == 0.11593151565044318
-
-
-@pytest.mark.parametrize("fam, mean, want", [
-    (poisson_family(), [2.0], SupportSpec("countable-vector", axes=1)),
-    (negbinom_family(4.0), [2.0], SupportSpec("countable-vector", axes=1)),
-    (gamma_family(2.0), [2.0], SupportSpec("positive-scalar")),
-    (inverse_gaussian_family(2.0), [2.0], SupportSpec("positive-scalar")),
-    (gaussian_scale_family(), [2.0], SupportSpec("real-scalar")),
-    (ksample_pairing("poisson", (0.5, 1.0)).null, [1.0], SupportSpec("countable-vector", axes=2)),
-    (ksample_pairing("gaussian", (0.5, 1.0, 2.0)).null, [1.0], SupportSpec("real-vector", axes=3)),
-])
-def test_support_follows_from_the_law(fam, mean, want):
-    assert fam.support_at(np.array(mean)) == want
-
-
-def test_bernoulli_support_enumerates_the_arms():
-    support = ksample_pairing("bernoulli", (0.3, 0.5, 0.7)).tilted.family.support_at(np.array([1.2]))
-    assert (support.kind, support.axes) == ("finite", 3)
-    assert sorted(map(tuple, support.points())) == sorted(np.ndindex(2, 2, 2))
+    assert growth_rate(pair.tilted, pair.null, pair.tilted.mu_star) == math.log(2.0) - np.euler_gamma
