@@ -39,7 +39,6 @@ from .families import (
     covariance_at_mean,
     kl_between_means,
     law_kl,
-    log_partition_at,
 )
 from .tilt import TiltedFamily, f_gap_info
 from .util import TOL_PSD, as_batch, float_or_array, psd_margin, rowdot
@@ -224,13 +223,22 @@ def _box_subset(inner: DomainDescriptor, outer: DomainDescriptor) -> bool | np.n
     return bool(inside) if inside.ndim == 0 else inside
 
 
+def _canonical_boxes(fam: ExpFamilyDescriptor, anchors: np.ndarray) -> DomainDescriptor:
+    """The canonical domains of ``fam`` at a batch of anchors, which must be boxes."""
+    box = fam.canonical_domain(anchors)
+    if not box.is_box_like():
+        raise UnsupportedModelError(f"{fam.name}: the battery needs box-shaped canonical domains, "
+                                    f"got a {box.kind} domain")
+    return box
+
+
 def check_preconditions(null: ExpFamilyDescriptor, tilted: TiltedFamily,
                         grid: np.ndarray) -> PreconditionReport:
     """Convexity, mean-space containment, canonical-domain containment.
 
-    Box-shaped domains are compared by their bounds; predicate domains fall
-    back to containment of the grid points.  Canonical containment is
-    checked anchor by anchor over the mean grid.
+    Box-shaped mean domains are compared by their bounds; a predicate mean
+    domain falls back to containment of the grid points.  Canonical domains
+    are boxes, compared by their bounds anchor by anchor over the mean grid.
     """
     alt = tilted.family
     convex = alt.mean_domain.convex
@@ -245,15 +253,8 @@ def check_preconditions(null: ExpFamilyDescriptor, tilted: TiltedFamily,
         details["mean_containment"] = "sampled"
 
     anchors = grid[in_null]
-    bp = null.canonical_domain(anchors)
-    bq = alt.canonical_domain(anchors)
-    if bp.is_box_like() and bq.is_box_like():
-        ok = np.broadcast_to(_box_subset(bp, bq), anchors.shape[:1])
-    else:
-        owner, probes = _beta_probe_points(null, anchors, n_extra=4)
-        finite = np.isfinite(log_partition_at(alt, probes, anchors[owner]))
-        ok = np.ones(anchors.shape[0], dtype=bool)
-        ok[owner[~finite]] = False
+    ok = np.broadcast_to(_box_subset(_canonical_boxes(null, anchors), _canonical_boxes(alt, anchors)),
+                         anchors.shape[:1])
     bp_in_bq = bool(np.all(ok))
     if not bp_in_bq:
         details["canonical_containment_failure_at"] = anchors[np.argmin(ok)].tolist()
@@ -319,19 +320,15 @@ def _probe_axis_values(box: DomainDescriptor, scales: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _beta_probe_points(null: ExpFamilyDescriptor, mus: np.ndarray,
-                       n_extra: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _beta_probe_points(null: ExpFamilyDescriptor, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical probes inside B_p(mu) for every mean of a batch.
 
     Per mean: near each finite face plus tilt-scale steps, all combinations
-    of them in one dimension and of (min, median, max) per axis above; then
-    ``n_extra`` points from one fixed uniform draw scaled to the box.
+    of them in one dimension and of (min, median, max) per axis above.
     Returns the owning mean's index and the probe, mean by mean.
     """
-    box = null.canonical_domain(mus)
-    if not box.is_box_like():
-        raise UnsupportedModelError("canonical probing needs a box-like domain")
-    n, dim = mus.shape
+    box = _canonical_boxes(null, mus)
+    dim = mus.shape[1]
     cov = covariance_at_mean(null, mus)
     scales = 1.0 / np.sqrt(np.maximum(np.diagonal(cov, axis1=-2, axis2=-1), np.finfo(float).tiny))
     vals = _probe_axis_values(box, scales)
@@ -354,19 +351,7 @@ def _beta_probe_points(null: ExpFamilyDescriptor, mus: np.ndarray,
         probes = thin[:, np.arange(dim), combos]                           # (n, 3^dim, dim)
     # candidates of every mean side by side: (k, n, dim) against per-mean bounds
     owner, which = np.nonzero(box.contains(np.swapaxes(probes, 0, 1)).T)
-    out = probes[owner, which]
-    if n_extra:
-        rng = np.random.default_rng(0)
-        draws = np.array([rng.random(dim) for _ in range(n_extra)])        # the same for every mean
-        upper = np.broadcast_to(box.upper, mus.shape)
-        base = 0.5 * np.where(np.isfinite(upper), upper, 4.0 * scales)
-        extra = base[:, None, :] * draws                                   # (n, n_extra, dim)
-        inside = box.contains(np.swapaxes(extra, 0, 1)).T
-        owner = np.concatenate([owner, np.nonzero(inside)[0]])
-        out = np.concatenate([out, extra[inside]])
-        order = np.argsort(owner, kind="stable")
-        owner, out = owner[order], out[order]
-    return owner, out
+    return owner, probes[owner, which]
 
 
 def check_logz_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
@@ -423,9 +408,8 @@ def onedim_shortcut(null: ExpFamilyDescriptor, tilted: TiltedFamily,
         and _box_subset(alt.mean_domain, null.mean_domain)
     canon_equal = bool(np.all(null.mean_domain.contains(grid)))
     if canon_equal:
-        bp, bq = null.canonical_domain(grid), alt.canonical_domain(grid)
-        canon_equal = bp.is_box_like() and bq.is_box_like() \
-            and bool(np.all(_box_subset(bp, bq) & _box_subset(bq, bp)))
+        bp, bq = _canonical_boxes(null, grid), _canonical_boxes(alt, grid)
+        canon_equal = bool(np.all(_box_subset(bp, bq) & _box_subset(bq, bp)))
     return ShortcutReport(
         applicable=bool(variance.passed and (means_equal or canon_equal)),
         variance_ordering_ok=variance.passed,

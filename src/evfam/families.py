@@ -11,13 +11,13 @@ canonical domain and the open mean domain, and its Jacobian (the sufficient
 statistic covariance) is positive definite in the interior.
 
 A descriptor bundles the callable handles (sufficient statistic, anchored
-log-partition, carrier log-density) plus optional closed forms for the mean
-map, covariance map and inverse mean map.  A family with a named observation
-law declares only that law, and its carrier density and sampler come from
-the table of law kinds below.  Operations fall back to damped Newton
-inversion and central finite differences when a closed form is not
-provided, so a family defined only through its log-partition still supports
-the full API.
+log-partition, carrier log-density) with the mean map, covariance map and
+inverse mean map, which every descriptor supplies.  Canonical domains are
+boxes.  A family with a named observation law declares only that law, and
+its carrier density comes from the table of law kinds below.  A family
+known only by a cumulant gets its maps from ``family_from_root_cumulant``,
+which takes central finite differences and damped Newton inversion where a
+closed form is missing.
 
 Numerical contracts:
 
@@ -35,7 +35,7 @@ a single ``(dim,)`` point is the batch with no leading axes and gives a
 float (or one vector / matrix) as before.  The descriptor callables follow
 the same rule: ``log_partition(beta, anchor)`` returns shape ``(...)``,
 ``mean_map`` and ``beta_map`` shape ``(..., dim)``, ``cov_map`` shape
-``(..., dim, dim)``, and ``canonical_domain(anchor)`` returns one domain
+``(..., dim, dim)``, and ``canonical_domain(anchor)`` returns one box
 whose bounds have the anchors' leading axes.  The public helpers below
 validate shape, finiteness and domain membership once per batch and then
 hand whole arrays to the descriptor.
@@ -43,16 +43,16 @@ hand whole arrays to the descriptor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy.special import exp1, gammaln, psi, xlog1py, xlogy
 
 from .domains import DomainDescriptor
 from .errors import ConvergenceError, DomainError, UnsupportedModelError
-from .numdiff import fd_gradient, fd_hessian, fd_jacobian
+from .numdiff import fd_gradient, fd_hessian
 from .util import as_batch, float_or_array as _scalar, rowdot
 
 __all__ = [
@@ -83,11 +83,12 @@ class ExpFamilyDescriptor:
     array.  ``log_partition(beta, anchor)`` and ``carrier_log_density(u,
     anchor)`` implement the anchored normalization above; the carrier at an
     anchor is the log-density of the member whose mean is that anchor.
-    ``canonical_domain`` maps anchors to the open sets of valid tilts.
+    ``canonical_domain`` maps anchors to the open boxes of valid tilts (a
+    ``box`` domain; the battery refuses any other kind).
 
-    The optional ``mean_map`` / ``cov_map`` / ``beta_map`` entries are
-    closed forms for grad logZ, its Hessian and the inverse mean map;
-    ``sampler(mean, n, rng)`` draws from the member with the given mean.
+    ``mean_map`` / ``cov_map`` / ``beta_map`` give grad logZ, its Hessian
+    and the inverse mean map; every descriptor supplies all three
+    (``family_from_root_cumulant`` derives them from a cumulant).
     ``stochastic`` marks families whose log-partition is a Monte Carlo
     estimate, which blocks hard certification downstream.  ``law(mean)``
     names the observation law of the member with that mean:
@@ -95,8 +96,8 @@ class ExpFamilyDescriptor:
     arms), ``("normal", mean_vector, cov)`` (a scalar variance v stands for
     v I), ``("negbinom", successes, mean)``, ``("gamma", shape, mean)`` or
     ``("inverse-gaussian", mean, lam)``.  A family that declares it passes
-    no carrier or sampler: both are derived from the law (evaluating a law
-    can cost a root solve, so construction does not).
+    no carrier: the carrier is the law's log-density (evaluating a law can
+    cost a root solve, so construction does not).
 
     The parameter callables take ``(..., dim)`` batches (see the module
     docstring); they may assume their inputs were validated.
@@ -108,11 +109,10 @@ class ExpFamilyDescriptor:
     log_partition: Callable[[np.ndarray, np.ndarray], np.ndarray]
     mean_domain: DomainDescriptor
     canonical_domain: Callable[[np.ndarray], DomainDescriptor]
+    mean_map: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    cov_map: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    beta_map: Callable[[np.ndarray, np.ndarray], np.ndarray]
     carrier_log_density: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    mean_map: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    cov_map: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    beta_map: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    sampler: Callable[[np.ndarray, int, np.random.Generator], np.ndarray] | None = None
     element_ndim: int = 0
     stochastic: bool = False
     law: Callable[[np.ndarray], tuple] | None = None
@@ -120,12 +120,10 @@ class ExpFamilyDescriptor:
     def __post_init__(self) -> None:
         if self.law is None:
             return
-        derived = (None, _law_log_density, _law_sample)  # dataclasses.replace hands these back
-        if any(getattr(f, "func", f) not in derived for f in (self.carrier_log_density, self.sampler)):
-            raise ValueError(f"{self.name}: a family that declares its law takes its density "
-                             "and sampler from it")
+        carrier = self.carrier_log_density  # dataclasses.replace hands the derived one back
+        if getattr(carrier, "func", carrier) not in (None, _law_log_density):
+            raise ValueError(f"{self.name}: a family that declares its law takes its density from it")
         object.__setattr__(self, "carrier_log_density", partial(_law_log_density, self.law))
-        object.__setattr__(self, "sampler", partial(_law_sample, self.law, self.element_ndim))
 
     def vec(self, x) -> np.ndarray:
         """Coerce a parameter to a float vector of the family dimension."""
@@ -176,34 +174,11 @@ def _logz(fam: ExpFamilyDescriptor, beta: np.ndarray, anchor: np.ndarray) -> np.
     return out
 
 
-def _mean(fam: ExpFamilyDescriptor, beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Mean map over validated canonical points; finite differences of logZ if no closed form."""
-    if fam.mean_map is not None:
-        return np.asarray(fam.mean_map(beta, anchor), dtype=float)
+def _cov(cov_map: Callable, beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """Symmetrized ``cov_map`` over validated canonical points."""
     beta, anchor = np.broadcast_arrays(beta, anchor)
-    grad = fd_gradient(lambda b: _logz(fam, b, anchor[..., None, :]), beta)
-    if not np.all(np.isfinite(grad)):
-        raise DomainError(f"{fam.name}: finite-difference mean undefined near beta={beta} "
-                          "(too close to the domain boundary)")
-    return grad
-
-
-def _cov(fam: ExpFamilyDescriptor, beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Symmetrized covariance over validated canonical points."""
-    beta, anchor = np.broadcast_arrays(beta, anchor)
-    if fam.cov_map is not None:
-        cov = np.asarray(fam.cov_map(beta, anchor), dtype=float)
-    elif fam.mean_map is not None:
-        cov = fd_jacobian(lambda b: _checked_mean(fam, b, anchor[..., None, :]), beta)
-    else:
-        cov = fd_hessian(lambda b: _logz(fam, b, anchor[..., None, :]), beta)
-    cov = np.broadcast_to(cov, beta.shape + (fam.dim,))
+    cov = np.broadcast_to(np.asarray(cov_map(beta, anchor), dtype=float), beta.shape + beta.shape[-1:])
     return 0.5 * (cov + np.swapaxes(cov, -1, -2))
-
-
-def _checked_mean(fam: ExpFamilyDescriptor, beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    _require_canonical(fam, beta, anchor)
-    return _mean(fam, beta, anchor)
 
 
 def log_partition_at(fam: ExpFamilyDescriptor, beta, anchor):
@@ -217,7 +192,8 @@ def mean_from_canonical(fam: ExpFamilyDescriptor, beta, anchor) -> np.ndarray:
     """Mean of the tilted member, i.e. grad_beta logZ(beta; anchor)."""
     beta = fam.points(beta)
     anchor = _require_mean(fam, anchor, "anchor")
-    return _checked_mean(fam, beta, anchor)
+    _require_canonical(fam, beta, anchor)
+    return np.asarray(fam.mean_map(beta, anchor), dtype=float)
 
 
 def covariance_at_canonical(fam: ExpFamilyDescriptor, beta, anchor) -> np.ndarray:
@@ -225,13 +201,13 @@ def covariance_at_canonical(fam: ExpFamilyDescriptor, beta, anchor) -> np.ndarra
     beta = fam.points(beta)
     anchor = _require_mean(fam, anchor, "anchor")
     _require_canonical(fam, beta, anchor)
-    return _cov(fam, beta, anchor)
+    return _cov(fam.cov_map, beta, anchor)
 
 
 def covariance_at_mean(fam: ExpFamilyDescriptor, mu) -> np.ndarray:
     """Covariance of the member with mean ``mu`` (anchor it there, tilt zero)."""
     mu = _require_mean(fam, mu)
-    return _cov(fam, np.zeros_like(mu), mu)
+    return _cov(fam.cov_map, np.zeros_like(mu), mu)
 
 
 def _damped_newton(label: str, target: np.ndarray, mean_of: Callable, cov_of: Callable,
@@ -288,20 +264,6 @@ def _damped_newton(label: str, target: np.ndarray, mean_of: Callable, cov_of: Ca
                            f"(residual {err[stuck]:.3e})")
 
 
-def _beta(fam: ExpFamilyDescriptor, mu: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Inverse mean map over validated means and anchors."""
-    if fam.beta_map is not None:
-        return np.asarray(fam.beta_map(mu, anchor), dtype=float)
-    mu, anchor = np.broadcast_arrays(mu, anchor)
-    lead = mu.shape[:-1]
-    mu, anchor = mu.reshape(-1, fam.dim), anchor.reshape(-1, fam.dim)
-    beta = _damped_newton(fam.name, mu,
-                          lambda b, rows: _mean(fam, b, anchor[rows]),
-                          lambda b, rows: _cov(fam, b, anchor[rows]),
-                          fam.canonical_domain(anchor))
-    return beta.reshape(lead + (fam.dim,))
-
-
 def _cached_rows(cache: dict[bytes, np.ndarray], rows: np.ndarray,
                  solve: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """``solve`` over the rows of a (..., k) batch, each distinct row once per cache.
@@ -321,14 +283,14 @@ def canonical_from_mean(fam: ExpFamilyDescriptor, mu, anchor) -> np.ndarray:
     """Canonical coordinate of the member with mean ``mu``, relative to ``anchor``."""
     mu = _require_mean(fam, mu)
     anchor = _require_mean(fam, anchor, "anchor")
-    return _beta(fam, mu, anchor)
+    return np.asarray(fam.beta_map(mu, anchor), dtype=float)
 
 
 def kl_between_means(fam: ExpFamilyDescriptor, mu, mu_prime):
     """D(P_mu || P_mu') via duality: beta . mu - logZ(beta; mu')."""
     mu = _require_mean(fam, mu)
     mu_prime = _require_mean(fam, mu_prime)
-    beta = _beta(fam, mu, mu_prime)
+    beta = np.asarray(fam.beta_map(mu, mu_prime), dtype=float)
     logz = _logz(fam, beta, mu_prime)
     if not np.all(np.isfinite(logz)):
         raise ConvergenceError(f"{fam.name}: log-partition divergent inside the mean image")
@@ -391,15 +353,16 @@ def family_from_root_cumulant(
 
     The root callables follow the batch contract: ``root_cumulant`` maps
     ``(..., dim)`` to ``(...)``, ``root_mean`` and ``root_beta`` to
-    ``(..., dim)`` and ``root_cov`` to ``(..., dim, dim)``.  gamma is found
-    by the closed form when given, otherwise by damped Newton inversion of
-    K'; solved anchors are cached, so grid sweeps that revisit anchors do
-    not repeat the solve.
+    ``(..., dim)`` and ``root_cov`` to ``(..., dim, dim)``.  Without
+    ``root_mean`` and ``root_cov`` the mean and covariance are central finite
+    differences of K.  gamma is found by the closed form when given,
+    otherwise by damped Newton inversion of K'; solved anchors are cached,
+    so grid sweeps that revisit anchors do not repeat the solve.
 
-    The inverse mean map is always provided.  With ``root_beta`` it is
-    gamma(mu) - gamma(anchor); without it, each (mean, anchor) row is solved
-    once by the damped Newton of the generic fallback (from beta = 0 at the
-    anchor) and cached, so the KL ordering reuses the pairing's solves.
+    With ``root_beta`` the inverse mean map is gamma(mu) - gamma(anchor);
+    without it, each (mean, anchor) row is solved once by damped Newton on
+    the family's own mean and symmetrized covariance maps, from beta = 0 at
+    the anchor, and cached, so the KL ordering reuses the pairing's solves.
     ``law`` is passed to the descriptor as it is.
     """
     def eval_cumulant(beta: np.ndarray) -> np.ndarray:
@@ -417,8 +380,6 @@ def family_from_root_cumulant(
     def eval_root_cov(beta: np.ndarray) -> np.ndarray:
         if root_cov is not None:
             return np.asarray(root_cov(beta), dtype=float)
-        if root_mean is not None:
-            return fd_jacobian(eval_root_mean, beta)
         return fd_hessian(eval_cumulant, beta)
 
     gamma_cache: dict[bytes, np.ndarray] = {}
@@ -452,40 +413,44 @@ def family_from_root_cumulant(
     def cov_map(beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         return eval_root_cov(beta + gamma_of(anchor))
 
-    family = ExpFamilyDescriptor(
+    if root_beta is not None:
+        def beta_map(mu: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+            return gamma_of(mu) - gamma_of(anchor)
+    else:
+        # solved at the anchor: differencing two Newton-solved gammas rounds differently
+        beta_cache: dict[bytes, np.ndarray] = {}
+
+        def solve_betas(rows: np.ndarray) -> np.ndarray:
+            mu, anchor = rows[:, :dim], rows[:, dim:]
+            return _damped_newton(name, mu, lambda b, idx: mean_map(b, anchor[idx]),
+                                  lambda b, idx: _cov(cov_map, b, anchor[idx]),
+                                  canonical_domain(anchor))
+
+        def beta_map(mu: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+            mu, anchor = np.broadcast_arrays(mu, anchor)
+            solved = _cached_rows(beta_cache, np.concatenate([mu, anchor], axis=-1), solve_betas)
+            return solved.reshape(mu.shape)
+
+    return ExpFamilyDescriptor(
         name=name,
         dim=dim,
         suff_stat=suff_stat,
         log_partition=log_partition,
         mean_domain=mean_domain,
         canonical_domain=canonical_domain,
-        carrier_log_density=carrier,
         mean_map=mean_map,
         cov_map=cov_map,
+        beta_map=beta_map,
+        carrier_log_density=carrier,
         element_ndim=element_ndim,
         stochastic=stochastic,
         law=law,
     )
-    if root_beta is not None:
-        def beta_map(mu: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-            return gamma_of(mu) - gamma_of(anchor)
-    else:
-        # ``family`` has no beta_map, so _beta runs the generic damped Newton
-        # at the anchor; differencing two Newton-solved gammas rounds differently
-        beta_cache: dict[bytes, np.ndarray] = {}
-
-        def beta_map(mu: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-            mu, anchor = np.broadcast_arrays(mu, anchor)
-            solved = _cached_rows(beta_cache, np.concatenate([mu, anchor], axis=-1),
-                                  lambda rows: _beta(family, rows[:, :dim], rows[:, dim:]))
-            return solved.reshape(mu.shape)
-
-    return replace(family, beta_map=beta_map)
 
 
 # ---------------------------------------------------------------------------
-# observation laws: one table of kinds gives each law's log-density and
-# sampler, and one table of kind pairs gives the divergence between two laws
+# observation laws: one table of kinds gives each law's log-density, and one
+# table of kind pairs gives the divergence between two laws
 
 def _normal_log(u: np.ndarray, mean: np.ndarray, cov) -> np.ndarray:
     if np.ndim(cov) == 0:  # v I: one term per element
@@ -496,55 +461,30 @@ def _normal_log(u: np.ndarray, mean: np.ndarray, cov) -> np.ndarray:
     return -0.5 * (np.sum(resid ** 2, axis=0) + len(mean) * np.log(2.0 * np.pi) + logdet)
 
 
-def _normal_sample(rng: np.random.Generator, size, mean: np.ndarray, cov) -> np.ndarray:
-    if np.ndim(cov) == 0:
-        return rng.normal(mean, np.sqrt(cov), size)
-    return mean + rng.standard_normal(size) @ np.linalg.cholesky(cov).T
-
-
-class _LawKind(NamedTuple):
-    log_density: Callable   # (u, *params) -> log-density per element, or per observation
-    sample: Callable        # (rng, size, *params) -> draws
-
-
+# (u, *params) -> log-density per element, or per observation
 _LAW_KINDS = {
-    "poisson": _LawKind(
-        lambda u, arms: xlogy(u, arms) - arms - gammaln(u + 1.0),
-        lambda rng, size, arms: rng.poisson(arms, size).astype(float)),
-    "bernoulli": _LawKind(
-        lambda u, probs: xlogy(u, probs) + xlog1py(1.0 - u, -probs),
-        lambda rng, size, probs: (rng.random(size) < probs).astype(float)),
-    "normal": _LawKind(_normal_log, _normal_sample),
-    "negbinom": _LawKind(
-        lambda u, n, mean: (gammaln(u + n) - gammaln(n) - gammaln(u + 1.0)
-                            + n * np.log1p(-mean / (n + mean)) + xlogy(u, mean / (n + mean))),
-        lambda rng, size, n, mean: rng.negative_binomial(n, n / (n + mean), size).astype(float)),
-    "gamma": _LawKind(
-        lambda u, shape, mean: (xlogy(shape - 1.0, u) - u / (mean / shape) - gammaln(shape)
-                                - shape * np.log(mean / shape)),
-        lambda rng, size, shape, mean: rng.gamma(shape, mean / shape, size)),
-    "inverse-gaussian": _LawKind(
-        lambda u, mean, lam: (0.5 * (np.log(lam) - np.log(2.0 * np.pi) - 3.0 * np.log(u))
-                              - lam * (u - mean) ** 2 / (2.0 * mean ** 2 * u)),
-        lambda rng, size, mean, lam: rng.wald(mean, lam, size)),
+    "poisson": lambda u, arms: xlogy(u, arms) - arms - gammaln(u + 1.0),
+    "bernoulli": lambda u, probs: xlogy(u, probs) + xlog1py(1.0 - u, -probs),
+    "normal": _normal_log,
+    "negbinom": lambda u, n, mean: (gammaln(u + n) - gammaln(n) - gammaln(u + 1.0)
+                                    + n * np.log1p(-mean / (n + mean)) + xlogy(u, mean / (n + mean))),
+    "gamma": lambda u, shape, mean: (xlogy(shape - 1.0, u) - u / (mean / shape) - gammaln(shape)
+                                     - shape * np.log(mean / shape)),
+    "inverse-gaussian": lambda u, mean, lam: (
+        0.5 * (np.log(lam) - np.log(2.0 * np.pi) - 3.0 * np.log(u))
+        - lam * (u - mean) ** 2 / (2.0 * mean ** 2 * u)),
 }
 
 
 def law_log_density(law: tuple, u) -> np.ndarray:
     """Log-density of an observation law (a ``law`` tuple) at each element of the batch ``u``."""
-    vals = _LAW_KINDS[law[0]].log_density(np.asarray(u, dtype=float), *law[1:])
+    vals = _LAW_KINDS[law[0]](np.asarray(u, dtype=float), *law[1:])
     return vals.sum(axis=1) if vals.ndim > 1 else vals  # independent elements add
 
 
 def _law_log_density(law: Callable, u: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     """Carrier of a law-declaring family: the log-density of the anchor member's law."""
     return law_log_density(law(anchor), u)
-
-
-def _law_sample(law: Callable, element_ndim: int, mean: np.ndarray, n: int, rng) -> np.ndarray:
-    """Sampler of a law-declaring family: n draws, one element (one row of arms) each."""
-    kind, *params = law(mean)
-    return _LAW_KINDS[kind].sample(rng, (n, len(params[0])) if element_ndim else n, *params)
 
 
 # Divergence rules: each takes the two full law tuples (q, p) of members with

@@ -12,7 +12,7 @@ Every closed form in the catalog (Poisson, gamma, negative binomial, the
 ABM class V(m) = m (1 + m/s)^r, Tweedie powers V(m) = a m^g with g >= 1,
 inverse Gaussian) is an instance of this one mechanism, which keeps the
 algebra in a single place.  A family with a named observation law declares
-only that law (``ExpFamilyDescriptor.law``), never its density or sampler.
+only that law (``ExpFamilyDescriptor.law``), never its density.
 
 Pairings bundle a null family with a tilted alternative family anchored at
 the alternative's sufficient-statistic mean.  The simple e-value of a
@@ -672,7 +672,7 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
             gamma = _brentq_rows(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=100)
             return gamma.reshape(target.shape + (1,))
 
-        @lru_cache(maxsize=None)  # the law is read once per carrier or sampler call
+        @lru_cache(maxsize=None)  # the law is read once per carrier call
         def gamma_at(total: float) -> float:
             return float(root_gamma(np.array([total]))[0])
 
@@ -795,7 +795,12 @@ def gaussian_scale_pairing(m: float, s2: float) -> Pairing:
 
     def root_beta(mu: np.ndarray) -> np.ndarray:
         target = np.asarray(mu, dtype=float)[..., 0]
-        t = (1.0 + np.sqrt(1.0 + 16.0 * target * cm2)) / (4.0 * target)
+        with np.errstate(over="ignore"):
+            disc = 1.0 + 16.0 * target * cm2
+        # where c^2 m^2 (or the product) overflows, sqrt(disc) is 4 |c m| sqrt(target)
+        # to double precision
+        root = np.where(np.isfinite(disc), np.sqrt(disc), 4.0 * abs(c * m) * np.sqrt(target))
+        t = (1.0 + root) / (4.0 * target)
         return (c - t)[..., None]
 
     def law(mean: np.ndarray) -> tuple:

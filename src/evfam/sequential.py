@@ -173,9 +173,9 @@ def simulate_two_sample(arm_means, rounds: int = 500, n_paths: int = 1000,
     """
     m1, m2 = (float(v) for v in arm_means)
     if not (0.0 < m1 < 1.0 and 0.0 < m2 < 1.0):
-        raise DataError("arm means must lie strictly inside (0, 1)")
+        raise DomainError(f"arm means {(m1, m2)!r} must lie strictly inside (0, 1)")
     if tail_window <= 0 or tail_window > rounds:
-        raise DataError("tail window must lie in 1..rounds")
+        raise DomainError(f"tail window {tail_window!r} must lie in 1..{rounds}, the rounds")
     try:
         seed = operator.index(seed)
     except TypeError:

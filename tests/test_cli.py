@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -474,6 +477,16 @@ def test_growth_of_many_poisson_arms_is_the_closed_form(capsys, means):
     assert json.loads(out)["growth_rate"] == pytest.approx(want, rel=1e-12)
 
 
+# c = 1 / (2 s2) = 5e299 made c^2 m^2 overflow in the inverse mean map, so the
+# alternative law had variance 0 and the growth printed "inf" after a warning;
+# it is KL(N(3, 1e-300) || N(0, 9)) = (ln 9 + 300 ln 10) / 2
+def test_gaussian_scale_growth_at_a_tiny_carrier_variance_is_finite(capsys):
+    code, out, err = run(capsys, "growth", "--model", "gaussian-scale", "--carrier-mean=3",
+                         "--carrier-var=1e-300")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["growth_rate"] == pytest.approx(346.48637623777496, rel=1e-12)
+
+
 @pytest.mark.parametrize("argv", [
     ["--model", "ksample-poisson", "--alt-means", "0.5,1.5", "--mu", "0"],
     ["--model", "ksample-poisson", "--alt-means", "0.5,1.5", "--mu", "-1"],
@@ -573,8 +586,11 @@ def test_sequential_validates_arm_means(capsys):
 
 
 # these ran: alpha 1.5 gave a negative threshold, alpha nan printed NaN, and
-# zero paths gave NaN summaries
+# zero paths gave NaN summaries; bad arm means and tail windows exited 65, the
+# code for malformed data files
 @pytest.mark.parametrize("flag, value, message", [
+    ("--arm-means", "nan,0.4", "arm means (nan, 0.4) must lie strictly inside (0, 1)"),
+    ("--tail-window", "0", "tail window 0 must lie in 1..5, the rounds"),
     ("--alpha", "1.5", "alpha 1.5 must lie strictly inside (0, 1)"),
     ("--alpha", "nan", "alpha nan must lie strictly inside (0, 1)"),
     ("--paths", "0", "n_paths 0 must be at least 1"),
@@ -625,3 +641,39 @@ def test_linmodel_check_via_design_file(capsys, tmp_path):
                        "--gamma", "0.5,-0.3", "--grid-points", "8", "--pairs", "16")
     assert code == 0
     assert json.loads(out)["overall"] == "simple-evariable-certified"
+
+
+# ---------------------------------------------------------------------------
+# README's usage commands, run as written
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands() -> list[tuple[list[str], str]]:
+    """README's ``evfam`` and ``printf`` commands (continuations joined), each with its next line."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [(shlex.split(line), lines[i + 1] if i + 1 < len(lines) else "")
+            for i, line in enumerate(lines) if line.startswith(("evfam ", "printf "))]
+
+
+def test_readme_usage_commands_run_as_documented(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert [argv[0] if argv[0] == "printf" else argv[1] for argv, _ in commands] == [
+        "check", "printf", "evalue", "growth", "sequential", "figure"]
+    for argv, next_line in commands:
+        if argv[0] == "printf":  # printf FORMAT > FILE
+            assert argv[2] == ">"
+            Path(argv[3]).write_text(argv[1].encode().decode("unicode_escape"))
+            continue
+        assert argv[0] == "evfam"
+        code, out, err = run(capsys, *argv[1:])
+        assert code == 0, (argv, err)
+        if argv[1] == "check":
+            assert json.loads(out)["overall"] == "simple-evariable-certified"
+        if argv[1] == "growth":
+            shown = re.match(r'# \{"growth_rate": ([0-9.]+)\.\.\.', next_line).group(1)
+            assert str(json.loads(out)["growth_rate"]).startswith(shown)
+    assert (tmp_path / "rows.csv").exists() and (tmp_path / "seq_summary.json").exists()
+    assert (tmp_path / "fig1.csv").exists()

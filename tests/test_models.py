@@ -526,25 +526,38 @@ def _law_pairing(key):
     return pair, [np.asarray(m, dtype=float) for m in means]
 
 
-def _law_log_density(law, u):
+def _scipy_law(law):
+    """A law tuple as a frozen scipy.stats distribution (arms as a vector of them)."""
     kind, *params = law
     if kind == "normal":
-        return st.multivariate_normal(*params).logpdf(u.reshape(len(u), -1))
+        return st.multivariate_normal(*params)
     if kind == "poisson":
-        logs = st.poisson.logpmf(u, params[0])
-    elif kind == "bernoulli":
-        logs = st.bernoulli.logpmf(u, params[0])
-    elif kind == "negbinom":
+        return st.poisson(params[0])
+    if kind == "bernoulli":
+        return st.bernoulli(params[0])
+    if kind == "negbinom":
         n, mean = params
-        logs = st.nbinom.logpmf(u, n, n / (n + mean))
-    elif kind == "gamma":
+        return st.nbinom(n, n / (n + mean))
+    if kind == "gamma":
         shape, mean = params
-        logs = st.gamma.logpdf(u, a=shape, scale=mean / shape)
-    else:
-        assert kind == "inverse-gaussian"
-        mean, lam = params
-        logs = st.invgauss.logpdf(u, mu=mean / lam, scale=lam)
+        return st.gamma(a=shape, scale=mean / shape)
+    assert kind == "inverse-gaussian"
+    mean, lam = params
+    return st.invgauss(mu=mean / lam, scale=lam)
+
+
+def _law_log_density(law, u):
+    dist = _scipy_law(law)
+    if law[0] == "normal":
+        return dist.logpdf(u.reshape(len(u), -1))
+    logs = dist.logpmf(u) if law[0] in ("poisson", "bernoulli", "negbinom") else dist.logpdf(u)
     return logs.reshape(len(u), -1).sum(axis=1)  # independent arms add
+
+
+def _law_draws(law, n, element_ndim, rng):
+    """n elements from the law: one row of arms each when the elements are vectors."""
+    size = (n, len(law[1])) if element_ndim and law[0] != "normal" else n
+    return np.asarray(_scipy_law(law).rvs(size=size, random_state=rng), dtype=float)
 
 
 @pytest.mark.parametrize("side", ["null", "alternative"])
@@ -554,8 +567,9 @@ def test_each_declared_law_is_its_members_carrier(key, side):
     fam = pair.null if side == "null" else pair.tilted.family
     rng = np.random.default_rng(5)
     for mu in means:
-        u = np.asarray(fam.sampler(mu, 20, rng), dtype=float)
-        want = _law_log_density(fam.law(mu), u)
+        law = fam.law(mu)
+        u = _law_draws(law, 20, fam.element_ndim, rng)
+        want = _law_log_density(law, u)
         assert np.allclose(fam.carrier_log_density(u, mu), want, rtol=1e-12, atol=0.0), mu
 
 
@@ -636,11 +650,11 @@ def test_isotropic_normal_law_kl_matches_the_dense_route(rows):
 
 
 # ---------------------------------------------------------------------------
-# carriers and samplers pinned bit for bit
+# carriers pinned bit for bit
 
 # family, fixed sample points and means; the values were recorded as int64 bit
-# patterns (tests/law_pins.json) before the catalog derived its carriers and
-# samplers from the declared laws
+# patterns (tests/law_pins.json) before the catalog derived its carriers from
+# the declared laws
 def _pin_cases():
     kp = ksample_pairing("poisson", (0.5, 1.0, 1.5))
     kg = ksample_pairing("gaussian", (0.2, 1.0, 1.8), sigma2=0.7)
@@ -680,14 +694,10 @@ def _pin_cases():
     }
 
 
-def _pinned_outputs(fam, points, means) -> dict:
-    """Carrier values at ``points`` and four draws per mean, seed 7, flattened."""
-    carrier, draws = [], []
-    for mu in means:
-        mu = np.asarray(mu, dtype=float)
-        carrier.append(np.asarray(fam.carrier_log_density(points, mu), dtype=float).ravel())
-        draws.append(np.asarray(fam.sampler(mu, 4, np.random.default_rng(7)), dtype=float).ravel())
-    return {"carrier": np.concatenate(carrier), "draws": np.concatenate(draws)}
+def _pinned_carrier(fam, points, means) -> np.ndarray:
+    """Carrier values at ``points`` for each mean, flattened."""
+    return np.concatenate([np.asarray(fam.carrier_log_density(points, np.asarray(mu, dtype=float)),
+                                      dtype=float).ravel() for mu in means])
 
 
 PINS_PATH = Path(__file__).with_name("law_pins.json")
@@ -699,14 +709,13 @@ ROUNDOFF_CARRIERS = {"ksample-bernoulli-alt", "gaussian-scale-alt", "linmodel-nu
 
 @pytest.mark.parametrize("key", sorted(_pin_cases()))
 def test_law_derived_carriers_and_samplers_keep_their_pinned_bits(key):
-    pins = json.loads(PINS_PATH.read_text())[key]
-    got = _pinned_outputs(*_pin_cases()[key])
-    want = {name: np.array(bits, dtype=np.int64).view(np.float64) for name, bits in pins.items()}
-    assert got["draws"].view(np.int64).tolist() == pins["draws"]
+    pins = json.loads(PINS_PATH.read_text())[key]["carrier"]
+    got = _pinned_carrier(*_pin_cases()[key])
     if key in ROUNDOFF_CARRIERS:
-        np.testing.assert_allclose(got["carrier"], want["carrier"], rtol=1e-12, atol=0.0)
+        want = np.array(pins, dtype=np.int64).view(np.float64)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     else:
-        assert got["carrier"].view(np.int64).tolist() == pins["carrier"]
+        assert got.view(np.int64).tolist() == pins
 
 
 # ---------------------------------------------------------------------------
@@ -714,11 +723,9 @@ def test_law_derived_carriers_and_samplers_keep_their_pinned_bits(key):
 
 def test_a_declared_law_is_the_only_source_of_density_and_sampler():
     fam = poisson_family()
-    for extra in ({"carrier_log_density": lambda u, anchor: u},
-                  {"sampler": lambda mean, n, rng: rng.poisson(mean[0], n)}):
-        with pytest.raises(ValueError, match="takes its density and sampler from it"):
-            dataclasses.replace(fam, **extra)
-    # replace hands the derived fields back; they are re-derived, not refused
+    with pytest.raises(ValueError, match="takes its density from it"):
+        dataclasses.replace(fam, carrier_log_density=lambda u, anchor: u)
+    # replace hands the derived carrier back; it is re-derived, not refused
     renamed = dataclasses.replace(fam, name="counts")
     mu = np.array([2.3])
     assert renamed.carrier_log_density(POINTS, mu).tolist() == fam.carrier_log_density(POINTS, mu).tolist()

@@ -198,9 +198,9 @@ def test_simulation_alternative_grows_and_crosses():
 
 
 def test_simulation_validates_arguments():
-    with pytest.raises(DataError):
+    with pytest.raises(DomainError):
         simulate_two_sample(arm_means=(0.0, 0.5), rounds=10, n_paths=2)
-    with pytest.raises(DataError):
+    with pytest.raises(DomainError):
         simulate_two_sample(arm_means=(0.4, 0.5), rounds=10, n_paths=2,
                             tail_window=11)
 

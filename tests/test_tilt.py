@@ -8,9 +8,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp, xlogy
 
 from evfam import tilt
+from evfam.conditions import run_condition_battery, simple_log_evalue
+from evfam.domains import DomainDescriptor
 from evfam.errors import DomainError, UnsupportedModelError
 from evfam.families import (
     canonical_from_mean,
@@ -25,6 +27,7 @@ from evfam.models import (
     gaussian_scale_family,
     gaussian_scale_pairing,
     ig_vs_exp_pairing,
+    negbinom_family,
     negbinom_vs_poisson,
     nef_pairing,
     poisson_family,
@@ -340,3 +343,32 @@ def test_member_pairing_validates_mean_membership():
 
 def test_tilted_family_is_a_family_and_its_anchor():
     assert [f.name for f in dataclasses.fields(TiltedFamily)] == ["family", "mu_star"]
+
+
+# the log-MGF route with a carrier density: the carrier of each member is
+# gamma(mu) . t(u) - K(gamma(mu)) + log q(u), with gamma solved by damped Newton
+@pytest.mark.parametrize("mu", [0.7, 2.0, 6.0])
+def test_mgf_route_carrier_gives_the_catalog_evalues(mu):
+    null = negbinom_family(4.0)
+    carrier = CarrierAlternative(
+        name="poisson(2)",
+        log_density=lambda u: xlogy(u, 2.0) - 2.0 - gammaln(np.asarray(u, dtype=float) + 1.0),
+        mean_of_suff_stat=np.array([2.0]),
+        mgf_log=lambda beta: 2.0 * np.expm1(beta[0]),
+    )
+    tilted = build_tilted_family(null, carrier)
+    pair = negbinom_vs_poisson(4.0, 2.0)
+    counts = np.arange(6.0)
+    got = simple_log_evalue(tilted, null, [mu], counts)
+    want = simple_log_evalue(pair.tilted, pair.null, [mu], counts)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-7)
+
+
+def test_battery_refuses_a_canonical_domain_that_is_not_a_box():
+    odd = dataclasses.replace(
+        poisson_family(), name="poisson-odd-domain",
+        canonical_domain=lambda anchor: DomainDescriptor(
+            "custom-predicate", 1, predicate=lambda beta: beta[..., 0] < 1.0))
+    pair = nef_pairing(negbinom_family(4.0), odd, 2.0, "odd-domain", {})
+    with pytest.raises(UnsupportedModelError, match="poisson-odd-domain"):
+        run_condition_battery(pair)
