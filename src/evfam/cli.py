@@ -9,6 +9,7 @@ standard figure data sets.  Exit codes are part of the contract:
     3   battery inconclusive (Monte Carlo families, or failed preconditions)
     64  bad configuration or arguments
     65  malformed data file
+    141 standard output closed early (a reader such as ``head`` quit)
 
 All outputs are deterministic for fixed inputs: JSON is key-sorted and CSV
 files carry their effective configuration as '#' comment lines.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -55,6 +57,7 @@ EXIT_REFUTED = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_BAD_CONFIG = 64
 EXIT_BAD_DATA = 65
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by the signal
 
 _OVERALL_EXIT = {CERTIFIED: EXIT_OK, REFUTED: EXIT_REFUTED, INCONCLUSIVE: EXIT_INCONCLUSIVE,
                  INCONCLUSIVE_PRECONDITIONS: EXIT_INCONCLUSIVE}
@@ -504,7 +507,14 @@ def main(argv=None) -> int:
         # argparse handles --help and usage errors by exiting; keep the code
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at exit does not fail again
+        # (the idiom of the Python signal module's documentation)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except DataError as exc:
         print(f"evfam: data error: {exc}", file=sys.stderr)
         return EXIT_BAD_DATA

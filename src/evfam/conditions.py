@@ -99,8 +99,10 @@ class GridSpec:
     Mean grids default to 64 points per axis in one dimension and 8 per
     axis above (capped at MAX_GRID_POINTS total); positive axes are
     log-spaced on LOG_AXIS_RANGE, bounded axes uniform in the interior,
-    unbounded axes linear on FREE_AXIS_RANGE.  Mean pairs come from a
-    Halton sequence seeded by ``seed`` over the same ranges.
+    unbounded axes linear on FREE_AXIS_RANGE.  Mean pairs come from evfam's
+    own Owen-scrambled Halton sequence seeded by ``seed`` (a non-negative
+    integer) over the same ranges; it equals
+    ``scipy.stats.qmc.Halton(d, seed=seed)`` bit for bit at scipy 1.17.1.
     """
 
     points_per_axis: int | None = None
@@ -148,17 +150,56 @@ def mean_grid(domain: DomainDescriptor, spec: GridSpec | None = None,
     return grid
 
 
+def _halton(d: int, seed: int, n: int) -> np.ndarray:
+    """The first ``n`` points of Owen's scrambled Halton sequence in ``[0, 1)^d``.
+
+    A. B. Owen, "A randomized Halton algorithm in R" (arXiv:1706.02808): axis
+    k is the base-b radical inverse of the row index, b the k-th prime, with
+    digit j passed through its own random permutation of 0..b-1.  The
+    permutations are drawn, and the digits summed, in the order scipy's
+    ``qmc.Halton(d, seed=seed).random(n)`` uses, so the points equal it bit
+    for bit.
+    """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed {seed} must be a non-negative integer")
+    rng = np.random.default_rng(seed)
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < d:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    out = np.empty((n, d))
+    for col, base in enumerate(primes):
+        # one permutation per digit that still moves a double: base**-j > 2**-54
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        q = np.arange(n)
+        seq = np.zeros(n)
+        b2r = 1.0 / base
+        for perm in perms:
+            if q.any():
+                q, r = np.divmod(q, base)
+                seq += perm[r] * b2r
+            else:  # every higher digit is 0
+                seq += perm[0] * b2r
+            b2r /= base
+        out[:, col] = seq
+    return out
+
+
 def mean_pairs(domain: DomainDescriptor, spec: GridSpec | None = None) -> np.ndarray:
     """Quasi-random mean pairs (n_pairs, 2, dim) from a seeded Halton sequence.
 
-    The first ``n_pairs`` Halton rows whose two points both lie in the
-    domain are kept, in sequence order.
+    The sequence is ``_halton``, evfam's own Owen-scrambled Halton, equal
+    bit for bit to ``scipy.stats.qmc.Halton(2 * dim, seed=spec.seed)`` at
+    scipy 1.17.1.  The first ``n_pairs`` rows whose two points both lie in
+    the domain are kept, in sequence order.
     """
-    from scipy.stats import qmc  # loading scipy.stats costs most of a cold start
-
     spec = spec or GridSpec()
     lo, hi, log = (np.tile(np.array(col), 2) for col in zip(*_axis_specs(domain, spec)))
-    raw = qmc.Halton(d=2 * domain.dim, seed=spec.seed).random(4 * spec.n_pairs)
+    raw = _halton(2 * domain.dim, spec.seed, 4 * spec.n_pairs)
     points = lo + (hi - lo) * raw
     # log axes take the C library's pow one value at a time, so that the
     # pairs do not depend on which SIMD kernel numpy picks on this CPU

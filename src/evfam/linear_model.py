@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .domains import DomainDescriptor
 from .errors import DataError, DomainError
@@ -102,6 +101,8 @@ class LinearModelDesign:
     @cached_property
     def gram_ff_cholesky(self) -> tuple[np.ndarray, bool]:
         """Cholesky factor of the nuisance Gram matrix, computed once per design."""
+        from scipy.linalg import cho_factor  # scipy.linalg loads with the linear model only
+
         return cho_factor(self.gram_ff, lower=True)
 
 
@@ -155,6 +156,8 @@ def _solve_ff(design: LinearModelDesign, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if design.d == 0:
         return np.zeros(rhs.shape)
+    from scipy.linalg import cho_solve
+
     cols = rhs.reshape(-1, design.d).T
     return cho_solve(design.gram_ff_cholesky, cols, check_finite=False).T.reshape(rhs.shape)
 

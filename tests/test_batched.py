@@ -441,16 +441,40 @@ def test_bernoulli_root_gamma_matches_the_per_entry_path(arms):
 # cold start
 
 def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats, scipy.integrate and scipy.optimize are loaded by the code
-    # that needs them (Halton pairs, the quadrature ladder), not by the import
+    # scipy.integrate and scipy.optimize (the quadrature ladder) and
+    # scipy.linalg (the linear model) are loaded by the code that needs them,
+    # not by the import; evfam never loads scipy.stats
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
     code = ("import sys, evfam, evfam.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
-            "if m in sys.modules])")
+            "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize', "
+            "'scipy.linalg') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_check_and_growth_do_not_load_scipy_stats():
+    # the battery's mean pairs come from evfam's own Halton sequence, and the
+    # growth rate of a declared law pair needs no quadrature
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    runs = [
+        ["check", "--model", "gaussian-location", "--cov-null=2,0.3;0.3,1",
+         "--cov-alt=1,0.1;0.1,0.5", "--alt-mean=1,-0.5"],
+        ["check", "--model", "abm-vs-poisson", "--s", "3", "--r", "2", "--mu", "2"],
+        ["check", "--model", "ksample-bernoulli", "--alt-means", "0.3,0.5,0.7"],
+        ["growth", "--model", "negbinom-vs-poisson", "--successes", "4", "--mu", "2"],
+    ]
+    code = ("import contextlib, io, sys; from evfam import cli\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
 
 
 # ---------------------------------------------------------------------------

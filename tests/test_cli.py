@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -610,6 +613,24 @@ def test_sequential_seed_outside_a_philox_key_word_exits_64(capsys, tmp_path, se
                          "--out", str(tmp_path / "run"))
     assert (code, out) == (64, "")
     assert err == f"evfam: seed {seed} must lie in 0..2**64-1, the range of a Philox key word\n"
+
+
+def test_check_negative_seed_exits_64_naming_the_seed(capsys):
+    code, out, err = run(capsys, "check", *NB_ARGS, "--seed", "-1")
+    assert (code, out) == (64, "")
+    assert err == "evfam: seed -1 must be a non-negative integer\n"
+
+
+def test_check_into_a_closed_pipe_exits_141_without_a_traceback():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    proc = subprocess.Popen([sys.executable, "-m", "evfam.cli", "check", *NB_ARGS],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader quits before the report is written
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err
 
 
 def test_evalue_data_that_is_not_utf8_exits_65_with_the_byte_offset(capsys, tmp_path):

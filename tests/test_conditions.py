@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from evfam.conditions import (
     CERTIFIED,
@@ -15,6 +16,7 @@ from evfam.conditions import (
     INCONCLUSIVE_PRECONDITIONS,
     REFUTED,
     GridSpec,
+    _halton,
     check_preconditions,
     check_sigma_ordering,
     partition_check,
@@ -81,6 +83,21 @@ def test_mean_pairs_shape_and_determinism():
     assert p1.shape[0] <= SPEC.n_pairs
     other = mean_pairs(dom, GridSpec(n_pairs=64, seed=5))
     assert not np.array_equal(p1, other)
+
+
+# d = 40 reaches bases past the first dozen primes; 2**63 is past a C long seed
+@pytest.mark.parametrize("d", [2, 4, 6, 12, 40])
+def test_halton_equals_scipy_bit_for_bit(d):
+    for seed in (0, 1, 2 ** 31 - 2, 2 ** 63):
+        for n in (1, 7, 2048, 4096):
+            want = qmc.Halton(d=d, seed=seed).random(n)
+            assert np.array_equal(_halton(d, seed, n).view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_halton_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(DomainError, match=rf"^seed {seed} must be a non-negative integer$"):
+        mean_pairs(full_space(1), GridSpec(seed=seed))
 
 
 # ---------------------------------------------------------------------------
