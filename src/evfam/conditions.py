@@ -103,6 +103,8 @@ class GridSpec:
     own Owen-scrambled Halton sequence seeded by ``seed`` (a non-negative
     integer) over the same ranges; it equals
     ``scipy.stats.qmc.Halton(d, seed=seed)`` bit for bit at scipy 1.17.1.
+    Its first ``n_pairs`` rows are drawn, and ``4 * n_pairs`` only when the
+    domain rejects some of them (``mean_pairs``).
     """
 
     points_per_axis: int | None = None
@@ -195,19 +197,23 @@ def mean_pairs(domain: DomainDescriptor, spec: GridSpec | None = None) -> np.nda
     The sequence is ``_halton``, evfam's own Owen-scrambled Halton, equal
     bit for bit to ``scipy.stats.qmc.Halton(2 * dim, seed=spec.seed)`` at
     scipy 1.17.1.  The first ``n_pairs`` rows whose two points both lie in
-    the domain are kept, in sequence order.
+    the domain are kept, in sequence order: ``n_pairs`` rows are drawn, and
+    ``4 * n_pairs`` (the same rows first) only when the domain rejects some.
     """
     spec = spec or GridSpec()
     lo, hi, log = (np.tile(np.array(col), 2) for col in zip(*_axis_specs(domain, spec)))
-    raw = _halton(2 * domain.dim, spec.seed, 4 * spec.n_pairs)
-    points = lo + (hi - lo) * raw
-    # log axes take the C library's pow one value at a time, so that the
-    # pairs do not depend on which SIMD kernel numpy picks on this CPU
-    for j in np.flatnonzero(log):
-        ratio = float(hi[j] / lo[j])
-        points[:, j] = lo[j] * np.fromiter((ratio ** t for t in raw[:, j]), float, raw.shape[0])
-    pairs = points.reshape(-1, 2, domain.dim)
-    pairs = pairs[np.all(domain.contains(pairs), axis=1)][:spec.n_pairs]
+    for n in (spec.n_pairs, 4 * spec.n_pairs):
+        raw = _halton(2 * domain.dim, spec.seed, n)
+        points = lo + (hi - lo) * raw
+        # log axes take the C library's pow one value at a time, so that the
+        # pairs do not depend on which SIMD kernel numpy picks on this CPU
+        for j in np.flatnonzero(log):
+            ratio = float(hi[j] / lo[j])
+            points[:, j] = lo[j] * np.fromiter((ratio ** t for t in raw[:, j]), float, n)
+        pairs = points.reshape(-1, 2, domain.dim)
+        pairs = pairs[np.all(domain.contains(pairs), axis=1)][:spec.n_pairs]
+        if pairs.shape[0] == spec.n_pairs:
+            break
     if pairs.shape[0] == 0:
         raise DomainError("no valid mean pairs found; supply explicit axis ranges")
     return pairs

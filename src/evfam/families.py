@@ -550,14 +550,18 @@ def _count_lattice_kl(q: tuple, p: tuple) -> float:
     """Sum q log(q / p) over the counts 0, 1, 2, ... on a lattice that doubles from 32.
 
     It stops once two sides agree to 1e-12 and the lattice holds all but 1e-10
-    of Q's mass; past 65536 counts it refuses a lattice that misses more.
+    of Q's mass; past 65536 counts it refuses a lattice that misses more, or a NaN sum.
     """
     prev = None
     for size in (32 << j for j in range(12)):
         counts = np.arange(size, dtype=float)
-        lq, lp = law_log_density(q, counts), law_log_density(p, counts)
-        weights = np.exp(lq)
-        total = float(weights @ (lq - lp))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lq, lp = law_log_density(q, counts), law_log_density(p, counts)
+            weights = np.exp(lq)
+            total = float(weights @ (lq - lp))
+        if np.isnan(total):
+            raise ConvergenceError(f"growth rate: the lattice sum between a {q[0]} alternative "
+                                   f"law and a {p[0]} null law is NaN")
         covered = float(weights.sum())
         if prev is not None and abs(total - prev) <= 1e-12 * (1.0 + abs(total)) \
                 and covered > 1.0 - 1e-10:

@@ -154,34 +154,35 @@ def _invert_potential(phi: Callable[[np.ndarray], np.ndarray], lo: float, hi: fl
 
     Each entry gets its own bracket: the lower end starts 1e-14 of the
     interval's width (1 when unbounded) above lo and moves toward lo by a
-    factor 1e-3 while Phi there exceeds the target; an unbounded upper end
-    starts at max(2 low, 1) and grows by 4 while Phi there is below it.
-    One Brent solve then takes every bracketed entry.  NaN where the mean
-    lies past the float range: the lower end rounds onto lo, or the upper
-    end overflows.
+    factor 1e-3 while Phi there exceeds the target.  An entry it moved has
+    its bracket already: the last probe it left is the upper end.  For the
+    others the upper end is hi less 1e-14 of the width, or, when hi is
+    unbounded, starts at max(2 low, 1) and grows by 4 while Phi there is
+    below the target.  One Brent solve then takes every bracketed entry.
+    NaN where the mean lies past the float range: the lower end rounds onto
+    lo, or the upper end overflows.
     """
     x = np.asarray(x, dtype=float)
     target = x.ravel()
     live = np.ones(target.shape, dtype=bool)
     width = (hi - lo) if np.isfinite(hi) else 1.0
     low = np.full(target.shape, lo + 1e-14 * width)
+    high = np.full(target.shape, hi - 1e-14 * width if np.isfinite(hi) else np.nan)
     run = phi(low) > target
     while run.any():
+        high[run] = low[run]  # Phi here exceeds the target: an upper end
         low[run] = lo + (low[run] - lo) * 1e-3
         live &= ~(run & (low == lo))  # mean below float range
         run &= live
         run[run] = phi(low[run]) > target[run]
-    if np.isfinite(hi):
-        high = np.full(target.shape, hi - 1e-14 * (hi - lo))
-    else:
-        high = np.maximum(2.0 * np.abs(low), 1.0)
-        run = live.copy()
-        run[live] = phi(high[live]) < target[live]
-        while run.any():
-            high[run] *= 4.0
-            live &= ~(run & ~np.isfinite(high))  # mean beyond float range
-            run &= live
-            run[run] = phi(high[run]) < target[run]
+    run = live & np.isnan(high)  # no probe above the target yet
+    high[run] = np.maximum(2.0 * np.abs(low[run]), 1.0)
+    run[run] = phi(high[run]) < target[run]
+    while run.any():
+        high[run] *= 4.0
+        live &= ~(run & ~np.isfinite(high))  # mean beyond float range
+        run &= live
+        run[run] = phi(high[run]) < target[run]
     out = np.full(target.shape, np.nan)
     goal = target[live]
     out[live] = _brentq_rows(lambda t, rows: phi(t) - goal[rows], low[live], high[live],
@@ -600,6 +601,10 @@ class Pairing:
 
 
 def _validate_arm_means(kind: str, alt_means: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(alt_means))
+    if bad.size:
+        raise DomainError(f"{kind} arm {bad[0] + 1} has mean {alt_means[bad[0]]}; "
+                          "arm means must be finite")
     if kind == "bernoulli":
         if np.any(alt_means <= 0.0) or np.any(alt_means >= 1.0):
             raise DomainError("bernoulli arm means must lie in (0, 1)")

@@ -17,6 +17,7 @@ from scipy import stats
 from scipy.optimize import brentq
 from scipy.special import expit, logit
 
+from evfam import models
 from evfam.conditions import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -371,18 +372,23 @@ def _abm_phi(s: float, r: int):
 
 
 def _per_entry_invert(phi, x: float) -> float:
-    """Phi^{-1} on (0, inf) one entry at a time, as the scalar path did it."""
+    """Phi^{-1} on (0, inf) one entry at a time, with the batch's bracket rule.
+
+    A lower end that moved leaves its last probe as the upper end; otherwise
+    the upper end grows from max(2 low, 1).
+    """
     lo = 0.0
-    low = lo + 1e-14
+    low, high = lo + 1e-14, None
     while phi(low) > x:
-        low = lo + (low - lo) * 1e-3
+        high, low = low, lo + (low - lo) * 1e-3
         if low == lo:
             return float("nan")
-    high = max(2.0 * abs(low), 1.0)
-    while phi(high) < x:
-        high *= 4.0
-        if not np.isfinite(high):
-            return float("nan")
+    if high is None:
+        high = max(2.0 * abs(low), 1.0)
+        while phi(high) < x:
+            high *= 4.0
+            if not np.isfinite(high):
+                return float("nan")
     return float(brentq(lambda t: phi(t) - x, low, high, xtol=1e-300, rtol=8.9e-16, maxiter=1000))
 
 
@@ -412,6 +418,29 @@ def test_abm_inversion_matches_the_per_entry_path(r):
     if r == 2:
         # no power above one in Phi: Python floats round as the batch does
         assert np.array_equal(_bits(got), _bits([_per_entry_invert(phi, float(v)) for v in x]))
+
+
+# the log-partition probe solve took 225 evaluations when every upper end grew
+# from max(2 low, 1); the lower end's last probe brackets it in about 50
+@pytest.mark.parametrize("r", [2, 3])
+def test_abm_battery_brent_solves_stay_short(r, monkeypatch):
+    counts = []
+
+    def counting_brentq_rows(f, a, b, **kwargs):
+        calls = [0]
+
+        def counted(x, rows):
+            calls[0] += 1
+            return f(x, rows)
+
+        try:
+            return _brentq_rows(counted, a, b, **kwargs)
+        finally:
+            counts.append(calls[0])
+
+    monkeypatch.setattr(models, "_brentq_rows", counting_brentq_rows)
+    run_condition_battery(abm_vs_poisson(3.0, r, 2.0))
+    assert counts and max(counts) <= 60
 
 
 def _per_entry_gamma(logits: np.ndarray, target: float) -> float:

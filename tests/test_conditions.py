@@ -3,19 +3,23 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import qmc
 
+from evfam import conditions
 from evfam.conditions import (
     CERTIFIED,
     INCONCLUSIVE,
     INCONCLUSIVE_PRECONDITIONS,
     REFUTED,
     GridSpec,
+    _axis_specs,
     _halton,
     check_preconditions,
     check_sigma_ordering,
@@ -83,6 +87,57 @@ def test_mean_pairs_shape_and_determinism():
     assert p1.shape[0] <= SPEC.n_pairs
     other = mean_pairs(dom, GridSpec(n_pairs=64, seed=5))
     assert not np.array_equal(p1, other)
+
+
+def _first_accepted_of_a_fourfold_draw(domain, spec: GridSpec) -> np.ndarray:
+    """The first n_pairs accepted pairs of 4 n_pairs Halton rows, as one draw."""
+    lo, hi, log = (np.tile(np.array(col), 2) for col in zip(*_axis_specs(domain, spec)))
+    raw = _halton(2 * domain.dim, spec.seed, 4 * spec.n_pairs)
+    points = lo + (hi - lo) * raw
+    for j in np.flatnonzero(log):
+        ratio = float(hi[j] / lo[j])
+        points[:, j] = lo[j] * np.array([ratio ** t for t in raw[:, j]])
+    pairs = points.reshape(-1, 2, domain.dim)
+    return pairs[np.all(domain.contains(pairs), axis=1)][:spec.n_pairs]
+
+
+def _perfbench_catalog_linmodel(tmp_path):
+    """Mean domain and pair seed of perfbench's catalog-check linear model, input seed 1."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    loader = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(inputs)
+    made = inputs.make_inputs("catalog-check", 1, tmp_path)
+    lm = made["linmodel"]
+    pair = linmodel_pairing(LinearModelDesign(lm["design"]), lm["sigma2"], lm["gamma"])
+    return pair.tilted.family.mean_domain, made["pair_seed"]
+
+
+# a box domain accepts every row, so n_pairs rows are all that is drawn; the
+# linear model's predicate rejects some and takes the fourfold draw, whose
+# first rows are the shorter draw's
+@pytest.mark.parametrize("key", ["orthant-1", "orthant-2", "perfbench-linmodel"])
+def test_mean_pairs_draw_n_pairs_rows_first(key, tmp_path, monkeypatch):
+    if key == "perfbench-linmodel":
+        domain, seed = _perfbench_catalog_linmodel(tmp_path)
+    else:
+        domain, seed = positive_orthant(int(key[-1])), 7
+    spec = GridSpec(seed=seed)
+    sizes = []
+
+    def recording_halton(d, seed, n):
+        sizes.append(n)
+        return _halton(d, seed, n)
+
+    monkeypatch.setattr(conditions, "_halton", recording_halton)
+    got = mean_pairs(domain, spec)
+    monkeypatch.undo()
+    want = _first_accepted_of_a_fourfold_draw(domain, spec)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    if key == "perfbench-linmodel":
+        assert sizes == [spec.n_pairs, 4 * spec.n_pairs]
+    else:
+        assert (sizes, got.shape[0]) == ([spec.n_pairs], spec.n_pairs)
 
 
 # d = 40 reaches bases past the first dozen primes; 2**63 is past a C long seed
