@@ -13,11 +13,9 @@ from .conditions import (
     ConditionReport,
     GridSpec,
     ItemVerdict,
-    partition_check,
     growth_rate,
     mean_grid,
     mean_pairs,
-    onedim_shortcut,
     run_condition_battery,
     simple_evalue,
     simple_log_evalue,
@@ -98,7 +96,6 @@ from .tilt import (
     build_tilted_family,
     f_gap,
     f_gap_info,
-    f_gradient,
     local_evar_check,
 )
 
@@ -118,7 +115,7 @@ __all__ = [
     "reparameterize", "log_density",
     # tilting
     "CarrierAlternative", "TiltedFamily", "build_tilted_family",
-    "f_gap", "f_gap_info", "f_gradient", "local_evar_check",
+    "f_gap", "f_gap_info", "local_evar_check",
     # catalog
     "Pairing", "poisson_family", "gamma_family", "negbinom_family", "abm_family",
     "tweedie_family", "inverse_gaussian_family",
@@ -131,8 +128,7 @@ __all__ = [
     "linmodel_evalue", "linmodel_psd_check", "params_from_mean", "project_onto_null",
     # battery
     "GridSpec", "ItemVerdict", "ConditionReport", "mean_grid", "mean_pairs",
-    "run_condition_battery", "partition_check", "onedim_shortcut",
-    "simple_evalue", "simple_log_evalue", "growth_rate",
+    "run_condition_battery", "simple_evalue", "simple_log_evalue", "growth_rate",
     # oracles
     "ExpectationEstimate", "expect_exact_sum", "expect_quadrature",
     "expect_monte_carlo", "finite_diff_check", "psd_test", "poisson_tail_bound",

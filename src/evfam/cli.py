@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -150,6 +151,15 @@ def _first_data_line(handle) -> int | None:
     return None
 
 
+def _decode_utf8(path, raw: bytes) -> str:
+    """``raw`` as UTF-8 text; a DataError names the first bad byte and its offset."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                        f"at byte offset {exc.start}") from None
+
+
 def _read_numeric_csv(path) -> np.ndarray:
     """Rows of numbers; '#' comments skipped, one optional header tolerated.
 
@@ -158,35 +168,40 @@ def _read_numeric_csv(path) -> np.ndarray:
     accepts and rounds the same way; it refuses comments, underscores and
     ragged rows inside the body.  A file that it refuses, or that holds a
     non-finite value, is read again line by line, which accepts what the
-    line reader accepts and raises the error of the first bad line.
+    line reader accepts and raises the error of the first bad line.  A path
+    that is not a regular file (a pipe, say) can be read only once, so it is
+    read whole into memory and every pass parses that one copy.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            start = _first_data_line(handle)
+        if os.path.isfile(path):
+            source = path
+            with open(path, "r", encoding="utf-8") as handle:
+                start = _first_data_line(handle)
+        else:
+            with open(path, "rb") as handle:
+                source = io.StringIO(_decode_utf8(path, handle.read()), newline=None).readlines()
+            start = _first_data_line(source)
         if start is not None:
             try:
-                table = np.loadtxt(path, delimiter=",", comments=None, skiprows=start, ndmin=2,
+                table = np.loadtxt(source, delimiter=",", comments=None, skiprows=start, ndmin=2,
                                    encoding="utf-8")
             except ValueError:
                 pass
             else:
                 if np.isfinite(table).all():
                     return table
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
+        if source is path:
+            with open(path, "r", encoding="utf-8") as handle:
+                source = handle.readlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError:
         # the text reader decodes chunk by chunk, so the error's own offset is
         # relative to its chunk: decode the whole file for the offset in it
         with open(path, "rb") as handle:
-            try:
-                handle.read().decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} "
-                                f"at byte offset {exc.start}") from None
+            _decode_utf8(path, handle.read())
         raise
-    return _parse_lines(path, lines)
+    return _parse_lines(path, source)
 
 
 # key -> (description, required flags, optional flags, pairing builder from the parsed args)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -48,7 +47,6 @@ __all__ = [
     "ItemVerdict",
     "PreconditionReport",
     "ConditionReport",
-    "PartitionReport",
     "mean_grid",
     "mean_pairs",
     "check_preconditions",
@@ -56,9 +54,7 @@ __all__ = [
     "check_beta_pairing",
     "check_kl_ordering",
     "check_logz_ordering",
-    "onedim_shortcut",
     "run_condition_battery",
-    "partition_check",
     "simple_evalue",
     "simple_log_evalue",
     "growth_rate",
@@ -74,12 +70,10 @@ CERTIFIED = "simple-evariable-certified"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive-stochastic"
 INCONCLUSIVE_PRECONDITIONS = "inconclusive-preconditions"
-# what partition_check reports when slices disagree: the first verdict here that any slice has
-_VERDICT_RANK = (REFUTED, INCONCLUSIVE, INCONCLUSIVE_PRECONDITIONS, CERTIFIED)
 
 
 def _verdict(stochastic: bool, failed: bool, preconditions_met: bool) -> str:
-    """The verdict rule of the battery and of each partition slice.
+    """The verdict rule of the battery.
 
     Monte Carlo orderings prove nothing, so they decide first; a failed
     deterministic ordering refutes; orderings that hold beside a failed
@@ -423,51 +417,6 @@ def check_logz_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
 
 
 @dataclass(frozen=True)
-class ShortcutReport:
-    """One-dimensional shortcut: variance ordering plus matching domains."""
-
-    applicable: bool
-    variance_ordering_ok: bool
-    mean_domains_equal: bool
-    canonical_domains_equal: bool
-    worst_margin: float
-    n_points: int
-
-
-def onedim_shortcut(null: ExpFamilyDescriptor, tilted: TiltedFamily,
-                    grid: np.ndarray | None = None, spec: GridSpec | None = None) -> ShortcutReport:
-    """Scalar-family shortcut to the full battery.
-
-    When sigma_p^2 >= sigma_q^2 on the alternative's mean space and either
-    the mean spaces or all the canonical domains coincide, the pairing
-    satisfies the whole battery; this checks those two hypotheses directly.
-    """
-    alt = tilted.family
-    if null.dim != 1 or alt.dim != 1:
-        raise UnsupportedModelError("the one-dimensional shortcut needs scalar families")
-    if grid is None:
-        grid = mean_grid(alt.mean_domain, spec, include=tilted.mu_star)
-    # 1 x 1 eigenvalues are the entries: the margins are (sp - sq) / |sp|
-    variance = check_sigma_ordering(null, tilted, grid)
-
-    means_equal = null.mean_domain.is_box_like() and alt.mean_domain.is_box_like() \
-        and _box_subset(null.mean_domain, alt.mean_domain) \
-        and _box_subset(alt.mean_domain, null.mean_domain)
-    canon_equal = bool(np.all(null.mean_domain.contains(grid)))
-    if canon_equal:
-        bp, bq = _canonical_boxes(null, grid), _canonical_boxes(alt, grid)
-        canon_equal = bool(np.all(_box_subset(bp, bq) & _box_subset(bq, bp)))
-    return ShortcutReport(
-        applicable=bool(variance.passed and (means_equal or canon_equal)),
-        variance_ordering_ok=variance.passed,
-        mean_domains_equal=bool(means_equal),
-        canonical_domains_equal=bool(canon_equal),
-        worst_margin=variance.worst_value,
-        n_points=variance.n_points,
-    )
-
-
-@dataclass(frozen=True)
 class ConditionReport:
     """Full battery outcome with the grids and tolerances that produced it."""
 
@@ -555,40 +504,6 @@ def run_condition_battery(pairing, spec: GridSpec | None = None,
         tolerances={"scalar": TOL_SCALAR, "psd_relative": TOL_PSD},
         stochastic=stochastic,
     )
-
-
-@dataclass(frozen=True)
-class PartitionReport:
-    """Covariance ordering across the slices of a partitioned alternative."""
-
-    overall: str
-    slices: dict[str, dict]
-
-
-def partition_check(slices: Mapping[str, object],
-                    grids: Mapping[str, np.ndarray] | None = None,
-                    spec: GridSpec | None = None) -> PartitionReport:
-    """Check each slice of a partitioned alternative separately.
-
-    A simple e-value for the union alternative exists slice by slice; this
-    runs the preconditions and the covariance ordering per slice and
-    aggregates: certified only when every slice passes, refuted on any
-    deterministic slice failure, otherwise inconclusive: stochastic when a
-    slice's ordering is Monte Carlo, else for a failed precondition.
-    """
-    results: dict[str, dict] = {}
-    verdicts = {CERTIFIED}
-    for label, pairing in slices.items():
-        grid = None if grids is None else grids.get(label)
-        if grid is None:
-            grid = mean_grid(pairing.tilted.family.mean_domain, spec,
-                             include=pairing.tilted.mu_star)
-        pre = check_preconditions(pairing.null, pairing.tilted, grid)
-        verdict = check_sigma_ordering(pairing.null, pairing.tilted, grid)
-        results[label] = {"preconditions": pre, "covariance_ordering": verdict}
-        verdicts.add(_verdict(verdict.stochastic, not verdict.passed, pre.all_passed))
-    overall = min(verdicts, key=_VERDICT_RANK.index)
-    return PartitionReport(overall=overall, slices=results)
 
 
 def _require_densities(tilted: TiltedFamily, null: ExpFamilyDescriptor, what: str) -> None:

@@ -330,7 +330,6 @@ def family_from_root_cumulant(
     name: str,
     dim: int,
     suff_stat: Callable[[np.ndarray], np.ndarray],
-    root_anchor,
     root_cumulant: Callable[[np.ndarray], np.ndarray],
     root_domain: DomainDescriptor,
     mean_domain: DomainDescriptor,
@@ -345,8 +344,8 @@ def family_from_root_cumulant(
     """Build an anchored family from a single cumulant at one root anchor.
 
     ``root_cumulant`` is K(beta) = log E[exp(beta . X)] under the root
-    member, so K(0) = 0 and K'(0) = root_anchor.  Re-anchoring at a mean mu
-    shifts by gamma(mu), the root coordinate solving K'(gamma) = mu:
+    member, so K(0) = 0 and K'(0) is the root member's mean.  Re-anchoring
+    at a mean mu shifts by gamma(mu), the root coordinate solving K'(gamma) = mu:
 
         logZ(beta; mu) = K(beta + gamma(mu)) - K(gamma(mu)),
         carrier(u; mu) = gamma(mu) . t(u) - K(gamma(mu)) + root carrier(u).

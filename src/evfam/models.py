@@ -557,6 +557,22 @@ def _arm_family(name: str, kind: str, k: int, sigma2: float,
     )
 
 
+def _bernoulli_cumulant(p, beta) -> np.ndarray:
+    """log(1 + p (e^beta - 1)), the cumulant of a Bernoulli(p) draw at beta.
+
+    Where that form is not finite (e^beta overflows while p is tiny), the
+    same value is taken as beta + log(p + (1 - p) e^-beta); every finite
+    value keeps the first form, bit for bit.
+    """
+    with np.errstate(over="ignore"):
+        out = np.log1p(p * np.expm1(beta))
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        p, beta = np.broadcast_arrays(p, beta)
+        out[bad] = beta[bad] + np.log(p[bad] + (1.0 - p[bad]) * np.exp(-beta[bad]))
+    return out
+
+
 def ksample_null_family(kind: str, k: int, sigma2: float = 1.0) -> ExpFamilyDescriptor:
     """Null for a k-sample comparison: k iid arms, mean of the arm total.
 
@@ -580,7 +596,7 @@ def ksample_null_family(kind: str, k: int, sigma2: float = 1.0) -> ExpFamilyDesc
             suff_stat=_sum_stat,
             element_ndim=1,
             # the potential route cancels in k - m near the upper boundary
-            log_partition_closed=lambda beta, m: k * np.log1p(m / k * np.expm1(beta)),
+            log_partition_closed=lambda beta, m: k * _bernoulli_cumulant(m / k, beta),
             law=lambda mean: ("bernoulli", np.full(k, mean[0] / k)),
         )
     raise UnsupportedModelError(f"unknown k-sample kind {kind!r}")
@@ -682,7 +698,7 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
             return float(root_gamma(np.array([total]))[0])
 
         def root_cumulant(beta: np.ndarray) -> np.ndarray:
-            return np.sum(np.log1p(alt_means * np.expm1(beta[..., 0, None])), axis=-1)
+            return np.sum(_bernoulli_cumulant(alt_means, beta[..., 0, None]), axis=-1)
 
         def root_mean(beta: np.ndarray) -> np.ndarray:
             return arm_means_at(beta[..., 0]).sum(axis=-1)[..., None]
@@ -695,7 +711,6 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
             f"bernoulli-{k}sample-alt",
             dim=1,
             suff_stat=_sum_stat,
-            root_anchor=[mu_star],
             root_cumulant=root_cumulant,
             root_domain=full_space(1),
             mean_domain=box_domain([0.0], [float(k)]),
@@ -816,7 +831,6 @@ def gaussian_scale_pairing(m: float, s2: float) -> Pairing:
         f"gaussian-scale-alt(m={m:g},s2={s2:g})",
         dim=1,
         suff_stat=lambda u: np.asarray(u, dtype=float).reshape(-1, 1) ** 2,
-        root_anchor=[mu_star],
         root_cumulant=root_cumulant,
         root_domain=box_domain([-np.inf], [c]),
         mean_domain=positive_orthant(1),

@@ -40,21 +40,17 @@ from .errors import DomainError, UnsupportedModelError
 from .families import (
     ExpFamilyDescriptor,
     _cached_rows,
-    covariance_at_mean,
     family_from_root_cumulant,
     log_partition_at,
-    mean_from_canonical,
 )
-from .util import TOL_PSD, pointwise, psd_margin
+from .util import pointwise
 
 __all__ = [
     "CarrierAlternative",
     "TiltedFamily",
-    "LocalCheckReport",
     "build_tilted_family",
     "f_gap",
     "f_gap_info",
-    "f_gradient",
     "local_evar_check",
 ]
 
@@ -182,7 +178,6 @@ def build_tilted_family(
             f"tilt[{carrier.name}]",
             dim=null.dim,
             suff_stat=null.suff_stat,
-            root_anchor=mu_star,
             root_cumulant=pointwise(carrier.mgf_log),
             root_domain=_discover_box(carrier.mgf_log, null.dim),
             mean_domain=null.mean_domain,
@@ -246,7 +241,6 @@ def build_tilted_family(
             f"tilt-mc[{carrier.name}]",
             dim=null.dim,
             suff_stat=null.suff_stat,
-            root_anchor=anchor,
             root_cumulant=empirical_cumulant,
             root_domain=box_domain(np.full(null.dim, -np.inf), np.full(null.dim, np.inf)),
             mean_domain=box_domain(lo + 1e-9 * span, hi - 1e-9 * span),
@@ -287,46 +281,18 @@ def f_gap(null: ExpFamilyDescriptor, tilted: TiltedFamily, beta, anchor):
     return f_gap_info(null, tilted, beta, anchor)[0]
 
 
-def f_gradient(null: ExpFamilyDescriptor, tilted: TiltedFamily, beta, anchor) -> np.ndarray:
-    """Gradient of the gap: tilted-member mean minus null-member mean."""
-    return mean_from_canonical(tilted.family, beta, anchor) - mean_from_canonical(null, beta, anchor)
-
-
-@dataclass(frozen=True)
-class LocalCheckReport:
-    """Outcome of the covariance-ordering check at a single anchor."""
-
-    passed: bool
-    anchor: np.ndarray
-    min_eigenvalue: float
-    threshold: float
-    eigenvalues: np.ndarray
-    sigma_null: np.ndarray
-    sigma_tilted: np.ndarray
-    stochastic: bool
-
-
-def local_evar_check(null: ExpFamilyDescriptor, tilted: TiltedFamily, mu=None) -> LocalCheckReport:
+def local_evar_check(null: ExpFamilyDescriptor, tilted: TiltedFamily, mu=None):
     """Check Sigma_p(mu) - Sigma_q(mu) >= 0, the local existence condition.
 
     The density ratio of the two members with mean ``mu`` is an e-variable
     in a neighborhood of the null member exactly when this difference is
     positive semidefinite; failure here rules the simple e-value out
-    everywhere.  ``mu`` defaults to the carrier anchor; the rule is :func:`util.psd_margin`'s.
+    everywhere.  ``mu`` defaults to the carrier anchor.  Returns the
+    battery's covariance-ordering ``ItemVerdict`` at that one mean.
     """
+    from .conditions import check_sigma_ordering  # conditions imports this module
+
     anchor = tilted.mu_star if mu is None else null.vec(mu)
     if not null.mean_domain.contains(anchor):
         raise DomainError(f"anchor {anchor} has no same-mean member in the null family")
-    sigma_p = covariance_at_mean(null, anchor)
-    sigma_q = covariance_at_mean(tilted.family, anchor)
-    eigs, scale = psd_margin(sigma_p, sigma_q)
-    return LocalCheckReport(
-        passed=bool(eigs[0] / scale >= -TOL_PSD),
-        anchor=anchor,
-        min_eigenvalue=float(eigs[0]),
-        threshold=-TOL_PSD * float(scale),
-        eigenvalues=eigs,
-        sigma_null=sigma_p,
-        sigma_tilted=sigma_q,
-        stochastic=null.stochastic or tilted.stochastic,
-    )
+    return check_sigma_ordering(null, tilted, anchor[None])

@@ -599,6 +599,32 @@ def test_abm_with_a_high_power_gives_a_verdict(capsys):
     assert json.loads(out)["model"] == "abm-vs-poisson"
 
 
+def test_a_tiny_bernoulli_arm_is_certified_without_a_runtime_warning(capsys):
+    # by Cauchy-Schwarz V_q <= V_p for any arms; the arm at 1e-300 takes the
+    # alternative's cumulant past e^beta's float range, where it must still be
+    # finite, not an infinite log-partition that refutes
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "check", "--model", "ksample-bernoulli",
+                             "--alt-means=1e-300,0.5,0.7")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["overall"] == "simple-evariable-certified"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# power 1 with a != 1 is the scaled Poisson family V(m) = a m, which no other
+# test reaches: V_p = 2m >= V_q = m certifies, and the swapped pairing refutes
+@pytest.mark.parametrize("null_a, alt_a, code, overall", [
+    ("2", "1", 0, "simple-evariable-certified"),
+    ("1", "2", 2, "refuted"),
+], ids=["certified", "swapped-refuted"])
+def test_tweedie_power_one_with_a_scale_gives_its_verdict(capsys, null_a, alt_a, code, overall):
+    got, out, err = run(capsys, "check", "--model", "tweedie-pair", "--null-a", null_a,
+                        "--null-power", "1", "--alt-a", alt_a, "--alt-power", "1", "--mu", "1.5")
+    assert (got, err) == (code, "")
+    assert json.loads(out)["overall"] == overall
+
+
 def test_growth_reports_json(capsys):
     code, out, _ = run(capsys, "growth", "--model", "ksample-poisson",
                        "--alt-means", "0.5,1.5")
@@ -681,6 +707,35 @@ def test_evalue_data_that_is_not_utf8_exits_65_with_the_byte_offset(capsys, tmp_
     code, out, err = run(capsys, "evalue", *NB_ARGS, "--force", "--data", str(data))
     assert (code, out) == (65, "")
     assert err == f"evfam: data error: {data}: not UTF-8 text: byte 0xe9 at byte offset 20009\n"
+
+
+def _evalue_from_pipe(capsys, payload: bytes):
+    """``evalue`` on the read end of a pipe that holds ``payload``, as a shell's <(...) gives."""
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, payload)
+    os.close(write_fd)
+    try:
+        return run(capsys, "evalue", *NB_ARGS, "--force", "--data", f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)
+
+
+def test_evalue_reads_every_row_of_a_piped_data_file(capsys, tmp_path):
+    # a pipe can be read only once, so the header scan must not drain it before np.loadtxt
+    text = "count\n0\n3\n1\n"
+    code, out, err = _evalue_from_pipe(capsys, text.encode())
+    assert (code, err) == (0, "")
+    assert "# rows=3\n" in out
+    data = tmp_path / "counts.csv"
+    data.write_text(text)
+    assert run(capsys, "evalue", *NB_ARGS, "--force", "--data", str(data)) == (0, out, "")
+
+
+def test_evalue_piped_data_that_is_not_utf8_exits_65_with_the_byte_offset(capsys):
+    code, out, err = _evalue_from_pipe(capsys, b"count\n0\ncaf\xe9\n")
+    assert (code, out) == (65, "")
+    assert re.fullmatch(r"evfam: data error: /dev/fd/\d+: not UTF-8 text: byte 0xe9 "
+                        r"at byte offset 11\n", err)
 
 
 def test_figure_command_round_trips(capsys, tmp_path):

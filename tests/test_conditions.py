@@ -23,11 +23,9 @@ from evfam.conditions import (
     _halton,
     check_preconditions,
     check_sigma_ordering,
-    partition_check,
     growth_rate,
     mean_grid,
     mean_pairs,
-    onedim_shortcut,
     run_condition_battery,
     simple_evalue,
     simple_log_evalue,
@@ -206,7 +204,7 @@ def test_battery_refutes_ig_alternative_for_every_anchor():
         assert not report.items["covariance_ordering"].passed
 
 
-def _monte_carlo_pairing(mc_samples: int = 20_000) -> Pairing:
+def _monte_carlo_pairing() -> Pairing:
     null = gaussian_scale_family()
     m, s2 = -3.0, 9.0
     carrier = CarrierAlternative(
@@ -215,7 +213,7 @@ def _monte_carlo_pairing(mc_samples: int = 20_000) -> Pairing:
                                       + np.log(2.0 * np.pi * s2)),
         mean_of_suff_stat=None, mgf_log=None,
         sampler=lambda n, rng: rng.normal(m, math.sqrt(s2), n))
-    tilted = build_tilted_family(null, carrier, mc_samples=mc_samples, seed=0)
+    tilted = build_tilted_family(null, carrier, mc_samples=20_000, seed=0)
     return Pairing(name="mc-demo", null=null, tilted=tilted, params={})
 
 
@@ -256,29 +254,6 @@ def test_location_item_margins_match_closed_forms():
     assert report.items["log_partition_ordering"].worst_value <= 0.0
 
 
-# ---------------------------------------------------------------------------
-# one-dimensional shortcut
-
-def test_shortcut_applies_to_scalar_count_pairing():
-    pair = negbinom_vs_poisson(4.0, 2.0)
-    rep = onedim_shortcut(pair.null, pair.tilted, spec=SPEC)
-    assert rep.applicable and rep.variance_ordering_ok
-    assert rep.mean_domains_equal
-    assert rep.worst_margin >= 0.0
-
-
-def test_shortcut_rejects_ig_alternative():
-    pair = ig_vs_exp_pairing(2.0, 1.5)
-    rep = onedim_shortcut(pair.null, pair.tilted, spec=SPEC)
-    assert not rep.applicable and not rep.variance_ordering_ok
-
-
-def test_shortcut_needs_scalar_families():
-    pair = gaussian_location_pairing(COV_P, COV_Q, [1.0, -0.5])
-    with pytest.raises(UnsupportedModelError):
-        onedim_shortcut(pair.null, pair.tilted, spec=SPEC)
-
-
 # one covariance-ordering rule: the relative minimum eigenvalue of Sigma_p - Sigma_q
 # against -TOL_PSD, whichever check reads it, at the pairing's anchor mean
 LINMODEL_DESIGN = LinearModelDesign(np.random.default_rng(11).normal(size=(12, 3)))
@@ -299,10 +274,7 @@ def test_every_covariance_check_reads_one_margin(key):
     # (passed, relative margin) of each check; a threshold is -TOL_PSD times the scale
     verdicts = {"ordering": (ordering.passed, ordering.worst_value)}
     local = local_evar_check(pair.null, pair.tilted)
-    verdicts["local"] = (local.passed, local.min_eigenvalue / local.threshold * -TOL_PSD)
-    if pair.null.dim == 1:
-        shortcut = onedim_shortcut(pair.null, pair.tilted, grid=mu[None])
-        verdicts["shortcut"] = (shortcut.variance_ordering_ok, shortcut.worst_margin)
+    verdicts["local"] = (local.passed, local.worst_value)
     if key == "linmodel":
         lin = linmodel_psd_check(LINMODEL_DESIGN, pair.notes["theta"], mu)
         verdicts["linmodel"] = (lin.passed, lin.min_eigenvalue / lin.threshold * -TOL_PSD)
@@ -322,43 +294,6 @@ def test_failed_preconditions_are_not_reported_as_stochastic():
     assert not report.preconditions.all_passed
     assert all(item.passed for item in report.items.values())
     assert not report.stochastic
-    assert partition_check({"only": pair}, spec=SPEC).overall == INCONCLUSIVE_PRECONDITIONS
-
-
-# ---------------------------------------------------------------------------
-# partitioned alternatives
-
-def test_partition_check_certifies_when_every_slice_orders():
-    slices = {
-        "tight": gaussian_location_pairing(COV_P, COV_Q, [1.0, 0.0]),
-        "tighter": gaussian_location_pairing(COV_P, 0.5 * COV_Q, [0.0, 1.0]),
-    }
-    rep = partition_check(slices, spec=SPEC)
-    assert rep.overall == CERTIFIED
-    assert set(rep.slices) == {"tight", "tighter"}
-    for entry in rep.slices.values():
-        assert entry["covariance_ordering"].passed
-
-
-def test_partition_check_refutes_on_any_bad_slice():
-    slices = {
-        "good": gaussian_location_pairing(COV_P, COV_Q, [1.0, 0.0]),
-        "bad": gaussian_location_pairing(COV_Q, COV_P, [0.0, 1.0]),
-    }
-    rep = partition_check(slices, spec=SPEC)
-    assert rep.overall == REFUTED
-    assert not rep.slices["bad"]["covariance_ordering"].passed
-
-
-def test_partition_check_ranks_a_refuted_slice_above_a_monte_carlo_slice():
-    spec = GridSpec(points_per_axis=16, n_pairs=16)
-    mc = _monte_carlo_pairing(mc_samples=4_000)
-    refuted = partition_check({"mc": mc, "bad": ig_vs_exp_pairing(2.0, 1.5)}, spec=spec)
-    assert refuted.overall == REFUTED
-    assert refuted.slices["mc"]["covariance_ordering"].stochastic
-    open_ = partition_check({"mc": mc, "good": negbinom_vs_poisson(4.0, 2.0)}, spec=spec)
-    assert open_.overall == INCONCLUSIVE
-    assert open_.slices["good"]["covariance_ordering"].passed
 
 
 # ---------------------------------------------------------------------------

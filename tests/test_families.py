@@ -159,7 +159,6 @@ def test_root_cumulant_family_newton_paths():
         "gauss-root",
         dim=1,
         suff_stat=lambda u: np.asarray(u, dtype=float).reshape(-1, 1),
-        root_anchor=[mu0],
         root_cumulant=lambda b: mu0 * b[..., 0] + 0.5 * s2 * b[..., 0] ** 2,
         root_domain=full_space(1),
         mean_domain=full_space(1),
@@ -193,7 +192,6 @@ def test_log_density_requires_carrier():
         "no-carrier",
         dim=1,
         suff_stat=lambda u: np.asarray(u, dtype=float).reshape(-1, 1),
-        root_anchor=[0.0],
         root_cumulant=lambda b: 0.5 * b[..., 0] ** 2,
         root_domain=full_space(1),
         mean_domain=full_space(1),

@@ -225,6 +225,16 @@ def test_tweedie_intermediate_power_round_trip():
             0.7 * m ** 1.5, rel=1e-8)
 
 
+def test_tweedie_power_one_with_a_scale_round_trip():
+    # V(m) = 2 m: Phi(m) = log(m) / 2, not the Poisson the a = 1 case delegates to
+    fam = tweedie_family(2.0, 1.0)
+    assert fam.name == "tweedie(a=2,power=1)"
+    means = np.geomspace(1e-3, 1e3, 61)[:, None]
+    anchor = np.full_like(means, 1.5)
+    back = mean_from_canonical(fam, canonical_from_mean(fam, means, anchor), anchor)
+    assert np.max(np.abs(back - means) / means) <= 1e-15
+
+
 def test_tweedie_pair_orders_by_coefficient_only_when_powers_match():
     same = tweedie_pair((1.5, 1.4), (1.0, 1.4))
     assert same.null.name.startswith("tweedie") and same.tilted.family.name.startswith("tweedie")
