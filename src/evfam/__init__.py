@@ -38,7 +38,6 @@ from .families import (
     log_density,
     log_partition_at,
     mean_from_canonical,
-    reparameterize,
 )
 from .linear_model import (
     LinearModelDesign,
@@ -82,21 +81,12 @@ from .oracles import (
     poisson_tail_bound,
     psd_test,
 )
-from .sequential import (
-    BetaPluginEProcess,
-    EProcessState,
-    eprocess_update,
-    mixture_log_evalue,
-    round_log_evalue,
-    simulate_two_sample,
-)
+from .sequential import simulate_two_sample
 from .tilt import (
     CarrierAlternative,
     TiltedFamily,
     build_tilted_family,
-    f_gap,
     f_gap_info,
-    local_evar_check,
 )
 
 __version__ = "0.1.0"
@@ -112,10 +102,10 @@ __all__ = [
     "ExpFamilyDescriptor", "family_from_root_cumulant",
     "log_partition_at", "mean_from_canonical", "covariance_at_canonical",
     "covariance_at_mean", "canonical_from_mean", "kl_between_means",
-    "reparameterize", "log_density",
+    "log_density",
     # tilting
     "CarrierAlternative", "TiltedFamily", "build_tilted_family",
-    "f_gap", "f_gap_info", "local_evar_check",
+    "f_gap_info",
     # catalog
     "Pairing", "poisson_family", "gamma_family", "negbinom_family", "abm_family",
     "tweedie_family", "inverse_gaussian_family",
@@ -133,6 +123,5 @@ __all__ = [
     "ExpectationEstimate", "expect_exact_sum", "expect_quadrature",
     "expect_monte_carlo", "finite_diff_check", "psd_test", "poisson_tail_bound",
     # sequential
-    "EProcessState", "eprocess_update", "mixture_log_evalue", "round_log_evalue",
-    "BetaPluginEProcess", "simulate_two_sample",
+    "simulate_two_sample",
 ]

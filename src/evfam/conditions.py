@@ -461,9 +461,7 @@ def _scrub(value):
     return value
 
 
-def run_condition_battery(pairing, spec: GridSpec | None = None,
-                          grid: np.ndarray | None = None,
-                          pairs: np.ndarray | None = None) -> ConditionReport:
+def run_condition_battery(pairing, spec: GridSpec | None = None) -> ConditionReport:
     """Run preconditions and all four orderings for a pairing.
 
     Verdict rules: any deterministic ordering failure refutes the
@@ -474,10 +472,8 @@ def run_condition_battery(pairing, spec: GridSpec | None = None,
     """
     null, tilted = pairing.null, pairing.tilted
     alt = tilted.family
-    if grid is None:
-        grid = mean_grid(alt.mean_domain, spec, include=tilted.mu_star)
-    if pairs is None:
-        pairs = mean_pairs(alt.mean_domain, spec)
+    grid = mean_grid(alt.mean_domain, spec, include=tilted.mu_star)
+    pairs = mean_pairs(alt.mean_domain, spec)
     pre = check_preconditions(null, tilted, grid)
     items = {
         "covariance_ordering": check_sigma_ordering(null, tilted, grid),

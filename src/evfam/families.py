@@ -63,7 +63,6 @@ __all__ = [
     "covariance_at_canonical",
     "covariance_at_mean",
     "kl_between_means",
-    "reparameterize",
     "log_density",
     "family_from_root_cumulant",
     "law_kl",
@@ -295,16 +294,6 @@ def kl_between_means(fam: ExpFamilyDescriptor, mu, mu_prime):
     if not np.all(np.isfinite(logz)):
         raise ConvergenceError(f"{fam.name}: log-partition divergent inside the mean image")
     return _scalar(rowdot(beta, mu) - logz)
-
-
-def reparameterize(fam: ExpFamilyDescriptor, beta, anchor_from, anchor_to) -> np.ndarray:
-    """Express the member (beta; anchor_from) relative to anchor_to.
-
-    Canonical coordinates relative to different anchors differ by the
-    canonical coordinate of one anchor seen from the other, so the member is
-    unchanged: log-densities agree pointwise.
-    """
-    return fam.points(beta) + canonical_from_mean(fam, anchor_from, anchor_to)
 
 
 def log_density(fam: ExpFamilyDescriptor, beta, anchor, u):

@@ -13,7 +13,7 @@ from scipy.special import expit, logit
 from .errors import DataError
 from .families import canonical_from_mean
 from .models import ig_divergence_threshold, ig_regime, ig_vs_exp_pairing
-from .tilt import f_gap
+from .tilt import f_gap_info
 
 __all__ = [
     "figure_data",
@@ -81,7 +81,7 @@ def ig_expectation_curves(lam: float = 2.0, mus=(0.8, 1.5, 2.5),
     The null is an exponential family, so under its member with mean mu' the
     ratio's expectation is exp(logZ_q(beta; mu) - logZ_p(beta; mu)) with
     beta the canonical coordinate of mu' seen from the alternative mean mu
-    (:func:`tilt.f_gap`).  Points where that gap is +inf, past the
+    (:func:`tilt.f_gap_info`).  Points where that gap is +inf, past the
     closed-form divergence threshold, are flagged ``diverged``.
     Alternatives whose local covariance check already fails produce no
     curve, just a single ``not-local`` marker.
@@ -95,8 +95,8 @@ def ig_expectation_curves(lam: float = 2.0, mus=(0.8, 1.5, 2.5),
             continue
         pairing = ig_vs_exp_pairing(lam, mu)
         anchor = np.array([mu])
-        gap = f_gap(pairing.null, pairing.tilted,
-                    canonical_from_mean(pairing.null, grid[:, None], anchor), anchor)
+        gap = f_gap_info(pairing.null, pairing.tilted,
+                         canonical_from_mean(pairing.null, grid[:, None], anchor), anchor)[0]
         for mu_prime, g in zip(grid, gap):
             flag = "finite" if np.isfinite(g) else "diverged"
             rows.append(("fig3", series, float(mu_prime),

@@ -5,11 +5,16 @@ running product can be compared against 1/alpha at any data-dependent
 stopping time without inflating the type-I error.  The two-sample
 Bernoulli process here picks its per-round alternative by plugging in
 posterior means from earlier rounds only, which keeps every factor a valid
-e-value for the equal-means null.
+e-value for the equal-means null.  Each arm keeps Beta(a, b) counts; round
+t's factor is the ratio of the product Bernoulli(m1) x Bernoulli(m2) at the
+two posterior means to its same-mean null member, Bernoulli((m1 + m2) / 2)
+in both arms.  The running log value is the cumulative sum of the log
+factors, floored at ``LOG_FLOOR`` so that it stays finite.
 
-The simulation draws each path's outcomes from its own Philox stream and
-evaluates paths in blocks of whole arrays, so its memory grows with the
-block size, not with the number of paths.
+:func:`simulate_two_sample` is the one implementation.  It draws each
+path's outcomes from its own Philox stream and evaluates paths in blocks of
+whole arrays, so its memory grows with the block size, not with the number
+of paths.
 """
 
 from __future__ import annotations
@@ -18,107 +23,16 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
+from scipy.special import xlogy
 
-from .errors import DataError, DomainError
+from .errors import DomainError
 
 __all__ = [
-    "EProcessState",
-    "eprocess_update",
-    "mixture_log_evalue",
-    "round_log_evalue",
-    "BetaPluginEProcess",
     "SimulationResult",
     "simulate_two_sample",
 ]
 
 LOG_FLOOR = -745.0
-
-
-@dataclass(frozen=True)
-class EProcessState:
-    """Running log e-process value with its round count and running maximum."""
-
-    log_value: float = 0.0
-    rounds: int = 0
-    max_log_value: float = 0.0
-
-
-def eprocess_update(state: EProcessState, log_factor: float) -> EProcessState:
-    """Multiply one more e-factor in, flooring the log to avoid -inf."""
-    log_value = max(state.log_value + float(log_factor), LOG_FLOOR)
-    return EProcessState(
-        log_value=log_value,
-        rounds=state.rounds + 1,
-        max_log_value=max(state.max_log_value, log_value),
-    )
-
-
-def mixture_log_evalue(log_values) -> float:
-    """Log of the arithmetic mixture of e-values given on the log scale."""
-    arr = np.asarray(log_values, dtype=float)
-    if arr.size == 0:
-        raise DataError("mixture needs at least one component")
-    return float(logsumexp(arr) - np.log(arr.size))
-
-
-def round_log_evalue(m1: float, m2: float, x1, x2):
-    """Log density ratio for one two-sample Bernoulli round.
-
-    The alternative is the product Bernoulli(m1) x Bernoulli(m2); the null
-    member shares its mean, so both arms use the average (m1 + m2) / 2.
-    """
-    m_bar = 0.5 * (m1 + m2)
-    if not (0.0 < m1 < 1.0 and 0.0 < m2 < 1.0):
-        raise DataError("plug-in means must lie strictly inside (0, 1)")
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    out = (x1 * np.log(m1 / m_bar) + (1.0 - x1) * np.log((1.0 - m1) / (1.0 - m_bar))
-           + x2 * np.log(m2 / m_bar) + (1.0 - x2) * np.log((1.0 - m2) / (1.0 - m_bar)))
-    return out if out.shape else float(out)
-
-
-class BetaPluginEProcess:
-    """Two-sample Bernoulli e-process with Beta posterior-mean plug-ins.
-
-    Each arm keeps a Beta(a, b) posterior over its success rate; the
-    alternative for round t uses the posterior means from rounds before t.
-    """
-
-    def __init__(self, prior=(1.0, 1.0, 1.0, 1.0), alpha: float = 0.05):
-        a1, b1, a2, b2 = (float(v) for v in prior)
-        if min(a1, b1, a2, b2) <= 0.0:
-            raise DataError("Beta prior parameters must be positive")
-        if not 0.0 < alpha < 1.0:
-            raise DataError("alpha must lie strictly inside (0, 1)")
-        self._counts = [a1, b1, a2, b2]
-        self.alpha = alpha
-        self.state = EProcessState()
-
-    def plugin_means(self) -> tuple[float, float]:
-        a1, b1, a2, b2 = self._counts
-        return a1 / (a1 + b1), a2 / (a2 + b2)
-
-    def update(self, x1: int, x2: int) -> float:
-        """Process one round of paired observations; returns the log factor."""
-        if x1 not in (0, 1) or x2 not in (0, 1):
-            raise DataError("observations must be 0 or 1")
-        m1, m2 = self.plugin_means()
-        log_factor = round_log_evalue(m1, m2, x1, x2)
-        self.state = eprocess_update(self.state, log_factor)
-        self._counts[0] += x1
-        self._counts[1] += 1 - x1
-        self._counts[2] += x2
-        self._counts[3] += 1 - x2
-        return log_factor
-
-    @property
-    def log_value(self) -> float:
-        return self.state.log_value
-
-    @property
-    def crossed(self) -> bool:
-        return self.state.max_log_value >= np.log(1.0 / self.alpha)
 
 
 @dataclass(frozen=True)
@@ -174,6 +88,8 @@ def simulate_two_sample(arm_means, rounds: int = 500, n_paths: int = 1000,
     m1, m2 = (float(v) for v in arm_means)
     if not (0.0 < m1 < 1.0 and 0.0 < m2 < 1.0):
         raise DomainError(f"arm means {(m1, m2)!r} must lie strictly inside (0, 1)")
+    if rounds < 1:
+        raise DomainError(f"rounds {rounds!r} must be at least 1")
     if tail_window <= 0 or tail_window > rounds:
         raise DomainError(f"tail window {tail_window!r} must lie in 1..{rounds}, the rounds")
     try:

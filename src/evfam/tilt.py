@@ -23,9 +23,12 @@ carrier known only through
    again, by any of the three, makes no second pass.  Passes run a few rows
    at a time, so memory stays bounded by MC_CHUNK_ELEMENTS per call.
 
-The gap function here is the log-partition difference logZ_q - logZ_p at a
-shared anchor; its gradient is the mean difference between the two tilted
-members, and its value at the origin is zero by the anchor normalization.
+``f_gap_info`` gives the log-partition difference logZ_q - logZ_p at a
+shared anchor, tagged with the side whose domain ends where it is +inf; its
+gradient is the mean difference between the two tilted members, and its
+value at the origin is zero by the anchor normalization.  The local
+covariance condition at one mean is the battery's own check,
+``conditions.check_sigma_ordering`` on a one-row grid.
 """
 
 from __future__ import annotations
@@ -49,9 +52,7 @@ __all__ = [
     "CarrierAlternative",
     "TiltedFamily",
     "build_tilted_family",
-    "f_gap",
     "f_gap_info",
-    "local_evar_check",
 ]
 
 MC_SAMPLES_DEFAULT = 200_000
@@ -274,25 +275,3 @@ def f_gap_info(null: ExpFamilyDescriptor, tilted: TiltedFamily, beta, anchor):
     if gap.ndim == 0:
         return float(gap), which[()]
     return gap, which
-
-
-def f_gap(null: ExpFamilyDescriptor, tilted: TiltedFamily, beta, anchor):
-    """Log-partition gap of the pairing; +inf outside either canonical domain."""
-    return f_gap_info(null, tilted, beta, anchor)[0]
-
-
-def local_evar_check(null: ExpFamilyDescriptor, tilted: TiltedFamily, mu=None):
-    """Check Sigma_p(mu) - Sigma_q(mu) >= 0, the local existence condition.
-
-    The density ratio of the two members with mean ``mu`` is an e-variable
-    in a neighborhood of the null member exactly when this difference is
-    positive semidefinite; failure here rules the simple e-value out
-    everywhere.  ``mu`` defaults to the carrier anchor.  Returns the
-    battery's covariance-ordering ``ItemVerdict`` at that one mean.
-    """
-    from .conditions import check_sigma_ordering  # conditions imports this module
-
-    anchor = tilted.mu_star if mu is None else null.vec(mu)
-    if not null.mean_domain.contains(anchor):
-        raise DomainError(f"anchor {anchor} has no same-mean member in the null family")
-    return check_sigma_ordering(null, tilted, anchor[None])

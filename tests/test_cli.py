@@ -657,10 +657,11 @@ def test_sequential_validates_arm_means(capsys):
 
 # these ran: alpha 1.5 gave a negative threshold, alpha nan printed NaN, and
 # zero paths gave NaN summaries; bad arm means and tail windows exited 65, the
-# code for malformed data files
+# code for malformed data files; rounds -3 was blamed on the tail window
 @pytest.mark.parametrize("flag, value, message", [
     ("--arm-means", "nan,0.4", "arm means (nan, 0.4) must lie strictly inside (0, 1)"),
     ("--tail-window", "0", "tail window 0 must lie in 1..5, the rounds"),
+    ("--rounds", "-3", "rounds -3 must be at least 1"),
     ("--alpha", "1.5", "alpha 1.5 must lie strictly inside (0, 1)"),
     ("--alpha", "nan", "alpha nan must lie strictly inside (0, 1)"),
     ("--paths", "0", "n_paths 0 must be at least 1"),
@@ -695,7 +696,8 @@ def test_check_into_a_closed_pipe_exits_141_without_a_traceback():
     proc = subprocess.Popen([sys.executable, "-m", "evfam.cli", "check", *NB_ARGS],
                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()  # the reader quits before the report is written
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 141
     assert "Traceback" not in err
 

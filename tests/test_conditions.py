@@ -45,7 +45,7 @@ from evfam.models import (
     tweedie_pair,
 )
 from evfam.oracles import expect_monte_carlo
-from evfam.tilt import CarrierAlternative, build_tilted_family, local_evar_check
+from evfam.tilt import CarrierAlternative, build_tilted_family
 from evfam.util import TOL_PSD
 
 SPEC = GridSpec(n_pairs=64)
@@ -273,8 +273,6 @@ def test_every_covariance_check_reads_one_margin(key):
     ordering = check_sigma_ordering(pair.null, pair.tilted, mu[None])
     # (passed, relative margin) of each check; a threshold is -TOL_PSD times the scale
     verdicts = {"ordering": (ordering.passed, ordering.worst_value)}
-    local = local_evar_check(pair.null, pair.tilted)
-    verdicts["local"] = (local.passed, local.worst_value)
     if key == "linmodel":
         lin = linmodel_psd_check(LINMODEL_DESIGN, pair.notes["theta"], mu)
         verdicts["linmodel"] = (lin.passed, lin.min_eigenvalue / lin.threshold * -TOL_PSD)

@@ -21,6 +21,8 @@ from evfam.families import (
     covariance_at_mean,
     kl_between_means,
     law_kl,
+    law_log_density,
+    log_density,
     log_partition_at,
     mean_from_canonical,
 )
@@ -581,6 +583,30 @@ def test_each_declared_law_is_its_members_carrier(key, side):
         u = _law_draws(law, 20, fam.element_ndim, rng)
         want = _law_log_density(law, u)
         assert np.allclose(fam.carrier_log_density(u, mu), want, rtol=1e-12, atol=0.0), mu
+
+
+# (arm means, sample points) of each k-sample kind: the whole Bernoulli cube,
+# a corner of the Poisson lattice, and fixed real vectors for the normal arms
+KSAMPLE_TILT_CASES = {
+    "poisson": ((0.5, 1.0, 1.5), np.indices((4, 4, 4)).reshape(3, -1).T),
+    "bernoulli": ((0.3, 0.5, 0.7), np.indices((2, 2, 2)).reshape(3, -1).T),
+    "gaussian": ((0.2, 1.0, 1.8), np.random.default_rng(19).normal(1.0, 2.0, (20, 3))),
+}
+
+
+@pytest.mark.parametrize("side", ["null", "alternative"])
+@pytest.mark.parametrize("kind", sorted(KSAMPLE_TILT_CASES))
+def test_ksample_tilt_by_the_total_is_the_law_at_the_tilted_mean(kind, side):
+    # the k-sample families tilt the sample space by the arm total (their suff_stat);
+    # the member (beta; mu_star) must be the declared law at its own mean
+    arm_means, u = KSAMPLE_TILT_CASES[kind]
+    pair = ksample_pairing(kind, arm_means)
+    fam = pair.null if side == "null" else pair.tilted.family
+    mu_star = pair.tilted.mu_star
+    for beta in (-0.7, 0.0, 0.4):
+        b = np.array([beta])
+        want = law_log_density(fam.law(mean_from_canonical(fam, b, mu_star)), u)
+        np.testing.assert_allclose(log_density(fam, b, mu_star, u), want, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("key", sorted(LAW_PAIRINGS))

@@ -1,4 +1,4 @@
-"""E-process bookkeeping, the Beta plug-in process, and path simulation."""
+"""The two-sample Beta plug-in e-process: its round factor, a plain replay, and path simulation."""
 
 from __future__ import annotations
 
@@ -9,20 +9,48 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evfam.errors import DataError, DomainError
-from evfam.sequential import (
-    BetaPluginEProcess,
-    EProcessState,
-    eprocess_update,
-    mixture_log_evalue,
-    round_log_evalue,
-    simulate_two_sample,
-)
+from evfam.errors import DomainError
+from evfam.sequential import LOG_FLOOR, simulate_two_sample
+
+
+def _round_log_factor(m1: float, m2: float, x1: bool, x2: bool) -> float:
+    """Log ratio of Bernoulli(m1) x Bernoulli(m2) to its same-mean null at one outcome.
+
+    The null member shares the alternative's mean, so both of its arms use
+    the average (m1 + m2) / 2.
+    """
+    m_bar = 0.5 * (m1 + m2)
+    return ((math.log(m1 / m_bar) if x1 else math.log((1.0 - m1) / (1.0 - m_bar)))
+            + (math.log(m2 / m_bar) if x2 else math.log((1.0 - m2) / (1.0 - m_bar))))
+
+
+def _replay_path(u: np.ndarray, arm_means, prior, threshold: float):
+    """One path of the plug-in process, one round at a time, from its (rounds, 2) uniforms.
+
+    Returns the floored final log value, the first round at or above
+    ``threshold`` (nan if none) and the lowest unfloored running sum.
+    """
+    a1, b1, a2, b2 = prior
+    total, lowest, first = 0.0, 0.0, math.nan
+    for t, (u1, u2) in enumerate(u, start=1):
+        x1, x2 = bool(u1 < arm_means[0]), bool(u2 < arm_means[1])
+        total += _round_log_factor(a1 / (a1 + b1), a2 / (a2 + b2), x1, x2)
+        lowest = min(lowest, total)
+        if math.isnan(first) and max(total, LOG_FLOOR) >= threshold:
+            first = float(t)
+        a1, b1, a2, b2 = a1 + x1, b1 + (not x1), a2 + x2, b2 + (not x2)
+    return max(total, LOG_FLOOR), first, lowest
+
+
+def _path_uniforms(seed: int, path: int, rounds: int) -> np.ndarray:
+    """The outcome stream of one simulated path: Philox keyed by (seed, path)."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, path], dtype=np.uint64)))
+    return gen.random((rounds, 2))
 
 
 def test_round_factor_frozen_two_sample_value():
     # alternative (0.375, 0.625) against the shared-mean null at 0.5
-    got = round_log_evalue(0.375, 0.625, 0, 1)
+    got = _round_log_factor(0.375, 0.625, False, True)
     assert got == pytest.approx(math.log(1.5625), abs=1e-14)
     assert math.exp(got) == pytest.approx(0.625 * 0.625 / 0.25, abs=1e-12)
 
@@ -31,82 +59,53 @@ def test_round_factor_has_unit_null_mean():
     for m1, m2 in ((0.3, 0.5), (0.9, 0.2), (0.375, 0.625)):
         m_bar = 0.5 * (m1 + m2)
         total = 0.0
-        for x1 in (0, 1):
-            for x2 in (0, 1):
+        for x1 in (False, True):
+            for x2 in (False, True):
                 prob = (m_bar if x1 else 1 - m_bar) * (m_bar if x2 else 1 - m_bar)
-                total += prob * math.exp(round_log_evalue(m1, m2, x1, x2))
+                total += prob * math.exp(_round_log_factor(m1, m2, x1, x2))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_round_factor_validates_means():
-    with pytest.raises(DataError):
-        round_log_evalue(0.0, 0.5, 0, 1)
-    with pytest.raises(DataError):
-        round_log_evalue(0.5, 1.2, 0, 1)
-
-
-def test_state_update_tracks_maximum():
-    state = EProcessState()
-    state = eprocess_update(state, 0.4)
-    state = eprocess_update(state, -1.0)
-    assert state.rounds == 2
-    assert state.log_value == pytest.approx(-0.6)
-    assert state.max_log_value == pytest.approx(0.4)
-    floored = eprocess_update(EProcessState(), -1e6)
-    assert floored.log_value == -745.0
-
-
-def test_mixture_is_average_on_the_log_scale():
-    got = mixture_log_evalue([math.log(4.0), math.log(1.0)])
-    assert got == pytest.approx(math.log(2.5), abs=1e-12)
-    with pytest.raises(DataError):
-        mixture_log_evalue([])
-
-
 def test_plugin_process_first_round_is_flat():
-    proc = BetaPluginEProcess()
-    assert proc.plugin_means() == (0.5, 0.5)
-    log_factor = proc.update(1, 0)
-    # symmetric prior: the first factor is identically one
-    assert log_factor == pytest.approx(0.0, abs=1e-14)
-    assert proc.plugin_means() == (2.0 / 3.0, 1.0 / 3.0)
+    # a symmetric prior plugs in 1/2 for both arms: the first factor is identically one
+    for x1 in (False, True):
+        for x2 in (False, True):
+            assert _round_log_factor(0.5, 0.5, x1, x2) == 0.0
+    for prior in ((1.0, 1.0, 1.0, 1.0), (3.0, 3.0, 0.5, 0.5)):
+        res = simulate_two_sample((0.2, 0.9), rounds=1, n_paths=50, seed=2, prior=prior,
+                                  tail_window=1)
+        np.testing.assert_array_equal(res.final_log_values, 0.0)
+    lopsided = simulate_two_sample((0.2, 0.9), rounds=1, n_paths=50, seed=2,
+                                   prior=(3.0, 1.0, 0.5, 0.5), tail_window=1)
+    assert np.all(lopsided.final_log_values != 0.0)
 
 
 def test_plugin_process_matches_manual_product():
-    rng = np.random.default_rng(0)
-    xs = rng.integers(0, 2, size=(30, 2))
-    proc = BetaPluginEProcess(prior=(2.0, 1.0, 1.0, 3.0))
-    manual = 0.0
-    counts = [2.0, 1.0, 1.0, 3.0]
-    for x1, x2 in xs:
-        m1 = counts[0] / (counts[0] + counts[1])
-        m2 = counts[2] / (counts[2] + counts[3])
-        manual += round_log_evalue(m1, m2, int(x1), int(x2))
-        counts[0] += x1
-        counts[1] += 1 - x1
-        counts[2] += x2
-        counts[3] += 1 - x2
-        proc.update(int(x1), int(x2))
-    assert proc.log_value == pytest.approx(manual, abs=1e-10)
-    assert proc.state.rounds == 30
-
-
-def test_plugin_process_validates_inputs():
-    with pytest.raises(DataError):
-        BetaPluginEProcess(prior=(0.0, 1.0, 1.0, 1.0))
-    with pytest.raises(DataError):
-        BetaPluginEProcess(alpha=1.5)
-    proc = BetaPluginEProcess()
-    with pytest.raises(DataError):
-        proc.update(2, 0)
+    res = simulate_two_sample((0.4, 0.55), rounds=30, n_paths=5, seed=0,
+                              prior=(2.0, 1.0, 1.0, 3.0), tail_window=5)
+    for path in range(5):
+        manual = 0.0
+        counts = [2.0, 1.0, 1.0, 3.0]
+        for u1, u2 in _path_uniforms(0, path, 30):
+            x1, x2 = int(u1 < 0.4), int(u2 < 0.55)
+            m1 = counts[0] / (counts[0] + counts[1])
+            m2 = counts[2] / (counts[2] + counts[3])
+            manual += _round_log_factor(m1, m2, bool(x1), bool(x2))
+            counts[0] += x1
+            counts[1] += 1 - x1
+            counts[2] += x2
+            counts[3] += 1 - x2
+        assert res.final_log_values[path] == pytest.approx(manual, abs=1e-10)
 
 
 def test_crossing_threshold_uses_running_maximum():
-    proc = BetaPluginEProcess(alpha=0.5)
-    proc.state = eprocess_update(proc.state, math.log(3.0))
-    assert proc.crossed
-    proc.state = eprocess_update(proc.state, math.log(0.01))
-    assert proc.crossed
+    # a null path that crossed and fell back below the threshold still counts
+    res = simulate_two_sample((0.5, 0.5), rounds=200, n_paths=200, seed=0, alpha=0.5,
+                              tail_window=10)
+    crossed = ~np.isnan(res.first_crossing)
+    fell_back = crossed & (res.final_log_values < math.log(2.0))
+    assert fell_back.any()
+    assert res.ever_crossed_fraction == crossed.mean()
 
 
 def test_simulation_is_deterministic_and_block_invariant():
@@ -167,16 +166,33 @@ def test_simulation_memory_is_bounded_by_the_block():
     assert peak < 40e6
 
 
+# (simulation settings, whether every path dips below LOG_FLOOR and comes back above it);
+# the first two have paths that cross and paths that do not
+REPLAYED_RUNS = [
+    (dict(arm_means=(0.3, 0.7), rounds=60, n_paths=40, seed=11), False),
+    (dict(arm_means=(0.2, 0.6), rounds=80, n_paths=30, seed=5, alpha=0.01,
+          prior=(2.0, 0.5, 0.5, 3.0)), False),
+    # a prior that bets against the arms drives every path far below the floor first
+    (dict(arm_means=(0.01, 0.99), rounds=1500, n_paths=4, seed=7,
+          prior=(600.0, 1.0, 1.0, 600.0)), True),
+]
+
+
 def test_simulation_agrees_with_the_scalar_process():
-    res = simulate_two_sample(arm_means=(0.3, 0.7), rounds=25, n_paths=3, seed=11,
-                              tail_window=5)
-    # replay path 2 through the scalar class using the same outcome stream
-    rng = np.random.Generator(np.random.Philox(key=np.array([11, 2], dtype=np.uint64)))
-    u = rng.random((25, 2))
-    proc = BetaPluginEProcess()
-    for t in range(25):
-        proc.update(int(u[t, 0] < 0.3), int(u[t, 1] < 0.7))
-    assert res.final_log_values[2] == pytest.approx(proc.log_value, abs=1e-10)
+    for kwargs, floored in REPLAYED_RUNS:
+        res = simulate_two_sample(**kwargs, tail_window=10)
+        threshold = np.log(1.0 / kwargs.get("alpha", 0.05))
+        replayed = np.array([
+            _replay_path(_path_uniforms(kwargs["seed"], path, kwargs["rounds"]),
+                         kwargs["arm_means"], kwargs.get("prior", (1.0, 1.0, 1.0, 1.0)),
+                         threshold)
+            for path in range(kwargs["n_paths"])])
+        final, first, lowest = replayed.T
+        np.testing.assert_allclose(res.final_log_values, final, rtol=0.0, atol=1e-10)
+        np.testing.assert_array_equal(res.first_crossing, first)
+        # the floor applies to the cumulative sum, not to each running value
+        assert np.all((lowest < LOG_FLOOR) & (final > LOG_FLOOR)) == floored
+        assert floored or 0.0 < np.isnan(first).mean() < 1.0
 
 
 def test_simulation_null_crossing_is_rare():
@@ -203,6 +219,9 @@ def test_simulation_validates_arguments():
     with pytest.raises(DomainError):
         simulate_two_sample(arm_means=(0.4, 0.5), rounds=10, n_paths=2,
                             tail_window=11)
+    # rounds 0 was blamed on the tail window: "tail window 100 must lie in 1..0, the rounds"
+    with pytest.raises(DomainError, match=r"^rounds 0 must be at least 1$"):
+        simulate_two_sample(arm_means=(0.4, 0.5), rounds=0, n_paths=2)
 
 
 # a float seed was cast into the Philox key: 1.5 ran seed 1 and reported 1.5

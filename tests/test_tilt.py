@@ -11,7 +11,7 @@ import pytest
 from scipy.special import gammaln, logsumexp, xlogy
 
 from evfam import tilt
-from evfam.conditions import run_condition_battery, simple_log_evalue
+from evfam.conditions import check_sigma_ordering, run_condition_battery, simple_log_evalue
 from evfam.domains import DomainDescriptor
 from evfam.errors import DomainError, UnsupportedModelError
 from evfam.families import (
@@ -38,9 +38,7 @@ from evfam.tilt import (
     TiltedFamily,
     _row_logsumexp,
     build_tilted_family,
-    f_gap,
     f_gap_info,
-    local_evar_check,
 )
 
 
@@ -290,7 +288,7 @@ def _gap_gradient(pair, beta, anchor):
 def test_gap_vanishes_at_zero_tilt():
     pair = gaussian_scale_pairing(-3.0, 9.0)
     anchor = pair.tilted.mu_star
-    assert f_gap(pair.null, pair.tilted, np.zeros(1), anchor) == pytest.approx(0.0, abs=1e-12)
+    assert f_gap_info(pair.null, pair.tilted, np.zeros(1), anchor)[0] == pytest.approx(0.0, abs=1e-12)
     grad = _gap_gradient(pair, np.zeros(1), anchor)
     assert np.allclose(grad, 0.0, atol=1e-9)
 
@@ -301,7 +299,7 @@ def test_gap_gradient_matches_finite_difference():
     beta = np.array([0.01])
     grad = _gap_gradient(pair, beta, anchor)
     check = finite_diff_check(
-        lambda b: f_gap(pair.null, pair.tilted, b, anchor), beta, grad, kind="gradient")
+        lambda b: f_gap_info(pair.null, pair.tilted, b, anchor)[0], beta, grad, kind="gradient")
     assert check.passed, check.rel_error
 
 
@@ -310,7 +308,7 @@ def test_gap_nonpositive_for_certified_pairing():
     anchor = np.array([2.0])
     upper = pair.null.canonical_domain(anchor).upper[0]
     for b in np.linspace(-8.0, upper * 0.999, 40):
-        assert f_gap(pair.null, pair.tilted, np.array([b]), anchor) <= 1e-10
+        assert f_gap_info(pair.null, pair.tilted, np.array([b]), anchor)[0] <= 1e-10
 
 
 def test_gap_info_tags_the_out_of_domain_side():
@@ -324,19 +322,20 @@ def test_gap_info_tags_the_out_of_domain_side():
 
 
 def test_local_check_pass_and_fail_regimes():
+    # the local condition at the carrier anchor is the battery's check on a one-row grid
     ok = ig_vs_exp_pairing(2.0, 0.8)
-    rep = local_evar_check(ok.null, ok.tilted)
+    rep = check_sigma_ordering(ok.null, ok.tilted, ok.tilted.mu_star[None])
     assert rep.passed and rep.worst_value >= rep.threshold
 
     bad = ig_vs_exp_pairing(2.0, 2.5)
-    rep = local_evar_check(bad.null, bad.tilted)
+    rep = check_sigma_ordering(bad.null, bad.tilted, bad.tilted.mu_star[None])
     assert not rep.passed
 
 
 def test_local_check_rejects_anchor_outside_null():
     pair = negbinom_vs_poisson(4.0, 2.0)
-    with pytest.raises(DomainError):
-        local_evar_check(pair.null, pair.tilted, mu=np.array([-1.0]))
+    with pytest.raises(DomainError, match=r"outside mean domain"):
+        check_sigma_ordering(pair.null, pair.tilted, np.array([[-1.0]]))
 
 
 def test_member_pairing_validates_mean_membership():
