@@ -42,12 +42,10 @@ from .families import (
 from .linear_model import (
     LinearModelDesign,
     LinearModelParams,
-    linmodel_evalue,
     linmodel_family,
     linmodel_pairing,
     linmodel_psd_check,
     params_from_mean,
-    project_onto_null,
 )
 from .models import (
     Pairing,
@@ -115,7 +113,7 @@ __all__ = [
     "tweedie_pair", "ig_vs_exp_pairing", "ig_regime", "ig_divergence_threshold",
     # linear model
     "LinearModelDesign", "LinearModelParams", "linmodel_family", "linmodel_pairing",
-    "linmodel_evalue", "linmodel_psd_check", "params_from_mean", "project_onto_null",
+    "linmodel_psd_check", "params_from_mean",
     # battery
     "GridSpec", "ItemVerdict", "ConditionReport", "mean_grid", "mean_pairs",
     "run_condition_battery", "simple_evalue", "simple_log_evalue", "growth_rate",

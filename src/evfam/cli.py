@@ -406,15 +406,10 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_sequential(args) -> int:
-    arm_means = _parse_vector(args.arm_means)
-    if arm_means.size != 2:
-        raise ValueError("sequential simulation needs exactly two arm means")
     prior = tuple(_parse_vector(args.prior)) if args.prior else (1.0, 1.0, 1.0, 1.0)
-    if len(prior) != 4:
-        raise ValueError("prior must have four values: a1,b1,a2,b2")
-    result = simulate_two_sample(arm_means, rounds=args.rounds, n_paths=args.paths,
-                                 alpha=args.alpha, seed=args.seed or 0, prior=prior,
-                                 tail_window=args.tail_window)
+    result = simulate_two_sample(_parse_vector(args.arm_means), rounds=args.rounds,
+                                 n_paths=args.paths, alpha=args.alpha, seed=args.seed or 0,
+                                 prior=prior, tail_window=args.tail_window)
     config = {
         "alpha": result.alpha,
         "arm_means": list(result.arm_means),
@@ -450,12 +445,12 @@ def _cmd_sequential(args) -> int:
 def _cmd_figure(args) -> int:
     options = {}
     if args.id == "fig2" and args.arm_means:
-        options["arm_means"] = tuple(_parse_vector(args.arm_means))
+        options["arm_means"] = tuple(_parse_vector(args.arm_means).tolist())
     if args.id == "fig3":
         if args.lam is not None:
             options["lam"] = args.lam
         if args.mus:
-            options["mus"] = tuple(_parse_vector(args.mus))
+            options["mus"] = tuple(_parse_vector(args.mus).tolist())
     rows, config = figure_data(args.id, **options)
     write_figure_csv(rows, config, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")

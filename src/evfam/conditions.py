@@ -98,13 +98,24 @@ class GridSpec:
     integer) over the same ranges; it equals
     ``scipy.stats.qmc.Halton(d, seed=seed)`` bit for bit at scipy 1.17.1.
     Its first ``n_pairs`` rows are drawn, and ``4 * n_pairs`` only when the
-    domain rejects some of them (``mean_pairs``).
+    domain rejects some of them (``mean_pairs``).  A ``points_per_axis``
+    other than None or an integer >= 1, an ``n_pairs`` that is not an
+    integer >= 1 and a negative or non-integer ``seed`` are refused by name.
     """
 
     points_per_axis: int | None = None
     axis_ranges: tuple[tuple[float, float], ...] | None = None
     n_pairs: int = 512
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name, least in (("points_per_axis", 1), ("n_pairs", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if name == "points_per_axis" and value is None:
+                continue
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise DomainError(f"{name} {value} must be a "
+                                  f"{'positive' if least else 'non-negative'} integer")
 
 
 def _axis_specs(domain: DomainDescriptor, spec: GridSpec) -> list[tuple[float, float, bool]]:
@@ -131,7 +142,11 @@ def mean_grid(domain: DomainDescriptor, spec: GridSpec | None = None,
               include: np.ndarray | None = None) -> np.ndarray:
     """Cartesian mean grid inside the domain, optionally forcing a point in."""
     spec = spec or GridSpec()
-    per_axis = spec.points_per_axis or (64 if domain.dim == 1 else 8)
+    per_axis = spec.points_per_axis
+    if per_axis is None:
+        per_axis = 64 if domain.dim == 1 else 8
+    # past MAX_GRID_POINTS per axis the loop below steps down one at a time
+    per_axis = min(per_axis, MAX_GRID_POINTS)
     while per_axis ** domain.dim > MAX_GRID_POINTS and per_axis > 2:
         per_axis -= 1
     axes = [(np.geomspace if log else np.linspace)(lo, hi, per_axis)
@@ -154,10 +169,8 @@ def _halton(d: int, seed: int, n: int) -> np.ndarray:
     digit j passed through its own random permutation of 0..b-1.  The
     permutations are drawn, and the digits summed, in the order scipy's
     ``qmc.Halton(d, seed=seed).random(n)`` uses, so the points equal it bit
-    for bit.
+    for bit.  ``seed`` is a non-negative integer (``GridSpec`` checks it).
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed {seed} must be a non-negative integer")
     rng = np.random.default_rng(seed)
     primes: list[int] = []
     candidate = 2

@@ -328,7 +328,7 @@ def family_from_root_cumulant(
     root_beta: Callable[[np.ndarray], np.ndarray] | None = None,
     element_ndim: int = 0,
     stochastic: bool = False,
-    law: Callable[[np.ndarray], tuple] | None = None,
+    root_law: Callable[[np.ndarray], tuple] | None = None,
 ) -> ExpFamilyDescriptor:
     """Build an anchored family from a single cumulant at one root anchor.
 
@@ -351,7 +351,9 @@ def family_from_root_cumulant(
     without it, each (mean, anchor) row is solved once by damped Newton on
     the family's own mean and symmetrized covariance maps, from beta = 0 at
     the anchor, and cached, so the KL ordering reuses the pairing's solves.
-    ``law`` is passed to the descriptor as it is.
+    ``root_law(gamma)`` names the observation law of the member at root
+    coordinate gamma; the descriptor's law at a mean reads gamma from the same
+    cache, so a law costs no solve of its own.
     """
     def eval_cumulant(beta: np.ndarray) -> np.ndarray:
         inside = np.broadcast_to(root_domain.contains(beta), beta.shape[:-1])
@@ -432,7 +434,7 @@ def family_from_root_cumulant(
         carrier_log_density=carrier,
         element_ndim=element_ndim,
         stochastic=stochastic,
-        law=law,
+        law=None if root_law is None else lambda mean: root_law(gamma_of(mean)),
     )
 
 

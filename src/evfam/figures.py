@@ -2,7 +2,8 @@
 
 Each builder returns plain rows (figure id, series id, x, y, flag) plus the
 effective configuration, and the CSV writer embeds that configuration as
-comment lines so a data file is self-describing.
+comment lines so a data file is self-describing.  A builder refuses an
+option outside its range before it makes any row.
 """
 
 from __future__ import annotations
@@ -10,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit, logit
 
-from .errors import DataError
+from .errors import DomainError
 from .families import canonical_from_mean
-from .models import ig_divergence_threshold, ig_regime, ig_vs_exp_pairing
+from .models import _require_positive, ig_divergence_threshold, ig_regime, ig_vs_exp_pairing
 from .tilt import f_gap_info
 
 __all__ = [
@@ -39,7 +40,7 @@ def scale_tilt_trajectories(carriers=((1.0, 1.0), (2.0, 4.0), (-3.0, 9.0)),
     rows = []
     for m, s2 in carriers:
         if s2 <= 0:
-            raise DataError("carrier variances must be positive")
+            raise DomainError("carrier variances must be positive")
         series = f"m={m:g};s2={s2:g}"
         c = 1.0 / (2.0 * s2)
         ts = np.geomspace(c / 16.0, 16.0 * c, n_points)
@@ -59,9 +60,11 @@ def bernoulli_tilt_curves(arm_means=(0.375, 0.625), beta_range: float = 16.0,
     Both arms move monotonically under a common exponential tilt, from 0 to
     1, passing through the carrier means at zero tilt.
     """
+    if len(arm_means) != 2:
+        raise DomainError(f"fig2 needs exactly two arm means, got {len(arm_means)}")
     m1, m2 = arm_means
     if not (0.0 < m1 < 1.0 and 0.0 < m2 < 1.0):
-        raise DataError("arm means must lie strictly inside (0, 1)")
+        raise DomainError("arm means must lie strictly inside (0, 1)")
     betas = np.linspace(-beta_range, beta_range, n_points)
     rows = []
     for arm, m in (("arm1", m1), ("arm2", m2)):
@@ -84,8 +87,11 @@ def ig_expectation_curves(lam: float = 2.0, mus=(0.8, 1.5, 2.5),
     (:func:`tilt.f_gap_info`).  Points where that gap is +inf, past the
     closed-form divergence threshold, are flagged ``diverged``.
     Alternatives whose local covariance check already fails produce no
-    curve, just a single ``not-local`` marker.
+    curve, just a single ``not-local`` marker.  ``lam`` and every mean must
+    be finite and > 0, as ``ig_vs_exp_pairing`` requires.
     """
+    for name, value in (("lam", lam), *(("mu", mu) for mu in mus)):
+        _require_positive(value, "inverse-Gaussian-vs-exponential", name)
     grid = np.geomspace(grid_range[0], grid_range[1], n_points)
     rows = []
     for mu in mus:
@@ -125,8 +131,8 @@ def figure_data(figure_id: str, **options):
     try:
         builder = _BUILDERS[figure_id]
     except KeyError:
-        raise DataError(f"unknown figure id {figure_id!r}; "
-                        f"choose from {sorted(_BUILDERS)}") from None
+        raise DomainError(f"unknown figure id {figure_id!r}; "
+                          f"choose from {sorted(_BUILDERS)}") from None
     return builder(**options)
 
 

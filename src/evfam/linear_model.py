@@ -13,11 +13,12 @@ theta-families share the mean space {mu : mu_0 > mu_f' G_ff^{-1} mu_f}
 with G_ff the Gram matrix of the nuisance columns, which is convex (the
 region above a positive quadratic).
 
-Projecting an alternative member onto the null solves the least-squares
-normal equations in the nuisance columns and inflates the variance by the
-mean squared fitted-value gap; the likelihood ratio against that projection
-is the simple e-value for the member.  The covariance difference between
-same-mean null and alternative members has blocks
+The null member with an alternative member's mean, ``params_from_mean(design,
+0.0, mu)``, is its least-squares projection: the fit in the nuisance
+columns, with the variance inflated by the mean squared fitted-value gap.
+The likelihood ratio against it is the member's simple e-value,
+``conditions.simple_evalue`` on ``linmodel_pairing``.  The covariance
+difference between same-mean null and alternative members has blocks
 
     dA = A* - A°,  dB = 2 (sigma*^2 - sigma°^2) Xf' nu*,
     dC = (sigma*^2 - sigma°^2) G_ff,
@@ -36,7 +37,7 @@ import numpy as np
 
 from .domains import DomainDescriptor
 from .errors import DataError, DomainError
-from .families import ExpFamilyDescriptor, law_log_density
+from .families import ExpFamilyDescriptor
 from .models import Pairing, _member_pairing
 from .util import TOL_PSD, float_or_array as _scalar, matvec, psd_margin, rowdot
 
@@ -48,8 +49,6 @@ __all__ = [
     "params_from_mean",
     "mean_of_params",
     "covariance_of_params",
-    "project_onto_null",
-    "linmodel_evalue",
     "linmodel_psd_check",
     "linmodel_pairing",
 ]
@@ -127,10 +126,6 @@ class LinearModelParams:
         return _scalar(self.gamma[..., 0] / self.sigma2)
 
 
-def _fitted(design: LinearModelDesign, params: LinearModelParams) -> np.ndarray:
-    return matvec(design.x, params.gamma)
-
-
 def mean_of_params(design: LinearModelDesign, params: LinearModelParams) -> np.ndarray:
     g_gamma = matvec(design.gram, params.gamma)
     first = design.n * np.asarray(params.sigma2) + rowdot(g_gamma, params.gamma)
@@ -206,30 +201,6 @@ def params_from_mean(design: LinearModelDesign, theta: float, mu) -> LinearModel
     return LinearModelParams(sigma2=_scalar(v), gamma=gamma_a + v[..., None] * gamma_b)
 
 
-def project_onto_null(design: LinearModelDesign, params: LinearModelParams) -> LinearModelParams:
-    """Closest null member: least-squares fit in the nuisance columns.
-
-    The fitted values match on every nuisance column and the projected
-    variance absorbs the squared fit gap, sigma*^2 = sigma^2 +
-    ||nu - nu*||^2 / n, so the projection never shrinks the variance.
-    """
-    nu = _fitted(design, params)
-    gamma_f = _solve_ff(design, design.nuisance.T @ nu)
-    gamma_null = np.concatenate([[0.0], gamma_f])
-    gap = nu - design.x @ gamma_null
-    return LinearModelParams(sigma2=params.sigma2 + float(gap @ gap) / design.n, gamma=gamma_null)
-
-
-def linmodel_evalue(design: LinearModelDesign, params: LinearModelParams, y) -> np.ndarray | float:
-    """Simple e-value: member density over its null projection, at data y."""
-    y_arr = np.asarray(y, dtype=float)
-    batch = y_arr.reshape(-1, design.n)
-    log_q, log_p = (law_log_density(("normal", _fitted(design, p), p.sigma2), batch)
-                    for p in (params, project_onto_null(design, params)))
-    vals = np.exp(log_q - log_p)
-    return float(vals[0]) if y_arr.ndim == 1 else vals
-
-
 def linmodel_family(design: LinearModelDesign, theta: float) -> ExpFamilyDescriptor:
     """The exponential family of N(X gamma, sigma2 I) laws with fixed theta."""
     n, d = design.n, design.d
@@ -285,7 +256,7 @@ def linmodel_family(design: LinearModelDesign, theta: float) -> ExpFamilyDescrip
 
     def law(mean: np.ndarray) -> tuple:
         params = params_at(mean)
-        return "normal", _fitted(design, params), float(params.sigma2)  # sigma2 I
+        return "normal", matvec(design.x, params.gamma), float(params.sigma2)  # sigma2 I
 
     return ExpFamilyDescriptor(
         name=f"linmodel(n={n},d={d},theta={theta:g})",
@@ -307,13 +278,10 @@ class LinModelPsdReport:
     """Covariance ordering at one mean point, with the Schur cross-check."""
 
     passed: bool
-    mu: np.ndarray
     min_eigenvalue: float
     threshold: float
     schur_margin: float
     variance_gap: float
-    null_params: LinearModelParams
-    alt_params: LinearModelParams
 
 
 def linmodel_psd_check(design: LinearModelDesign, theta: float, mu,
@@ -337,24 +305,18 @@ def linmodel_psd_check(design: LinearModelDesign, theta: float, mu,
         schur = float(delta[0, 0] - delta[1:, 0] @ np.linalg.solve(delta[1:, 1:], delta[1:, 0]))
     return LinModelPsdReport(
         passed=bool(eigs[0] / scale >= -tol),
-        mu=mu,
         min_eigenvalue=float(eigs[0]),
         threshold=-tol * float(scale),
         schur_margin=schur,
         variance_gap=gap,
-        null_params=null_params,
-        alt_params=alt_params,
     )
 
 
 def linmodel_pairing(design: LinearModelDesign, sigma2: float, gamma) -> Pairing:
     """Alternative member (sigma2, gamma) against the theta = 0 null family."""
     params = LinearModelParams(sigma2=sigma2, gamma=np.asarray(gamma, dtype=float).reshape(design.d + 1))
-    theta = params.theta
-    null = linmodel_family(design, 0.0)
-    family = linmodel_family(design, theta)
     return _member_pairing(
-        "linmodel", null, family, mean_of_params(design, params),
+        "linmodel", linmodel_family(design, 0.0), linmodel_family(design, params.theta),
+        mean_of_params(design, params),
         params={"n": design.n, "d": design.d, "sigma2": sigma2, "gamma": params.gamma.tolist()},
-        notes={"theta": theta, "projection": project_onto_null(design, params), "alt_params": params},
     )

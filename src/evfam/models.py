@@ -22,8 +22,7 @@ members sharing that mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -145,7 +144,7 @@ def _brentq_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
 
 def _require_positive(value: float, owner: str, name: str) -> None:
     if not 0.0 < value < np.inf:
-        raise UnsupportedModelError(f"{owner} needs a finite {name} > 0, got {name}={value!r}")
+        raise UnsupportedModelError(f"{owner} needs a finite {name} > 0, got {name}={float(value)!r}")
 
 
 def _invert_potential(phi: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
@@ -334,10 +333,10 @@ def negbinom_family(successes: float) -> ExpFamilyDescriptor:
 def abm_family(s: float, r: int) -> ExpFamilyDescriptor:
     """The class V(m) = m (1 + m/s)^r for integer r >= 0.
 
-    r = 0 is Poisson and r = 1 the negative binomial with successes s; those
-    instances keep their observation laws.  For r >= 2 the family is
-    density-free here: canonical maps, log-partitions and divergences all
-    come from the potentials, which is what the condition battery needs.
+    r = 0 is ``poisson_family()`` and r = 1 ``negbinom_family(s)``, which
+    are returned as they stand.  For r >= 2 the family is density-free here:
+    canonical maps, log-partitions and divergences all come from the
+    potentials, which is what the condition battery needs.
 
     Partial fractions give 1/V(t) = 1/t - sum_{k=1}^r s^{k-1} / (s+t)^k and
     t/V(t) = s^r / (s+t)^r, from which Phi and Psi below follow by direct
@@ -351,6 +350,8 @@ def abm_family(s: float, r: int) -> ExpFamilyDescriptor:
         raise UnsupportedModelError(f"abm family: s ** r overflows the float range for s={s!r}, r={r}")
     if r == 0:
         return poisson_family()
+    if r == 1:
+        return negbinom_family(s)
 
     def phi(t: np.ndarray) -> np.ndarray:
         val = np.log(t) - np.log(s + t)
@@ -358,22 +359,13 @@ def abm_family(s: float, r: int) -> ExpFamilyDescriptor:
             val += s ** (k - 1) / ((k - 1) * (s + t) ** (k - 1))
         return val
 
-    def psi(t: np.ndarray) -> np.ndarray:
-        if r == 1:
-            return s * np.log(s + t)
-        return -s ** r / ((r - 1) * (s + t) ** (r - 1))
-
-    phi_inv = (lambda x: s * np.exp(x) / (1.0 - np.exp(x))) if r == 1 else None
-
     return _nef_from_potentials(
         f"abm(s={s:g},r={r})",
         variance=lambda m: m * (1.0 + m / s) ** r,
         phi=phi,
-        phi_inv=phi_inv,
-        psi=psi,
+        psi=lambda t: -s ** r / ((r - 1) * (s + t) ** (r - 1)),
         phi_sup=0.0,
         mean_domain=positive_orthant(1),
-        law=(lambda mean: ("negbinom", s, mean[0])) if r == 1 else None,
     )
 
 
@@ -613,7 +605,6 @@ class Pairing:
     null: ExpFamilyDescriptor
     tilted: TiltedFamily
     params: dict
-    notes: dict = field(default_factory=dict)
 
 
 def _validate_arm_means(kind: str, alt_means: np.ndarray) -> None:
@@ -630,7 +621,7 @@ def _validate_arm_means(kind: str, alt_means: np.ndarray) -> None:
 
 
 def _member_pairing(name: str, null: ExpFamilyDescriptor, family: ExpFamilyDescriptor,
-                    anchor, params: dict, notes: dict | None = None) -> Pairing:
+                    anchor, params: dict) -> Pairing:
     """Pair ``null`` with the member of ``family`` whose statistic mean is ``anchor``.
 
     ``family`` is the exponential family the alternative generates over the
@@ -643,8 +634,7 @@ def _member_pairing(name: str, null: ExpFamilyDescriptor, family: ExpFamilyDescr
     if not family.mean_domain.contains(mu_star):
         raise DomainError(f"alternative mean {', '.join(map(repr, mu_star.tolist()))} "
                           f"lies outside the mean domain of {family.name}")
-    return Pairing(name=name, null=null, tilted=TiltedFamily(family, mu_star), params=params,
-                   notes=notes or {})
+    return Pairing(name=name, null=null, tilted=TiltedFamily(family, mu_star), params=params)
 
 
 def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
@@ -693,10 +683,6 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
             gamma = _brentq_rows(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=100)
             return gamma.reshape(target.shape + (1,))
 
-        @lru_cache(maxsize=None)  # the law is read once per carrier call
-        def gamma_at(total: float) -> float:
-            return float(root_gamma(np.array([total]))[0])
-
         def root_cumulant(beta: np.ndarray) -> np.ndarray:
             return np.sum(_bernoulli_cumulant(alt_means, beta[..., 0, None]), axis=-1)
 
@@ -718,7 +704,7 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
             root_cov=root_cov,
             root_beta=root_gamma,
             element_ndim=1,
-            law=lambda mean: ("bernoulli", arm_means_at(gamma_at(float(mean[0])))),
+            root_law=lambda gamma: ("bernoulli", arm_means_at(gamma[0])),
         )
 
     params = {"kind": kind, "k": k, "alt_means": alt_means.tolist()}
@@ -782,7 +768,6 @@ def gaussian_location_constrained(cov, d0: int, alt_mean) -> Pairing:
     return _member_pairing(
         "gaussian-location-constrained", null, family, mu_star,
         params={"cov": cov.tolist(), "d0": d0, "alt_mean": alt_mean.tolist()},
-        notes={"alt_in_null": bool(np.allclose(alt_mean[:d0], 0.0))},
     )
 
 
@@ -823,8 +808,8 @@ def gaussian_scale_pairing(m: float, s2: float) -> Pairing:
         t = (1.0 + root) / (4.0 * target)
         return (c - t)[..., None]
 
-    def law(mean: np.ndarray) -> tuple:
-        t = c - float(root_beta(mean)[0])
+    def root_law(gamma: np.ndarray) -> tuple:
+        t = c - gamma[0]
         return "normal", np.array([c * m / t]), 0.5 / t
 
     family = family_from_root_cumulant(
@@ -837,15 +822,15 @@ def gaussian_scale_pairing(m: float, s2: float) -> Pairing:
         root_mean=root_mean,
         root_cov=root_cov,
         root_beta=root_beta,
-        law=law,
+        root_law=root_law,
     )
     return _member_pairing("gaussian-scale", null, family, mu_star, params={"m": m, "s2": s2})
 
 
 def nef_pairing(null: ExpFamilyDescriptor, alt: ExpFamilyDescriptor, mu_star: float,
-                name: str, params: dict, notes: dict | None = None) -> Pairing:
+                name: str, params: dict) -> Pairing:
     """Pair two scalar NEFs on the same observation space at a shared anchor mean."""
-    return _member_pairing(name, null, alt, alt.vec(mu_star), params, notes)
+    return _member_pairing(name, null, alt, alt.vec(mu_star), params)
 
 
 def negbinom_vs_poisson(successes: float, mu_star: float) -> Pairing:
@@ -876,15 +861,10 @@ def tweedie_pair(null_ag: tuple[float, float], alt_ag: tuple[float, float], mu_s
     """
     ap, gp = null_ag
     aq, gq = alt_ag
-    if gp != gq:
-        order = "crosses"
-    else:
-        order = "dominates" if ap >= aq else "dominated"
     return nef_pairing(
         tweedie_family(ap, gp), tweedie_family(aq, gq), mu_star,
         name="tweedie-pair",
         params={"null": [ap, gp], "alt": [aq, gq], "mu": mu_star},
-        notes={"variance_order": order},
     )
 
 
@@ -919,8 +899,4 @@ def ig_vs_exp_pairing(lam: float, mu: float) -> Pairing:
         gamma_family(1.0), inverse_gaussian_family(lam), mu,
         name="ig-vs-exp",
         params={"lam": lam, "mu": mu},
-        notes={
-            "regime": ig_regime(lam, mu),
-            "divergence_threshold": ig_divergence_threshold(lam, mu),
-        },
     )

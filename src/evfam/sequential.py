@@ -85,6 +85,11 @@ def simulate_two_sample(arm_means, rounds: int = 500, n_paths: int = 1000,
     25 MB for the default 500 paths of 500 rounds.  The results do not
     depend on it.
     """
+    arm_means, prior = tuple(arm_means), tuple(prior)
+    if len(arm_means) != 2:
+        raise DomainError("sequential simulation needs exactly two arm means")
+    if len(prior) != 4:
+        raise DomainError("prior must have four values: a1,b1,a2,b2")
     m1, m2 = (float(v) for v in arm_means)
     if not (0.0 < m1 < 1.0 and 0.0 < m2 < 1.0):
         raise DomainError(f"arm means {(m1, m2)!r} must lie strictly inside (0, 1)")

@@ -89,10 +89,6 @@ class TiltedFamily:
     family: ExpFamilyDescriptor
     mu_star: np.ndarray
 
-    @property
-    def stochastic(self) -> bool:
-        return self.family.stochastic
-
 
 def _discover_box(mgf_log: Callable[[np.ndarray], float], dim: int) -> DomainDescriptor:
     """Axis-aligned finiteness region of a cumulant, by bisection per ray."""

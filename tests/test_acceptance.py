@@ -28,10 +28,9 @@ from evfam.figures import figure_data
 from evfam.linear_model import (
     LinearModelDesign,
     LinearModelParams,
-    linmodel_evalue,
+    linmodel_pairing,
     linmodel_psd_check,
     mean_of_params,
-    project_onto_null,
 )
 from evfam.models import (
     abm_family,
@@ -276,20 +275,27 @@ def test_06_linear_model_ordering_and_null_expectations():
             if rep.schur_margin < -1e-8:
                 problems.append(f"design {i}: schur {rep.schur_margin:.2e}")
 
+    def evalues(design: LinearModelDesign, params: LinearModelParams, y) -> np.ndarray:
+        pair = linmodel_pairing(design, params.sigma2, params.gamma)
+        return simple_evalue(pair.tilted, pair.null, pair.tilted.mu_star, y)
+
     for i, design in enumerate(designs[:5]):
         params = LinearModelParams(sigma2=1.0, gamma=rng.normal(size=design.d + 1))
-        null_member = project_onto_null(design, params)
-        draws = (design.x @ null_member.gamma
+        # the same-mean null member is the least-squares fit in the nuisance columns
+        nu = design.x @ params.gamma
+        coef, *_ = np.linalg.lstsq(design.nuisance, nu, rcond=None)
+        gap = nu - design.nuisance @ coef
+        draws = (design.nuisance @ coef
                  + rng.standard_normal((100_000, design.n))
-                 * math.sqrt(null_member.sigma2))
-        vals = linmodel_evalue(design, params, draws)
+                 * math.sqrt(params.sigma2 + gap @ gap / design.n))
+        vals = evalues(design, params, draws)
         slack = 3.0 * vals.std() / math.sqrt(vals.size)
         if vals.mean() > 1.0 + slack:
             problems.append(f"mc design {i}: mean {vals.mean():.5f} > 1 + {slack:.5f}")
 
     design = designs[0]
     trivial = LinearModelParams(sigma2=0.8, gamma=np.array([0.0, *rng.normal(size=design.d)]))
-    vals = linmodel_evalue(design, trivial, rng.normal(size=(50, design.n)))
+    vals = evalues(design, trivial, rng.normal(size=(50, design.n)))
     if not np.allclose(vals, 1.0, atol=1e-12):
         problems.append("zero tested coefficient does not give unit e-values")
     _report(6, "linear model covariance ordering and null expectations",

@@ -666,6 +666,8 @@ def test_sequential_validates_arm_means(capsys):
     ("--alpha", "nan", "alpha nan must lie strictly inside (0, 1)"),
     ("--paths", "0", "n_paths 0 must be at least 1"),
     ("--prior", "1,nan,1,1", "Beta prior (1.0, nan, 1.0, 1.0) must be four finite values > 0"),
+    ("--prior", "1,1,1", "prior must have four values: a1,b1,a2,b2"),
+    ("--arm-means", "0.3,0.4,0.5", "sequential simulation needs exactly two arm means"),
 ])
 def test_sequential_out_of_range_settings_exit_64(capsys, tmp_path, flag, value, message):
     code, out, err = run(capsys, "sequential", "--arm-means", "0.375,0.625", "--rounds", "5",
@@ -687,6 +689,21 @@ def test_check_negative_seed_exits_64_naming_the_seed(capsys):
     code, out, err = run(capsys, "check", *NB_ARGS, "--seed", "-1")
     assert (code, out) == (64, "")
     assert err == "evfam: seed -1 must be a non-negative integer\n"
+
+
+# --grid-points 0 ran the default grid, since 0 read as unset; -2 and --pairs -5
+# exited with numpy's own messages, and --pairs 0 asked for axis ranges that no
+# flag sets
+@pytest.mark.parametrize("flag, value, message", [
+    ("--grid-points", "0", "points_per_axis 0 must be a positive integer"),
+    ("--grid-points", "-2", "points_per_axis -2 must be a positive integer"),
+    ("--pairs", "-5", "n_pairs -5 must be a positive integer"),
+    ("--pairs", "0", "n_pairs 0 must be a positive integer"),
+])
+def test_check_grid_sizes_below_one_exit_64_naming_the_field(capsys, flag, value, message):
+    code, out, err = run(capsys, "check", "--model", "negbinom-vs-poisson", "--successes", "4",
+                         "--mu", "2", f"{flag}={value}")
+    assert (code, out, err) == (64, "", f"evfam: {message}\n")
 
 
 def test_check_into_a_closed_pipe_exits_141_without_a_traceback():
@@ -747,6 +764,40 @@ def test_figure_command_round_trips(capsys, tmp_path):
     text = out_path.read_text()
     assert "figure,series,x,y,flag" in text
     assert "anchor" in text
+
+
+# each option against what the library writes with the same options
+@pytest.mark.parametrize("argv, options", [
+    (["--id", "fig2", "--arm-means", "0.2,0.7"], ("fig2", {"arm_means": (0.2, 0.7)})),
+    (["--id", "fig3", "--lam", "3", "--mus", "0.8,2"], ("fig3", {"lam": 3.0, "mus": (0.8, 2.0)})),
+], ids=["fig2-arm-means", "fig3-lam-mus"])
+def test_figure_options_round_trip(capsys, tmp_path, argv, options):
+    from evfam.figures import figure_data, write_figure_csv
+
+    got, want = tmp_path / "cli.csv", tmp_path / "library.csv"
+    code, out, err = run(capsys, "figure", *argv, "--out", str(got))
+    assert (code, err) == (0, "") and out.startswith("wrote ")
+    figure_id, kwargs = options
+    write_figure_csv(*figure_data(figure_id, **kwargs), want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+# arm means outside (0, 1) exited 65, the code for a malformed data file; one
+# arm mean failed to unpack; a negative lam wrote three not-local rows; a zero
+# mean was printed as np.float64(0.0)
+@pytest.mark.parametrize("argv, message", [
+    (["--id", "fig2", "--arm-means", "0,1.5"], "arm means must lie strictly inside (0, 1)"),
+    (["--id", "fig2", "--arm-means", "0.3"], "fig2 needs exactly two arm means, got 1"),
+    (["--id", "fig3", "--lam", "-1"],
+     "inverse-Gaussian-vs-exponential needs a finite lam > 0, got lam=-1.0"),
+    (["--id", "fig3", "--mus", "0,-1"],
+     "inverse-Gaussian-vs-exponential needs a finite mu > 0, got mu=0.0"),
+], ids=["fig2-mean-outside", "fig2-one-mean", "fig3-negative-lam", "fig3-zero-mu"])
+def test_figure_options_out_of_range_exit_64(capsys, tmp_path, argv, message):
+    path = tmp_path / "fig.csv"
+    code, out, err = run(capsys, "figure", *argv, "--out", str(path))
+    assert (code, out, err) == (64, "", f"evfam: {message}\n")
+    assert not path.exists()
 
 
 def test_linmodel_check_via_design_file(capsys, tmp_path):

@@ -6,6 +6,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from evfam.conditions import (
 )
 from evfam.domains import full_space, positive_orthant
 from evfam.errors import DomainError, UnsupportedModelError
-from evfam.linear_model import LinearModelDesign, linmodel_pairing, linmodel_psd_check
+from evfam.linear_model import LinearModelDesign, LinearModelParams, linmodel_pairing, linmodel_psd_check
 from evfam.models import (
     Pairing,
     abm_vs_poisson,
@@ -145,6 +146,28 @@ def test_halton_equals_scipy_bit_for_bit(d):
         for n in (1, 7, 2048, 4096):
             want = qmc.Halton(d=d, seed=seed).random(n)
             assert np.array_equal(_halton(d, seed, n).view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("points_per_axis", 0, "positive"), ("points_per_axis", -2, "positive"),
+    ("points_per_axis", 2.0, "positive"), ("n_pairs", 0, "positive"),
+    ("n_pairs", -5, "positive"), ("n_pairs", None, "positive"), ("seed", -1, "non-negative"),
+])
+def test_grid_spec_refuses_a_size_or_seed_out_of_range_by_name(field, value, kind):
+    # points_per_axis 0 read as unset and ran the default grid
+    with pytest.raises(DomainError, match=rf"^{field} {value} must be a {kind} integer$"):
+        GridSpec(**{field: value})
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_mean_grid_caps_a_huge_axis_count_at_once(dim):
+    # the cap stepped down one count at a time: 10**8 per axis took about 14 s
+    domain = positive_orthant(dim)
+    started = time.perf_counter()
+    huge = mean_grid(domain, GridSpec(points_per_axis=10 ** 8))
+    assert time.perf_counter() - started < 2.0
+    per_axis = {1: 4096, 2: 64, 3: 16}[dim]
+    assert np.array_equal(huge, mean_grid(domain, GridSpec(points_per_axis=per_axis)))
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5])
@@ -274,7 +297,8 @@ def test_every_covariance_check_reads_one_margin(key):
     # (passed, relative margin) of each check; a threshold is -TOL_PSD times the scale
     verdicts = {"ordering": (ordering.passed, ordering.worst_value)}
     if key == "linmodel":
-        lin = linmodel_psd_check(LINMODEL_DESIGN, pair.notes["theta"], mu)
+        theta = LinearModelParams(sigma2=pair.params["sigma2"], gamma=pair.params["gamma"]).theta
+        lin = linmodel_psd_check(LINMODEL_DESIGN, theta, mu)
         verdicts["linmodel"] = (lin.passed, lin.min_eigenvalue / lin.threshold * -TOL_PSD)
     for name, (passed, margin) in verdicts.items():
         assert passed == ordering.passed, name

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, logit
 
-from evfam.errors import DataError
+from evfam.errors import DomainError, UnsupportedModelError
 from evfam.figures import (
     bernoulli_tilt_curves,
     figure_data,
@@ -42,7 +42,7 @@ def test_scale_trajectories_lie_on_the_member_curve():
 
 
 def test_scale_trajectories_validate_variance():
-    with pytest.raises(DataError):
+    with pytest.raises(DomainError):
         scale_tilt_trajectories(carriers=((1.0, -2.0),))
 
 
@@ -61,8 +61,24 @@ def test_bernoulli_curves_monotone_through_anchor():
 
 
 def test_bernoulli_curves_validate_means():
-    with pytest.raises(DataError):
+    with pytest.raises(DomainError):
         bernoulli_tilt_curves(arm_means=(0.0, 0.5))
+
+
+@pytest.mark.parametrize("arm_means", [(0.3,), (0.2, 0.5, 0.7)])
+def test_bernoulli_curves_need_two_means(arm_means):
+    with pytest.raises(DomainError, match=f"^fig2 needs exactly two arm means, got {len(arm_means)}$"):
+        bernoulli_tilt_curves(arm_means=arm_means)
+
+
+# lam was never read when every mean exceeded it, so lam = -1 gave three not-local rows
+@pytest.mark.parametrize("options, name", [
+    ({"lam": -1.0}, "lam"), ({"lam": float("nan")}, "lam"),
+    ({"mus": (0.8, float("inf"))}, "mu"), ({"mus": (2.5, 0.0)}, "mu"),
+])
+def test_ig_curves_refuse_a_parameter_that_is_not_finite_and_positive(options, name):
+    with pytest.raises(UnsupportedModelError, match=f"needs a finite {name} > 0"):
+        ig_expectation_curves(**options)
 
 
 def test_ig_curves_flag_divergence_past_threshold():
@@ -92,7 +108,7 @@ def test_ig_curves_all_finite_in_the_global_regime():
 def test_figure_dispatch_and_unknown_id():
     rows, config = figure_data("fig2", n_points=11)
     assert len(rows) == 22 and config["n_points"] == 11
-    with pytest.raises(DataError, match="unknown figure id"):
+    with pytest.raises(DomainError, match="unknown figure id"):
         figure_data("fig9")
 
 

@@ -1,4 +1,9 @@
-"""Regression-coefficient pairing: projection, covariance ordering, e-values."""
+"""Regression-coefficient pairing: projection, covariance ordering, e-values.
+
+The same-mean null member is ``params_from_mean(design, 0.0, mu)`` and the
+e-value is ``simple_evalue`` on ``linmodel_pairing``; the oracles here are
+``np.linalg.lstsq`` and the normal density written out.
+"""
 
 from __future__ import annotations
 
@@ -14,13 +19,11 @@ from evfam.linear_model import (
     LinearModelDesign,
     LinearModelParams,
     covariance_of_params,
-    linmodel_evalue,
     linmodel_family,
     linmodel_pairing,
     linmodel_psd_check,
     mean_of_params,
     params_from_mean,
-    project_onto_null,
 )
 from evfam.oracles import finite_diff_check
 
@@ -28,6 +31,27 @@ from evfam.oracles import finite_diff_check
 def _design(seed: int, n: int = 8, d: int = 2) -> LinearModelDesign:
     rng = np.random.default_rng(seed)
     return LinearModelDesign(rng.normal(size=(n, d + 1)))
+
+
+def _lstsq_null(design: LinearModelDesign, params: LinearModelParams) -> LinearModelParams:
+    """The least-squares null member: the nuisance fit, variance plus the mean squared gap."""
+    nu = design.x @ params.gamma
+    coef, *_ = np.linalg.lstsq(design.nuisance, nu, rcond=None)
+    gap = nu - design.nuisance @ coef
+    return LinearModelParams(sigma2=params.sigma2 + gap @ gap / design.n,
+                             gamma=np.concatenate([[0.0], coef]))
+
+
+def _normal_log_density(design: LinearModelDesign, params: LinearModelParams, y) -> np.ndarray:
+    """log N(y; X gamma, sigma2 I) for each row of ``y``, written out."""
+    resid = np.atleast_2d(y) - design.x @ params.gamma
+    return -0.5 * (np.sum(resid ** 2, axis=1) / params.sigma2
+                   + design.n * math.log(2.0 * math.pi * params.sigma2))
+
+
+def _pairing_evalue(design: LinearModelDesign, params: LinearModelParams, y):
+    pair = linmodel_pairing(design, params.sigma2, params.gamma)
+    return simple_evalue(pair.tilted, pair.null, pair.tilted.mu_star, y)
 
 
 def test_design_validation():
@@ -43,22 +67,21 @@ def test_design_validation():
 def test_projection_matches_lstsq_oracle():
     design = _design(0)
     params = LinearModelParams(sigma2=1.3, gamma=np.array([0.8, -0.5, 1.1]))
-    proj = project_onto_null(design, params)
-    nu = design.x @ params.gamma
-    coef, *_ = np.linalg.lstsq(design.nuisance, nu, rcond=None)
-    assert np.allclose(proj.gamma[1:], coef, atol=1e-10)
+    # the same-mean null member is the least-squares projection
+    proj = params_from_mean(design, 0.0, mean_of_params(design, params))
+    want = _lstsq_null(design, params)
+    assert np.allclose(proj.gamma[1:], want.gamma[1:], atol=1e-10)
     assert proj.gamma[0] == 0.0
-    gap = nu - design.nuisance @ coef
-    assert proj.sigma2 == pytest.approx(1.3 + gap @ gap / design.n, rel=1e-12)
-    # projection preserves the sufficient-statistic mean
-    assert np.allclose(mean_of_params(design, proj), mean_of_params(design, params),
+    assert proj.sigma2 == pytest.approx(want.sigma2, rel=1e-12)
+    # so the projection preserves the sufficient-statistic mean
+    assert np.allclose(mean_of_params(design, want), mean_of_params(design, params),
                        rtol=1e-10)
 
 
 def test_projection_of_null_member_is_identity():
     design = _design(1)
     params = LinearModelParams(sigma2=0.9, gamma=np.array([0.0, 0.4, -0.2]))
-    proj = project_onto_null(design, params)
+    proj = params_from_mean(design, 0.0, mean_of_params(design, params))
     assert proj.sigma2 == pytest.approx(0.9, rel=1e-12)
     assert np.allclose(proj.gamma, params.gamma, atol=1e-10)
 
@@ -121,7 +144,7 @@ def test_evalue_is_one_when_tested_coefficient_vanishes():
     params = LinearModelParams(sigma2=1.4, gamma=np.array([0.0, 0.8, -0.3]))
     rng = np.random.default_rng(2)
     y = rng.normal(size=(12, design.n))
-    vals = linmodel_evalue(design, params, y)
+    vals = _pairing_evalue(design, params, y)
     assert np.allclose(vals, 1.0, atol=1e-12)
 
 
@@ -130,19 +153,21 @@ def test_evalue_batch_and_single_agree():
     params = LinearModelParams(sigma2=0.7, gamma=np.array([0.9, 0.1, 0.2]))
     rng = np.random.default_rng(3)
     y = rng.normal(size=(4, design.n))
-    batch = linmodel_evalue(design, params, y)
-    singles = [linmodel_evalue(design, params, row) for row in y]
+    batch = _pairing_evalue(design, params, y)
+    singles = [_pairing_evalue(design, params, row) for row in y]
     assert np.allclose(batch, singles, rtol=1e-12)
 
 
 def test_pairing_evalue_matches_direct_ratio():
     design = _design(9, n=6, d=1)
-    pair = linmodel_pairing(design, 0.9, [0.7, -0.4])
-    params = pair.notes["alt_params"]
+    params = LinearModelParams(sigma2=0.9, gamma=np.array([0.7, -0.4]))
+    pair = linmodel_pairing(design, params.sigma2, params.gamma)
     rng = np.random.default_rng(4)
     y = rng.normal(size=(20, 6))
     via_family = simple_evalue(pair.tilted, pair.null, pair.tilted.mu_star, y)
-    direct = linmodel_evalue(design, params, y)
+    # q / p of the two normal densities, p at the least-squares fit
+    direct = np.exp(_normal_log_density(design, params, y)
+                    - _normal_log_density(design, _lstsq_null(design, params), y))
     assert np.allclose(via_family, direct, rtol=1e-9)
 
 
@@ -150,7 +175,7 @@ def test_pairing_growth_is_the_gaussian_kl_to_the_projection():
     design = _design(4, n=20)
     params = LinearModelParams(sigma2=0.9, gamma=np.array([0.7, -0.4, 1.1]))
     pair = linmodel_pairing(design, params.sigma2, params.gamma)
-    null = project_onto_null(design, params)
+    null = _lstsq_null(design, params)
     ratio = params.sigma2 / null.sigma2
     gap = design.x @ (params.gamma - null.gamma)
     want = 0.5 * design.n * (ratio - 1.0 - math.log(ratio)) + gap @ gap / (2.0 * null.sigma2)
@@ -159,12 +184,12 @@ def test_pairing_growth_is_the_gaussian_kl_to_the_projection():
 
 def test_pairing_expectation_under_projection_is_one():
     design = _design(11, n=5, d=1)
-    pair = linmodel_pairing(design, 1.1, [0.6, 0.5])
-    proj = pair.notes["projection"]
+    params = LinearModelParams(sigma2=1.1, gamma=np.array([0.6, 0.5]))
+    proj = _lstsq_null(design, params)
     rng = np.random.default_rng(12)
     n_draws = 200_000
     y = design.x @ proj.gamma + rng.standard_normal((n_draws, 5)) * math.sqrt(proj.sigma2)
-    vals = linmodel_evalue(design, pair.notes["alt_params"], y)
+    vals = _pairing_evalue(design, params, y)
     err = 3.0 * vals.std() / math.sqrt(n_draws)
     assert vals.mean() <= 1.0 + err
     assert vals.mean() == pytest.approx(1.0, abs=max(3.0 * err, 0.01))

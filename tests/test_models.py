@@ -13,7 +13,7 @@ import pytest
 import scipy.stats as st
 from scipy.special import exp1
 
-from evfam.conditions import growth_rate, simple_evalue
+from evfam.conditions import check_sigma_ordering, growth_rate, run_condition_battery, simple_evalue
 from evfam.errors import DomainError, UnsupportedModelError
 from evfam.families import (
     _scaled_exp1,
@@ -134,6 +134,20 @@ def test_abm_r0_is_poisson():
     assert abm_family(5.0, 0).name == "poisson"
 
 
+def test_abm_r1_is_the_negative_binomial():
+    fam, ref = abm_family(3.0, 1), negbinom_family(3.0)
+    assert fam.name == ref.name == "negbinom(n=3)"
+    assert fam.law(np.array([2.0])) == ref.law(np.array([2.0])) == ("negbinom", 3.0, 2.0)
+
+
+def test_abm_r1_report_is_the_negative_binomial_report():
+    got = run_condition_battery(abm_vs_poisson(3.0, 1, 2.0)).to_dict()
+    want = run_condition_battery(negbinom_vs_poisson(3.0, 2.0)).to_dict()
+    assert (got.pop("model"), got.pop("params")) == ("abm-vs-poisson", {"s": 3.0, "r": 1, "mu": 2.0})
+    del want["model"], want["params"]
+    assert got == want
+
+
 def test_abm_r1_matches_negbinom():
     fam = abm_family(4.0, 1)
     ref = negbinom_family(4.0)
@@ -240,9 +254,19 @@ def test_tweedie_power_one_with_a_scale_round_trip():
 def test_tweedie_pair_orders_by_coefficient_only_when_powers_match():
     same = tweedie_pair((1.5, 1.4), (1.0, 1.4))
     assert same.null.name.startswith("tweedie") and same.tilted.family.name.startswith("tweedie")
+    below, above = np.geomspace(1e-2, 1.0, 21)[:, None], np.geomspace(1.0, 1e2, 21)[1:, None]
+    means = np.vstack([below, above])
+
+    def holds(pair, grid=means) -> bool:
+        return check_sigma_ordering(pair.null, pair.tilted, grid).passed
+
+    # equal powers: 1.5 m^1.4 >= m^1.4 everywhere, and the swapped pair fails everywhere
+    assert holds(same)
+    swapped = tweedie_pair((1.0, 1.4), (1.5, 1.4))
+    assert not holds(swapped, below) and not holds(swapped, above)
+    # unequal powers: m^1.2 and m^1.8 cross at m = 1, so only the means below hold
     crossed = tweedie_pair((1.0, 1.2), (1.0, 1.8))
-    assert crossed.notes.get("variance_order") == "crosses"
-    assert same.notes.get("variance_order") == "dominates"
+    assert holds(crossed, below) and not holds(crossed, above)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +369,6 @@ def test_location_growth_is_half_trace_term():
 def test_constrained_location_inside_null_is_trivial():
     cov = np.array([[1.0, 0.4, 0.0], [0.4, 2.0, 0.2], [0.0, 0.2, 1.5]])
     pair = gaussian_location_constrained(cov, 1, [0.0, 1.0, -2.0])
-    assert pair.notes["alt_in_null"]
     rng = np.random.default_rng(5)
     u = rng.normal(size=(40, 3))
     vals = simple_evalue(pair.tilted, pair.null, pair.tilted.mu_star, u)
@@ -356,7 +379,6 @@ def test_constrained_location_outside_null_is_nontrivial():
     cov = np.array([[1.0, 0.4], [0.4, 2.0]])
     alt_mean = np.array([0.9, 1.0])
     pair = gaussian_location_constrained(cov, 1, alt_mean)
-    assert not pair.notes["alt_in_null"]
 
     def log_s(u):
         return math.log(simple_evalue(pair.tilted, pair.null, pair.tilted.mu_star,
@@ -466,9 +488,9 @@ def test_ig_regimes():
 
 
 def test_ig_pairing_carries_regime_notes():
-    pair = ig_vs_exp_pairing(2.0, 1.5)
-    assert pair.notes["regime"] == "local-not-global"
-    assert pair.notes["divergence_threshold"] == pytest.approx(4.5)
+    params = ig_vs_exp_pairing(2.0, 1.5).params
+    assert ig_regime(params["lam"], params["mu"]) == "local-not-global"
+    assert ig_divergence_threshold(params["lam"], params["mu"]) == pytest.approx(4.5)
     with pytest.raises(UnsupportedModelError):
         ig_vs_exp_pairing(-1.0, 1.0)
 

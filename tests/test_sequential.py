@@ -224,6 +224,19 @@ def test_simulation_validates_arguments():
         simulate_two_sample(arm_means=(0.4, 0.5), rounds=0, n_paths=2)
 
 
+# only the CLI counted them: the library raised "too many values to unpack
+# (expected 2)" for three arm means and "not enough values to unpack (expected
+# 4, got 3)" for a three-value prior
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(arm_means=(0.1, 0.2, 0.3)), "sequential simulation needs exactly two arm means"),
+    (dict(arm_means=(0.1,)), "sequential simulation needs exactly two arm means"),
+    (dict(arm_means=(0.1, 0.2), prior=(1.0, 1.0, 1.0)), "prior must have four values: a1,b1,a2,b2"),
+], ids=["three-arms", "one-arm", "three-prior-values"])
+def test_simulation_counts_its_arm_means_and_prior(kwargs, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        simulate_two_sample(rounds=10, n_paths=2, tail_window=5, **kwargs)
+
+
 # a float seed was cast into the Philox key: 1.5 ran seed 1 and reported 1.5
 @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
 def test_non_integer_seed_is_refused(seed):

@@ -66,7 +66,7 @@ def _normal_carrier(with_mgf: bool, with_mean: bool = True) -> CarrierAlternativ
 def test_catalog_pairing_holds_its_alternative_family():
     pair = negbinom_vs_poisson(4.0, 2.0)
     assert pair.tilted.family.name == "poisson"
-    assert not pair.tilted.stochastic
+    assert not pair.tilted.family.stochastic
     assert pair.tilted.mu_star[0] == 2.0
 
 
@@ -95,7 +95,7 @@ def test_monte_carlo_route_is_flagged_and_close():
     null = gaussian_scale_family()
     tilted = build_tilted_family(null, _normal_carrier(with_mgf=False, with_mean=False),
                                  mc_samples=200_000, seed=1)
-    assert tilted.stochastic and tilted.family.stochastic
+    assert tilted.family.stochastic
     assert tilted.mu_star[0] == pytest.approx(18.0, rel=0.02)
     got = covariance_at_mean(tilted.family, tilted.mu_star)[0, 0]
     c = 1.0 / 18.0
