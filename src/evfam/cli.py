@@ -211,7 +211,8 @@ _MODELS = {
         lambda a: ksample_pairing("poisson", _parse_vector(a.alt_means))),
     "ksample-gaussian": (
         "k Gaussian arms, equal-mean null", ("--alt-means",), ("--sigma2",),
-        lambda a: ksample_pairing("gaussian", _parse_vector(a.alt_means), sigma2=a.sigma2)),
+        lambda a: ksample_pairing("gaussian", _parse_vector(a.alt_means),
+                                  sigma2=1.0 if a.sigma2 is None else a.sigma2)),
     "ksample-bernoulli": (
         "k Bernoulli arms, equal-rate null", ("--alt-means",), (),
         lambda a: ksample_pairing("bernoulli", _parse_vector(a.alt_means))),
@@ -242,7 +243,8 @@ _MODELS = {
         lambda a: ig_vs_exp_pairing(a.lam, float(a.mu))),
     "linmodel": (
         "Gaussian linear model, first coefficient tested", ("--design", "--gamma"), ("--sigma2",),
-        lambda a: linmodel_pairing(LinearModelDesign(_read_numeric_csv(a.design)), a.sigma2,
+        lambda a: linmodel_pairing(LinearModelDesign(_read_numeric_csv(a.design)),
+                                   1.0 if a.sigma2 is None else a.sigma2,
                                    _parse_vector(a.gamma))),
 }
 
@@ -250,17 +252,26 @@ _MODELS = {
 def build_pairing(args):
     if args.model not in _MODELS:
         raise ValueError(f"unknown model {args.model!r} (see 'evfam catalog')")
-    _, required, _, build = _MODELS[args.model]
-    missing = [flag for flag in required if getattr(args, flag[2:].replace("-", "_")) is None]
+    _, required, optional, build = _MODELS[args.model]
+    # every model flag is listed by some model; none has a default
+    given = sorted({flag for row in _MODELS.values() for flag in (*row[1], *row[2])
+                    if getattr(args, flag[2:].replace("-", "_")) is not None})
+    missing = [flag for flag in required if flag not in given]
     if missing:
         raise ValueError(f"model {args.model!r} needs {', '.join(missing)}")
+    # on evalue and growth, --mu names the anchor mean whatever the model
+    extra = [flag for flag in given if flag not in (*required, *optional)
+             and not (flag == "--mu" and args.command != "check")]
+    if extra:
+        raise ValueError(f"model {args.model!r} does not take {', '.join(extra)}")
     return build(args)
 
 
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
+    # no model flag has a default, so build_pairing can tell which were given
     parser.add_argument("--model", required=True, help="model key; see 'evfam catalog'")
     parser.add_argument("--alt-means", help="comma-separated per-arm means")
-    parser.add_argument("--sigma2", type=float, default=1.0, help="per-arm or noise variance")
+    parser.add_argument("--sigma2", type=float, help="per-arm or noise variance (default 1)")
     parser.add_argument("--cov-null", help="null covariance, rows separated by ';'")
     parser.add_argument("--cov-alt", help="alternative covariance, rows separated by ';'")
     parser.add_argument("--cov", help="shared covariance, rows separated by ';'")
@@ -443,14 +454,12 @@ def _cmd_sequential(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    options = {}
-    if args.id == "fig2" and args.arm_means:
-        options["arm_means"] = tuple(_parse_vector(args.arm_means).tolist())
-    if args.id == "fig3":
-        if args.lam is not None:
-            options["lam"] = args.lam
-        if args.mus:
-            options["mus"] = tuple(_parse_vector(args.mus).tolist())
+    # every option given goes to figure_data, which refuses one the figure does not take
+    options = {name: tuple(_parse_vector(text).tolist())
+               for name, text in (("arm_means", args.arm_means), ("mus", args.mus))
+               if text}
+    if args.lam is not None:
+        options["lam"] = args.lam
     rows, config = figure_data(args.id, **options)
     write_figure_csv(rows, config, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")

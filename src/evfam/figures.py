@@ -8,6 +8,8 @@ option outside its range before it makes any row.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 from scipy.special import expit, logit
 
@@ -127,12 +129,20 @@ _BUILDERS = {
 
 
 def figure_data(figure_id: str, **options):
-    """Rows and effective configuration for one of the standard figures."""
+    """Rows and effective configuration for one of the standard figures.
+
+    An option that the figure's builder does not take is a DomainError that
+    names it as its command-line flag.
+    """
     try:
         builder = _BUILDERS[figure_id]
     except KeyError:
         raise DomainError(f"unknown figure id {figure_id!r}; "
                           f"choose from {sorted(_BUILDERS)}") from None
+    unknown = [name for name in options if name not in inspect.signature(builder).parameters]
+    if unknown:
+        raise DomainError(f"figure {figure_id!r} does not take "
+                          + ", ".join("--" + name.replace("_", "-") for name in unknown))
     return builder(**options)
 
 

@@ -472,12 +472,13 @@ def test_bernoulli_root_gamma_matches_the_per_entry_path(arms):
 def test_cli_import_does_not_load_scipy_stats():
     # scipy.integrate and scipy.optimize (the quadrature ladder) and
     # scipy.linalg (the linear model) are loaded by the code that needs them,
-    # not by the import; evfam never loads scipy.stats
+    # not by the import; evfam never loads scipy.stats, and the test oracles
+    # are loaded only by the tests that use them
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
     code = ("import sys, evfam, evfam.cli; "
             "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize', "
-            "'scipy.linalg') if m in sys.modules])")
+            "'scipy.linalg', 'evfam.oracles') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"

@@ -121,6 +121,20 @@ def test_every_required_flag_is_enforced(capsys, tmp_path, key):
         assert err == f"evfam: bad configuration: model {key!r} needs {flag}\n"
 
 
+# a flag of another model was accepted and ignored (a --design file was not
+# even read); each is refused by name before the pairing is built
+@pytest.mark.parametrize("key", sorted(MODEL_CASES))
+def test_a_flag_of_another_model_exits_64_naming_it(capsys, tmp_path, key):
+    _, required, optional, _ = _MODELS[key]
+    foreign = {flag: value for flags, _, _ in MODEL_CASES.values() for flag, value in flags.items()
+               if flag not in (*required, *optional)}
+    assert foreign
+    for flag, value in foreign.items():
+        code, out, err = run(capsys, "check", *_model_argv(tmp_path, key), f"{flag}={value}")
+        assert (code, out, err) == (
+            64, "", f"evfam: bad configuration: model {key!r} does not take {flag}\n"), flag
+
+
 def test_check_certified_exit_and_json(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "check", *NB_ARGS, "--json", str(report_path))
@@ -235,12 +249,13 @@ def test_a_covariance_that_is_not_symmetric_is_refused(capsys, argv):
         64, "", "evfam: location family needs a symmetric covariance\n")
 
 
+# --sigma2 on a model without a variance was accepted and ignored
 def test_sigma2_is_reported_only_where_it_is_used(capsys):
     poisson = ["check", "--model", "ksample-poisson", "--alt-means", "0.5,1,1.5"]
     _, plain, _ = run(capsys, *poisson)
-    _, with_sigma2, _ = run(capsys, *poisson, "--sigma2", "3")
-    assert json.loads(with_sigma2) == json.loads(plain)
     assert "sigma2" not in json.loads(plain)["params"]
+    assert run(capsys, *poisson, "--sigma2", "3") == (
+        64, "", "evfam: bad configuration: model 'ksample-poisson' does not take --sigma2\n")
     _, out, _ = run(capsys, "check", "--model", "ksample-gaussian", "--alt-means", "0.2,1,1.8",
                     "--sigma2", "3")
     assert json.loads(out)["params"]["sigma2"] == 3.0
@@ -552,8 +567,14 @@ def test_growth_between_laws_on_different_sample_spaces_exits_64(capsys, null_po
       "--alt-power", "1.5"], "tweedie family needs a finite power, got power=nan"),
     (["check", "--model", "tweedie-pair", "--null-a", "1", "--null-power", "inf", "--alt-a", "0.5",
       "--alt-power", "1.5"], "tweedie family needs a finite power, got power=inf"),
+    (["check", "--model", "ksample-poisson", "--alt-means", "0.5,abc"],
+     "bad configuration: expected a comma-separated number list, got '0.5,abc'"),
+    (["check", "--model", "gaussian-location", "--cov-null", "1,0;0", "--cov-alt", "1",
+      "--alt-mean", "1"], "bad configuration: matrix rows have unequal lengths in '1,0;0'"),
+    (["check", "--model", "ksample-poisson", "--alt-means", "0.5"],
+     "k-sample families need k >= 2"),
 ], ids=["ig-lam-nan", "negbinom-successes-inf", "abm-overflow", "tweedie-power-nan",
-        "tweedie-power-inf"])
+        "tweedie-power-inf", "alt-means-not-numeric", "cov-null-ragged", "one-arm"])
 def test_a_model_parameter_out_of_range_exits_64_naming_it(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (64, "", f"evfam: {message}\n")
@@ -792,7 +813,11 @@ def test_figure_options_round_trip(capsys, tmp_path, argv, options):
      "inverse-Gaussian-vs-exponential needs a finite lam > 0, got lam=-1.0"),
     (["--id", "fig3", "--mus", "0,-1"],
      "inverse-Gaussian-vs-exponential needs a finite mu > 0, got mu=0.0"),
-], ids=["fig2-mean-outside", "fig2-one-mean", "fig3-negative-lam", "fig3-zero-mu"])
+    (["--id", "fig1", "--lam", "3"], "figure 'fig1' does not take --lam"),
+    (["--id", "fig2", "--mus", "0.5"], "figure 'fig2' does not take --mus"),
+    (["--id", "fig3", "--arm-means", "0.1,0.2"], "figure 'fig3' does not take --arm-means"),
+], ids=["fig2-mean-outside", "fig2-one-mean", "fig3-negative-lam", "fig3-zero-mu",
+        "fig1-lam", "fig2-mus", "fig3-arm-means"])
 def test_figure_options_out_of_range_exit_64(capsys, tmp_path, argv, message):
     path = tmp_path / "fig.csv"
     code, out, err = run(capsys, "figure", *argv, "--out", str(path))

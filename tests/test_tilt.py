@@ -279,6 +279,13 @@ def test_route_requires_some_description():
         build_tilted_family(null, bare)
 
 
+def test_carrier_mean_of_the_wrong_shape_is_refused():
+    carrier = dataclasses.replace(_normal_carrier(with_mgf=True), mean_of_suff_stat=np.ones(2))
+    with pytest.raises(DomainError,
+                       match=r"carrier mean has shape \(2,\), statistic is 1-dimensional"):
+        build_tilted_family(gaussian_scale_family(), carrier)
+
+
 def _gap_gradient(pair, beta, anchor):
     """The gap's gradient: tilted-member mean minus null-member mean."""
     return (mean_from_canonical(pair.tilted.family, beta, anchor)
