@@ -457,7 +457,10 @@ def _cmd_figure(args) -> int:
     # every option given goes to figure_data, which refuses one the figure does not take
     options = {name: tuple(_parse_vector(text).tolist())
                for name, text in (("arm_means", args.arm_means), ("mus", args.mus))
-               if text}
+               if text is not None}
+    empty = [name for name, values in options.items() if not values]
+    if empty:
+        raise ValueError(f"--{empty[0].replace('_', '-')} is empty; give at least one number")
     if args.lam is not None:
         options["lam"] = args.lam
     rows, config = figure_data(args.id, **options)

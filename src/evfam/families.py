@@ -48,7 +48,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.special import exp1, gammaln, psi, xlog1py, xlogy
 
 from .domains import DomainDescriptor
 from .errors import ConvergenceError, DomainError, UnsupportedModelError
@@ -451,15 +450,36 @@ def _normal_log(u: np.ndarray, mean: np.ndarray, cov) -> np.ndarray:
     return -0.5 * (np.sum(resid ** 2, axis=0) + len(mean) * np.log(2.0 * np.pi) + logdet)
 
 
+# scipy.special is imported where it is called: importing evfam loads no scipy module
+def _poisson_log(u: np.ndarray, arms) -> np.ndarray:
+    from scipy.special import gammaln, xlogy
+    return xlogy(u, arms) - arms - gammaln(u + 1.0)
+
+
+def _bernoulli_log(u: np.ndarray, probs) -> np.ndarray:
+    from scipy.special import xlog1py, xlogy
+    return xlogy(u, probs) + xlog1py(1.0 - u, -probs)
+
+
+def _negbinom_log(u: np.ndarray, n, mean) -> np.ndarray:
+    from scipy.special import gammaln, xlogy
+    return (gammaln(u + n) - gammaln(n) - gammaln(u + 1.0)
+            + n * np.log1p(-mean / (n + mean)) + xlogy(u, mean / (n + mean)))
+
+
+def _gamma_log(u: np.ndarray, shape, mean) -> np.ndarray:
+    from scipy.special import gammaln, xlogy
+    return (xlogy(shape - 1.0, u) - u / (mean / shape) - gammaln(shape)
+            - shape * np.log(mean / shape))
+
+
 # (u, *params) -> log-density per element, or per observation
 _LAW_KINDS = {
-    "poisson": lambda u, arms: xlogy(u, arms) - arms - gammaln(u + 1.0),
-    "bernoulli": lambda u, probs: xlogy(u, probs) + xlog1py(1.0 - u, -probs),
+    "poisson": _poisson_log,
+    "bernoulli": _bernoulli_log,
     "normal": _normal_log,
-    "negbinom": lambda u, n, mean: (gammaln(u + n) - gammaln(n) - gammaln(u + 1.0)
-                                    + n * np.log1p(-mean / (n + mean)) + xlogy(u, mean / (n + mean))),
-    "gamma": lambda u, shape, mean: (xlogy(shape - 1.0, u) - u / (mean / shape) - gammaln(shape)
-                                     - shape * np.log(mean / shape)),
+    "negbinom": _negbinom_log,
+    "gamma": _gamma_log,
     "inverse-gaussian": lambda u, mean, lam: (
         0.5 * (np.log(lam) - np.log(2.0 * np.pi) - 3.0 * np.log(u))
         - lam * (u - mean) ** 2 / (2.0 * mean ** 2 * u)),
@@ -509,6 +529,7 @@ def _scaled_exp1(x: float) -> float:
     e^x E_1(x) = 1 / (x + 1 - 1 / (x + 3 - 4 / (x + 5 - 9 / (x + 7 - ...)))).
     """
     if x <= 50.0:
+        from scipy.special import exp1
         return float(np.exp(x) * exp1(x))
     tail = 0.0
     for n in range(40, 0, -1):
@@ -517,6 +538,7 @@ def _scaled_exp1(x: float) -> float:
 
 
 def _inverse_gaussian_gamma_kl(q: tuple, p: tuple) -> float:
+    from scipy.special import gammaln
     (_, mean, lam), k = q, p[1]
     # with x = 2 lam / mean, E_q[log X] = log mean - e^x E_1(x), and the mean cancels
     log_x = np.log(2.0) + np.log(lam) - np.log(mean)
@@ -531,6 +553,7 @@ def _gamma_inverse_gaussian_kl(q: tuple, p: tuple) -> float:
     (_, k, mean), lam = q, p[2]
     if k <= 1.0:
         return np.inf  # E_q[1 / X] diverges
+    from scipy.special import gammaln, psi
     return float((k + 0.5) * psi(k) - k - gammaln(k)
                  - 0.5 * (np.log(lam) - np.log(mean) + np.log(k) - np.log(2.0 * np.pi))
                  + lam / (2.0 * mean * (k - 1.0)))
@@ -563,14 +586,18 @@ def _count_lattice_kl(q: tuple, p: tuple) -> float:
                            f"alternative mass missing from the lattice {1.0 - covered:.3g}")
 
 
+def _gamma_kl(q: tuple, p: tuple) -> float:  # shapes q[1], p[1]; the shared mean cancels
+    from scipy.special import gammaln, psi
+    return float((q[1] - p[1]) * (psi(q[1]) - 1.0) + gammaln(p[1]) - gammaln(q[1])
+                 + p[1] * (np.log(q[1]) - np.log(p[1])))
+
+
 _LAW_KL = {
     ("poisson", "poisson"): _arms_kl(lambda a, b: a * np.log(a / b) - a + b),
     ("bernoulli", "bernoulli"): _arms_kl(
         lambda a, b: a * np.log(a / b) + (1.0 - a) * np.log((1.0 - a) / (1.0 - b))),
     ("normal", "normal"): _normal_kl,
-    ("gamma", "gamma"): lambda q, p: float(  # shapes q[1], p[1]; the shared mean cancels
-        (q[1] - p[1]) * (psi(q[1]) - 1.0) + gammaln(p[1]) - gammaln(q[1])
-        + p[1] * (np.log(q[1]) - np.log(p[1]))),
+    ("gamma", "gamma"): _gamma_kl,
     ("inverse-gaussian", "inverse-gaussian"): lambda q, p: float(  # shapes q[2], p[2]
         0.5 * (p[2] / q[2] - 1.0 - np.log(p[2]) + np.log(q[2]))),
     ("inverse-gaussian", "gamma"): _inverse_gaussian_gamma_kl,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import inspect
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .errors import DomainError
 from .families import canonical_from_mean
@@ -67,6 +66,7 @@ def bernoulli_tilt_curves(arm_means=(0.375, 0.625), beta_range: float = 16.0,
     m1, m2 = arm_means
     if not (0.0 < m1 < 1.0 and 0.0 < m2 < 1.0):
         raise DomainError("arm means must lie strictly inside (0, 1)")
+    from scipy.special import expit, logit
     betas = np.linspace(-beta_range, beta_range, n_points)
     rows = []
     for arm, m in (("arm1", m1), ("arm2", m2)):

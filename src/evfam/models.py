@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .domains import DomainDescriptor, box_domain, full_space, positive_orthant
 from .errors import ConvergenceError, DomainError, UnsupportedModelError
@@ -211,7 +210,8 @@ def _nef_from_potentials(
     means (or canonical values, for ``phi_inv``).  ``phi_sup`` is the
     supremum of Phi over the mean domain; the canonical domain at anchor m'
     is the open interval (-inf, phi_sup - Phi(m')), reflecting that
-    Phi(0+) = -inf for every catalog variance function.  When ``phi_inv``
+    Phi(0+) = -inf for every catalog variance function; an anchor whose
+    Phi(m') leaves the float range is a DomainError.  When ``phi_inv``
     is missing the mean map inverts Phi by bracketed root finding, every
     entry of a batch in one Brent solve (Phi is strictly increasing, slope
     1/V); the mean domain's lower bound must then be finite.  A direct
@@ -260,7 +260,12 @@ def _nef_from_potentials(
         return (phi(mu[..., 0]) - phi(anchor[..., 0]))[..., None]
 
     def canonical_domain(anchor: np.ndarray) -> DomainDescriptor:
-        upper = np.asarray(phi_sup - phi(anchor[..., 0]))[..., None]
+        with np.errstate(all="ignore"):  # the battery reads this box before any other Phi
+            x = phi(anchor[..., 0])
+        if not np.all(np.isfinite(x)):
+            raise DomainError(f"{name}: canonical point beyond float range at mean "
+                              f"{float(np.asarray(anchor[..., 0])[~np.isfinite(x)][0])!r}")
+        upper = np.asarray(phi_sup - x)[..., None]
         return box_domain(np.full(upper.shape, -np.inf), upper)
 
     return ExpFamilyDescriptor(
@@ -388,6 +393,8 @@ def tweedie_family(a: float, power: float) -> ExpFamilyDescriptor:
     if power < 1:
         raise UnsupportedModelError(
             "tweedie variance power in [0, 1): no exponential families of this form")
+    if power > 64:  # the potentials m ** (1 - power) overflow on the battery's mean axis from 78
+        raise UnsupportedModelError(f"tweedie family needs a power <= 64, got power={power!r}")
     if power == 1 and a == 1.0:
         return poisson_family()
     if power == 2:
@@ -577,6 +584,7 @@ def ksample_null_family(kind: str, k: int, sigma2: float = 1.0) -> ExpFamilyDesc
     if kind in ("poisson", "gaussian"):
         return _arm_family(f"{kind}-{k}sample", kind, k, sigma2, lambda m: m / k)
     if kind == "bernoulli":
+        from scipy.special import expit
         return _nef_from_potentials(
             f"bernoulli-{k}sample",
             variance=lambda m: m * (1.0 - m / k),
@@ -659,6 +667,7 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
         offsets = alt_means - mu_star / k
         family = _arm_family(f"gaussian-{k}sample-alt", kind, k, sigma2, lambda m: offsets + m / k)
     else:  # bernoulli; ksample_null_family rejects every other kind
+        from scipy.special import expit, logit
         logits = np.asarray(logit(alt_means), dtype=float)
 
         def arm_means_at(gamma) -> np.ndarray:

@@ -23,7 +23,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DomainError
 
@@ -110,6 +109,7 @@ def simulate_two_sample(arm_means, rounds: int = 500, n_paths: int = 1000,
     a1, b1, a2, b2 = (float(v) for v in prior)
     if not all(0.0 < v < np.inf for v in (a1, b1, a2, b2)):
         raise DomainError(f"Beta prior {(a1, b1, a2, b2)!r} must be four finite values > 0")
+    from scipy.special import xlogy
     threshold = np.log(1.0 / alpha)
     # one row per arm of the (2, paths, rounds) block: a, and a + b + t in round t
     wins_prior = np.array([a1, a2])[:, None, None]

@@ -583,7 +583,9 @@ def test_a_model_parameter_out_of_range_exits_64_naming_it(capsys, argv, message
 # these reached the arithmetic first: an inf arm warned "invalid value
 # encountered in subtract" (gaussian) or "in divide" (poisson) before an error
 # about the sum; the tiny negbinom warned twice and ended in "bad configuration:
-# Out of range float values are not JSON compliant"
+# Out of range float values are not JSON compliant"; the inverse Gaussian's
+# Phi = -lam / (2 m^2) divided by zero and the check was refuted (exit 2); the
+# tweedie power overflowed m ** (1 - power) before an error about the boundary
 NON_FINITE_ARMS = [
     pytest.param(["check", "--model", f"ksample-{kind}", f"--alt-means={means}"],
                  f"{kind} arm {arm} has mean {value}; arm means must be finite",
@@ -599,6 +601,12 @@ NON_FINITE_ARMS = [
     pytest.param(["growth", "--model", "negbinom-vs-poisson", "--successes=1e-300", "--mu=2"],
                  "growth rate: the lattice sum between a poisson alternative law and a negbinom "
                  "null law is NaN", id="negbinom-growth-tiny-successes"),
+    pytest.param(["check", "--model", "ig-vs-exp", "--lam", "2.5", "--mu", "1e-300"],
+                 "invgauss(lam=2.5): canonical point beyond float range at mean 1e-300",
+                 id="ig-tiny-mu"),
+    pytest.param(["check", "--model", "tweedie-pair", "--null-a", "1", "--null-power", "1e300",
+                  "--alt-a", "0.5", "--alt-power", "1.5"],
+                 "tweedie family needs a power <= 64, got power=1e+300", id="tweedie-huge-power"),
 ])
 def test_a_value_past_the_float_range_exits_64_without_a_runtime_warning(capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:
@@ -740,6 +748,26 @@ def test_check_into_a_closed_pipe_exits_141_without_a_traceback():
     assert "Traceback" not in err
 
 
+def test_check_loads_no_scipy_module_outside_two_models(tmp_path):
+    # scipy.special loads where a law density, a divergence or the k-sample
+    # Bernoulli logistic map is called, and scipy.linalg with the linear model;
+    # the battery of every other catalog model needs neither
+    runs = [["check", *_model_argv(tmp_path, key)] for key in sorted(MODEL_CASES)
+            if key not in ("ksample-bernoulli", "linmodel")]
+    code = ("import contextlib, io, sys; from evfam import cli\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        cli.main(argv)\n"
+            "    print(argv[2], sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{argv[2]} []" for argv in runs]
+
+
 def test_evalue_data_that_is_not_utf8_exits_65_with_the_byte_offset(capsys, tmp_path):
     data = tmp_path / "latin1.csv"
     # past the text reader's first decode chunk, so its own offset would be wrong
@@ -816,8 +844,13 @@ def test_figure_options_round_trip(capsys, tmp_path, argv, options):
     (["--id", "fig1", "--lam", "3"], "figure 'fig1' does not take --lam"),
     (["--id", "fig2", "--mus", "0.5"], "figure 'fig2' does not take --mus"),
     (["--id", "fig3", "--arm-means", "0.1,0.2"], "figure 'fig3' does not take --arm-means"),
+    (["--id", "fig3", "--mus", ""], "bad configuration: --mus is empty; give at least one number"),
+    (["--id", "fig1", "--mus", ""], "bad configuration: --mus is empty; give at least one number"),
+    (["--id", "fig2", "--arm-means", " , "],
+     "bad configuration: --arm-means is empty; give at least one number"),
 ], ids=["fig2-mean-outside", "fig2-one-mean", "fig3-negative-lam", "fig3-zero-mu",
-        "fig1-lam", "fig2-mus", "fig3-arm-means"])
+        "fig1-lam", "fig2-mus", "fig3-arm-means", "fig3-empty-mus", "fig1-empty-mus",
+        "fig2-empty-arm-means"])
 def test_figure_options_out_of_range_exit_64(capsys, tmp_path, argv, message):
     path = tmp_path / "fig.csv"
     code, out, err = run(capsys, "figure", *argv, "--out", str(path))
