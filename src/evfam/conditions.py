@@ -34,6 +34,7 @@ from .domains import DomainDescriptor
 from .errors import DomainError, UnsupportedModelError
 from .families import (
     ExpFamilyDescriptor,
+    _require_law_support,
     canonical_from_mean,
     covariance_at_mean,
     kl_between_means,
@@ -230,7 +231,6 @@ def mean_pairs(domain: DomainDescriptor, spec: GridSpec | None = None) -> np.nda
 class ItemVerdict:
     """Outcome of one ordering over its grid; sign convention per rule."""
 
-    name: str
     passed: bool
     rule: str
     n_points: int
@@ -241,7 +241,7 @@ class ItemVerdict:
     note: str = ""
 
 
-def _ordering_verdict(null: ExpFamilyDescriptor, tilted: TiltedFamily, name: str, rule: str,
+def _ordering_verdict(null: ExpFamilyDescriptor, tilted: TiltedFamily, rule: str,
                       values: np.ndarray, locations: np.ndarray, threshold: float,
                       at_least: bool = False) -> ItemVerdict:
     """Verdict of one ordering from its value at each of ``locations``.
@@ -252,7 +252,7 @@ def _ordering_verdict(null: ExpFamilyDescriptor, tilted: TiltedFamily, name: str
     idx = int(np.argmin(values) if at_least else np.argmax(values))
     worst = float(values[idx])
     passed = bool(worst >= threshold if at_least else worst <= threshold)
-    return ItemVerdict(name, passed, rule, len(values), worst, threshold, locations[idx].tolist(),
+    return ItemVerdict(passed, rule, len(values), worst, threshold, locations[idx].tolist(),
                        null.stochastic or tilted.family.stochastic)
 
 
@@ -280,9 +280,9 @@ def _box_subset(inner: DomainDescriptor, outer: DomainDescriptor) -> bool | np.n
 def _canonical_boxes(fam: ExpFamilyDescriptor, anchors: np.ndarray) -> DomainDescriptor:
     """The canonical domains of ``fam`` at a batch of anchors, which must be boxes."""
     box = fam.canonical_domain(anchors)
-    if not box.is_box_like():
+    if box.predicate is not None:
         raise UnsupportedModelError(f"{fam.name}: the battery needs box-shaped canonical domains, "
-                                    f"got a {box.kind} domain")
+                                    "got a predicate domain")
     return box
 
 
@@ -299,7 +299,7 @@ def check_preconditions(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     details: dict = {}
     in_null = null.mean_domain.contains(grid)
 
-    if alt.mean_domain.is_box_like() and null.mean_domain.is_box_like():
+    if alt.mean_domain.predicate is None and null.mean_domain.predicate is None:
         mq_in_mp = _box_subset(alt.mean_domain, null.mean_domain)
         details["mean_containment"] = "bounds"
     else:
@@ -328,7 +328,7 @@ def check_sigma_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     relative to the spectral norm of Sigma_p (:func:`util.psd_margin`).
     """
     eigs, scale = psd_margin(covariance_at_mean(null, grid), covariance_at_mean(tilted.family, grid))
-    return _ordering_verdict(null, tilted, "covariance_ordering",
+    return _ordering_verdict(null, tilted,
                              "min eigenvalue of Sigma_p - Sigma_q, relative to ||Sigma_p||, >= -tol",
                              eigs[:, 0] / scale, grid, -TOL_PSD, at_least=True)
 
@@ -339,7 +339,7 @@ def check_beta_pairing(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     mu, mu_prime = pairs[:, 0], pairs[:, 1]
     bp = canonical_from_mean(null, mu, mu_prime)
     bq = canonical_from_mean(tilted.family, mu, mu_prime)
-    return _ordering_verdict(null, tilted, "canonical_pairing", "(beta_p - beta_q) . (mu - mu') <= tol",
+    return _ordering_verdict(null, tilted, "(beta_p - beta_q) . (mu - mu') <= tol",
                              rowdot(bp - bq, mu - mu_prime), pairs, TOL_SCALAR)
 
 
@@ -348,7 +348,7 @@ def check_kl_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     """Ordering 3: D_p(mu || mu') - D_q(mu || mu') <= 0 over mean pairs."""
     mu, mu_prime = pairs[:, 0], pairs[:, 1]
     values = kl_between_means(null, mu, mu_prime) - kl_between_means(tilted.family, mu, mu_prime)
-    return _ordering_verdict(null, tilted, "kl_ordering", "D_p(mu || mu') - D_q(mu || mu') <= tol",
+    return _ordering_verdict(null, tilted, "D_p(mu || mu') - D_q(mu || mu') <= tol",
                              values, pairs, TOL_SCALAR)
 
 
@@ -419,13 +419,13 @@ def check_logz_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     Locations are [grid mean, probe] pairs; with no probe counted it holds at -inf.
     """
     owner, probes = _beta_probe_points(null, grid)
-    gaps, which = f_gap_info(null, tilted, probes, grid[owner])
-    counted = (which != "null") & (which != "both")
+    gaps, null_out = f_gap_info(null, tilted, probes, grid[owner])
+    counted = ~null_out
     rule = "logZ_q(beta; mu) - logZ_p(beta; mu) <= tol on B_p(mu)"
     if not np.any(counted):
-        return ItemVerdict("log_partition_ordering", True, rule, 0, -np.inf, TOL_SCALAR, [],
+        return ItemVerdict(True, rule, 0, -np.inf, TOL_SCALAR, [],
                            null.stochastic or tilted.family.stochastic)
-    return _ordering_verdict(null, tilted, "log_partition_ordering", rule, gaps[counted],
+    return _ordering_verdict(null, tilted, rule, gaps[counted],
                              np.stack([grid[owner], probes], axis=1)[counted], TOL_SCALAR)
 
 
@@ -445,11 +445,8 @@ class ConditionReport:
     stochastic: bool
 
     def to_dict(self) -> dict:
-        """JSON-ready fields in declaration order; an item drops its name, which is its key."""
-        report = _scrub(self)
-        for item in report["items"].values():
-            del item["name"]
-        return {"report_version": REPORT_VERSION, **report}
+        """JSON-ready fields in declaration order."""
+        return {"report_version": REPORT_VERSION, **_scrub(self)}
 
 
 def _scrub(value):
@@ -477,9 +474,11 @@ def _scrub(value):
 def run_condition_battery(pairing, spec: GridSpec | None = None) -> ConditionReport:
     """Run preconditions and all four orderings for a pairing.
 
-    Verdict rules: any deterministic ordering failure refutes the
-    family-wide claim; certification additionally needs every precondition,
-    and orderings that hold with a precondition failing are
+    The orderings run on the grid means and mean pairs that lie in both
+    mean spaces (a DomainError if there are none); the preconditions see the
+    whole grid.  Verdict rules: any deterministic ordering failure refutes
+    the family-wide claim; certification additionally needs every
+    precondition, and orderings that hold with a precondition failing are
     ``inconclusive-preconditions``.  Stochastic log-partitions cap the
     verdict at ``inconclusive-stochastic``.
     """
@@ -488,6 +487,13 @@ def run_condition_battery(pairing, spec: GridSpec | None = None) -> ConditionRep
     grid = mean_grid(alt.mean_domain, spec, include=tilted.mu_star)
     pairs = mean_pairs(alt.mean_domain, spec)
     pre = check_preconditions(null, tilted, grid)
+    # both draw inside the alternative's mean space; the orderings compare the
+    # two families at means that lie in the null's too
+    grid = grid[null.mean_domain.contains(grid)]
+    pairs = pairs[np.all(null.mean_domain.contains(pairs), axis=1)]
+    if grid.shape[0] == 0 or pairs.shape[0] == 0:
+        raise DomainError(f"{alt.name}: no grid mean or no mean pair lies in the mean space "
+                          f"of {null.name}")
     items = {
         "covariance_ordering": check_sigma_ordering(null, tilted, grid),
         "canonical_pairing": check_beta_pairing(null, tilted, pairs),
@@ -532,10 +538,15 @@ def simple_log_evalue(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu, u):
     """Log density ratio log q_mu(u) - log p_mu(u) of the two members with mean ``mu``.
 
     Stays finite where the ratio itself underflows to 0 or overflows to inf.
+    A family that declares its law refuses, with a DataError, the first
+    element of ``u`` outside that law's support.
     """
     mu_vec = _shared_mean(tilted, null, mu)
     _require_densities(tilted, null, "e-values")
     batch, single = as_batch(u, null.element_ndim)
+    for fam in (null, tilted.family):
+        if fam.law is not None:
+            _require_law_support(fam.law(mu_vec), batch)
     log_q = np.asarray(tilted.family.carrier_log_density(batch, mu_vec), dtype=float)
     log_p = np.asarray(null.carrier_log_density(batch, mu_vec), dtype=float)
     logs = log_q - log_p

@@ -50,9 +50,9 @@ from typing import Callable
 import numpy as np
 
 from .domains import DomainDescriptor
-from .errors import ConvergenceError, DomainError, UnsupportedModelError
+from .errors import ConvergenceError, DataError, DomainError, UnsupportedModelError
 from .numdiff import fd_gradient, fd_hessian
-from .util import as_batch, float_or_array as _scalar, rowdot
+from .util import as_batch, finite_or, float_or_array as _scalar, rowdot
 
 __all__ = [
     "ExpFamilyDescriptor",
@@ -82,7 +82,8 @@ class ExpFamilyDescriptor:
     anchor)`` implement the anchored normalization above; the carrier at an
     anchor is the log-density of the member whose mean is that anchor.
     ``canonical_domain`` maps anchors to the open boxes of valid tilts (a
-    ``box`` domain; the battery refuses any other kind).
+    domain without a predicate; the battery refuses one with a predicate).
+    The dimension ``dim`` is the mean domain's.
 
     ``mean_map`` / ``cov_map`` / ``beta_map`` give grad logZ, its Hessian
     and the inverse mean map; every descriptor supplies all three
@@ -102,7 +103,6 @@ class ExpFamilyDescriptor:
     """
 
     name: str
-    dim: int
     suff_stat: Callable[[np.ndarray], np.ndarray]
     log_partition: Callable[[np.ndarray, np.ndarray], np.ndarray]
     mean_domain: DomainDescriptor
@@ -122,6 +122,11 @@ class ExpFamilyDescriptor:
         if getattr(carrier, "func", carrier) not in (None, _law_log_density):
             raise ValueError(f"{self.name}: a family that declares its law takes its density from it")
         object.__setattr__(self, "carrier_log_density", partial(_law_log_density, self.law))
+
+    @property
+    def dim(self) -> int:
+        """The dimension of the sufficient statistic, the mean domain's."""
+        return self.mean_domain.dim
 
     def vec(self, x) -> np.ndarray:
         """Coerce a parameter to a float vector of the family dimension."""
@@ -316,7 +321,6 @@ def log_density(fam: ExpFamilyDescriptor, beta, anchor, u):
 
 def family_from_root_cumulant(
     name: str,
-    dim: int,
     suff_stat: Callable[[np.ndarray], np.ndarray],
     root_cumulant: Callable[[np.ndarray], np.ndarray],
     root_domain: DomainDescriptor,
@@ -410,7 +414,7 @@ def family_from_root_cumulant(
         beta_cache: dict[bytes, np.ndarray] = {}
 
         def solve_betas(rows: np.ndarray) -> np.ndarray:
-            mu, anchor = rows[:, :dim], rows[:, dim:]
+            mu, anchor = np.split(rows, 2, axis=1)
             return _damped_newton(name, mu, lambda b, idx: mean_map(b, anchor[idx]),
                                   lambda b, idx: _cov(cov_map, b, anchor[idx]),
                                   canonical_domain(anchor))
@@ -422,7 +426,6 @@ def family_from_root_cumulant(
 
     return ExpFamilyDescriptor(
         name=name,
-        dim=dim,
         suff_stat=suff_stat,
         log_partition=log_partition,
         mean_domain=mean_domain,
@@ -473,23 +476,49 @@ def _gamma_log(u: np.ndarray, shape, mean) -> np.ndarray:
             - shape * np.log(mean / shape))
 
 
-# (u, *params) -> log-density per element, or per observation
+def _inverse_gaussian_log(u: np.ndarray, mean, lam) -> np.ndarray:
+    # mean ** 2 underflows below means of about 1e-154
+    quad = finite_or(lambda u, m: lam * (u - m) ** 2 / (2.0 * m ** 2 * u),
+                     lambda u, m: lam / (2.0 * u) * ((u - m) / m) ** 2, u, mean)
+    return 0.5 * (np.log(lam) - np.log(2.0 * np.pi) - 3.0 * np.log(u)) - quad
+
+
+def _is_count(u: np.ndarray) -> np.ndarray:
+    return (u >= 0.0) & (u == np.floor(u)) & (u < np.inf)
+
+
+def _is_positive(u: np.ndarray) -> np.ndarray:
+    return (u > 0.0) & (u < np.inf)
+
+
+# kind -> (log-density of (u, *params) per element, or per observation; the
+# elements' support, as a test and in words)
 _LAW_KINDS = {
-    "poisson": _poisson_log,
-    "bernoulli": _bernoulli_log,
-    "normal": _normal_log,
-    "negbinom": _negbinom_log,
-    "gamma": _gamma_log,
-    "inverse-gaussian": lambda u, mean, lam: (
-        0.5 * (np.log(lam) - np.log(2.0 * np.pi) - 3.0 * np.log(u))
-        - lam * (u - mean) ** 2 / (2.0 * mean ** 2 * u)),
+    "poisson": (_poisson_log, _is_count, "non-negative integer counts"),
+    "bernoulli": (_bernoulli_log, lambda u: (u == 0.0) | (u == 1.0), "0 or 1"),
+    "normal": (_normal_log, np.isfinite, "finite reals"),
+    "negbinom": (_negbinom_log, _is_count, "non-negative integer counts"),
+    "gamma": (_gamma_log, _is_positive, "finite positive reals"),
+    "inverse-gaussian": (_inverse_gaussian_log, _is_positive, "finite positive reals"),
 }
 
 
 def law_log_density(law: tuple, u) -> np.ndarray:
     """Log-density of an observation law (a ``law`` tuple) at each element of the batch ``u``."""
-    vals = _LAW_KINDS[law[0]](np.asarray(u, dtype=float), *law[1:])
+    vals = _LAW_KINDS[law[0]][0](np.asarray(u, dtype=float), *law[1:])
     return vals.sum(axis=1) if vals.ndim > 1 else vals  # independent elements add
+
+
+def _require_law_support(law: tuple, u: np.ndarray) -> None:
+    """Refuse, with a DataError, the first row of the batch ``u`` outside the law's support."""
+    _, inside, words = _LAW_KINDS[law[0]]
+    ok = inside(u)
+    bad = np.flatnonzero(~np.all(ok, axis=1) if ok.ndim > 1 else ~ok)
+    if bad.size:
+        row = bad[0]
+        value = u[row] if ok.ndim == 1 else u[row][~ok[row]][0]
+        raise DataError(f"row {row} holds {float(value)!r}, outside the support of the "
+                        f"{law[0]} law ({words})")
 
 
 def _law_log_density(law: Callable, u: np.ndarray, anchor: np.ndarray) -> np.ndarray:

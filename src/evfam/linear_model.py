@@ -167,8 +167,7 @@ def _mean_domain(design: LinearModelDesign) -> DomainDescriptor:
 
     lower = np.full(design.d + 1, -np.inf)
     lower[0] = 0.0
-    return DomainDescriptor("custom-predicate", design.d + 1, lower, None,
-                            predicate=predicate, convex=True)
+    return DomainDescriptor(lower, predicate=predicate)
 
 
 def params_from_mean(design: LinearModelDesign, theta: float, mu) -> LinearModelParams:
@@ -241,7 +240,7 @@ def linmodel_family(design: LinearModelDesign, theta: float) -> ExpFamilyDescrip
         sigma2 = np.asarray(params_at(anchor).sigma2)
         upper = np.full(sigma2.shape + (d + 1,), np.inf)
         upper[..., 0] = 0.5 / sigma2
-        return DomainDescriptor("box", d + 1, None, upper)
+        return DomainDescriptor(None, upper)
 
     def mean_map(beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         eta = natural_of(params_at(anchor)) + beta
@@ -260,7 +259,6 @@ def linmodel_family(design: LinearModelDesign, theta: float) -> ExpFamilyDescrip
 
     return ExpFamilyDescriptor(
         name=f"linmodel(n={n},d={d},theta={theta:g})",
-        dim=d + 1,
         suff_stat=suff_stat,
         log_partition=log_partition,
         mean_domain=mean_domain,

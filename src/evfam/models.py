@@ -31,7 +31,7 @@ from .domains import DomainDescriptor, box_domain, full_space, positive_orthant
 from .errors import ConvergenceError, DomainError, UnsupportedModelError
 from .families import ExpFamilyDescriptor, family_from_root_cumulant
 from .tilt import TiltedFamily
-from .util import matvec, rowdot
+from .util import finite_or, matvec, rowdot
 
 __all__ = [
     "Pairing",
@@ -270,7 +270,6 @@ def _nef_from_potentials(
 
     return ExpFamilyDescriptor(
         name=name,
-        dim=1,
         suff_stat=suff_stat if suff_stat is not None else _scalar_stat,
         log_partition=log_partition,
         mean_domain=mean_domain,
@@ -461,7 +460,6 @@ def _location_family(name: str, u_cov: np.ndarray, stat_cov: np.ndarray,
     dim = stat_cov.shape[0]
     return ExpFamilyDescriptor(
         name=name,
-        dim=dim,
         suff_stat=suff_stat,
         log_partition=lambda beta, anchor: _gaussian_logz(beta, anchor, stat_cov),
         mean_domain=full_space(dim),
@@ -560,16 +558,10 @@ def _bernoulli_cumulant(p, beta) -> np.ndarray:
     """log(1 + p (e^beta - 1)), the cumulant of a Bernoulli(p) draw at beta.
 
     Where that form is not finite (e^beta overflows while p is tiny), the
-    same value is taken as beta + log(p + (1 - p) e^-beta); every finite
-    value keeps the first form, bit for bit.
+    same value is taken as beta + log(p + (1 - p) e^-beta).
     """
-    with np.errstate(over="ignore"):
-        out = np.log1p(p * np.expm1(beta))
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        p, beta = np.broadcast_arrays(p, beta)
-        out[bad] = beta[bad] + np.log(p[bad] + (1.0 - p[bad]) * np.exp(-beta[bad]))
-    return out
+    return finite_or(lambda p, b: np.log1p(p * np.expm1(b)),
+                     lambda p, b: b + np.log(p + (1.0 - p) * np.exp(-b)), p, beta)
 
 
 def ksample_null_family(kind: str, k: int, sigma2: float = 1.0) -> ExpFamilyDescriptor:
@@ -704,7 +696,6 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
 
         family = family_from_root_cumulant(
             f"bernoulli-{k}sample-alt",
-            dim=1,
             suff_stat=_sum_stat,
             root_cumulant=root_cumulant,
             root_domain=full_space(1),
@@ -799,13 +790,15 @@ def gaussian_scale_pairing(m: float, s2: float) -> Pairing:
         t = c - beta[..., 0]
         return -0.5 * np.log(2.0 * s2 * t) + m * m * beta[..., 0] / (2.0 * s2 * t)
 
+    # at a tiny s2, c^2 m^2 and the powers of t overflow: the second forms divide first
     def root_mean(beta: np.ndarray) -> np.ndarray:
-        t = c - beta[..., 0]
-        return ((2.0 * cm2 + t) / (2.0 * t * t))[..., None]
+        return finite_or(lambda t: (2.0 * cm2 + t) / (2.0 * t * t),
+                         lambda t: (c * m / t) ** 2 + 0.5 / t, c - beta[..., 0])[..., None]
 
     def root_cov(beta: np.ndarray) -> np.ndarray:
-        t = c - beta[..., 0]
-        return ((4.0 * cm2 + t) / (2.0 * t ** 3))[..., None, None]
+        return finite_or(lambda t: (4.0 * cm2 + t) / (2.0 * t ** 3),
+                         lambda t: 2.0 * (c * m / t) ** 2 / t + 0.5 / t / t,
+                         c - beta[..., 0])[..., None, None]
 
     def root_beta(mu: np.ndarray) -> np.ndarray:
         target = np.asarray(mu, dtype=float)[..., 0]
@@ -823,7 +816,6 @@ def gaussian_scale_pairing(m: float, s2: float) -> Pairing:
 
     family = family_from_root_cumulant(
         f"gaussian-scale-alt(m={m:g},s2={s2:g})",
-        dim=1,
         suff_stat=lambda u: np.asarray(u, dtype=float).reshape(-1, 1) ** 2,
         root_cumulant=root_cumulant,
         root_domain=box_domain([-np.inf], [c]),

@@ -24,7 +24,7 @@ carrier known only through
    at a time, so memory stays bounded by MC_CHUNK_ELEMENTS per call.
 
 ``f_gap_info`` gives the log-partition difference logZ_q - logZ_p at a
-shared anchor, tagged with the side whose domain ends where it is +inf; its
+shared anchor, with a mask of the points past the null's domain; its
 gradient is the mean difference between the two tilted members, and its
 value at the origin is zero by the anchor normalization.  The local
 covariance condition at one mean is the battery's own check,
@@ -173,7 +173,6 @@ def build_tilted_family(
     if carrier.mgf_log is not None:
         family = family_from_root_cumulant(
             f"tilt[{carrier.name}]",
-            dim=null.dim,
             suff_stat=null.suff_stat,
             root_cumulant=pointwise(carrier.mgf_log),
             root_domain=_discover_box(carrier.mgf_log, null.dim),
@@ -236,7 +235,6 @@ def build_tilted_family(
 
         family = family_from_root_cumulant(
             f"tilt-mc[{carrier.name}]",
-            dim=null.dim,
             suff_stat=null.suff_stat,
             root_cumulant=empirical_cumulant,
             root_domain=box_domain(np.full(null.dim, -np.inf), np.full(null.dim, np.inf)),
@@ -253,21 +251,17 @@ def build_tilted_family(
 
 
 def f_gap_info(null: ExpFamilyDescriptor, tilted: TiltedFamily, beta, anchor):
-    """Gap logZ_q - logZ_p with a which-domain tag where it is +inf.
+    """Gap logZ_q - logZ_p, +inf wherever either side is, and where logZ_p is +inf.
 
-    For one point returns ``(gap, tag)`` with tag None, "tilted", "null" or
-    "both"; for ``(..., dim)`` batches returns the gap array and an object
-    array of tags.
+    Returns ``(gap, null_out)``: for one point a float and a bool, for
+    ``(..., dim)`` batches two arrays of the leading shape.  ``null_out``
+    marks the points past the null's canonical domain.
     """
     logz_p = np.asarray(log_partition_at(null, beta, anchor))
     logz_q = np.asarray(log_partition_at(tilted.family, beta, anchor))
-    p_out, q_out = ~np.isfinite(logz_p), ~np.isfinite(logz_q)
+    p_out = ~np.isfinite(logz_p)
     with np.errstate(invalid="ignore"):
-        gap = np.where(p_out | q_out, np.inf, logz_q - logz_p)
-    which = np.full(gap.shape, None, dtype=object)
-    which[q_out] = "tilted"
-    which[p_out] = "null"
-    which[p_out & q_out] = "both"
+        gap = np.where(p_out | ~np.isfinite(logz_q), np.inf, logz_q - logz_p)
     if gap.ndim == 0:
-        return float(gap), which[()]
-    return gap, which
+        return float(gap), bool(p_out)
+    return gap, p_out

@@ -6,7 +6,8 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["as_batch", "float_or_array", "pointwise", "rowdot", "matvec", "psd_margin", "TOL_PSD"]
+__all__ = ["as_batch", "finite_or", "float_or_array", "pointwise", "rowdot", "matvec", "psd_margin",
+           "TOL_PSD"]
 
 # the covariance ordering's tolerance on the relative minimum eigenvalue (psd_margin)
 TOL_PSD = 1e-9
@@ -15,6 +16,21 @@ TOL_PSD = 1e-9
 def float_or_array(values):
     """A float for a batch with no leading axes (one point), the array otherwise."""
     return float(values) if np.ndim(values) == 0 else np.asarray(values)
+
+
+def finite_or(first: Callable, second: Callable, *args) -> np.ndarray:
+    """``first(*args)``, with ``second`` of the broadcast ``args`` where that is not finite.
+
+    For two forms of one value, the second safe where the first overflows
+    or cancels: every finite entry keeps the first form, bit for bit, and
+    the first form's floating-point warnings are silenced.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.asarray(first(*args), dtype=float)
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        out[bad] = second(*(np.broadcast_to(arg, out.shape)[bad] for arg in args))
+    return out
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

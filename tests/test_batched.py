@@ -76,7 +76,7 @@ EDGE_POINTS = np.array([
 
 DOMAINS = {
     "box": box_domain([0.0, 0.0], [1.0, 1.0]),
-    "custom-predicate": DomainDescriptor("custom-predicate", 2, np.array([0.0, -np.inf]), None,
+    "custom-predicate": DomainDescriptor(np.array([0.0, -np.inf]),
                                          predicate=lambda x: x[..., 0] > x[..., 1] ** 2),
 }
 

@@ -31,7 +31,7 @@ from evfam.conditions import (
     simple_evalue,
     simple_log_evalue,
 )
-from evfam.domains import full_space, positive_orthant
+from evfam.domains import box_domain, full_space, positive_orthant
 from evfam.errors import DomainError, UnsupportedModelError
 from evfam.linear_model import LinearModelDesign, LinearModelParams, linmodel_pairing, linmodel_psd_check
 from evfam.models import (
@@ -41,8 +41,11 @@ from evfam.models import (
     gaussian_scale_family,
     gaussian_scale_pairing,
     ig_vs_exp_pairing,
+    ksample_null_family,
     ksample_pairing,
+    nef_pairing,
     negbinom_vs_poisson,
+    poisson_family,
     tweedie_pair,
 )
 from evfam.oracles import expect_monte_carlo
@@ -316,6 +319,22 @@ def test_failed_preconditions_are_not_reported_as_stochastic():
     assert not report.preconditions.all_passed
     assert all(item.passed for item in report.items.values())
     assert not report.stochastic
+
+
+def test_an_alternative_mean_space_outside_the_nulls_is_refuted():
+    # Poisson means run past the 2-arm Bernoulli total's upper end 2; the
+    # orderings used to evaluate the null there and raise a DomainError
+    pair = nef_pairing(ksample_null_family("bernoulli", 2), poisson_family(), 0.5, name="x",
+                       params={})
+    report = run_condition_battery(pair)
+    assert report.overall == REFUTED
+    assert not report.preconditions.mq_subset_mp
+    assert (report.grid_points, report.pair_count) == (35, 150)
+    negative = dataclasses.replace(ksample_null_family("gaussian", 2),
+                                   mean_domain=box_domain([-np.inf], [0.0]))
+    with pytest.raises(DomainError, match="no grid mean or no mean pair lies in the mean space"):
+        run_condition_battery(nef_pairing(ksample_null_family("poisson", 2), negative, -1.0,
+                                          name="disjoint", params={}))
 
 
 # ---------------------------------------------------------------------------

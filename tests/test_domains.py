@@ -20,20 +20,17 @@ def test_box_membership_is_strict():
 
 
 def test_custom_predicate_combines_with_box():
-    dom = DomainDescriptor("custom-predicate", 2, np.array([0.0, -np.inf]), None,
-                           predicate=lambda x: x[..., 0] > x[..., 1] ** 2)
+    dom = DomainDescriptor(np.array([0.0, -np.inf]), predicate=lambda x: x[..., 0] > x[..., 1] ** 2)
     assert dom.contains(np.array([4.0, 1.5]))
     assert not dom.contains(np.array([1.0, 1.5]))
     assert not dom.contains(np.array([-1.0, 0.0]))
 
 
 def test_domain_validation_errors():
-    with pytest.raises(ValueError):
-        DomainDescriptor("blob", 1)
+    with pytest.raises(ValueError, match="at least one bound"):
+        DomainDescriptor(None, predicate=lambda x: x[..., 0] > 0.0)
     with pytest.raises(ValueError):
         box_domain([1.0], [0.0])
-    with pytest.raises(ValueError):
-        DomainDescriptor("custom-predicate", 1)
     dom = positive_orthant(2)
     with pytest.raises(ValueError):
         dom.contains(np.array([1.0]))
@@ -44,7 +41,7 @@ def test_shift_translates_boxes_only():
     moved = dom.shifted(np.array([1.0, 1.0]))
     assert moved.contains(np.array([2.5, 1.5]))
     assert not moved.contains(np.array([0.5, 0.0]))
-    custom = DomainDescriptor("custom-predicate", 1, predicate=lambda x: True)
+    custom = DomainDescriptor(np.full(1, -np.inf), predicate=lambda x: True)
     with pytest.raises(ValueError):
         custom.shifted(np.array([1.0]))
 

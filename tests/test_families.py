@@ -157,7 +157,6 @@ def test_root_cumulant_family_newton_paths():
     mu0, s2 = 1.5, 0.8
     fam = family_from_root_cumulant(
         "gauss-root",
-        dim=1,
         suff_stat=lambda u: np.asarray(u, dtype=float).reshape(-1, 1),
         root_cumulant=lambda b: mu0 * b[..., 0] + 0.5 * s2 * b[..., 0] ** 2,
         root_domain=full_space(1),
@@ -190,7 +189,6 @@ def test_log_density_batch_and_single_agree():
 def test_log_density_requires_carrier():
     fam = family_from_root_cumulant(
         "no-carrier",
-        dim=1,
         suff_stat=lambda u: np.asarray(u, dtype=float).reshape(-1, 1),
         root_cumulant=lambda b: 0.5 * b[..., 0] ** 2,
         root_domain=full_space(1),

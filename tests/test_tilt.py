@@ -322,10 +322,12 @@ def test_gap_info_tags_the_out_of_domain_side():
     pair = ig_vs_exp_pairing(2.0, 1.5)
     anchor = np.array([1.5])
     # null (exponential) boundary 1/mu; tilted (inverse Gaussian) lam/(2 mu^2)
-    gap, which = f_gap_info(pair.null, pair.tilted, np.array([0.6]), anchor)
-    assert which == "tilted" and gap == np.inf
-    gap, which = f_gap_info(pair.null, pair.tilted, np.array([0.9]), anchor)
-    assert which == "both"
+    gap, null_out = f_gap_info(pair.null, pair.tilted, np.array([0.6]), anchor)
+    assert gap == np.inf and null_out is False
+    gap, null_out = f_gap_info(pair.null, pair.tilted, np.array([0.9]), anchor)
+    assert gap == np.inf and null_out is True
+    gaps, null_out = f_gap_info(pair.null, pair.tilted, np.array([[0.1], [0.6], [0.9]]), anchor)
+    assert np.isfinite(gaps[0]) and null_out.tolist() == [False, False, True]
 
 
 def test_local_check_pass_and_fail_regimes():
@@ -379,7 +381,7 @@ def test_battery_refuses_a_canonical_domain_that_is_not_a_box():
     odd = dataclasses.replace(
         poisson_family(), name="poisson-odd-domain",
         canonical_domain=lambda anchor: DomainDescriptor(
-            "custom-predicate", 1, predicate=lambda beta: beta[..., 0] < 1.0))
+            np.full(1, -np.inf), predicate=lambda beta: beta[..., 0] < 1.0))
     pair = nef_pairing(negbinom_family(4.0), odd, 2.0, "odd-domain", {})
     with pytest.raises(UnsupportedModelError, match="poisson-odd-domain"):
         run_condition_battery(pair)
