@@ -3,10 +3,11 @@
 For a null family P and tilted alternative family Q sharing a sufficient
 statistic, the claim under test is: for every mean mu in Q's mean space,
 the density ratio q_mu / p_mu of the two members with mean mu has null
-expectation at most one.  Under three preconditions (convex alternative
-mean space contained in the null's, and null canonical domains contained
-in the alternative's at every shared anchor) the claim is equivalent to
-each of four checkable orderings:
+expectation at most one.  Under two preconditions (alternative mean space
+contained in the null's, and null canonical domains contained in the
+alternative's at every shared anchor) the claim is equivalent to each of
+four checkable orderings.  Convexity needs no check: the mean space of a
+regular family is the interior of its convex support (Brown 1986, Thm 3.6).
 
 1. covariance ordering      Sigma_p(mu) - Sigma_q(mu) >= 0 on the mean grid;
 2. canonical pairing        (beta_p - beta_q)(mu; mu') . (mu - mu') <= 0;
@@ -34,7 +35,6 @@ from .domains import DomainDescriptor
 from .errors import DomainError, UnsupportedModelError
 from .families import (
     ExpFamilyDescriptor,
-    _require_law_support,
     canonical_from_mean,
     covariance_at_mean,
     kl_between_means,
@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 TOL_SCALAR = 1e-9
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 MAX_GRID_POINTS = 4096
 LOG_AXIS_RANGE = (1e-4, 1e4)
 FREE_AXIS_RANGE = (-8.0, 8.0)
@@ -237,12 +237,9 @@ class ItemVerdict:
     worst_value: float
     threshold: float
     worst_location: list
-    stochastic: bool = False
-    note: str = ""
 
 
-def _ordering_verdict(null: ExpFamilyDescriptor, tilted: TiltedFamily, rule: str,
-                      values: np.ndarray, locations: np.ndarray, threshold: float,
+def _ordering_verdict(rule: str, values: np.ndarray, locations: np.ndarray, threshold: float,
                       at_least: bool = False) -> ItemVerdict:
     """Verdict of one ordering from its value at each of ``locations``.
 
@@ -252,20 +249,18 @@ def _ordering_verdict(null: ExpFamilyDescriptor, tilted: TiltedFamily, rule: str
     idx = int(np.argmin(values) if at_least else np.argmax(values))
     worst = float(values[idx])
     passed = bool(worst >= threshold if at_least else worst <= threshold)
-    return ItemVerdict(passed, rule, len(values), worst, threshold, locations[idx].tolist(),
-                       null.stochastic or tilted.family.stochastic)
+    return ItemVerdict(passed, rule, len(values), worst, threshold, locations[idx].tolist())
 
 
 @dataclass(frozen=True)
 class PreconditionReport:
-    mean_domain_convex: bool
     mq_subset_mp: bool
     bp_subset_bq: bool
     details: dict = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
-        return self.mean_domain_convex and self.mq_subset_mp and self.bp_subset_bq
+        return self.mq_subset_mp and self.bp_subset_bq
 
 
 def _box_subset(inner: DomainDescriptor, outer: DomainDescriptor) -> bool | np.ndarray:
@@ -288,14 +283,13 @@ def _canonical_boxes(fam: ExpFamilyDescriptor, anchors: np.ndarray) -> DomainDes
 
 def check_preconditions(null: ExpFamilyDescriptor, tilted: TiltedFamily,
                         grid: np.ndarray) -> PreconditionReport:
-    """Convexity, mean-space containment, canonical-domain containment.
+    """Mean-space containment and canonical-domain containment.
 
     Box-shaped mean domains are compared by their bounds; a predicate mean
     domain falls back to containment of the grid points.  Canonical domains
     are boxes, compared by their bounds anchor by anchor over the mean grid.
     """
     alt = tilted.family
-    convex = alt.mean_domain.convex
     details: dict = {}
     in_null = null.mean_domain.contains(grid)
 
@@ -312,12 +306,7 @@ def check_preconditions(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     bp_in_bq = bool(np.all(ok))
     if not bp_in_bq:
         details["canonical_containment_failure_at"] = anchors[np.argmin(ok)].tolist()
-    return PreconditionReport(
-        mean_domain_convex=bool(convex),
-        mq_subset_mp=bool(mq_in_mp),
-        bp_subset_bq=bp_in_bq,
-        details=details,
-    )
+    return PreconditionReport(mq_subset_mp=bool(mq_in_mp), bp_subset_bq=bp_in_bq, details=details)
 
 
 def check_sigma_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
@@ -328,8 +317,7 @@ def check_sigma_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     relative to the spectral norm of Sigma_p (:func:`util.psd_margin`).
     """
     eigs, scale = psd_margin(covariance_at_mean(null, grid), covariance_at_mean(tilted.family, grid))
-    return _ordering_verdict(null, tilted,
-                             "min eigenvalue of Sigma_p - Sigma_q, relative to ||Sigma_p||, >= -tol",
+    return _ordering_verdict("min eigenvalue of Sigma_p - Sigma_q, relative to ||Sigma_p||, >= -tol",
                              eigs[:, 0] / scale, grid, -TOL_PSD, at_least=True)
 
 
@@ -339,7 +327,7 @@ def check_beta_pairing(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     mu, mu_prime = pairs[:, 0], pairs[:, 1]
     bp = canonical_from_mean(null, mu, mu_prime)
     bq = canonical_from_mean(tilted.family, mu, mu_prime)
-    return _ordering_verdict(null, tilted, "(beta_p - beta_q) . (mu - mu') <= tol",
+    return _ordering_verdict("(beta_p - beta_q) . (mu - mu') <= tol",
                              rowdot(bp - bq, mu - mu_prime), pairs, TOL_SCALAR)
 
 
@@ -348,8 +336,7 @@ def check_kl_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     """Ordering 3: D_p(mu || mu') - D_q(mu || mu') <= 0 over mean pairs."""
     mu, mu_prime = pairs[:, 0], pairs[:, 1]
     values = kl_between_means(null, mu, mu_prime) - kl_between_means(tilted.family, mu, mu_prime)
-    return _ordering_verdict(null, tilted, "D_p(mu || mu') - D_q(mu || mu') <= tol",
-                             values, pairs, TOL_SCALAR)
+    return _ordering_verdict("D_p(mu || mu') - D_q(mu || mu') <= tol", values, pairs, TOL_SCALAR)
 
 
 def _probe_axis_values(box: DomainDescriptor, scales: np.ndarray) -> np.ndarray:
@@ -423,15 +410,14 @@ def check_logz_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     counted = ~null_out
     rule = "logZ_q(beta; mu) - logZ_p(beta; mu) <= tol on B_p(mu)"
     if not np.any(counted):
-        return ItemVerdict(True, rule, 0, -np.inf, TOL_SCALAR, [],
-                           null.stochastic or tilted.family.stochastic)
-    return _ordering_verdict(null, tilted, rule, gaps[counted],
+        return ItemVerdict(True, rule, 0, -np.inf, TOL_SCALAR, [])
+    return _ordering_verdict(rule, gaps[counted],
                              np.stack([grid[owner], probes], axis=1)[counted], TOL_SCALAR)
 
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Full battery outcome with the grids and tolerances that produced it."""
+    """Full battery outcome; each item carries the threshold it was compared against."""
 
     model: str
     params: dict
@@ -441,8 +427,6 @@ class ConditionReport:
     reason: str
     grid_points: int
     pair_count: int
-    tolerances: dict
-    stochastic: bool
 
     def to_dict(self) -> dict:
         """JSON-ready fields in declaration order."""
@@ -500,9 +484,8 @@ def run_condition_battery(pairing, spec: GridSpec | None = None) -> ConditionRep
         "kl_ordering": check_kl_ordering(null, tilted, pairs),
         "log_partition_ordering": check_logz_ordering(null, tilted, grid),
     }
-    stochastic = null.stochastic or alt.stochastic
     failed = [key for key, verdict in items.items() if not verdict.passed]
-    overall = _verdict(stochastic, bool(failed), pre.all_passed)
+    overall = _verdict(null.stochastic or alt.stochastic, bool(failed), pre.all_passed)
     reason = {INCONCLUSIVE: "log-partition estimates are Monte Carlo",
               REFUTED: f"failed: {', '.join(failed)}",
               CERTIFIED: "preconditions and all orderings hold on the grids",
@@ -516,8 +499,6 @@ def run_condition_battery(pairing, spec: GridSpec | None = None) -> ConditionRep
         reason=reason,
         grid_points=int(grid.shape[0]),
         pair_count=int(pairs.shape[0]),
-        tolerances={"scalar": TOL_SCALAR, "psd_relative": TOL_PSD},
-        stochastic=stochastic,
     )
 
 
@@ -539,16 +520,13 @@ def simple_log_evalue(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu, u):
 
     Stays finite where the ratio itself underflows to 0 or overflows to inf.
     A family that declares its law refuses, with a DataError, the first
-    element of ``u`` outside that law's support.
+    element of ``u`` outside that law's support; the null's law is checked first.
     """
     mu_vec = _shared_mean(tilted, null, mu)
     _require_densities(tilted, null, "e-values")
     batch, single = as_batch(u, null.element_ndim)
-    for fam in (null, tilted.family):
-        if fam.law is not None:
-            _require_law_support(fam.law(mu_vec), batch)
-    log_q = np.asarray(tilted.family.carrier_log_density(batch, mu_vec), dtype=float)
     log_p = np.asarray(null.carrier_log_density(batch, mu_vec), dtype=float)
+    log_q = np.asarray(tilted.family.carrier_log_density(batch, mu_vec), dtype=float)
     logs = log_q - log_p
     return float(logs[0]) if single else logs
 

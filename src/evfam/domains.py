@@ -42,7 +42,6 @@ class DomainDescriptor:
     lower: np.ndarray | None
     upper: np.ndarray | None = None
     predicate: Callable[[np.ndarray], np.ndarray] | None = None
-    convex: bool = True
 
     def __post_init__(self) -> None:
         if self.lower is None and self.upper is None:
@@ -91,7 +90,7 @@ class DomainDescriptor:
             raise ValueError("cannot shift a predicate domain")
         delta = np.asarray(delta, dtype=float)
         lower, upper = np.broadcast_arrays(self.lower + delta, self.upper + delta)
-        return DomainDescriptor(lower, upper, convex=self.convex)
+        return DomainDescriptor(lower, upper)
 
 
 def box_domain(lower, upper) -> DomainDescriptor:

@@ -522,8 +522,13 @@ def _require_law_support(law: tuple, u: np.ndarray) -> None:
 
 
 def _law_log_density(law: Callable, u: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Carrier of a law-declaring family: the log-density of the anchor member's law."""
-    return law_log_density(law(anchor), u)
+    """Carrier of a law-declaring family: the log-density of the anchor member's law.
+
+    The first row of the batch ``u`` outside that law's support is refused with a DataError.
+    """
+    member = law(anchor)
+    _require_law_support(member, u)
+    return law_log_density(member, u)
 
 
 # Divergence rules: each takes the two full law tuples (q, p) of members with

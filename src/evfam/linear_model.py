@@ -177,26 +177,32 @@ def params_from_mean(design: LinearModelDesign, theta: float, mu) -> LinearModel
     first mean coordinate becomes a quadratic in v with a negative value at
     v = 0 whenever mu is in the mean space; its unique positive root is the
     member's variance.  ``mu`` may be one mean or a (..., d+1) batch; the
-    members come back batched the same way.
+    members come back batched the same way.  A mean whose root does not
+    round to a finite positive float lies past the float range and is
+    refused by name.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.shape[-1:] != (design.d + 1,):
         mu = mu.reshape(design.d + 1)
     p = _solve_ff(design, mu[..., 1:])
-    q = _solve_ff(design, design.gram_f0) * theta
     gamma_a = np.concatenate([np.zeros(mu.shape[:-1] + (1,)), p], axis=-1)
-    gamma_b = np.concatenate([[theta], -q])
     g_a = matvec(design.gram, gamma_a)
-    fb = design.x @ gamma_b
-    a2 = float(fb @ fb)
-    a1 = design.n + 2.0 * (g_a @ gamma_b)
     a0 = rowdot(g_a, gamma_a) - mu[..., 0]
     if np.any(a0 >= 0.0):
         bad = mu if mu.ndim == 1 else mu[a0 >= 0.0][0]
         raise DomainError(f"mean {bad} outside the linear-model mean space")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        gamma_b = np.concatenate([[theta], -_solve_ff(design, design.gram_f0) * theta])
+        fb = design.x @ gamma_b
+        a2 = float(fb @ fb)
+        a1 = design.n + 2.0 * (g_a @ gamma_b)
         v = np.where(a2 <= 1e-14 * np.maximum(1.0, a1 * a1), -a0 / a1,
                      (-a1 + np.sqrt(a1 * a1 - 4.0 * a2 * a0)) / (2.0 * a2))
+    past = ~((0.0 < v) & (v < np.inf))
+    if np.any(past):
+        bad = mu if mu.ndim == 1 else mu[past][0]
+        raise DomainError(f"mean {bad} of the theta={theta:g} linear model lies past the float "
+                          "range: its variance does not round to a finite positive float")
     return LinearModelParams(sigma2=_scalar(v), gamma=gamma_a + v[..., None] * gamma_b)
 
 
@@ -311,10 +317,19 @@ def linmodel_psd_check(design: LinearModelDesign, theta: float, mu,
 
 
 def linmodel_pairing(design: LinearModelDesign, sigma2: float, gamma) -> Pairing:
-    """Alternative member (sigma2, gamma) against the theta = 0 null family."""
+    """Alternative member (sigma2, gamma) against the theta = 0 null family.
+
+    A member whose mean or covariance is not finite is refused by name;
+    ``params_from_mean`` refuses one whose variance does not come back.
+    """
     params = LinearModelParams(sigma2=sigma2, gamma=np.asarray(gamma, dtype=float).reshape(design.d + 1))
+    with np.errstate(all="ignore"):
+        mean = mean_of_params(design, params)
+        cov = covariance_of_params(design, params)
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        raise DomainError(f"linmodel alternative sigma2={float(sigma2)!r}, "
+                          f"gamma={params.gamma.tolist()} lies past the float range")
     return _member_pairing(
-        "linmodel", linmodel_family(design, 0.0), linmodel_family(design, params.theta),
-        mean_of_params(design, params),
+        "linmodel", linmodel_family(design, 0.0), linmodel_family(design, params.theta), mean,
         params={"n": design.n, "d": design.d, "sigma2": sigma2, "gamma": params.gamma.tolist()},
     )

@@ -71,12 +71,17 @@ MODEL_CASES = {
 }
 
 
+def _write_design(tmp_path, shape) -> Path:
+    """A design CSV of standard normal entries drawn from seed 0."""
+    design = tmp_path / "design.csv"
+    rows = np.random.default_rng(0).normal(size=shape)
+    design.write_text("\n".join(",".join(f"{v:.6f}" for v in row) for row in rows) + "\n")
+    return design
+
+
 def _model_argv(tmp_path, key, drop=None):
     flags, _, _ = MODEL_CASES[key]
-    design = tmp_path / "design.csv"
-    if DESIGN in flags.values():
-        rows = np.random.default_rng(0).normal(size=(8, 2))
-        design.write_text("\n".join(",".join(f"{v:.6f}" for v in row) for row in rows) + "\n")
+    design = _write_design(tmp_path, (8, 2)) if DESIGN in flags.values() else None
     return ["--model", key] + [f"{flag}={design if value == DESIGN else value}"
                                for flag, value in flags.items() if flag != drop]
 
@@ -640,8 +645,28 @@ NON_FINITE_ARMS = [
     pytest.param(["check", "--model", "tweedie-pair", "--null-a", "1", "--null-power", "1e300",
                   "--alt-a", "0.5", "--alt-power", "1.5"],
                  "tweedie family needs a power <= 64, got power=1e+300", id="tweedie-huge-power"),
+    # on a 5 x 3 design, each of these overflows the alternative's mean or
+    # covariance, or its variance does not come back from its mean
+    *[pytest.param(["check", "--model", "linmodel", "--design", DESIGN, f"--gamma={gamma}",
+                    "--sigma2", sigma2], message, id=f"linmodel-{ident}")
+      for gamma, sigma2, message, ident in (
+          ("1e300,0,0", "1", "linmodel alternative sigma2=1.0, gamma=[1e+300, 0.0, 0.0] lies past "
+           "the float range", "huge-gamma"),
+          ("1,1,1", "1e300", "linmodel alternative sigma2=1e+300, gamma=[1.0, 1.0, 1.0] lies past "
+           "the float range", "huge-sigma2"),
+          ("nan,0,0", "1", "linmodel alternative sigma2=1.0, gamma=[nan, 0.0, 0.0] lies past the "
+           "float range", "nan-gamma"),
+          ("1,1,1", "1e-300", "mean [3.72759372 1.14285714 1.14285714] of the theta=1e+300 linear "
+           "model lies past the float range: its variance does not round to a finite positive "
+           "float", "tiny-sigma2"),
+          ("1e150,1,1", "1", "mean [8.73428750e+300 2.45959458e+150 2.04526817e+150] of the "
+           "theta=1e+150 linear model lies past the float range: its variance does not round to a "
+           "finite positive float", "large-gamma"))],
 ])
-def test_a_value_past_the_float_range_exits_64_without_a_runtime_warning(capsys, argv, message):
+def test_a_value_past_the_float_range_exits_64_without_a_runtime_warning(capsys, tmp_path, argv,
+                                                                         message):
+    if DESIGN in argv:
+        argv = [str(_write_design(tmp_path, (5, 3))) if arg == DESIGN else arg for arg in argv]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, *argv)
@@ -659,6 +684,19 @@ def test_abm_with_a_high_power_gives_a_verdict(capsys):
                          "--mu", "1")
     assert code in (0, 2, 3), err
     assert json.loads(out)["model"] == "abm-vs-poisson"
+
+
+# V_p(m) = m + m^2/n >= m = V_q(m) at every mean, so the claim holds; but at
+# n = 1e300 the computed n log(n + m) cancels once n + m rounds to n, and the
+# KL (worst 9900.15) and log-partition (worst 2.5e270) orderings refute it
+# while the covariance ordering passes at -5.6e-14
+@pytest.mark.xfail(strict=True, reason="known defect, ROADMAP items 9 and 13 (the integrated "
+                                       "orderings cancel at a huge negbinom size): exits 2")
+def test_negbinom_with_a_huge_size_is_certified(capsys):
+    code, out, err = run(capsys, "check", "--model", "negbinom-vs-poisson", "--successes", "1e300",
+                         "--mu", "2")
+    assert code == 0, err
+    assert json.loads(out)["overall"] == "simple-evariable-certified"
 
 
 GAUSSIAN_SCALE_TINY_VAR = ["check", "--model", "gaussian-scale", "--carrier-mean=3",
@@ -917,13 +955,8 @@ def test_figure_options_out_of_range_exit_64(capsys, tmp_path, argv, message):
 
 
 def test_linmodel_check_via_design_file(capsys, tmp_path):
-    rng = np.random.default_rng(0)
-    design = tmp_path / "design.csv"
-    rows = "\n".join(",".join(f"{v:.6f}" for v in row)
-                     for row in rng.normal(size=(8, 2)))
-    design.write_text(rows + "\n")
     code, out, _ = run(capsys, "check", "--model", "linmodel",
-                       "--design", str(design), "--sigma2", "1.0",
+                       "--design", str(_write_design(tmp_path, (8, 2))), "--sigma2", "1.0",
                        "--gamma", "0.5,-0.3", "--grid-points", "8", "--pairs", "16")
     assert code == 0
     assert json.loads(out)["overall"] == "simple-evariable-certified"

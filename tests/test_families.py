@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from evfam.domains import box_domain, full_space
-from evfam.errors import ConvergenceError, DomainError, UnsupportedModelError
+from evfam.errors import ConvergenceError, DataError, DomainError, UnsupportedModelError
 from evfam.families import (
     canonical_from_mean,
     covariance_at_canonical,
@@ -184,6 +184,15 @@ def test_log_density_batch_and_single_agree():
     batch = log_density(fam, beta, anchor, np.array([0.0, 2.0, 5.0]))
     single = log_density(fam, beta, anchor, 2.0)
     assert batch[1] == pytest.approx(single, rel=1e-15)
+
+
+@pytest.mark.parametrize("u, row, value", [([-1.0, 0.5, 2.0], 0, "-1.0"), ([2.0, 0.5], 1, "0.5")])
+def test_log_density_refuses_a_count_outside_the_poisson_support(u, row, value):
+    # a law-declaring family checks its support in its one density function,
+    # so log_density refuses what simple_log_evalue refuses
+    with pytest.raises(DataError, match=rf"row {row} holds {value}, outside the support "
+                                        r"of the poisson law \(non-negative integer counts\)"):
+        log_density(poisson_family(), [0.0], [2.0], u)
 
 
 def test_log_density_requires_carrier():
