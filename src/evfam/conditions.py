@@ -64,6 +64,8 @@ __all__ = [
 TOL_SCALAR = 1e-9
 REPORT_VERSION = 3
 MAX_GRID_POINTS = 4096
+# log-partition probes, n_grid * 3^dim: 5.06 M fit (dimension 9), 30.3 M do not (10)
+MAX_PROBE_ROWS = 1 << 23
 LOG_AXIS_RANGE = (1e-4, 1e4)
 FREE_AXIS_RANGE = (-8.0, 8.0)
 
@@ -183,8 +185,7 @@ def _halton(d: int, seed: int, n: int) -> np.ndarray:
     for col, base in enumerate(primes):
         # one permutation per digit that still moves a double: base**-j > 2**-54
         perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
+        perms = rng.permuted(perms, axis=1)  # draws as rng.shuffle on each row in turn
         q = np.arange(n)
         seq = np.zeros(n)
         b2r = 1.0 / base
@@ -217,7 +218,7 @@ def mean_pairs(domain: DomainDescriptor, spec: GridSpec | None = None) -> np.nda
         # pairs do not depend on which SIMD kernel numpy picks on this CPU
         for j in np.flatnonzero(log):
             ratio = float(hi[j] / lo[j])
-            points[:, j] = lo[j] * np.fromiter((ratio ** t for t in raw[:, j]), float, n)
+            points[:, j] = lo[j] * np.fromiter(map(ratio.__pow__, raw[:, j].tolist()), float, n)
         pairs = points.reshape(-1, 2, domain.dim)
         pairs = pairs[np.all(domain.contains(pairs), axis=1)][:spec.n_pairs]
         if pairs.shape[0] == spec.n_pairs:
@@ -289,10 +290,15 @@ def check_preconditions(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     domain falls back to containment of the grid points.  Canonical domains
     are boxes, compared by their bounds anchor by anchor over the mean grid.
     """
+    in_null = null.mean_domain.contains(grid)
+    return _preconditions(null, tilted, grid, in_null, _canonical_boxes(null, grid[in_null]))
+
+
+def _preconditions(null: ExpFamilyDescriptor, tilted: TiltedFamily, grid: np.ndarray,
+                   in_null: np.ndarray, box_p: DomainDescriptor) -> PreconditionReport:
+    """``check_preconditions`` given the grid's null membership and B_p at its null means."""
     alt = tilted.family
     details: dict = {}
-    in_null = null.mean_domain.contains(grid)
-
     if alt.mean_domain.predicate is None and null.mean_domain.predicate is None:
         mq_in_mp = _box_subset(alt.mean_domain, null.mean_domain)
         details["mean_containment"] = "bounds"
@@ -301,8 +307,7 @@ def check_preconditions(null: ExpFamilyDescriptor, tilted: TiltedFamily,
         details["mean_containment"] = "sampled"
 
     anchors = grid[in_null]
-    ok = np.broadcast_to(_box_subset(_canonical_boxes(null, anchors), _canonical_boxes(alt, anchors)),
-                         anchors.shape[:1])
+    ok = np.broadcast_to(_box_subset(box_p, _canonical_boxes(alt, anchors)), anchors.shape[:1])
     bp_in_bq = bool(np.all(ok))
     if not bp_in_bq:
         details["canonical_containment_failure_at"] = anchors[np.argmin(ok)].tolist()
@@ -316,7 +321,12 @@ def check_sigma_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     The margin at each point is the smallest eigenvalue of the difference
     relative to the spectral norm of Sigma_p (:func:`util.psd_margin`).
     """
-    eigs, scale = psd_margin(covariance_at_mean(null, grid), covariance_at_mean(tilted.family, grid))
+    return _sigma_verdict(covariance_at_mean(null, grid), tilted, grid)
+
+
+def _sigma_verdict(cov_p: np.ndarray, tilted: TiltedFamily, grid: np.ndarray) -> ItemVerdict:
+    """``check_sigma_ordering`` given Sigma_p at the grid."""
+    eigs, scale = psd_margin(cov_p, covariance_at_mean(tilted.family, grid))
     return _ordering_verdict("min eigenvalue of Sigma_p - Sigma_q, relative to ||Sigma_p||, >= -tol",
                              eigs[:, 0] / scale, grid, -TOL_PSD, at_least=True)
 
@@ -327,8 +337,9 @@ def check_beta_pairing(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     mu, mu_prime = pairs[:, 0], pairs[:, 1]
     bp = canonical_from_mean(null, mu, mu_prime)
     bq = canonical_from_mean(tilted.family, mu, mu_prime)
-    return _ordering_verdict("(beta_p - beta_q) . (mu - mu') <= tol",
-                             rowdot(bp - bq, mu - mu_prime), pairs, TOL_SCALAR)
+    with np.errstate(over="ignore"):  # a product past the float range is its honest inf
+        values = rowdot(bp - bq, mu - mu_prime)
+    return _ordering_verdict("(beta_p - beta_q) . (mu - mu') <= tol", values, pairs, TOL_SCALAR)
 
 
 def check_kl_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
@@ -361,16 +372,17 @@ def _probe_axis_values(box: DomainDescriptor, scales: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _beta_probe_points(null: ExpFamilyDescriptor, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical probes inside B_p(mu) for every mean of a batch.
+def _beta_probe_points(box: DomainDescriptor, cov: np.ndarray) -> np.ndarray:
+    """Canonical probes for every mean of a batch, from B_p(mu) and Sigma_p(mu).
 
     Per mean: near each finite face plus tilt-scale steps, all combinations
     of them in one dimension and of (min, median, max) per axis above.
-    Returns the owning mean's index and the probe, mean by mean.
+    Returns (n, K, dim), NaN-padded; past MAX_PROBE_ROWS probes it refuses by name.
     """
-    box = _canonical_boxes(null, mus)
-    dim = mus.shape[1]
-    cov = covariance_at_mean(null, mus)
+    n, dim = cov.shape[:2]
+    if n * 3 ** dim > MAX_PROBE_ROWS:
+        raise DomainError(f"the log-partition ordering in dimension {dim} needs "
+                          f"{n * 3 ** dim} canonical probes, past {MAX_PROBE_ROWS}")
     scales = 1.0 / np.sqrt(np.maximum(np.diagonal(cov, axis1=-2, axis2=-1), np.finfo(float).tiny))
     vals = _probe_axis_values(box, scales)
     if dim == 1:
@@ -390,9 +402,7 @@ def _beta_probe_points(null: ExpFamilyDescriptor, mus: np.ndarray) -> tuple[np.n
                                np.take_along_axis(vals, (count - 1)[..., None], axis=-1)], axis=-1)
         combos = np.array(list(itertools.product(range(3), repeat=dim)))   # (3^dim, dim)
         probes = thin[:, np.arange(dim), combos]                           # (n, 3^dim, dim)
-    # candidates of every mean side by side: (k, n, dim) against per-mean bounds
-    owner, which = np.nonzero(box.contains(np.swapaxes(probes, 0, 1)).T)
-    return owner, probes[owner, which]
+    return probes
 
 
 def check_logz_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
@@ -405,14 +415,21 @@ def check_logz_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     as a +inf gap; probes past the null's own finite range are skipped.
     Locations are [grid mean, probe] pairs; with no probe counted it holds at -inf.
     """
-    owner, probes = _beta_probe_points(null, grid)
-    gaps, null_out = f_gap_info(null, tilted, probes, grid[owner])
-    counted = ~null_out
+    return _logz_verdict(null, tilted, grid, _canonical_boxes(null, grid),
+                         covariance_at_mean(null, grid))
+
+
+def _logz_verdict(null: ExpFamilyDescriptor, tilted: TiltedFamily, grid: np.ndarray,
+                  box_p: DomainDescriptor, cov_p: np.ndarray) -> ItemVerdict:
+    """``check_logz_ordering`` given B_p and Sigma_p at the grid."""
+    probes = _beta_probe_points(box_p, cov_p)
+    gaps, null_out = f_gap_info(null, tilted, probes, grid[:, None])
+    counted = ~null_out  # owner-major; NaN padding lies off B_p, so it is null_out
     rule = "logZ_q(beta; mu) - logZ_p(beta; mu) <= tol on B_p(mu)"
     if not np.any(counted):
         return ItemVerdict(True, rule, 0, -np.inf, TOL_SCALAR, [])
-    return _ordering_verdict(rule, gaps[counted],
-                             np.stack([grid[owner], probes], axis=1)[counted], TOL_SCALAR)
+    return _ordering_verdict(rule, gaps[counted], np.stack(
+        [np.broadcast_to(grid[:, None], probes.shape)[counted], probes[counted]], axis=1), TOL_SCALAR)
 
 
 @dataclass(frozen=True)
@@ -470,19 +487,22 @@ def run_condition_battery(pairing, spec: GridSpec | None = None) -> ConditionRep
     alt = tilted.family
     grid = mean_grid(alt.mean_domain, spec, include=tilted.mu_star)
     pairs = mean_pairs(alt.mean_domain, spec)
-    pre = check_preconditions(null, tilted, grid)
     # both draw inside the alternative's mean space; the orderings compare the
-    # two families at means that lie in the null's too
-    grid = grid[null.mean_domain.contains(grid)]
+    # two families at means that lie in the null's too, where one B_p and Sigma_p serve all
+    in_null = null.mean_domain.contains(grid)
+    box_p = _canonical_boxes(null, grid[in_null])
+    pre = _preconditions(null, tilted, grid, in_null, box_p)
+    grid = grid[in_null]
     pairs = pairs[np.all(null.mean_domain.contains(pairs), axis=1)]
     if grid.shape[0] == 0 or pairs.shape[0] == 0:
         raise DomainError(f"{alt.name}: no grid mean or no mean pair lies in the mean space "
                           f"of {null.name}")
+    cov_p = covariance_at_mean(null, grid)
     items = {
-        "covariance_ordering": check_sigma_ordering(null, tilted, grid),
+        "covariance_ordering": _sigma_verdict(cov_p, tilted, grid),
         "canonical_pairing": check_beta_pairing(null, tilted, pairs),
         "kl_ordering": check_kl_ordering(null, tilted, pairs),
-        "log_partition_ordering": check_logz_ordering(null, tilted, grid),
+        "log_partition_ordering": _logz_verdict(null, tilted, grid, box_p, cov_p),
     }
     failed = [key for key, verdict in items.items() if not verdict.passed]
     overall = _verdict(null.stochastic or alt.stochastic, bool(failed), pre.all_passed)

@@ -38,7 +38,9 @@ the same rule: ``log_partition(beta, anchor)`` returns shape ``(...)``,
 ``(..., dim, dim)``, and ``canonical_domain(anchor)`` returns one box
 whose bounds have the anchors' leading axes.  The public helpers below
 validate shape, finiteness and domain membership once per batch and then
-hand whole arrays to the descriptor.
+hand whole arrays to the descriptor.  Anchors may come un-broadcast, e.g.
+``(n, 1, dim)`` against ``(n, K, dim)`` betas; the log-partition hands
+them on as they are, so each distinct anchor's work runs once.
 """
 
 from __future__ import annotations
@@ -164,24 +166,26 @@ def _require_canonical(fam: ExpFamilyDescriptor, beta: np.ndarray, anchor: np.nd
 
 
 def _logz(fam: ExpFamilyDescriptor, beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Log-partition over a validated anchor batch; +inf off the canonical domain."""
-    beta, anchor = np.broadcast_arrays(beta, anchor)
-    inside = np.broadcast_to(fam.canonical_domain(anchor).contains(beta), beta.shape[:-1])
-    out = np.full(beta.shape[:-1], np.inf)
-    if np.any(inside):
-        vals = np.asarray(fam.log_partition(beta[inside], anchor[inside]), dtype=float)
-        if np.any(np.isnan(vals)):
-            raise ConvergenceError(f"{fam.name}: log-partition returned NaN at "
-                                   f"beta={beta[inside][np.isnan(vals)][0]}")
-        out[inside] = vals
-    return out
+    """Log-partition over a validated anchor batch; +inf off the canonical domain.
+
+    Anchors reach the descriptor un-broadcast; a beta off the domain is evaluated at 0.
+    """
+    shape = np.broadcast_shapes(beta.shape, anchor.shape)
+    inside = np.broadcast_to(fam.canonical_domain(anchor).contains(beta), shape[:-1])
+    vals = np.asarray(fam.log_partition(np.where(inside[..., None], beta, 0.0), anchor), dtype=float)
+    nan = np.isnan(vals) & inside
+    if np.any(nan):
+        raise ConvergenceError(f"{fam.name}: log-partition returned NaN at "
+                               f"beta={np.broadcast_to(beta, shape)[nan][0]}")
+    return np.where(inside, vals, np.inf)
 
 
 def _cov(cov_map: Callable, beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Symmetrized ``cov_map`` over validated canonical points."""
+    """Symmetrized ``cov_map`` over validated canonical points; inf past the float range."""
     beta, anchor = np.broadcast_arrays(beta, anchor)
-    cov = np.broadcast_to(np.asarray(cov_map(beta, anchor), dtype=float), beta.shape + beta.shape[-1:])
-    return 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    with np.errstate(over="ignore"):
+        cov = np.broadcast_to(np.asarray(cov_map(beta, anchor), dtype=float), beta.shape + beta.shape[-1:])
+        return 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
 def log_partition_at(fam: ExpFamilyDescriptor, beta, anchor):
@@ -297,7 +301,8 @@ def kl_between_means(fam: ExpFamilyDescriptor, mu, mu_prime):
     logz = _logz(fam, beta, mu_prime)
     if not np.all(np.isfinite(logz)):
         raise ConvergenceError(f"{fam.name}: log-partition divergent inside the mean image")
-    return _scalar(rowdot(beta, mu) - logz)
+    with np.errstate(over="ignore"):  # a product past the float range is its honest inf
+        return _scalar(rowdot(beta, mu) - logz)
 
 
 def log_density(fam: ExpFamilyDescriptor, beta, anchor, u):

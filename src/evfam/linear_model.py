@@ -234,12 +234,12 @@ def linmodel_family(design: LinearModelDesign, theta: float) -> ExpFamilyDescrip
 
     def log_partition(beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         eta0 = natural_of(params_at(anchor))
-        eta, eta0 = np.broadcast_arrays(eta0 + beta, eta0)
+        eta = eta0 + beta
         inside = eta[..., 0] < 0.0
         out = np.full(inside.shape, np.inf)
-        if np.any(inside):
-            out[inside] = (potential(params_of_natural(eta[inside]))
-                           - potential(params_of_natural(eta0[inside])))
+        if np.any(inside):  # the anchor's potential once per anchor, not once per beta
+            anchored = np.broadcast_to(potential(params_of_natural(eta0)), inside.shape)
+            out[inside] = potential(params_of_natural(eta[inside])) - anchored[inside]
         return out
 
     def canonical_domain(anchor: np.ndarray) -> DomainDescriptor:

@@ -4,6 +4,7 @@ the batched protocol."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -17,13 +18,16 @@ from scipy import stats
 from scipy.optimize import brentq
 from scipy.special import expit, logit
 
-from evfam import models
+from evfam import conditions, models
 from evfam.conditions import (
     CERTIFIED,
     INCONCLUSIVE,
     REFUTED,
     GridSpec,
+    check_logz_ordering,
+    check_sigma_ordering,
     growth_rate,
+    mean_grid,
     run_condition_battery,
 )
 from evfam.domains import DomainDescriptor, box_domain
@@ -60,7 +64,7 @@ from evfam.models import (
     tweedie_family,
     tweedie_pair,
 )
-from evfam.tilt import CarrierAlternative, build_tilted_family
+from evfam.tilt import CarrierAlternative, TiltedFamily, build_tilted_family
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -305,6 +309,81 @@ def test_generic_route_battery_pinned(key, build, spec, overall, grid_points, pa
     assert (report.grid_points, report.pair_count) == (grid_points, pair_count)
     got = [(report.items[name].n_points, repr(report.items[name].worst_value)) for name in ITEMS]
     assert got == items
+
+
+# ---------------------------------------------------------------------------
+# the log-partition on un-broadcast anchors: the battery's (n, K, d) probes
+# against (n, 1, d) grid means give, bit for bit, the one-row-per-probe batch
+# with each probe's own mean, +inf off the canonical domain included
+
+LOGZ_PAIRINGS = {**PAIRINGS, "log-mgf": _generic_mgf_pairing, "monte-carlo": _generic_mc_pairing}
+
+
+def _battery_probes(pairing, spec=None):
+    """The battery's grid means and log-partition probes, plus one probe past B_p's upper face.
+
+    That probe is 0 on the axes without a finite upper face; the third value
+    marks the means where it lies off B_p.
+    """
+    grid = mean_grid(pairing.tilted.family.mean_domain, spec, include=pairing.tilted.mu_star)
+    grid = grid[pairing.null.mean_domain.contains(grid)]
+    box = conditions._canonical_boxes(pairing.null, grid)
+    probes = conditions._beta_probe_points(box, covariance_at_mean(pairing.null, grid))
+    upper = np.broadcast_to(box.upper, grid.shape)
+    past = np.where(np.isfinite(upper), upper + 1.0, 0.0)[:, None]
+    return grid, np.concatenate([probes, past], axis=1), np.isfinite(upper).any(axis=-1)
+
+
+@pytest.mark.parametrize("key", sorted(LOGZ_PAIRINGS))
+def test_log_partition_on_unbroadcast_anchors_equals_the_flat_batch(key):
+    pairing = LOGZ_PAIRINGS[key]()
+    spec = GridSpec(points_per_axis=16, n_pairs=64) if key == "monte-carlo" else None
+    grid, probes, off_box = _battery_probes(pairing, spec)
+    n, k, d = probes.shape
+    for fam in (pairing.null, pairing.tilted.family):
+        dense = log_partition_at(fam, probes, grid[:, None])
+        flat = log_partition_at(fam, probes.reshape(-1, d), np.repeat(grid, k, axis=0))
+        assert dense.shape == (n, k)
+        assert np.array_equal(_bits(dense).ravel(), _bits(flat))
+    past = log_partition_at(pairing.null, probes[:, -1], grid)
+    assert np.array_equal(np.isposinf(past), off_box)
+
+
+def test_log_partition_nan_from_the_descriptor_raises_convergence_error():
+    fam = poisson_family()
+    nan_past_one = lambda beta, anchor: np.where(beta[..., 0] > 1.0, np.nan,
+                                                 fam.log_partition(beta, anchor))
+    broken = dataclasses.replace(fam, log_partition=nan_past_one)
+    grid = np.array([[0.5], [2.0]])
+    probes = np.array([[[0.5], [1.5], [-1.0]], [[0.25], [3.0], [1.0]]])
+    with pytest.raises(ConvergenceError, match=r"log-partition returned NaN at beta=\[1\.5\]"):
+        log_partition_at(broken, probes, grid[:, None])
+
+
+def test_linmodel_logz_ordering_hands_over_each_anchor_once():
+    pairing = PAIRINGS["linmodel"]()
+    rows = []
+
+    def recording(fn):
+        def wrapped(*args):
+            rows.append(int(np.prod(np.shape(args[-1])[:-1])))
+            return fn(*args)
+        return wrapped
+
+    def recorded(fam):
+        return dataclasses.replace(fam, canonical_domain=recording(fam.canonical_domain),
+                                   log_partition=recording(fam.log_partition))
+
+    null, tilted = recorded(pairing.null), TiltedFamily(recorded(pairing.tilted.family),
+                                                         pairing.tilted.mu_star)
+    grid, probes, _ = _battery_probes(pairing)
+    report = run_condition_battery(dataclasses.replace(pairing, null=null, tilted=tilted))
+    rows.clear()  # the KL ordering's pairs are anchors too
+    verdict = check_logz_ordering(null, tilted, grid)
+    assert max(rows) == len(grid) < probes.shape[0] * probes.shape[1]
+    # the battery's shared Sigma_p and B_p give the public checks' verdicts
+    assert report.items["log_partition_ordering"] == verdict
+    assert report.items["covariance_ordering"] == check_sigma_ordering(null, tilted, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -672,6 +673,35 @@ def test_a_value_past_the_float_range_exits_64_without_a_runtime_warning(capsys,
         code, out, err = run(capsys, *argv)
     assert (code, out, err) == (64, "", f"evfam: {message}\n")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# the alternative's variance m^3 / lam overflows at lam = 1e-300, and the pairing
+# and KL products overflow at lam >= 1e299: each overflow is an honest inf, and
+# the verdict is the refutation the swept lams in between give, without a warning
+@pytest.mark.parametrize("lam", ["1e-300", "1e299", "1e300"])
+def test_ig_vs_exp_at_an_extreme_lam_refutes_without_a_runtime_warning(capsys, lam):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "check", "--model", "ig-vs-exp", "--lam", lam, "--mu", "1")
+    assert (code, err, json.loads(out)["overall"]) == (2, "", "refuted")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# a 10-column design's 513 grid means need 513 * 3^10 = 30.3 M canonical probes
+# (2.4 GB a copy); the battery refuses them by name before making any
+def test_linmodel_past_the_probe_limit_exits_64_before_allocating(capsys, tmp_path):
+    design = _write_design(tmp_path, (200, 10))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "check", "--model", "linmodel", "--design", str(design),
+                             "--sigma2", "1", "--gamma=" + ",".join(["1"] * 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (64, "")
+    assert err == ("evfam: the log-partition ordering in dimension 10 needs 30292137 canonical "
+                   "probes, past 8388608\n")
+    assert peak < 200 * 2 ** 20
 
 
 # V(m) = m (1 + m/10)^5 is a valid model, but Phi's terms cancel: at the grid's
