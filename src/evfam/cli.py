@@ -417,7 +417,7 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_sequential(args) -> int:
-    prior = tuple(_parse_vector(args.prior)) if args.prior else (1.0, 1.0, 1.0, 1.0)
+    prior = tuple(_parse_vector(args.prior).tolist()) if args.prior else (1.0, 1.0, 1.0, 1.0)
     result = simulate_two_sample(_parse_vector(args.arm_means), rounds=args.rounds,
                                  n_paths=args.paths, alpha=args.alpha, seed=args.seed or 0,
                                  prior=prior, tail_window=args.tail_window)
@@ -447,9 +447,10 @@ def _cmd_sequential(args) -> int:
         "tail_log_growth": result.tail_log_growth,
         "threshold": float(np.log(1.0 / result.alpha)),
     })
+    payload = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
     with open(f"{args.out}_summary.json", "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    print(json.dumps(summary, sort_keys=True, indent=2))
+        handle.write(payload + "\n")
+    print(payload)
     return EXIT_OK
 
 

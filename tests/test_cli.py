@@ -831,6 +831,34 @@ def test_sequential_out_of_range_settings_exit_64(capsys, tmp_path, flag, value,
     assert not any(tmp_path.iterdir())
 
 
+# these ran and exited 0: the first two wrote "mean_log_growth": NaN after a RuntimeWarning
+# (0/0 in the ratio), and the third silently plugged in p = 0 for arm 1, whose a + b overflowed
+@pytest.mark.parametrize("prior", ["1e308,1e308,1e308,1e308", "5e-324,1e10,5e-324,1e10",
+                                   "1e308,1e308,1,1"])
+def test_sequential_prior_past_the_float_range_exits_64(capsys, tmp_path, prior):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "sequential", "--arm-means", "0.3,0.6", "--rounds", "20",
+                             "--paths", "5", "--tail-window", "5", "--prior", prior,
+                             "--out", str(tmp_path / "run"))
+    values = repr(tuple(float(v) for v in prior.split(",")))
+    assert (code, out) == (64, "")
+    assert err == (f"evfam: Beta prior {values} takes a posterior mean to 0 or 1 "
+                   "within 20 rounds in float64\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_sequential_paths_header_writes_the_prior_as_plain_floats(capsys, tmp_path):
+    # numpy scalars leaked into the header: "# prior=[np.float64(2.0), ...]"
+    code, _, _ = run(capsys, "sequential", "--arm-means", "0.3,0.6", "--rounds", "20",
+                     "--paths", "5", "--tail-window", "5", "--prior", "2,1,0.5,0.5",
+                     "--out", str(tmp_path / "run"))
+    assert code == 0
+    lines = (tmp_path / "run_paths.csv").read_text().splitlines()
+    assert "# prior=[2.0, 1.0, 0.5, 0.5]" in lines
+    assert json.loads((tmp_path / "run_summary.json").read_text())["prior"] == [2.0, 1.0, 0.5, 0.5]
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 def test_sequential_seed_outside_a_philox_key_word_exits_64(capsys, tmp_path, seed):
     code, out, err = run(capsys, "sequential", "--arm-means", "0.375,0.625", "--rounds", "5",

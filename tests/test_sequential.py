@@ -8,6 +8,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from evfam.errors import DomainError
 from evfam.sequential import LOG_FLOOR, simulate_two_sample
@@ -166,6 +169,79 @@ def test_simulation_memory_is_bounded_by_the_block():
     assert peak < 40e6
 
 
+def test_simulation_memory_is_the_buffers_of_one_block():
+    # the default 128-path block of 500 rounds: 72 bytes per path and round in buffers
+    # allocated once, plus the four 4000-path result arrays; per-block temporaries are
+    # (128, 500) booleans and a few path-sized vectors, under 512 kB together (measured:
+    # 4.86 MB in all, where the select kernel it replaced peaked at 24.9 MB)
+    budget = 72 * 128 * 500 + 4 * 8 * 4000 + 512e3
+    tracemalloc.start()
+    try:
+        simulate_two_sample(arm_means=(0.375, 0.625), rounds=500, n_paths=4000, seed=21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget
+
+
+def _where_kernel(arm_means, rounds, n_paths, alpha, seed, prior, tail_window, block_size):
+    """The block kernel as it stood before the buffered one: two ``np.where`` selects.
+
+    Returns (final_log_values, first_crossing, ever_crossed_fraction,
+    mean_log_growth, tail_log_growth).
+    """
+    (m1, m2), (a1, b1, a2, b2) = arm_means, prior
+    threshold = np.log(1.0 / alpha)
+    wins_prior = np.array([a1, a2])[:, None, None]
+    totals = (np.array([a1 + b1, a2 + b2])[:, None] + np.arange(rounds, dtype=float))[:, None, :]
+    crossed = np.zeros(n_paths, dtype=bool)
+    first_crossing = np.full(n_paths, np.nan)
+    final_log, tail_sums = np.empty(n_paths), np.empty(n_paths)
+    for start in range(0, n_paths, block_size):
+        stop = min(start + block_size, n_paths)
+        u = np.stack([_path_uniforms(seed, path, rounds) for path in range(start, stop)])
+        x = np.stack([u[..., 0] < m1, u[..., 1] < m2])
+        p = (wins_prior + (np.cumsum(x, axis=2, dtype=np.int32) - x)) / totals
+        p_bar = 0.5 * (p[0] + p[1])
+        log_ratio = np.where(x, p, 1.0 - p)
+        log_ratio /= np.where(x, p_bar, 1.0 - p_bar)
+        xlogy(1.0, log_ratio, out=log_ratio)
+        log_path = np.maximum(np.cumsum(log_ratio[0] + log_ratio[1], axis=1), LOG_FLOOR)
+        over = log_path >= threshold
+        block_crossed = over.any(axis=1)
+        crossed[start:stop] = block_crossed
+        first_crossing[start:stop] = np.where(block_crossed, np.argmax(over, axis=1) + 1.0, np.nan)
+        final_log[start:stop] = log_path[:, -1]
+        before_tail = log_path[:, rounds - tail_window - 1] if tail_window < rounds else 0.0
+        tail_sums[start:stop] = log_path[:, -1] - before_tail
+    return (final_log, first_crossing, float(crossed.mean()), float(final_log.mean() / rounds),
+            float(tail_sums.mean() / tail_window))
+
+
+@st.composite
+def _kernel_runs(draw):
+    inside = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    rounds = draw(st.integers(1, 300))
+    n_paths = draw(st.integers(1, 60))
+    return dict(
+        arm_means=(draw(inside), draw(inside)), rounds=rounds, n_paths=n_paths,
+        alpha=draw(inside), seed=draw(st.integers(0, 2 ** 64 - 1)),
+        prior=tuple(10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(4)),
+        tail_window=draw(st.integers(1, rounds)),
+        block_size=draw(st.sampled_from([1, 7, n_paths, n_paths + 5])))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_kernel_runs())
+def test_buffered_kernel_equals_the_where_kernel_bit_for_bit(kwargs):
+    final, first, *scalars = _where_kernel(**kwargs)
+    res = simulate_two_sample(**kwargs)
+    np.testing.assert_array_equal(res.final_log_values.view(np.int64), final.view(np.int64))
+    np.testing.assert_array_equal(res.first_crossing.view(np.int64), first.view(np.int64))
+    assert (repr((res.ever_crossed_fraction, res.mean_log_growth, res.tail_log_growth))
+            == repr(tuple(scalars)))
+
+
 # (simulation settings, whether every path dips below LOG_FLOOR and comes back above it);
 # the first two have paths that cross and paths that do not
 REPLAYED_RUNS = [
@@ -222,6 +298,17 @@ def test_simulation_validates_arguments():
     # rounds 0 was blamed on the tail window: "tail window 100 must lie in 1..0, the rounds"
     with pytest.raises(DomainError, match=r"^rounds 0 must be at least 1$"):
         simulate_two_sample(arm_means=(0.4, 0.5), rounds=0, n_paths=2)
+
+
+def test_prior_whose_posterior_mean_rounds_to_one_mid_run_is_refused():
+    # a + t and a + b + t round to one float at t = 1, 5, 9, ... but not at the last
+    # round, t = 32, so a check on the last round's extremes alone passes this prior;
+    # it ran, and p = 1 made an arm's factor 0 and sent paths to LOG_FLOOR
+    a = 1.4108933207621634e16
+    assert (a + 32.0) / ((a + 3.0) + 32.0) < 1.0 == (a + 1.0) / ((a + 3.0) + 1.0)
+    with pytest.raises(DomainError, match=r"takes a posterior mean to 0 or 1 within 33 rounds"):
+        simulate_two_sample((0.3, 0.6), rounds=33, n_paths=5, tail_window=5,
+                            prior=(a, 3.0, 1.0, 1.0))
 
 
 # only the CLI counted them: the library raised "too many values to unpack
