@@ -417,22 +417,19 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_sequential(args) -> int:
-    prior = tuple(_parse_vector(args.prior).tolist()) if args.prior else (1.0, 1.0, 1.0, 1.0)
-    result = simulate_two_sample(_parse_vector(args.arm_means), rounds=args.rounds,
-                                 n_paths=args.paths, alpha=args.alpha, seed=args.seed or 0,
-                                 prior=prior, tail_window=args.tail_window)
     config = {
-        "alpha": result.alpha,
-        "arm_means": list(result.arm_means),
-        "n_paths": result.n_paths,
-        "prior": list(prior),
-        "rounds": result.rounds,
-        "seed": result.seed,
-        "tail_window": result.tail_window,
+        "alpha": args.alpha,
+        "arm_means": _parse_vector(args.arm_means).tolist(),
+        "n_paths": args.paths,
+        "prior": _parse_vector(args.prior).tolist() if args.prior else [1.0, 1.0, 1.0, 1.0],
+        "rounds": args.rounds,
+        "seed": args.seed,
+        "tail_window": args.tail_window,
     }
+    result = simulate_two_sample(**config)
     path_lines = [f"# {key}={config[key]}" for key in sorted(config)]
     path_lines.append("path,final_log_value,crossed,first_crossing")
-    for i in range(result.n_paths):
+    for i in range(args.paths):
         fc = result.first_crossing[i]
         fc_text = "" if np.isnan(fc) else f"{int(fc)}"
         crossed = int(not np.isnan(fc))
@@ -445,7 +442,7 @@ def _cmd_sequential(args) -> int:
         "ever_crossed_fraction": result.ever_crossed_fraction,
         "mean_log_growth": result.mean_log_growth,
         "tail_log_growth": result.tail_log_growth,
-        "threshold": float(np.log(1.0 / result.alpha)),
+        "threshold": float(np.log(1.0 / args.alpha)),
     })
     payload = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
     with open(f"{args.out}_summary.json", "w", encoding="utf-8") as handle:

@@ -107,7 +107,6 @@ class GridSpec:
     """
 
     points_per_axis: int | None = None
-    axis_ranges: tuple[tuple[float, float], ...] | None = None
     n_pairs: int = 512
     seed: int = 0
 
@@ -121,13 +120,9 @@ class GridSpec:
                                   f"{'positive' if least else 'non-negative'} integer")
 
 
-def _axis_specs(domain: DomainDescriptor, spec: GridSpec) -> list[tuple[float, float, bool]]:
+def _axis_specs(domain: DomainDescriptor) -> list[tuple[float, float, bool]]:
     specs = []
     for i in range(domain.dim):
-        if spec.axis_ranges is not None:
-            lo, hi = spec.axis_ranges[i]
-            specs.append((lo, hi, lo > 0.0))
-            continue
         lo, hi = float(domain.lower[i]), float(domain.upper[i])
         if np.isfinite(lo) and np.isfinite(hi):
             pad = (hi - lo) * 1e-3
@@ -153,14 +148,14 @@ def mean_grid(domain: DomainDescriptor, spec: GridSpec | None = None,
     while per_axis ** domain.dim > MAX_GRID_POINTS and per_axis > 2:
         per_axis -= 1
     axes = [(np.geomspace if log else np.linspace)(lo, hi, per_axis)
-            for lo, hi, log in _axis_specs(domain, spec)]
+            for lo, hi, log in _axis_specs(domain)]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.column_stack([m.ravel() for m in mesh])
     grid = grid[domain.contains(grid)]
     if include is not None and domain.contains(np.asarray(include, dtype=float)):
         grid = np.vstack([grid, np.asarray(include, dtype=float)])
     if grid.shape[0] == 0:
-        raise DomainError("mean grid is empty; supply explicit axis ranges")
+        raise DomainError("mean grid is empty: no grid point lies in the domain")
     return grid
 
 
@@ -210,7 +205,7 @@ def mean_pairs(domain: DomainDescriptor, spec: GridSpec | None = None) -> np.nda
     ``4 * n_pairs`` (the same rows first) only when the domain rejects some.
     """
     spec = spec or GridSpec()
-    lo, hi, log = (np.tile(np.array(col), 2) for col in zip(*_axis_specs(domain, spec)))
+    lo, hi, log = (np.tile(np.array(col), 2) for col in zip(*_axis_specs(domain)))
     for n in (spec.n_pairs, 4 * spec.n_pairs):
         raw = _halton(2 * domain.dim, spec.seed, n)
         points = lo + (hi - lo) * raw
@@ -224,7 +219,7 @@ def mean_pairs(domain: DomainDescriptor, spec: GridSpec | None = None) -> np.nda
         if pairs.shape[0] == spec.n_pairs:
             break
     if pairs.shape[0] == 0:
-        raise DomainError("no valid mean pairs found; supply explicit axis ranges")
+        raise DomainError("no valid mean pairs found: no drawn pair lies in the domain")
     return pairs
 
 

@@ -26,40 +26,42 @@ __all__ = [
 ]
 
 CSV_HEADER = ("figure", "series", "x", "y", "flag")
+FIG1_CARRIERS = ((1.0, 1.0), (2.0, 4.0), (-3.0, 9.0))
+FIG1_POINTS = 65
+FIG2_BETA_RANGE = 16.0
+FIG2_POINTS = 129
+FIG3_GRID_RANGE = (0.1, 8.0)
+FIG3_POINTS = 64
 
 
-def scale_tilt_trajectories(carriers=((1.0, 1.0), (2.0, 4.0), (-3.0, 9.0)),
-                            n_points: int = 65):
+def scale_tilt_trajectories():
     """Trajectories of tilted normal carriers in the (variance, location) plane.
 
     Tilting N(m, s^2) through the squared-observation statistic gives the
     members N(m c / t, 1 / (2 t)) for t in (0, inf) with c = 1 / (2 s^2);
     t = c recovers the carrier (flagged ``anchor``) and the projection onto
     the zero-location family sits at variance s^2 + m^2 (flagged
-    ``projection``).
+    ``projection``).  Each of ``FIG1_CARRIERS`` gives ``FIG1_POINTS`` members.
     """
     rows = []
-    for m, s2 in carriers:
-        if s2 <= 0:
-            raise DomainError("carrier variances must be positive")
+    for m, s2 in FIG1_CARRIERS:
         series = f"m={m:g};s2={s2:g}"
         c = 1.0 / (2.0 * s2)
-        ts = np.geomspace(c / 16.0, 16.0 * c, n_points)
+        ts = np.geomspace(c / 16.0, 16.0 * c, FIG1_POINTS)
         anchor_idx = int(np.argmin(np.abs(np.log(ts / c))))
         for i, t in enumerate(ts):
             flag = "anchor" if i == anchor_idx else ""
             rows.append(("fig1", series, 1.0 / (2.0 * t), m * c / t, flag))
         rows.append(("fig1", series, s2 + m * m, 0.0, "projection"))
-    config = {"carriers": [list(pair) for pair in carriers], "n_points": n_points}
+    config = {"carriers": [list(pair) for pair in FIG1_CARRIERS], "n_points": FIG1_POINTS}
     return rows, config
 
 
-def bernoulli_tilt_curves(arm_means=(0.375, 0.625), beta_range: float = 16.0,
-                          n_points: int = 129):
+def bernoulli_tilt_curves(arm_means=(0.375, 0.625)):
     """Per-arm means of the tilted two-sample Bernoulli family against the tilt.
 
-    Both arms move monotonically under a common exponential tilt, from 0 to
-    1, passing through the carrier means at zero tilt.
+    Both arms move monotonically under a common exponential tilt, from 0 to 1,
+    through the carrier means at zero tilt (``FIG2_POINTS`` tilts on +-``FIG2_BETA_RANGE``).
     """
     if len(arm_means) != 2:
         raise DomainError(f"fig2 needs exactly two arm means, got {len(arm_means)}")
@@ -67,7 +69,7 @@ def bernoulli_tilt_curves(arm_means=(0.375, 0.625), beta_range: float = 16.0,
     if not (0.0 < m1 < 1.0 and 0.0 < m2 < 1.0):
         raise DomainError("arm means must lie strictly inside (0, 1)")
     from scipy.special import expit, logit
-    betas = np.linspace(-beta_range, beta_range, n_points)
+    betas = np.linspace(-FIG2_BETA_RANGE, FIG2_BETA_RANGE, FIG2_POINTS)
     rows = []
     for arm, m in (("arm1", m1), ("arm2", m2)):
         series = f"{arm};m1={m1:g};m2={m2:g}"
@@ -75,12 +77,11 @@ def bernoulli_tilt_curves(arm_means=(0.375, 0.625), beta_range: float = 16.0,
         for beta in betas:
             flag = "anchor" if beta == 0.0 else ""
             rows.append(("fig2", series, float(beta), float(expit(base + beta)), flag))
-    config = {"arm_means": [m1, m2], "beta_range": beta_range, "n_points": n_points}
+    config = {"arm_means": [m1, m2], "beta_range": FIG2_BETA_RANGE, "n_points": FIG2_POINTS}
     return rows, config
 
 
-def ig_expectation_curves(lam: float = 2.0, mus=(0.8, 1.5, 2.5),
-                          grid_range=(0.1, 8.0), n_points: int = 64):
+def ig_expectation_curves(lam: float = 2.0, mus=(0.8, 1.5, 2.5)):
     """Null expectation of the inverse-Gaussian-vs-exponential ratio.
 
     The null is an exponential family, so under its member with mean mu' the
@@ -89,12 +90,13 @@ def ig_expectation_curves(lam: float = 2.0, mus=(0.8, 1.5, 2.5),
     (:func:`tilt.f_gap_info`).  Points where that gap is +inf, past the
     closed-form divergence threshold, are flagged ``diverged``.
     Alternatives whose local covariance check already fails produce no
-    curve, just a single ``not-local`` marker.  ``lam`` and every mean must
-    be finite and > 0, as ``ig_vs_exp_pairing`` requires.
+    curve, just a single ``not-local`` marker.  A curve has ``FIG3_POINTS``
+    means mu', log-spaced over ``FIG3_GRID_RANGE``.  ``lam`` and every mean
+    must be finite and > 0, as ``ig_vs_exp_pairing`` requires.
     """
     for name, value in (("lam", lam), *(("mu", mu) for mu in mus)):
         _require_positive(value, "inverse-Gaussian-vs-exponential", name)
-    grid = np.geomspace(grid_range[0], grid_range[1], n_points)
+    grid = np.geomspace(*FIG3_GRID_RANGE, FIG3_POINTS)
     rows = []
     for mu in mus:
         series = f"mu={mu:g}"
@@ -112,8 +114,8 @@ def ig_expectation_curves(lam: float = 2.0, mus=(0.8, 1.5, 2.5),
     config = {
         "lambda": lam,
         "alternative_means": list(mus),
-        "grid_range": list(grid_range),
-        "n_points": n_points,
+        "grid_range": list(FIG3_GRID_RANGE),
+        "n_points": FIG3_POINTS,
         "thresholds": {f"mu={mu:g}": (ig_divergence_threshold(lam, mu)
                                       if ig_regime(lam, mu) == "local-not-global" else None)
                        for mu in mus},

@@ -38,7 +38,7 @@ import numpy as np
 from .domains import DomainDescriptor
 from .errors import DataError, DomainError
 from .families import ExpFamilyDescriptor
-from .models import Pairing, _member_pairing
+from .models import Pairing, _member_pairing, _require_positive
 from .util import TOL_PSD, float_or_array as _scalar, matvec, psd_margin, rowdot
 
 __all__ = [
@@ -319,10 +319,16 @@ def linmodel_psd_check(design: LinearModelDesign, theta: float, mu,
 def linmodel_pairing(design: LinearModelDesign, sigma2: float, gamma) -> Pairing:
     """Alternative member (sigma2, gamma) against the theta = 0 null family.
 
-    A member whose mean or covariance is not finite is refused by name;
+    A sigma2 that is not finite and > 0, a gamma of the wrong length and a
+    member whose mean or covariance is not finite are refused by name;
     ``params_from_mean`` refuses one whose variance does not come back.
     """
-    params = LinearModelParams(sigma2=sigma2, gamma=np.asarray(gamma, dtype=float).reshape(design.d + 1))
+    _require_positive(sigma2, "linmodel", "sigma2")
+    gamma = np.asarray(gamma, dtype=float).ravel()
+    if gamma.size != design.d + 1:
+        raise DomainError(f"linmodel gamma has length {gamma.size}; "
+                          f"the design has {design.d + 1} columns")
+    params = LinearModelParams(sigma2=sigma2, gamma=gamma)
     with np.errstate(all="ignore"):
         mean = mean_of_params(design, params)
         cov = covariance_of_params(design, params)

@@ -439,8 +439,9 @@ def inverse_gaussian_family(lam: float) -> ExpFamilyDescriptor:
 # Gaussian families
 
 def _gaussian_logz(beta: np.ndarray, anchor: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """beta . anchor + beta' cov beta / 2 for (..., d) batches."""
-    return rowdot(beta, anchor) + 0.5 * rowdot(matvec(cov.T, beta), beta)
+    """beta . anchor + beta' cov beta / 2 for (..., d) batches; an overflow is an honest inf."""
+    with np.errstate(over="ignore"):
+        return rowdot(beta, anchor) + 0.5 * rowdot(matvec(cov.T, beta), beta)
 
 
 def _solve_each(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -745,7 +746,10 @@ def gaussian_location_constrained(cov, d0: int, alt_mean) -> Pairing:
     d = cov.shape[0]
     if not 0 < d0 < d:
         raise UnsupportedModelError("constrained location pairing needs 0 < d0 < dim")
-    alt_mean = np.asarray(alt_mean, dtype=float).reshape(d)
+    alt_mean = np.asarray(alt_mean, dtype=float).ravel()
+    if alt_mean.size != d:
+        raise DomainError(f"gaussian-location-constrained alt_mean has length {alt_mean.size}; "
+                          f"the covariance has dimension {d}")
     free = slice(d0, d)
     prec = np.linalg.inv(cov)
     a_rows = prec[free, :]

@@ -1,8 +1,8 @@
 """Central finite differences with coordinate-wise relative steps.
 
-Step sizes follow h_i = base * (1 + |x_i|); the default base of 1e-6 is
-near-optimal for first derivatives in double precision, and 1e-4 (about
-eps^(1/4)) for second derivatives.
+Step sizes follow h_i = base * (1 + |x_i|), with base ``DEFAULT_STEP`` = 1e-6,
+near-optimal for first derivatives in double precision, and
+``DEFAULT_STEP_SECOND`` = 1e-4 (about eps^(1/4)) for second derivatives.
 
 Every helper builds its whole stencil as one array and calls ``f`` once:
 ``f`` maps points of shape ``(..., n)`` to values of shape ``(...)`` (or
@@ -22,13 +22,9 @@ DEFAULT_STEP = 1e-6
 DEFAULT_STEP_SECOND = 1e-4
 
 
-def _steps(x: np.ndarray, base: float) -> np.ndarray:
-    return base * (1.0 + np.abs(x))
-
-
-def _central(f: Callable, x: np.ndarray, base: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _central(f: Callable, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f at x + h_i e_i and x - h_i e_i for every axis i, stacked on axis -2 / -1."""
-    h = _steps(x, base)
+    h = DEFAULT_STEP * (1.0 + np.abs(x))
     shifts = h[..., None, :] * np.eye(x.shape[-1])             # (..., n, n), row i = h_i e_i
     stencil = np.concatenate([x[..., None, :] + shifts, x[..., None, :] - shifts], axis=-2)
     vals = np.asarray(f(stencil), dtype=float)
@@ -37,24 +33,21 @@ def _central(f: Callable, x: np.ndarray, base: float) -> tuple[np.ndarray, np.nd
     return vals[..., :n], vals[..., n:], h
 
 
-def fd_gradient(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                base: float = DEFAULT_STEP) -> np.ndarray:
+def fd_gradient(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Central-difference gradient of a scalar function, shape (..., n)."""
     x = np.asarray(x, dtype=float)
-    plus, minus, h = _central(f, x, base)
+    plus, minus, h = _central(f, x)
     return (plus - minus) / (2.0 * h)
 
 
-def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                base: float = DEFAULT_STEP) -> np.ndarray:
+def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of a vector function, shape (..., m, n)."""
     x = np.asarray(x, dtype=float)
-    plus, minus, h = _central(f, x, base)
+    plus, minus, h = _central(f, x)
     return (plus - minus) / (2.0 * h[..., None, :])
 
 
-def fd_hessian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-               base: float = DEFAULT_STEP_SECOND) -> np.ndarray:
+def fd_hessian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Central-difference Hessian of a scalar function, shape (..., n, n).
 
     Diagonal entries use the three-point second difference, off-diagonal
@@ -62,7 +55,7 @@ def fd_hessian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    h = _steps(x, base)
+    h = DEFAULT_STEP_SECOND * (1.0 + np.abs(x))
     unit = h[..., None, :] * np.eye(n)                         # (..., n, n), row i = h_i e_i
     iu, ju = np.triu_indices(n, 1)
     ei, ej = unit[..., iu, :], unit[..., ju, :]

@@ -12,10 +12,10 @@ in both arms.  The running log value is the cumulative sum of the log
 factors, floored at ``LOG_FLOOR`` so that it stays finite.
 
 :func:`simulate_two_sample` is the one implementation.  It draws each
-path's outcomes from its own Philox stream and evaluates paths in blocks, in
-place on buffers allocated once per call (72 bytes per path and round of a
-block), so its memory grows with the block size, not with the number of
-paths.  A prior that rounds a reachable posterior mean to 0 or 1 is refused.
+path's outcomes from its own Philox stream and evaluates paths in blocks of
+``BLOCK_PATHS``, in place on buffers allocated once per call, so its memory
+does not grow with the number of paths.  A prior that rounds a reachable
+posterior mean to 0 or 1 is refused.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 LOG_FLOOR = -745.0
+BLOCK_PATHS = 128
 
 
 @dataclass(frozen=True)
@@ -44,12 +45,6 @@ class SimulationResult:
     final_log_values: np.ndarray
     mean_log_growth: float
     tail_log_growth: float
-    tail_window: int
-    rounds: int
-    n_paths: int
-    alpha: float
-    arm_means: tuple[float, float]
-    seed: int
 
 
 def _fill_uniforms(out: np.ndarray, first_path: int, seed: int) -> None:
@@ -70,8 +65,7 @@ def _fill_uniforms(out: np.ndarray, first_path: int, seed: int) -> None:
 
 def simulate_two_sample(arm_means, rounds: int = 500, n_paths: int = 1000,
                         alpha: float = 0.05, seed: int = 0,
-                        prior=(1.0, 1.0, 1.0, 1.0), tail_window: int = 100,
-                        block_size: int = 128) -> SimulationResult:
+                        prior=(1.0, 1.0, 1.0, 1.0), tail_window: int = 100) -> SimulationResult:
     """Simulate the Beta plug-in e-process over independent outcome paths.
 
     Each path draws from its own counter-based stream keyed by (seed, path
@@ -79,11 +73,11 @@ def simulate_two_sample(arm_means, rounds: int = 500, n_paths: int = 1000,
     growth rate averages the per-round log increments over the final
     ``tail_window`` rounds, after the plug-in means have settled.
 
-    ``block_size`` bounds the number of paths held in memory at once.  The
-    call allocates its buffers once: the uniforms and three float64 arrays
-    of shape ``(2, block_size, rounds)`` and one of ``(block_size,
-    rounds)``, 72 bytes per path and round, 4.6 MB for the default 128
-    paths of 500 rounds.  The results do not depend on it.
+    Paths run in blocks of ``BLOCK_PATHS``, which bounds the number held in
+    memory at once.  The call allocates its buffers once: the uniforms and
+    three float64 arrays of shape ``(2, BLOCK_PATHS, rounds)`` and one of
+    ``(BLOCK_PATHS, rounds)``, 72 bytes per path and round, 4.6 MB for 500
+    rounds.  The results do not depend on the block size.
 
     A prior is refused with a :class:`DomainError` when a posterior mean
     the run can reach, ``(a + k) / (a + b + t)`` for ``k <= t < rounds``,
@@ -129,7 +123,7 @@ def simulate_two_sample(arm_means, rounds: int = 500, n_paths: int = 1000,
     first_crossing = np.full(n_paths, np.nan)
     final_log = np.empty(n_paths)
     tail_sums = np.empty(n_paths)
-    block_size = min(block_size, n_paths)
+    block_size = min(BLOCK_PATHS, n_paths)
     uniforms = np.empty((block_size, rounds, 2))
     # every step runs in place on these: outcomes x, posterior means p and a scratch s
     buffers = np.empty((3, 2, block_size, rounds))
@@ -179,10 +173,4 @@ def simulate_two_sample(arm_means, rounds: int = 500, n_paths: int = 1000,
         final_log_values=final_log,
         mean_log_growth=float(final_log.mean() / rounds),
         tail_log_growth=float(tail_sums.mean() / tail_window),
-        tail_window=tail_window,
-        rounds=rounds,
-        n_paths=n_paths,
-        alpha=alpha,
-        arm_means=(m1, m2),
-        seed=seed,
     )

@@ -675,6 +675,47 @@ def test_a_value_past_the_float_range_exits_64_without_a_runtime_warning(capsys,
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+# numpy's "cannot reshape array of size 2 into shape (3,)" reached the user
+# (a 5 x 3 design), as did "... of size 1 into shape (2,)"
+@pytest.mark.parametrize("argv, message", [
+    (["--model", "linmodel", "--design", DESIGN, "--gamma=1,1"],
+     "linmodel gamma has length 2; the design has 3 columns"),
+    (["--model", "gaussian-location-constrained", "--cov", "1,0.4;0.4,2", "--constrained", "1",
+      "--alt-mean", "1"],
+     "gaussian-location-constrained alt_mean has length 1; the covariance has dimension 2"),
+], ids=["linmodel-gamma", "constrained-alt-mean"])
+def test_a_vector_of_the_wrong_length_exits_64_naming_both_lengths(capsys, tmp_path, argv,
+                                                                   message):
+    argv = [str(_write_design(tmp_path, (5, 3))) if arg == DESIGN else arg for arg in argv]
+    assert run(capsys, "check", *argv) == (64, "", f"evfam: {message}\n")
+
+
+# NaN passed the `sigma2 <= 0` test of LinearModelParams and was refused as "past
+# the float range"; -1 and 0 were refused without their value
+@pytest.mark.parametrize("sigma2", ["nan", "-1", "0", "-inf"])
+def test_linmodel_sigma2_that_is_not_positive_exits_64_naming_it(capsys, tmp_path, sigma2):
+    design = _write_design(tmp_path, (5, 3))
+    code, out, err = run(capsys, "check", "--model", "linmodel", "--design", str(design),
+                         "--gamma=1,1,1", f"--sigma2={sigma2}")
+    assert (code, out, err) == (
+        64, "", f"evfam: linmodel needs a finite sigma2 > 0, got sigma2={float(sigma2)!r}\n")
+
+
+# beta' cov beta overflowed in util.rowdot's matmul, which warned twice before the
+# honest inf gave the same certificate
+@pytest.mark.parametrize("argv", [
+    ["--model", "gaussian-location", "--cov-null", "1,0;0,1", "--cov-alt", "0.5,0;0,0.5",
+     "--alt-mean", "1e308,0"],
+    ["--model", "gaussian-location-constrained", "--cov", "1,0.4;0.4,2", "--constrained", "1",
+     "--alt-mean", "1e308,1"],
+], ids=["gaussian-location", "constrained"])
+def test_gaussian_location_at_a_huge_mean_certifies_without_a_runtime_warning(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "check", *argv)
+    assert (code, err, json.loads(out)["overall"]) == (0, "", "simple-evariable-certified")
+
+
 # the alternative's variance m^3 / lam overflows at lam = 1e-300, and the pairing
 # and KL products overflow at lam >= 1e299: each overflow is an honest inf, and
 # the verdict is the refutation the swept lams in between give, without a warning

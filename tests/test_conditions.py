@@ -73,13 +73,6 @@ def test_mean_grid_appends_include_point():
     assert np.any(np.all(g == 2.75, axis=1))
 
 
-def test_mean_grid_respects_axis_ranges():
-    spec = GridSpec(points_per_axis=16, axis_ranges=((-2.0, 2.0),))
-    g = mean_grid(full_space(1), spec)
-    assert g.shape == (16, 1)
-    assert g.min() >= -2.0 and g.max() <= 2.0
-
-
 def test_mean_pairs_shape_and_determinism():
     dom = full_space(2)
     p1 = mean_pairs(dom, SPEC)
@@ -93,7 +86,7 @@ def test_mean_pairs_shape_and_determinism():
 
 def _first_accepted_of_a_fourfold_draw(domain, spec: GridSpec) -> np.ndarray:
     """The first n_pairs accepted pairs of 4 n_pairs Halton rows, as one draw."""
-    lo, hi, log = (np.tile(np.array(col), 2) for col in zip(*_axis_specs(domain, spec)))
+    lo, hi, log = (np.tile(np.array(col), 2) for col in zip(*_axis_specs(domain)))
     raw = _halton(2 * domain.dim, spec.seed, 4 * spec.n_pairs)
     points = lo + (hi - lo) * raw
     for j in np.flatnonzero(log):

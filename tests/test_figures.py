@@ -8,6 +8,7 @@ from scipy.special import expit, logit
 
 from evfam.errors import DomainError, UnsupportedModelError
 from evfam.figures import (
+    FIG1_CARRIERS,
     bernoulli_tilt_curves,
     figure_data,
     ig_expectation_curves,
@@ -19,8 +20,10 @@ from evfam.oracles import expect_quadrature
 
 
 def test_scale_trajectories_anchor_and_projection():
-    rows, config = scale_tilt_trajectories(carriers=((-3.0, 9.0),), n_points=65)
-    assert config["carriers"] == [[-3.0, 9.0]]
+    rows, config = scale_tilt_trajectories()
+    assert config["carriers"] == [[1.0, 1.0], [2.0, 4.0], [-3.0, 9.0]]
+    assert len(rows) == 3 * (config["n_points"] + 1)
+    rows = [r for r in rows if r[1] == "m=-3;s2=9"]
     anchors = [r for r in rows if r[4] == "anchor"]
     assert len(anchors) == 1
     # the anchor is the carrier itself: variance 9, location -3
@@ -31,23 +34,19 @@ def test_scale_trajectories_anchor_and_projection():
 
 
 def test_scale_trajectories_lie_on_the_member_curve():
-    rows, _ = scale_tilt_trajectories(carriers=((2.0, 4.0),), n_points=33)
-    c = 1.0 / 8.0
-    for _, _, var, loc, flag in rows:
-        if flag == "projection":
-            continue
-        # member at parameter t: variance 1/(2t), location m c / t
-        t = 1.0 / (2.0 * var)
-        assert loc == pytest.approx(2.0 * c / t, rel=1e-12)
-
-
-def test_scale_trajectories_validate_variance():
-    with pytest.raises(DomainError):
-        scale_tilt_trajectories(carriers=((1.0, -2.0),))
+    rows, _ = scale_tilt_trajectories()
+    for m, s2 in FIG1_CARRIERS:
+        c = 1.0 / (2.0 * s2)
+        for _, _, var, loc, flag in (r for r in rows if r[1] == f"m={m:g};s2={s2:g}"):
+            if flag == "projection":
+                continue
+            # member at parameter t: variance 1/(2t), location m c / t
+            t = 1.0 / (2.0 * var)
+            assert loc == pytest.approx(m * c / t, rel=1e-12)
 
 
 def test_bernoulli_curves_monotone_through_anchor():
-    rows, _ = bernoulli_tilt_curves(arm_means=(0.375, 0.625), n_points=41)
+    rows, _ = bernoulli_tilt_curves(arm_means=(0.375, 0.625))
     for arm, m in (("arm1", 0.375), ("arm2", 0.625)):
         series = [r for r in rows if r[1].startswith(arm)]
         ys = np.array([r[3] for r in series])
@@ -82,9 +81,9 @@ def test_ig_curves_refuse_a_parameter_that_is_not_finite_and_positive(options, n
 
 
 def test_ig_curves_flag_divergence_past_threshold():
-    rows, config = ig_expectation_curves(lam=2.0, mus=(1.5,), grid_range=(3.0, 6.0),
-                                         n_points=10)
+    rows, config = ig_expectation_curves(lam=2.0, mus=(1.5,))
     assert config["thresholds"]["mu=1.5"] == pytest.approx(4.5)
+    assert {flag for *_, flag in rows} == {"finite", "diverged"}
     for _, _, x, y, flag in rows:
         if x < 4.5:
             assert flag == "finite" and np.isfinite(y)
@@ -93,27 +92,26 @@ def test_ig_curves_flag_divergence_past_threshold():
 
 
 def test_ig_curves_mark_not_local_alternatives():
-    rows, _ = ig_expectation_curves(lam=2.0, mus=(2.5,), n_points=4)
+    rows, _ = ig_expectation_curves(lam=2.0, mus=(2.5,))
     assert rows == [("fig3", "mu=2.5", 2.5, pytest.approx(np.nan, nan_ok=True),
                      "not-local")]
 
 
 def test_ig_curves_all_finite_in_the_global_regime():
-    rows, _ = ig_expectation_curves(lam=2.0, mus=(0.8,), grid_range=(0.5, 6.0),
-                                    n_points=8)
+    rows, _ = ig_expectation_curves(lam=2.0, mus=(0.8,))
     assert all(flag == "finite" for *_, flag in rows)
     assert all(np.isfinite(r[3]) for r in rows)
 
 
 def test_figure_dispatch_and_unknown_id():
-    rows, config = figure_data("fig2", n_points=11)
-    assert len(rows) == 22 and config["n_points"] == 11
+    rows, config = figure_data("fig2")
+    assert len(rows) == 2 * 129 and config["n_points"] == 129
     with pytest.raises(DomainError, match="unknown figure id"):
         figure_data("fig9")
 
 
 def test_csv_writer_is_deterministic(tmp_path):
-    rows, config = figure_data("fig1", n_points=9)
+    rows, config = figure_data("fig1")
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_figure_csv(rows, config, p1)
     write_figure_csv(rows, config, p2)
@@ -145,11 +143,13 @@ def _quadrature_expectation(lam, mu, mu_prime):
 
 
 # the closed form against the independent quadrature route, on both sides of
-# the mu = 1.5 threshold (4.5) and in the all-finite regime
+# the mu = 1.5 threshold (4.5) and in the all-finite regime, at every eighth
+# point of the curve inside grid_range
 @pytest.mark.parametrize("mu, grid_range", [(0.8, (0.2, 7.0)), (1.5, (0.5, 6.0))])
 def test_ig_curve_points_match_quadrature(mu, grid_range):
-    rows, _ = ig_expectation_curves(lam=2.0, mus=(mu,), grid_range=grid_range, n_points=5)
-    for _, _, mu_prime, y, flag in rows:
+    rows, _ = ig_expectation_curves(lam=2.0, mus=(mu,))
+    inside = [r for r in rows if grid_range[0] <= r[2] <= grid_range[1]]
+    for _, _, mu_prime, y, flag in inside[::8]:
         est = _quadrature_expectation(2.0, mu, mu_prime)
         assert flag == ("diverged" if est.diverged else "finite")
         if flag == "finite":

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from evfam.errors import DomainError
+from evfam import sequential
 from evfam.sequential import LOG_FLOOR, simulate_two_sample
 
 
@@ -111,7 +113,7 @@ def test_crossing_threshold_uses_running_maximum():
     assert res.ever_crossed_fraction == crossed.mean()
 
 
-def test_simulation_is_deterministic_and_block_invariant():
+def test_simulation_is_deterministic_and_block_invariant(monkeypatch):
     kwargs = dict(arm_means=(0.375, 0.625), rounds=60, n_paths=40, seed=3,
                   tail_window=20)
     r1 = simulate_two_sample(**kwargs)
@@ -119,7 +121,8 @@ def test_simulation_is_deterministic_and_block_invariant():
     assert np.array_equal(r1.final_log_values, r2.final_log_values)
     # one path per block, a ragged last block, exactly one block, a block past n_paths
     for block_size in (1, 7, 40, 500):
-        r3 = simulate_two_sample(**kwargs, block_size=block_size)
+        monkeypatch.setattr(sequential, "BLOCK_PATHS", block_size)
+        r3 = simulate_two_sample(**kwargs)
         assert np.array_equal(r1.final_log_values, r3.final_log_values)
         np.testing.assert_array_equal(r1.first_crossing, r3.first_crossing)
     r4 = simulate_two_sample(arm_means=(0.375, 0.625), rounds=60, n_paths=40,
@@ -170,7 +173,7 @@ def test_simulation_memory_is_bounded_by_the_block():
 
 
 def test_simulation_memory_is_the_buffers_of_one_block():
-    # the default 128-path block of 500 rounds: 72 bytes per path and round in buffers
+    # the 128-path block (BLOCK_PATHS) of 500 rounds: 72 bytes per path and round in buffers
     # allocated once, plus the four 4000-path result arrays; per-block temporaries are
     # (128, 500) booleans and a few path-sized vectors, under 512 kB together (measured:
     # 4.86 MB in all, where the select kernel it replaced peaked at 24.9 MB)
@@ -235,7 +238,9 @@ def _kernel_runs(draw):
 @given(_kernel_runs())
 def test_buffered_kernel_equals_the_where_kernel_bit_for_bit(kwargs):
     final, first, *scalars = _where_kernel(**kwargs)
-    res = simulate_two_sample(**kwargs)
+    run = {name: value for name, value in kwargs.items() if name != "block_size"}
+    with mock.patch.object(sequential, "BLOCK_PATHS", kwargs["block_size"]):
+        res = simulate_two_sample(**run)
     np.testing.assert_array_equal(res.final_log_values.view(np.int64), final.view(np.int64))
     np.testing.assert_array_equal(res.first_crossing.view(np.int64), first.view(np.int64))
     assert (repr((res.ever_crossed_fraction, res.mean_log_growth, res.tail_log_growth))
@@ -334,6 +339,5 @@ def test_non_integer_seed_is_refused(seed):
 def test_numpy_integer_seed_runs_that_seed():
     kwargs = dict(arm_means=(0.3, 0.6), rounds=20, n_paths=5, tail_window=5)
     res = simulate_two_sample(seed=np.int64(3), **kwargs)
-    assert res.seed == 3 and type(res.seed) is int
     np.testing.assert_array_equal(res.final_log_values,
                                   simulate_two_sample(seed=3, **kwargs).final_log_values)
