@@ -18,6 +18,7 @@ files carry their effective configuration as '#' comment lines.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import json
@@ -306,7 +307,11 @@ def _grid_spec(args) -> GridSpec:
 def _anchor_mean(args, pairing) -> np.ndarray:
     if args.mu is None:
         return np.asarray(pairing.tilted.mu_star, dtype=float)
-    return pairing.null.vec(_parse_vector(args.mu) if "," in args.mu else float(args.mu))
+    mu = _parse_vector(args.mu) if "," in args.mu else np.array([float(args.mu)])
+    if mu.size != pairing.null.dim:
+        raise ValueError(f"--mu has length {mu.size}; the {args.model} mean has dimension "
+                         f"{pairing.null.dim}")
+    return mu
 
 
 def _cmd_catalog(_args) -> int:
@@ -329,43 +334,74 @@ def _cmd_check(args) -> int:
     return _OVERALL_EXIT[report.overall]
 
 
-def _format_rows(values: np.ndarray, logs: np.ndarray) -> str:
-    """The ``row,evalue,log_evalue`` lines, each ending in a newline.
+BLOCK_ROWS = 8192  # rows formatted per write: the output text in memory is one block
 
-    Two routes give the same bytes.  When the rows hold at most half as many
-    distinct ``(evalue, log_evalue)`` bit patterns as there are rows (count
-    data, where the log e-value depends only on a few distinct observations),
-    each distinct pair is formatted with ``%.17g`` once, and one ``%d,%s``
-    pass stitches the row numbers to their pair's text.  Otherwise a single
-    ``%`` call formats every row from one interleaved tuple.  Patterns are
-    compared as bits, so 0.0 and -0.0 stay apart; one sort of the log bits
-    counts them.
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``values`` in ascending order, from one ``np.sort``.
+
+    ``np.unique`` hashes its input, which on 200k distinct int64 takes about
+    30 times as long as the sort.
     """
-    n = logs.size
-    values = np.ascontiguousarray(values, dtype=float)
-    logs = np.ascontiguousarray(logs, dtype=float)
-    log_bits = logs.view(np.int64)
-    sorted_bits = np.sort(log_bits)
-    if 2 * (1 + np.count_nonzero(sorted_bits[1:] != sorted_bits[:-1])) <= n:
-        distinct, inverse = np.unique(log_bits, return_inverse=True)
-        distinct_values = np.empty(distinct.size)
-        distinct_values[inverse] = values
-        # an e-value is exp of its log, so each log pattern has one value; check the bits
-        if np.array_equal(distinct_values[inverse].view(np.int64), values.view(np.int64)):
-            pairs: list = [None] * (2 * distinct.size)
-            pairs[0::2] = distinct_values.tolist()
-            pairs[1::2] = distinct.view(float).tolist()
-            cells = np.array((("%.17g,%.17g\n" * distinct.size) % tuple(pairs)).splitlines(),
-                             dtype=object)
-            fields: list = [None] * (2 * n)
-            fields[0::2] = range(n)
-            fields[1::2] = cells[inverse].tolist()
-            return ("%d,%s\n" * n) % tuple(fields)
-    fields = [None] * (3 * n)
-    fields[0::3] = range(n)
-    fields[1::3] = values.tolist()
-    fields[2::3] = logs.tolist()
-    return ("%d,%.17g,%.17g\n" * n) % tuple(fields)
+    ordered = np.sort(values, axis=None)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+
+
+def _distinct_rows(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct rows of ``batch``, and each row's index among them.
+
+    Rows are keyed by their float64 bits, so 0.0 and -0.0 stay apart.  A row
+    of k columns is keyed by its elements' codes in one sort of every
+    element, read as the k digits of one int64.  None when more than half the
+    rows are distinct, or when k digits do not fit an int64.
+    """
+    bits = np.ascontiguousarray(batch, dtype=float).view(np.int64)
+    keys = bits
+    if bits.ndim == 2:
+        elements = _sorted_distinct(bits)
+        # a row holds at most k of the elements, so m elements need m / k distinct rows
+        if (2 * elements.size > bits.size
+                or elements.size ** bits.shape[1] > np.iinfo(np.int64).max):
+            return None
+        keys = np.searchsorted(elements, bits) @ elements.size ** np.arange(bits.shape[1])[::-1]
+    distinct = _sorted_distinct(keys)
+    if 2 * distinct.size > keys.size:
+        return None
+    inverse = np.searchsorted(distinct, keys)
+    rows = np.empty((distinct.size, *batch.shape[1:]))
+    rows[inverse] = batch  # every row with one key has the same bits
+    return rows, inverse
+
+
+def _write_rows(write, values: np.ndarray, logs: np.ndarray, inverse: np.ndarray | None) -> None:
+    """Write the ``row,evalue,log_evalue`` lines, at most ``BLOCK_ROWS`` rows a call.
+
+    Without ``inverse``, ``values`` and ``logs`` hold one entry per row, and
+    each block is one ``%`` call on an interleaved tuple.  With it, they hold
+    one entry per distinct row and row i takes entry ``inverse[i]``: each
+    distinct ``(evalue, log_evalue)`` cell is formatted with ``%.17g`` once,
+    and each block stitches the row numbers to their cells.
+    """
+    n = logs.size if inverse is None else inverse.size
+    if inverse is not None:
+        pairs: list = [None] * (2 * logs.size)
+        pairs[0::2] = values.tolist()
+        pairs[1::2] = logs.tolist()
+        cells = np.array((("%.17g,%.17g\n" * logs.size) % tuple(pairs)).splitlines(),
+                         dtype=object)
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        if inverse is None:
+            fields: list = [None] * (3 * (stop - start))
+            fields[0::3] = range(start, stop)
+            fields[1::3] = values[start:stop].tolist()
+            fields[2::3] = logs[start:stop].tolist()
+            write(("%d,%.17g,%.17g\n" * (stop - start)) % tuple(fields))
+        else:
+            fields = [None] * (2 * (stop - start))
+            fields[0::2] = range(start, stop)
+            fields[1::2] = cells[inverse[start:stop]].tolist()
+            write(("%d,%s\n" * (stop - start)) % tuple(fields))
 
 
 def _cmd_evalue(args) -> int:
@@ -384,25 +420,33 @@ def _cmd_evalue(args) -> int:
         expected = "one column" if width == 1 else f"{width} columns"
         raise DataError(f"model {pairing.name} expects {expected}, got {data.shape[1]}")
     batch = data[:, 0] if null.element_ndim == 0 else data
-    try:
-        logs = np.atleast_1d(simple_log_evalue(pairing.tilted, null, mu, batch))
-    except (ValueError, FloatingPointError) as exc:
-        raise DataError(f"data incompatible with model {pairing.name}: {exc}") from None
-    total = logs.sum()
+
+    def log_evalues(rows):
+        try:
+            return np.atleast_1d(simple_log_evalue(pairing.tilted, null, mu, rows))
+        except (ValueError, FloatingPointError) as exc:
+            raise DataError(f"data incompatible with model {pairing.name}: {exc}") from None
+
+    distinct = _distinct_rows(batch)
+    inverse = None
+    if distinct is not None:
+        with contextlib.suppress(DataError):  # the full batch names the file's first bad row
+            logs, inverse = log_evalues(distinct[0]), distinct[1]
+    if inverse is None:
+        logs = log_evalues(batch)
+    # summed over every row, so both routes add the same numbers in the same order
+    total = (logs if inverse is None else logs[inverse]).sum()
     with np.errstate(over="ignore"):
         values = np.exp(logs)
         product = np.exp(total)
-    text = (f"# model={pairing.name}\n"
-            f"# mu={','.join(f'{v:.17g}' for v in mu)}\n"
-            f"# rows={data.shape[0]}\n"
-            "row,evalue,log_evalue\n"
-            + _format_rows(values, logs)
-            + f"product,{product:.17g},{total:.17g}\n")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        print(text, end="")
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as handle:
+        handle.write(f"# model={pairing.name}\n"
+                     f"# mu={','.join(f'{v:.17g}' for v in mu)}\n"
+                     f"# rows={data.shape[0]}\n"
+                     "row,evalue,log_evalue\n")
+        _write_rows(handle.write, values, logs, inverse)
+        handle.write(f"product,{product:.17g},{total:.17g}\n")
     return EXIT_OK
 
 

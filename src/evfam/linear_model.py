@@ -329,13 +329,14 @@ def linmodel_pairing(design: LinearModelDesign, sigma2: float, gamma) -> Pairing
         raise DomainError(f"linmodel gamma has length {gamma.size}; "
                           f"the design has {design.d + 1} columns")
     params = LinearModelParams(sigma2=sigma2, gamma=gamma)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # theta = gamma_0 / sigma2 overflows at a tiny sigma2
         mean = mean_of_params(design, params)
         cov = covariance_of_params(design, params)
+        theta = params.theta
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
         raise DomainError(f"linmodel alternative sigma2={float(sigma2)!r}, "
                           f"gamma={params.gamma.tolist()} lies past the float range")
     return _member_pairing(
-        "linmodel", linmodel_family(design, 0.0), linmodel_family(design, params.theta), mean,
+        "linmodel", linmodel_family(design, 0.0), linmodel_family(design, theta), mean,
         params={"n": design.n, "d": design.d, "sigma2": sigma2, "gamma": params.gamma.tolist()},
     )

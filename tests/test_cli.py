@@ -16,7 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evfam.cli import _MODELS, _build_parser, _format_rows, _read_numeric_csv, build_pairing, main
+from evfam import cli
+from evfam.cli import (_MODELS, _anchor_mean, _build_parser, _distinct_rows, _read_numeric_csv,
+                       _write_rows, build_pairing, main)
+from evfam.conditions import simple_log_evalue
 from evfam.errors import DataError
 
 NB_ARGS = ["--model", "negbinom-vs-poisson", "--successes", "4", "--mu", "2",
@@ -475,18 +478,103 @@ SPECIAL_LOGS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e
 REPEATED_LOGS = np.tile([0.0, -0.0, np.nan, -13.55633505878151, 709.78], 40)
 
 
-# all-distinct rows take the one-pass route; repeated rows whose value is exp(log)
-# take the table of distinct rows; repeated logs with unrelated values fall back
+def _cell_table(values, logs):
+    """The distinct (value, log) bit pairs of the rows, and each row's index among them."""
+    pairs = np.stack([values, logs], axis=1).view(np.int64)
+    distinct, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    distinct = distinct.view(float)
+    return distinct[:, 0].copy(), distinct[:, 1].copy(), inverse.ravel()
+
+
+# each case is written row by row and through a table of its distinct cells,
+# in blocks of the module's size and of 7 rows (which splits every case)
 @pytest.mark.parametrize("logs, values", [
     (np.array([]), np.array([])),
     (SPECIAL_LOGS, SPECIAL_LOGS[::-1].copy()),
     (REPEATED_LOGS, np.exp(REPEATED_LOGS)),
     (REPEATED_LOGS, np.arange(REPEATED_LOGS.size, dtype=float)),
 ], ids=["no-rows", "special-values", "repeated-values", "repeated-logs-distinct-values"])
-def test_evalue_rows_format_as_one_row_at_a_time(logs, values):
+def test_evalue_rows_format_as_one_row_at_a_time(monkeypatch, logs, values):
     want = "".join("%d,%.17g,%.17g\n" % row
                    for row in zip(range(logs.size), values.tolist(), logs.tolist()))
-    assert _format_rows(values, logs) == want
+    for block in (cli.BLOCK_ROWS, 7):
+        monkeypatch.setattr(cli, "BLOCK_ROWS", block)
+        for table in ((values, logs, None), _cell_table(values, logs)):
+            writes: list[str] = []
+            _write_rows(writes.append, *table)
+            assert "".join(writes) == want
+            assert all(0 < chunk.count("\n") <= block for chunk in writes)
+
+
+@pytest.mark.parametrize("batch, distinct", [
+    (np.array([0.0, -0.0, 0.0, -0.0, 0.0]), [[0.0], [-0.0]]),
+    (np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, 0.0]]), [[0.0, -0.0], [-0.0, 0.0]]),
+    (np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 2.0], [1.0, 2.0]]), [[1.0, 2.0], [2.0, 1.0]]),
+], ids=["signed-zeros", "signed-zeros-in-columns", "columns-in-another-order"])
+def test_distinct_rows_are_keyed_by_their_bits(batch, distinct):
+    rows, inverse = _distinct_rows(batch)
+    assert rows[inverse].tobytes() == batch.tobytes()
+    got = sorted(rows.reshape(len(rows), -1).view(np.int64).tolist())
+    assert got == sorted(np.array(distinct).view(np.int64).tolist())
+
+
+# every row is evaluated when more than half the rows are distinct (seen in the
+# rows, or in their elements: m elements need m / k rows), or when k codes pass
+# an int64 (2000^8 > 2^63)
+@pytest.mark.parametrize("batch", [
+    np.array([1.0, 2.0, 1.0]),
+    np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]]),
+    np.tile(np.arange(2000.0).reshape(250, 8), (4, 1)),
+], ids=["mostly-distinct", "mostly-distinct-elements", "codes-past-int64"])
+def test_distinct_rows_decline(batch):
+    assert _distinct_rows(batch) is None
+
+
+def _evalue_body(args, data):
+    """The evalue rows and product line, formatted one row at a time from the full batch."""
+    pairing = build_pairing(args)
+    mu = _anchor_mean(args, pairing)
+    logs = np.atleast_1d(simple_log_evalue(pairing.tilted, pairing.null, mu,
+                                           data[:, 0] if pairing.null.element_ndim == 0 else data))
+    with np.errstate(over="ignore"):
+        lines = ["%d,%.17g,%.17g" % (i, np.exp(v), v) for i, v in enumerate(logs.tolist())]
+        lines.append("product,%.17g,%.17g" % (np.exp(logs.sum()), logs.sum()))
+    return lines
+
+
+# the smoke rows, and zeros of both signs where the model takes them, three
+# times over: the distinct rows are evaluated once, and every byte is the same
+@pytest.mark.parametrize("key", sorted(key for key, case in MODEL_CASES.items() if case[2][1] == 0))
+def test_evalue_on_repeated_rows_writes_what_one_row_at_a_time_does(monkeypatch, capsys,
+                                                                    tmp_path, key):
+    rows = MODEL_CASES[key][1]
+    if key in ("ksample-gaussian", "gaussian-location", "gaussian-scale"):
+        width = len(rows.splitlines()[0].split(","))
+        rows += ",".join(["0.0"] * width) + "\n" + ",".join(["-0.0"] * width) + "\n"
+    data = tmp_path / "data.csv"
+    data.write_text(rows * 3)
+    argv = ["evalue", *_model_argv(tmp_path, key), "--force", "--data", str(data)]
+    sizes = []
+
+    def spy(tilted, null, mu, u):
+        sizes.append(len(u))
+        return simple_log_evalue(tilted, null, mu, u)
+
+    monkeypatch.setattr(cli, "simple_log_evalue", spy)
+    code, out, err = run(capsys, *argv)
+    assert (code, err, sizes) == (0, "", [len(rows.splitlines())])
+    want = _evalue_body(_build_parser().parse_args(argv), _read_numeric_csv(data))
+    assert out.splitlines()[4:] == want
+
+
+# the distinct rows sort -1 first, yet the message names the file's first bad row
+@pytest.mark.parametrize("copies", [1, 2], ids=["each-row-evaluated", "distinct-rows-evaluated"])
+def test_evalue_support_error_names_the_first_bad_row_of_the_file(capsys, tmp_path, copies):
+    data = tmp_path / "data.csv"
+    data.write_text("5\n-1\n0.5\n-1\n" * copies)
+    code, out, err = run(capsys, "evalue", *NB_ARGS, "--force", "--data", str(data))
+    assert (code, out) == (65, "")
+    assert err.startswith("evfam: data error: row 1 holds -1.0, outside the support")
 
 
 def test_parser_is_built_once_and_calls_share_no_state(capsys, tmp_path):
@@ -660,6 +748,10 @@ NON_FINITE_ARMS = [
           ("1,1,1", "1e-300", "mean [3.72759372 1.14285714 1.14285714] of the theta=1e+300 linear "
            "model lies past the float range: its variance does not round to a finite positive "
            "float", "tiny-sigma2"),
+          # gamma_0 / sigma2 itself overflows to theta = inf
+          ("1,1,1", "1e-320", "mean [ 3.72759372 -1.14285714 -1.14285714] of the theta=inf linear "
+           "model lies past the float range: its variance does not round to a finite positive "
+           "float", "denormal-sigma2"),
           ("1e150,1,1", "1", "mean [8.73428750e+300 2.45959458e+150 2.04526817e+150] of the "
            "theta=1e+150 linear model lies past the float range: its variance does not round to a "
            "finite positive float", "large-gamma"))],
@@ -688,6 +780,25 @@ def test_a_vector_of_the_wrong_length_exits_64_naming_both_lengths(capsys, tmp_p
                                                                    message):
     argv = [str(_write_design(tmp_path, (5, 3))) if arg == DESIGN else arg for arg in argv]
     assert run(capsys, "check", *argv) == (64, "", f"evfam: {message}\n")
+
+
+# the anchor mean's length was refused as "parameter shape (2,), expected (3,)"
+@pytest.mark.parametrize("command", ["evalue", "growth"])
+@pytest.mark.parametrize("argv, message", [
+    (["--model", "linmodel", "--design", DESIGN, "--gamma=1,1,1", "--mu", "1,2"],
+     "--mu has length 2; the linmodel mean has dimension 3"),
+    (["--model", "gaussian-location-constrained", "--cov", "1,0.4;0.4,2", "--constrained", "1",
+      "--alt-mean", "0.9,1", "--mu", "1,2,3"],
+     "--mu has length 3; the gaussian-location-constrained mean has dimension 1"),
+], ids=["linmodel", "constrained"])
+def test_an_anchor_mean_of_the_wrong_length_exits_64_naming_mu(capsys, tmp_path, command, argv,
+                                                               message):
+    argv = [str(_write_design(tmp_path, (5, 3))) if arg == DESIGN else arg for arg in argv]
+    if command == "evalue":
+        data = tmp_path / "data.csv"
+        data.write_text("0.1,0.2\n")
+        argv += ["--force", "--data", str(data)]
+    assert run(capsys, command, *argv) == (64, "", f"evfam: bad configuration: {message}\n")
 
 
 # NaN passed the `sigma2 <= 0` test of LinearModelParams and was refused as "past
@@ -939,6 +1050,56 @@ def test_check_into_a_closed_pipe_exits_141_without_a_traceback():
     proc.stdout.close()  # the reader quits before the report is written
     with proc.stderr:
         err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err
+
+
+def _write_rows_file(path, values) -> Path:
+    path.write_text("\n".join(map(repr, values.tolist())) + "\n")
+    return path
+
+
+# 200k negative binomial counts (12 distinct) and 200k distinct gaussian-scale
+# rows; the whole output's text was held at once, for a peak of 31.6 and 44.3 MB
+@pytest.mark.parametrize("kind", ["counts", "all-distinct"])
+def test_evalue_on_200k_rows_peaks_under_12_mb_traced(capsys, tmp_path, kind):
+    rng = np.random.default_rng(0)
+    if kind == "counts":
+        argv, values = NB_ARGS, rng.poisson(2.0, 200_000)
+    else:
+        argv = ["--model", "gaussian-scale", "--carrier-mean", "-3", "--carrier-var", "9"]
+        values = rng.normal(-3.0, 3.0, 200_000)
+    data = _write_rows_file(tmp_path / "data.csv", values)
+    # a first call loads the modules it needs outside the trace
+    warm = _write_rows_file(tmp_path / "warm.csv", values[:4])
+    assert run(capsys, "evalue", *argv, "--force", "--data", str(warm))[0] == 0
+    out = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        code = main(["evalue", *argv, "--force", "--data", str(data), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 12 * 2 ** 20
+    with out.open() as handle:
+        assert sum(1 for _ in handle) == 4 + 200_000 + 1
+
+
+# what `evfam evalue ... | head -n 1` does: read one line, then close the pipe
+def test_evalue_into_a_closed_pipe_exits_141_without_a_traceback(tmp_path):
+    data = _write_rows_file(tmp_path / "data.csv", np.random.default_rng(0).poisson(2.0, 200_000))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    proc = subprocess.Popen([sys.executable, "-m", "evfam.cli", "evalue", *NB_ARGS, "--force",
+                             "--data", str(data)],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    assert first == b"# model=negbinom-vs-poisson\n"
     assert proc.wait(timeout=120) == 141
     assert "Traceback" not in err
 
