@@ -7,7 +7,7 @@ standard figure data sets.  Exit codes are part of the contract:
     0   battery certified (or the command simply succeeded)
     2   battery refuted the family-wide claim
     3   battery inconclusive (Monte Carlo families, or failed preconditions)
-    64  bad configuration or arguments
+    64  bad configuration or arguments, or an output path that cannot be written
     65  malformed data file
     141 standard output closed early (a reader such as ``head`` quit)
 
@@ -579,6 +579,11 @@ def main(argv=None) -> int:
         # (the idiom of the Python signal module's documentation)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except OSError as exc:
+        # data files are read behind DataError, so this is an output that cannot be written
+        print(f"evfam: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_BAD_CONFIG
     except DataError as exc:
         print(f"evfam: data error: {exc}", file=sys.stderr)
         return EXIT_BAD_DATA

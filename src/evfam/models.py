@@ -146,35 +146,31 @@ def _require_positive(value: float, owner: str, name: str) -> None:
         raise UnsupportedModelError(f"{owner} needs a finite {name} > 0, got {name}={float(value)!r}")
 
 
-def _invert_potential(phi: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                      x: np.ndarray) -> np.ndarray:
-    """Phi^{-1}(x) for an increasing Phi on the mean interval (lo, hi), lo finite.
+def _invert_potential(phi: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Phi^{-1}(x) for an increasing Phi on the mean domain (0, inf).
 
-    Each entry gets its own bracket: the lower end starts 1e-14 of the
-    interval's width (1 when unbounded) above lo and moves toward lo by a
-    factor 1e-3 while Phi there exceeds the target.  An entry it moved has
-    its bracket already: the last probe it left is the upper end.  For the
-    others the upper end is hi less 1e-14 of the width, or, when hi is
-    unbounded, starts at max(2 low, 1) and grows by 4 while Phi there is
-    below the target.  One Brent solve then takes every bracketed entry.
-    NaN where the mean lies past the float range: the lower end rounds onto
-    lo, or the upper end overflows.
+    Each entry gets its own bracket: the lower end starts at 1e-14 and
+    moves toward 0 by a factor 1e-3 while Phi there exceeds the target.
+    An entry it moved has its bracket already: the last probe it left is
+    the upper end.  For the others the upper end starts at 1 and grows by
+    4 while Phi there is below the target.  One Brent solve then takes
+    every bracketed entry.  NaN where the mean lies past the float range:
+    the lower end underflows to 0, or the upper end overflows.
     """
     x = np.asarray(x, dtype=float)
     target = x.ravel()
     live = np.ones(target.shape, dtype=bool)
-    width = (hi - lo) if np.isfinite(hi) else 1.0
-    low = np.full(target.shape, lo + 1e-14 * width)
-    high = np.full(target.shape, hi - 1e-14 * width if np.isfinite(hi) else np.nan)
+    low = np.full(target.shape, 1e-14)
+    high = np.full(target.shape, np.nan)
     run = phi(low) > target
     while run.any():
         high[run] = low[run]  # Phi here exceeds the target: an upper end
-        low[run] = lo + (low[run] - lo) * 1e-3
-        live &= ~(run & (low == lo))  # mean below float range
+        low[run] *= 1e-3
+        live &= ~(run & (low == 0.0))  # mean below float range
         run &= live
         run[run] = phi(low[run]) > target[run]
     run = live & np.isnan(high)  # no probe above the target yet
-    high[run] = np.maximum(2.0 * np.abs(low[run]), 1.0)
+    high[run] = 1.0
     run[run] = phi(high[run]) < target[run]
     while run.any():
         high[run] *= 4.0
@@ -214,18 +210,17 @@ def _nef_from_potentials(
     Phi(m') leaves the float range is a DomainError.  When ``phi_inv``
     is missing the mean map inverts Phi by bracketed root finding, every
     entry of a batch in one Brent solve (Phi is strictly increasing, slope
-    1/V); the mean domain's lower bound must then be finite.  A direct
+    1/V), whose brackets assume the mean domain (0, inf).  A direct
     ``log_partition_closed(beta, anchor_mean)`` bypasses the potential
     composition where that composition cancels badly near a mean boundary.
     ``law`` is passed to the descriptor as it is.
     """
-    lo, hi = float(mean_domain.lower[0]), float(mean_domain.upper[0])
 
     def invert(x: np.ndarray) -> np.ndarray:
         """Phi^{-1}; NaN or inf where the mean lies past the float range."""
         if phi_inv is not None:
             return phi_inv(x)
-        return _invert_potential(phi, lo, hi, x)
+        return _invert_potential(phi, x)
 
     def log_partition(beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         b, a = np.broadcast_arrays(beta[..., 0], anchor[..., 0])
@@ -724,6 +719,12 @@ def gaussian_location_pairing(cov_null, cov_alt, alt_mean) -> Pairing:
     """
     null = gaussian_location_family(cov_null, label="cov_null")
     family = gaussian_location_family(cov_alt, label="cov_alt")
+    if family.dim != null.dim:
+        raise DomainError(f"gaussian-location cov_null has dimension {null.dim}; "
+                          f"cov_alt has dimension {family.dim}")
+    if np.size(alt_mean) != family.dim:
+        raise DomainError(f"gaussian-location alt_mean has length {np.size(alt_mean)}; "
+                          f"the covariances have dimension {family.dim}")
     alt_mean = family.vec(alt_mean)
     cov_alt = np.atleast_2d(np.asarray(cov_alt, dtype=float))
     return _member_pairing(

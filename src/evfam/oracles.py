@@ -1,10 +1,9 @@
 """Independent numerical estimators used to cross-check analytic results.
 
-Every estimator here is deliberately dumb: plain summation, adaptive
-quadrature ladders, Gauss-Hermite rules, Monte Carlo averages, and finite
-differences.  None of them consults the closed forms they are meant to
-verify, so agreement between the two routes is evidence rather than
-circularity.
+Every estimator here is deliberately dumb: adaptive quadrature ladders,
+Gauss-Hermite rules, Monte Carlo averages, and finite differences.  None
+of them consults the closed forms they are meant to verify, so agreement
+between the two routes is evidence rather than circularity.
 """
 
 from __future__ import annotations
@@ -22,17 +21,16 @@ from .util import pointwise
 
 __all__ = [
     "ExpectationEstimate",
-    "expect_exact_sum",
     "expect_quadrature",
     "expect_monte_carlo",
     "FdCheck",
     "finite_diff_check",
-    "PsdReport",
-    "psd_test",
     "poisson_tail_bound",
 ]
 
 QUAD_MAX_DOUBLINGS = 24
+QUAD_REL_TOL = 1e-10
+QUAD_ABS_TOL = 1e-12
 QUAD_GROWTH_LIMIT = 0.01
 QUAD_GROWTH_STREAK = 4
 GH_NODE_LADDER = (64, 128, 256)
@@ -49,30 +47,7 @@ class ExpectationEstimate:
     evaluations: int = 0
 
 
-def expect_exact_sum(log_prob: Callable[[np.ndarray], np.ndarray],
-                     integrand: Callable[[np.ndarray], np.ndarray],
-                     points: np.ndarray,
-                     tail_bound: float) -> ExpectationEstimate:
-    """Truncated exact sum over an enumerated support.
-
-    ``tail_bound`` must be a caller-certified bound on the absolute
-    truncation remainder; refusing to guess one keeps the estimate honest.
-    """
-    if tail_bound is None or not np.isfinite(tail_bound) or tail_bound < 0:
-        raise ValueError("expect_exact_sum needs a finite nonnegative tail bound")
-    pts = np.asarray(points, dtype=float)
-    probs = np.exp(np.asarray(log_prob(pts), dtype=float))
-    vals = np.asarray(integrand(pts), dtype=float)
-    return ExpectationEstimate(
-        value=float(probs @ vals),
-        method="exact-sum",
-        error_bound=float(tail_bound),
-        evaluations=int(pts.shape[0]),
-    )
-
-
-def _quad_ladder(f: Callable[[float], float], start: float, t0: float,
-                 rel_tol: float, abs_tol: float) -> ExpectationEstimate:
+def _quad_ladder(f: Callable[[float], float], start: float, t0: float) -> ExpectationEstimate:
     # scipy.integrate loads scipy.optimize; importing it here keeps both off the cold start
     from scipy.integrate import IntegrationWarning, quad
 
@@ -102,7 +77,8 @@ def _quad_ladder(f: Callable[[float], float], start: float, t0: float,
                 small_streak = 0
             else:
                 growth_streak = 0
-                small_streak = small_streak + 1 if change <= max(abs_tol, rel_tol * abs(val)) else 0
+                small_streak = (small_streak + 1
+                                if change <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(val)) else 0)
             if growth_streak >= QUAD_GROWTH_STREAK:
                 return ExpectationEstimate(val, "quad-ladder", None,
                                            diverged=True, evaluations=evaluations)
@@ -112,8 +88,8 @@ def _quad_ladder(f: Callable[[float], float], start: float, t0: float,
     raise ConvergenceError("quadrature ladder exhausted its doublings without settling")
 
 
-def _gauss_hermite(density: Callable, integrand: Callable, center: float, scale: float,
-                   rel_tol: float, abs_tol: float) -> ExpectationEstimate:
+def _gauss_hermite(density: Callable, integrand: Callable, center: float,
+                   scale: float) -> ExpectationEstimate:
     """Signed Gauss-Hermite expectation accumulated in the log domain.
 
     Contributions log(w_j) + x_j^2 + log|f(u_j)| are combined with
@@ -144,23 +120,24 @@ def _gauss_hermite(density: Callable, integrand: Callable, center: float, scale:
             total -= np.exp(logsumexp(neg) + log_scale)
         if previous is not None:
             change = abs(total - previous)
-            if change <= max(abs_tol, rel_tol * abs(total)):
+            if change <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total)):
                 return ExpectationEstimate(float(total), "gauss-hermite",
                                            float(change), evaluations=evaluations)
         previous = total
     return ExpectationEstimate(float(previous), "gauss-hermite",
-                               float(abs(previous - total)) if previous != total else abs_tol,
+                               float(abs(previous - total)) if previous != total else QUAD_ABS_TOL,
                                evaluations=evaluations)
 
 
 def expect_quadrature(density: Callable, integrand: Callable, domain: str,
-                      center: float = 0.0, scale: float = 1.0,
-                      rel_tol: float = 1e-10, abs_tol: float = 1e-12) -> ExpectationEstimate:
+                      center: float = 0.0, scale: float = 1.0) -> ExpectationEstimate:
     """Expectation of ``integrand`` under ``density`` on a scalar domain.
 
     ``positive-line`` uses an adaptive upper-limit ladder whose sustained
     growth across doublings is reported as divergence; ``real-line`` uses a
-    Gauss-Hermite ladder centered and scaled by the hints.
+    Gauss-Hermite ladder centered and scaled by the hints.  Either ladder
+    settles once a step changes the value by at most the larger of
+    ``QUAD_ABS_TOL`` and ``QUAD_REL_TOL`` times its size.
     """
     if domain == "positive-line":
         t0 = max(abs(center) + 8.0 * scale, 16.0 * scale, 1.0)
@@ -170,9 +147,9 @@ def expect_quadrature(density: Callable, integrand: Callable, domain: str,
             return float(np.asarray(density(xs), dtype=float)[0]
                          * np.asarray(integrand(xs), dtype=float)[0])
 
-        return _quad_ladder(f, 0.0, t0, rel_tol, abs_tol)
+        return _quad_ladder(f, 0.0, t0)
     if domain == "real-line":
-        return _gauss_hermite(density, integrand, center, max(scale, 1e-12), rel_tol, abs_tol)
+        return _gauss_hermite(density, integrand, center, max(scale, 1e-12))
     raise ValueError(f"unknown quadrature domain {domain!r}")
 
 
@@ -220,47 +197,6 @@ def finite_diff_check(func: Callable, point: np.ndarray, analytic: np.ndarray,
     scale = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(fd))), 1e-12)
     rel_error = float(np.max(np.abs(analytic - fd))) / scale
     return FdCheck(passed=bool(rel_error <= rel_tol), rel_error=rel_error, fd_value=fd)
-
-
-@dataclass(frozen=True)
-class PsdReport:
-    passed: bool
-    min_eigenvalue: float
-    threshold: float
-    cholesky_agrees: bool
-
-
-def psd_test(matrix: np.ndarray, tol: float = 1e-9) -> PsdReport:
-    """Positive semidefiniteness with a relative eigenvalue floor.
-
-    A matrix passes when its smallest eigenvalue is at least ``-tol``
-    times its spectral norm.  Away from that borderline band a Cholesky
-    factorization of the (slightly regularized) matrix must agree with the
-    eigenvalue verdict.
-    """
-    m = np.atleast_2d(np.asarray(matrix, dtype=float))
-    asym = float(np.max(np.abs(m - m.T)))
-    if asym > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
-        raise ValueError("psd_test expects a symmetric matrix")
-    sym = 0.5 * (m + m.T)
-    eigs = np.linalg.eigvalsh(sym)
-    min_eig = float(eigs[0])
-    spectral = float(np.max(np.abs(eigs)))
-    threshold = -tol * max(spectral, np.finfo(float).tiny)
-    passed = min_eig >= threshold
-
-    cholesky_agrees = True
-    band = tol * max(spectral, 1.0)
-    if abs(min_eig) > band:
-        try:
-            np.linalg.cholesky(sym + 2.0 * band * np.eye(sym.shape[0]))
-            chol_ok = True
-        except np.linalg.LinAlgError:
-            chol_ok = False
-        cholesky_agrees = chol_ok == (min_eig > 0.0)
-        passed = passed and (cholesky_agrees or min_eig < 0.0)
-    return PsdReport(passed=bool(passed), min_eigenvalue=min_eig,
-                     threshold=threshold, cholesky_agrees=bool(cholesky_agrees))
 
 
 def poisson_tail_bound(rate: float, threshold: float) -> float:

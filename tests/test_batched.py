@@ -483,7 +483,7 @@ def test_abm_inversion_matches_the_per_entry_path(r):
                               _bits(phi(means) - phi(anchor)))
         # past the float range below, at and past phi_sup = 0 above
         x = np.concatenate([phi(means), [-np.inf, -1e300, -5e-324, 0.0, 1.0]])
-        got = _invert_potential(phi, 0.0, np.inf, x)
+        got = _invert_potential(phi, x)
         # one-element arrays: numpy's vectorized pow may round differently
         # from the C library's scalar pow, which Python floats use
         want = [_per_entry_invert(lambda t: phi(np.array([t]))[0], v) for v in x]

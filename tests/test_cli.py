@@ -203,7 +203,8 @@ def test_usage_errors_exit_64(capsys):
       "--alt-power", "1.5", "--mu", "-2"],
      "evfam: alternative mean -2.0 lies outside the mean domain of tweedie(a=0.5,power=1.5)\n"),
     (["--model", "gaussian-location", "--cov-null=2,0.3;0.3,1", "--cov-alt=1,0,0;0,1,0;0,0,1",
-      "--alt-mean=1,-0.5,0"], "evfam: carrier mean has shape (3,), statistic is 2-dimensional\n"),
+      "--alt-mean=1,-0.5,0"], "evfam: gaussian-location cov_null has dimension 2; "
+                              "cov_alt has dimension 3\n"),
 ])
 def test_anchor_outside_the_alternative_family_exits_64(capsys, argv, message):
     assert run(capsys, "check", *argv) == (64, "", message)
@@ -768,14 +769,21 @@ def test_a_value_past_the_float_range_exits_64_without_a_runtime_warning(capsys,
 
 
 # numpy's "cannot reshape array of size 2 into shape (3,)" reached the user
-# (a 5 x 3 design), as did "... of size 1 into shape (2,)"
+# (a 5 x 3 design), as did "... of size 1 into shape (2,)"; gaussian-location
+# named internal shapes ("parameter shape (3,), expected (2,)") or, for
+# covariances of two dimensions, the carrier mean
 @pytest.mark.parametrize("argv, message", [
     (["--model", "linmodel", "--design", DESIGN, "--gamma=1,1"],
      "linmodel gamma has length 2; the design has 3 columns"),
     (["--model", "gaussian-location-constrained", "--cov", "1,0.4;0.4,2", "--constrained", "1",
       "--alt-mean", "1"],
      "gaussian-location-constrained alt_mean has length 1; the covariance has dimension 2"),
-], ids=["linmodel-gamma", "constrained-alt-mean"])
+    (["--model", "gaussian-location", "--cov-null", "1,0;0,1", "--cov-alt", "0.5,0;0,0.5",
+      "--alt-mean", "0,0,0"],
+     "gaussian-location alt_mean has length 3; the covariances have dimension 2"),
+    (["--model", "gaussian-location", "--cov-null", "1,0;0,1", "--cov-alt", "1", "--alt-mean", "0"],
+     "gaussian-location cov_null has dimension 2; cov_alt has dimension 1"),
+], ids=["linmodel-gamma", "constrained-alt-mean", "location-alt-mean", "location-covariances"])
 def test_a_vector_of_the_wrong_length_exits_64_naming_both_lengths(capsys, tmp_path, argv,
                                                                    message):
     argv = [str(_write_design(tmp_path, (5, 3))) if arg == DESIGN else arg for arg in argv]
@@ -1102,6 +1110,24 @@ def test_evalue_into_a_closed_pipe_exits_141_without_a_traceback(tmp_path):
     assert first == b"# model=negbinom-vs-poisson\n"
     assert proc.wait(timeout=120) == 141
     assert "Traceback" not in err
+
+
+# an output path in a missing directory ended in a FileNotFoundError traceback and exit 1
+@pytest.mark.parametrize("argv, path", [
+    (["check", *NB_ARGS, "--json", "{missing}/x.json"], "{missing}/x.json"),
+    (["evalue", *NB_ARGS, "--force", "--data", "{data}", "--out", "{missing}/x.csv"],
+     "{missing}/x.csv"),
+    (["sequential", "--arm-means", "0.375,0.625", "--rounds", "4", "--paths", "2",
+      "--tail-window", "2", "--out", "{missing}/x"], "{missing}/x_paths.csv"),
+    (["figure", "--id", "fig2", "--out", "{missing}/x.csv"], "{missing}/x.csv"),
+], ids=["check", "evalue", "sequential", "figure"])
+def test_an_output_path_that_cannot_be_opened_exits_64_naming_it(capsys, tmp_path, argv, path):
+    data = tmp_path / "data.csv"
+    data.write_text("0\n3\n")
+    fill = lambda text: text.format(missing=tmp_path / "missing", data=data)
+    code, _, err = run(capsys, *map(fill, argv))
+    assert (code, err) == (64, f"evfam: cannot write {fill(path)}: No such file or directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
 
 
 def test_check_loads_no_scipy_module_outside_two_models(tmp_path):

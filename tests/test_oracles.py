@@ -9,12 +9,10 @@ from scipy import stats
 
 from evfam.errors import ConvergenceError
 from evfam.oracles import (
-    expect_exact_sum,
     expect_monte_carlo,
     expect_quadrature,
     finite_diff_check,
     poisson_tail_bound,
-    psd_test,
 )
 
 
@@ -73,23 +71,6 @@ def test_quadrature_unknown_domain():
         expect_quadrature(_std_normal, lambda u: u, "circle")
 
 
-def test_exact_sum_poisson_mean():
-    rate, n = 3.0, 80
-    pts = np.arange(n, dtype=float).reshape(-1, 1)
-    log_prob = lambda x: stats.poisson.logpmf(x[:, 0], rate)
-    # sum_{x > n} x p(x) = rate * P(X >= n), so the remainder is certified
-    bound = rate * poisson_tail_bound(rate, n)
-    est = expect_exact_sum(log_prob, lambda x: x[:, 0], pts, bound)
-    assert abs(est.value - rate) <= bound + 1e-12
-    assert est.evaluations == n
-
-
-def test_exact_sum_requires_tail_bound():
-    pts = np.zeros((1, 1))
-    with pytest.raises(ValueError):
-        expect_exact_sum(lambda x: np.zeros(1), lambda x: np.zeros(1), pts, float("nan"))
-
-
 def test_poisson_tail_bound_dominates_true_tail():
     for rate in (0.5, 3.0, 20.0):
         for thresh in (int(rate) + 3, int(rate) + 10, int(rate) + 30):
@@ -120,28 +101,3 @@ def test_finite_diff_gradient_and_hessian():
 def test_finite_diff_unknown_kind():
     with pytest.raises(ValueError):
         finite_diff_check(lambda x: x[0], np.zeros(1), np.ones(1), kind="curl")
-
-
-def test_psd_accepts_and_rejects():
-    assert psd_test(np.eye(3)).passed
-    assert psd_test(np.zeros((2, 2))).passed
-    rep = psd_test(np.diag([1.0, -0.5]))
-    assert not rep.passed
-    assert rep.min_eigenvalue == pytest.approx(-0.5)
-
-
-def test_psd_tolerates_roundoff_scale_negatives():
-    m = np.diag([1.0, -1e-12])
-    assert psd_test(m, tol=1e-9).passed
-
-
-def test_psd_rejects_asymmetric_input():
-    with pytest.raises(ValueError):
-        psd_test(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-
-def test_psd_cholesky_cross_check_agrees():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(4, 4))
-    rep = psd_test(a @ a.T + 1e-3 * np.eye(4))
-    assert rep.passed and rep.cholesky_agrees
