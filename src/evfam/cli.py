@@ -323,10 +323,21 @@ def _cmd_catalog(_args) -> int:
     return EXIT_OK
 
 
+def _probe_output(*paths) -> None:
+    """Raise now the OSError that writing a path would raise after the work, leaving no new file."""
+    for path in filter(None, paths):
+        existed = os.path.exists(path)
+        if not existed or os.path.isfile(path) or os.path.isdir(path):  # a pipe's open could block
+            open(path, "a", encoding="utf-8").close()  # appending nothing keeps the bytes
+            if not existed:
+                os.remove(path)
+
+
 def _cmd_check(args) -> int:
+    _probe_output(args.json)
     pairing = build_pairing(args)
     report = run_condition_battery(pairing, spec=_grid_spec(args))
-    payload = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    payload = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
     print(payload)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -405,6 +416,7 @@ def _write_rows(write, values: np.ndarray, logs: np.ndarray, inverse: np.ndarray
 
 
 def _cmd_evalue(args) -> int:
+    _probe_output(args.out)
     pairing = build_pairing(args)
     if not args.force:
         report = run_condition_battery(pairing, spec=_grid_spec(args))
@@ -461,6 +473,7 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_sequential(args) -> int:
+    _probe_output(f"{args.out}_paths.csv", f"{args.out}_summary.json")
     config = {
         "alpha": args.alpha,
         "arm_means": _parse_vector(args.arm_means).tolist(),
@@ -496,6 +509,7 @@ def _cmd_sequential(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    _probe_output(args.out)
     # every option given goes to figure_data, which refuses one the figure does not take
     options = {name: tuple(_parse_vector(text).tolist())
                for name, text in (("arm_means", args.arm_means), ("mus", args.mus))

@@ -316,14 +316,20 @@ def check_sigma_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     The margin at each point is the smallest eigenvalue of the difference
     relative to the spectral norm of Sigma_p (:func:`util.psd_margin`).
     """
-    return _sigma_verdict(covariance_at_mean(null, grid), tilted, grid)
+    return _sigma_verdict(null, covariance_at_mean(null, grid), tilted, grid)
 
 
-def _sigma_verdict(cov_p: np.ndarray, tilted: TiltedFamily, grid: np.ndarray) -> ItemVerdict:
+def _sigma_verdict(null: ExpFamilyDescriptor, cov_p: np.ndarray, tilted: TiltedFamily,
+                   grid: np.ndarray) -> ItemVerdict:
     """``check_sigma_ordering`` given Sigma_p at the grid."""
-    eigs, scale = psd_margin(cov_p, covariance_at_mean(tilted.family, grid))
+    with np.errstate(invalid="ignore"):  # inf - inf, or inf / inf: refused below
+        eigs, scale = psd_margin(cov_p, covariance_at_mean(tilted.family, grid))
+        margin = eigs[:, 0] / scale
+    if np.isnan(margin).any():
+        raise DomainError(f"covariance ordering of {null.name} against {tilted.family.name} "
+                          f"is NaN at grid mean {grid[np.isnan(margin)][0].tolist()}")
     return _ordering_verdict("min eigenvalue of Sigma_p - Sigma_q, relative to ||Sigma_p||, >= -tol",
-                             eigs[:, 0] / scale, grid, -TOL_PSD, at_least=True)
+                             margin, grid, -TOL_PSD, at_least=True)
 
 
 def check_beta_pairing(null: ExpFamilyDescriptor, tilted: TiltedFamily,
@@ -494,7 +500,7 @@ def run_condition_battery(pairing, spec: GridSpec | None = None) -> ConditionRep
                           f"of {null.name}")
     cov_p = covariance_at_mean(null, grid)
     items = {
-        "covariance_ordering": _sigma_verdict(cov_p, tilted, grid),
+        "covariance_ordering": _sigma_verdict(null, cov_p, tilted, grid),
         "canonical_pairing": check_beta_pairing(null, tilted, pairs),
         "kl_ordering": check_kl_ordering(null, tilted, pairs),
         "log_partition_ordering": _logz_verdict(null, tilted, grid, box_p, cov_p),

@@ -22,6 +22,7 @@ members sharing that mean.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -146,44 +147,6 @@ def _require_positive(value: float, owner: str, name: str) -> None:
         raise UnsupportedModelError(f"{owner} needs a finite {name} > 0, got {name}={float(value)!r}")
 
 
-def _invert_potential(phi: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Phi^{-1}(x) for an increasing Phi on the mean domain (0, inf).
-
-    Each entry gets its own bracket: the lower end starts at 1e-14 and
-    moves toward 0 by a factor 1e-3 while Phi there exceeds the target.
-    An entry it moved has its bracket already: the last probe it left is
-    the upper end.  For the others the upper end starts at 1 and grows by
-    4 while Phi there is below the target.  One Brent solve then takes
-    every bracketed entry.  NaN where the mean lies past the float range:
-    the lower end underflows to 0, or the upper end overflows.
-    """
-    x = np.asarray(x, dtype=float)
-    target = x.ravel()
-    live = np.ones(target.shape, dtype=bool)
-    low = np.full(target.shape, 1e-14)
-    high = np.full(target.shape, np.nan)
-    run = phi(low) > target
-    while run.any():
-        high[run] = low[run]  # Phi here exceeds the target: an upper end
-        low[run] *= 1e-3
-        live &= ~(run & (low == 0.0))  # mean below float range
-        run &= live
-        run[run] = phi(low[run]) > target[run]
-    run = live & np.isnan(high)  # no probe above the target yet
-    high[run] = 1.0
-    run[run] = phi(high[run]) < target[run]
-    while run.any():
-        high[run] *= 4.0
-        live &= ~(run & ~np.isfinite(high))  # mean beyond float range
-        run &= live
-        run[run] = phi(high[run]) < target[run]
-    out = np.full(target.shape, np.nan)
-    goal = target[live]
-    out[live] = _brentq_rows(lambda t, rows: phi(t) - goal[rows], low[live], high[live],
-                             xtol=1e-300, rtol=8.9e-16, maxiter=1000)
-    return out.reshape(x.shape)
-
-
 # ---------------------------------------------------------------------------
 # scalar NEFs from variance-function potentials
 
@@ -191,10 +154,10 @@ def _nef_from_potentials(
     name: str,
     variance: Callable[[np.ndarray], np.ndarray],
     phi: Callable[[np.ndarray], np.ndarray],
+    phi_inv: Callable[[np.ndarray], np.ndarray],
     psi: Callable[[np.ndarray], np.ndarray],
     phi_sup: float,
     mean_domain: DomainDescriptor,
-    phi_inv: Callable[[np.ndarray], np.ndarray] | None = None,
     suff_stat: Callable | None = None,
     element_ndim: int = 0,
     log_partition_closed: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
@@ -203,24 +166,16 @@ def _nef_from_potentials(
     """One-dimensional family from its mean-domain potentials.
 
     The potentials are numpy expressions evaluated elementwise on arrays of
-    means (or canonical values, for ``phi_inv``).  ``phi_sup`` is the
-    supremum of Phi over the mean domain; the canonical domain at anchor m'
-    is the open interval (-inf, phi_sup - Phi(m')), reflecting that
-    Phi(0+) = -inf for every catalog variance function; an anchor whose
-    Phi(m') leaves the float range is a DomainError.  When ``phi_inv``
-    is missing the mean map inverts Phi by bracketed root finding, every
-    entry of a batch in one Brent solve (Phi is strictly increasing, slope
-    1/V), whose brackets assume the mean domain (0, inf).  A direct
+    means, and each family gives its own inverse ``phi_inv`` of Phi on
+    canonical values, NaN or inf where the mean lies past the float range.
+    ``phi_sup`` is the supremum of Phi over the mean domain; the canonical
+    domain at anchor m' is the open interval (-inf, phi_sup - Phi(m')),
+    reflecting that Phi(0+) = -inf for every catalog variance function; an
+    anchor whose Phi(m') leaves the float range is a DomainError.  A direct
     ``log_partition_closed(beta, anchor_mean)`` bypasses the potential
     composition where that composition cancels badly near a mean boundary.
     ``law`` is passed to the descriptor as it is.
     """
-
-    def invert(x: np.ndarray) -> np.ndarray:
-        """Phi^{-1}; NaN or inf where the mean lies past the float range."""
-        if phi_inv is not None:
-            return phi_inv(x)
-        return _invert_potential(phi, x)
 
     def log_partition(beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         b, a = np.broadcast_arrays(beta[..., 0], anchor[..., 0])
@@ -231,7 +186,7 @@ def _nef_from_potentials(
             if log_partition_closed is not None:
                 val[inside] = log_partition_closed(b[inside], a[inside])
             else:
-                val[inside] = psi(invert(x[inside])) - psi(a[inside])
+                val[inside] = psi(phi_inv(x[inside])) - psi(a[inside])
         # inside the domain but past the float range (or the inverted mean
         # rounds onto the boundary); inf is the honest value
         val[~np.isfinite(val)] = np.inf
@@ -242,7 +197,7 @@ def _nef_from_potentials(
         if np.any(x >= phi_sup):
             raise DomainError(f"{name}: canonical point at or beyond the domain boundary")
         with np.errstate(over="ignore"):
-            m = np.asarray(invert(x), dtype=float)
+            m = np.asarray(phi_inv(x), dtype=float)
         if not np.all(np.isfinite(m)):
             raise DomainError(f"{name}: mean beyond float range")
         return m[..., None]
@@ -329,40 +284,65 @@ def negbinom_family(successes: float) -> ExpFamilyDescriptor:
     )
 
 
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Gauss-Legendre nodes and weights on [0, 1], cached: ``leggauss`` costs ten abm builds.
+
+    The weights 2 / ((1 - x^2) P_n'(x)^2) are recomputed by the Legendre
+    recurrence at numpy's nodes; numpy's own are up to 1e-13 off, 10x more.
+    """
+    x, p0, p1 = np.polynomial.legendre.leggauss(n)[0], 0.0, 1.0
+    for k in range(1, n + 1):  # P_{k-1} and P_k at the nodes
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return (x + 1.0) / 2.0, (1.0 - x * x) / (n * (p0 - x * p1)) ** 2
+
+
 def abm_family(s: float, r: int) -> ExpFamilyDescriptor:
     """The class V(m) = m (1 + m/s)^r for integer r >= 0.
 
-    r = 0 is ``poisson_family()`` and r = 1 ``negbinom_family(s)``, which
-    are returned as they stand.  For r >= 2 the family is density-free here:
-    canonical maps, log-partitions and divergences all come from the
-    potentials, which is what the condition battery needs.
-
-    Partial fractions give 1/V(t) = 1/t - sum_{k=1}^r s^{k-1} / (s+t)^k and
-    t/V(t) = s^r / (s+t)^r, from which Phi and Psi below follow by direct
-    integration.
+    r = 0 is ``poisson_family()`` and r = 1 ``negbinom_family(s)``, as they
+    stand; r >= 2 is density-free here.  With e = s/(s + m), u = log((s + m)/m),
+    Phi = log(1 - e) + sum_{j<r} e^j/j = -int_0^u (1 - e^-v)^(r-1) dv <= 0 and
+    Psi = -s e^(r-1)/(r - 1).  Gauss-Legendre takes the integral up to u =
+    2 H_{r-1} (harmonic), and past it u - sum_{j<r} e^j/j cancels 3x at most.
+    Phi^{-1} is Newton on log(-Phi) in w = log(s/m) from -Phi >= max(e^r/r,
+    u - H_{r-1}); the iterate is kept as m, as precise at any |w|.
     """
     _require_positive(s, "abm family", "s")
     if r < 0 or int(r) != r:
         raise UnsupportedModelError("abm family needs integer r >= 0")
     r = int(r)
-    if r >= 2 and r * np.log(s) >= np.log(np.finfo(float).max):  # Phi and Psi take s^1 .. s^r
+    if r >= 2 and r * np.log(s) >= np.log(np.finfo(float).max):  # past it the orderings cancel
         raise UnsupportedModelError(f"abm family: s ** r overflows the float range for s={s!r}, r={r}")
-    if r == 0:
-        return poisson_family()
-    if r == 1:
-        return negbinom_family(s)
+    if r < 2:
+        return negbinom_family(s) if r else poisson_family()
+    (nodes, weights), h = _gauss_legendre(16 + r), sum(1.0 / j for j in range(1, r))
 
-    def phi(t: np.ndarray) -> np.ndarray:
-        val = np.log(t) - np.log(s + t)
-        for k in range(2, r + 1):
-            val += s ** (k - 1) / ((k - 1) * (s + t) ** (k - 1))
-        return val
+    def tail(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """-Phi(m), and e^r, the slope of -Phi in w."""
+        e, u = s / (s + m), np.log1p(s / m)
+        out, near, far = np.empty(e.shape), u < 2.0 * h, ~(u < 2.0 * h)  # far takes NaN too
+        out[near] = u[near] * np.sum((-np.expm1(-u[near, None] * nodes)) ** (r - 1) * weights, axis=-1)
+        out[far] = u[far] - sum(e[far] ** j / j for j in range(r - 1, 0, -1))
+        return out, e ** r
+
+    def phi_inv(x: np.ndarray) -> np.ndarray:
+        t = -np.asarray(x, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # -Phi >= e^r / r and -Phi >= u - H_{r-1} each bound e = 1 - a from above
+            e, a = (r * t) ** (1.0 / r), np.exp(-t - h)
+            m = s * np.maximum(1.0 - e, a) / np.minimum(e, 1.0 - a)
+            for _ in range(6 + r // 25):
+                val, slope = tail(m)
+                m = m * np.exp(np.log(val / t) * val / slope)
+        return np.where(m > 0.0, m, np.nan)
 
     return _nef_from_potentials(
         f"abm(s={s:g},r={r})",
         variance=lambda m: m * (1.0 + m / s) ** r,
-        phi=phi,
-        psi=lambda t: -s ** r / ((r - 1) * (s + t) ** (r - 1)),
+        phi=lambda m: -tail(np.asarray(m, dtype=float))[0],
+        phi_inv=phi_inv,
+        psi=lambda m: -s * (s / (s + m)) ** (r - 1) / (r - 1),
         phi_sup=0.0,
         mean_domain=positive_orthant(1),
     )

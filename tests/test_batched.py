@@ -18,7 +18,7 @@ from scipy import stats
 from scipy.optimize import brentq
 from scipy.special import expit, logit
 
-from evfam import conditions, models
+from evfam import conditions
 from evfam.conditions import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -47,7 +47,6 @@ from evfam.linear_model import (
 )
 from evfam.models import (
     _brentq_rows,
-    _invert_potential,
     abm_family,
     abm_vs_poisson,
     gaussian_location_family,
@@ -220,8 +219,8 @@ PINNED = [
      [(65, 2.499937501479853e-05), (512, -1.6286598287288675e-09),
       (512, -8.143274263591608e-10), (520, 9.208633855450898e-12)]),
     ("abm-vs-poisson", CERTIFIED, 65, 512,
-     [(65, 6.666333348068348e-05), (512, -4.3429202542495095e-09),
-      (512, -2.1714453838543937e-09), (519, 4.4832356143470475e-12)]),
+     [(65, 6.666333348041247e-05), (512, -4.342920254106131e-09),
+      (512, -2.1714453840847867e-09), (519, 9.094947017729282e-12)]),
     ("tweedie-same-power", CERTIFIED, 65, 512,
      [(65, 0.5), (512, -1.876525485561764e-05), (512, -9.390476477876865e-06),
       (520, 7.105427357601002e-15)]),
@@ -261,9 +260,9 @@ def test_catalog_battery_pinned(key, overall, grid_points, pair_count, items):
 
 # the routes that solve for their canonical maps, pinned bit for bit: the
 # log-MGF route runs Newton over finite differences of the log-MGF, the Monte
-# Carlo route Newton over an empirical cumulant, and the abm r = 2 null and
-# the Bernoulli k-sample alternative run Brent's method; all must keep every
-# worst value's repr
+# Carlo route Newton over an empirical cumulant, the abm r = 2 null Newton
+# on its own potentials in e = s/(s + m), and the Bernoulli k-sample
+# alternative Brent's method; all must keep every worst value's repr
 
 def _generic_mgf_pairing():
     null = negbinom_family(4.0)
@@ -290,9 +289,9 @@ GENERIC_PINNED = [
      INCONCLUSIVE, 17, 64,
      [(17, "0.01755437671036012"), (64, "-4.601895528835817e-05"),
       (64, "-2.2997317939101557e-05"), (136, "1.1102230246251565e-16")]),
-    ("abm-brent", PAIRINGS["abm-vs-poisson"], GridSpec(), CERTIFIED, 65, 512,
-     [(65, "6.666333348068348e-05"), (512, "-4.3429202542495095e-09"),
-      (512, "-2.1714453838679463e-09"), (519, "4.4832356143470475e-12")]),
+    ("abm-newton", PAIRINGS["abm-vs-poisson"], GridSpec(), CERTIFIED, 65, 512,
+     [(65, "6.666333348041247e-05"), (512, "-4.342920254106131e-09"),
+      (512, "-2.1714453840847867e-09"), (519, "9.094947017729282e-12")]),
     ("bernoulli-brent", PAIRINGS["ksample-bernoulli"], GridSpec(), CERTIFIED, 65, 512,
      [(65, "0.00040475666116105937"), (512, "-4.6996804970565646e-08"),
       (512, "-2.349845417402331e-08"), (455, "0.0")]),
@@ -438,88 +437,6 @@ def test_brentq_rows_raises_what_scipy_raises_with_typed_convergence():
         brentq(lambda t: t ** 3 - 0.3, -5.0, 5.0, xtol=1e-300, maxiter=3)
     with pytest.raises(ConvergenceError):
         _brentq_rows(lambda x, r: x ** 3 - 0.3, [-5.0], [5.0], xtol=1e-300, rtol=8.9e-16, maxiter=3)
-
-
-def _abm_phi(s: float, r: int):
-    """Phi of V(m) = m (1 + m/s)^r, written as abm_family writes it."""
-    def phi(t):
-        val = np.log(t) - np.log(s + t)
-        for k in range(2, r + 1):
-            val += s ** (k - 1) / ((k - 1) * (s + t) ** (k - 1))
-        return val
-    return phi
-
-
-def _per_entry_invert(phi, x: float) -> float:
-    """Phi^{-1} on (0, inf) one entry at a time, with the batch's bracket rule.
-
-    A lower end that moved leaves its last probe as the upper end; otherwise
-    the upper end grows from max(2 low, 1).
-    """
-    lo = 0.0
-    low, high = lo + 1e-14, None
-    while phi(low) > x:
-        high, low = low, lo + (low - lo) * 1e-3
-        if low == lo:
-            return float("nan")
-    if high is None:
-        high = max(2.0 * abs(low), 1.0)
-        while phi(high) < x:
-            high *= 4.0
-            if not np.isfinite(high):
-                return float("nan")
-    return float(brentq(lambda t: phi(t) - x, low, high, xtol=1e-300, rtol=8.9e-16, maxiter=1000))
-
-
-@pytest.mark.parametrize("r", [2, 3, 5])
-def test_abm_inversion_matches_the_per_entry_path(r):
-    s = 3.0
-    phi = _abm_phi(s, r)
-    fam = abm_family(s, r)
-    means = np.geomspace(1e-300, 1e300, 61)
-    anchor = np.array([2.0])
-    with np.errstate(over="ignore"):
-        assert np.array_equal(_bits(fam.beta_map(means[:, None], anchor)[:, 0]),
-                              _bits(phi(means) - phi(anchor)))
-        # past the float range below, at and past phi_sup = 0 above
-        x = np.concatenate([phi(means), [-np.inf, -1e300, -5e-324, 0.0, 1.0]])
-        got = _invert_potential(phi, x)
-        # one-element arrays: numpy's vectorized pow may round differently
-        # from the C library's scalar pow, which Python floats use
-        want = [_per_entry_invert(lambda t: phi(np.array([t]))[0], v) for v in x]
-        # the family's mean map at beta = 0 inverts Phi(anchor) itself
-        inside = np.isfinite(got[:61]) & (x[:61] < 0.0)
-        via_family = fam.mean_map(np.zeros((int(inside.sum()), 1)), means[inside, None])[:, 0]
-    assert np.array_equal(_bits(got), _bits(want))
-    assert np.array_equal(_bits(via_family), _bits(got[:61][inside]))
-    assert np.all(np.isnan(got[[61, 62, 65]]))  # -inf, -1e300 and 1.0
-    assert np.all(np.isfinite(got[:30]))
-    if r == 2:
-        # no power above one in Phi: Python floats round as the batch does
-        assert np.array_equal(_bits(got), _bits([_per_entry_invert(phi, float(v)) for v in x]))
-
-
-# the log-partition probe solve took 225 evaluations when every upper end grew
-# from max(2 low, 1); the lower end's last probe brackets it in about 50
-@pytest.mark.parametrize("r", [2, 3])
-def test_abm_battery_brent_solves_stay_short(r, monkeypatch):
-    counts = []
-
-    def counting_brentq_rows(f, a, b, **kwargs):
-        calls = [0]
-
-        def counted(x, rows):
-            calls[0] += 1
-            return f(x, rows)
-
-        try:
-            return _brentq_rows(counted, a, b, **kwargs)
-        finally:
-            counts.append(calls[0])
-
-    monkeypatch.setattr(models, "_brentq_rows", counting_brentq_rows)
-    run_condition_battery(abm_vs_poisson(3.0, r, 2.0))
-    assert counts and max(counts) <= 60
 
 
 def _per_entry_gamma(logits: np.ndarray, target: float) -> float:

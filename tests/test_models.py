@@ -182,6 +182,39 @@ def test_abm_round_trip_far_from_anchor():
         assert mean_from_canonical(fam, beta, anchor)[0] == pytest.approx(m, rel=1e-9)
 
 
+# Phi(inf) = -0.0, so at anchor inf the raw beta map is Phi itself and the raw
+# mean map Phi^{-1}; tests/make_abm_phi_ref.py wrote the reference (mpmath,
+# 800 digits), and pytest's filter makes any RuntimeWarning an error
+ABM_PHI_REF = json.loads(Path(__file__).with_name("abm_phi_ref.json").read_text())["cases"]
+AT_INF = np.array([np.inf])
+
+
+@pytest.mark.parametrize("case", ABM_PHI_REF, ids=lambda case: f"s={case['s']:g},r={case['r']}")
+def test_abm_phi_matches_mpmath_and_is_never_positive(case):
+    fam = abm_family(case["s"], case["r"])
+    for means, want in ((case["means"], case["phi"]), (case["near_means"], case["near_phi"])):
+        got = fam.beta_map(np.array(means)[:, None], AT_INF)[:, 0]
+        want = np.array(want)
+        assert np.all(got <= 0.0)
+        shown = np.abs(want) >= 1e-300
+        np.testing.assert_allclose(got[shown], want[shown], rtol=2e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("case", ABM_PHI_REF, ids=lambda case: f"s={case['s']:g},r={case['r']}")
+def test_abm_phi_inverse_round_trips(case):
+    fam = abm_family(case["s"], case["r"])
+    m = np.geomspace(1e-12, 1e12, 2001)
+    x = fam.beta_map(m[:, None], AT_INF)
+    np.testing.assert_allclose(fam.mean_map(x, AT_INF)[:, 0], m, rtol=1e-13, atol=0.0)
+    # wherever Phi(m) is a normal float, m comes back within 8 ulp of max(1, |Phi|)
+    m = np.geomspace(1e-300, 1e300, 2001)
+    x = fam.beta_map(m[:, None], AT_INF)[:, 0]
+    assert np.all(x <= 0.0)
+    normal = np.abs(x) >= np.finfo(float).tiny
+    back = fam.mean_map(x[normal, None], AT_INF)[:, 0]
+    assert np.all(np.abs(back / m[normal] - 1.0) <= 8 * 2.0 ** -52 * np.maximum(1.0, -x[normal]))
+
+
 def test_abm_validates_parameters():
     with pytest.raises(UnsupportedModelError):
         abm_family(-1.0, 1)
