@@ -418,12 +418,7 @@ def _write_rows(write, values: np.ndarray, logs: np.ndarray, inverse: np.ndarray
 def _cmd_evalue(args) -> int:
     _probe_output(args.out)
     pairing = build_pairing(args)
-    if not args.force:
-        report = run_condition_battery(pairing, spec=_grid_spec(args))
-        if report.overall != CERTIFIED:
-            print(f"refusing to evaluate: battery verdict is {report.overall} "
-                  f"({report.reason}); pass --force to override", file=sys.stderr)
-            return _OVERALL_EXIT[report.overall]
+    # the data and the mean are read and checked before the battery runs
     data = _read_numeric_csv(args.data)
     mu = _anchor_mean(args, pairing)
     null = pairing.null
@@ -432,6 +427,12 @@ def _cmd_evalue(args) -> int:
         expected = "one column" if width == 1 else f"{width} columns"
         raise DataError(f"model {pairing.name} expects {expected}, got {data.shape[1]}")
     batch = data[:, 0] if null.element_ndim == 0 else data
+    if not args.force:
+        report = run_condition_battery(pairing, spec=_grid_spec(args))
+        if report.overall != CERTIFIED:
+            print(f"refusing to evaluate: battery verdict is {report.overall} "
+                  f"({report.reason}); pass --force to override", file=sys.stderr)
+            return _OVERALL_EXIT[report.overall]
 
     def log_evalues(rows):
         try:

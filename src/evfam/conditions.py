@@ -35,12 +35,15 @@ from .domains import DomainDescriptor
 from .errors import DomainError, UnsupportedModelError
 from .families import (
     ExpFamilyDescriptor,
+    _cov,
+    _kl,
+    _require_mean,
     canonical_from_mean,
     covariance_at_mean,
     kl_between_means,
     law_kl,
 )
-from .tilt import TiltedFamily, f_gap_info
+from .tilt import TiltedFamily, _gap
 from .util import TOL_PSD, as_batch, float_or_array, psd_margin, rowdot
 
 __all__ = [
@@ -73,20 +76,6 @@ CERTIFIED = "simple-evariable-certified"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive-stochastic"
 INCONCLUSIVE_PRECONDITIONS = "inconclusive-preconditions"
-
-
-def _verdict(stochastic: bool, failed: bool, preconditions_met: bool) -> str:
-    """The verdict rule of the battery.
-
-    Monte Carlo orderings prove nothing, so they decide first; a failed
-    deterministic ordering refutes; orderings that hold beside a failed
-    precondition leave the claim open.
-    """
-    if stochastic:
-        return INCONCLUSIVE
-    if failed:
-        return REFUTED
-    return CERTIFIED if preconditions_met else INCONCLUSIVE_PRECONDITIONS
 
 
 @dataclass(frozen=True)
@@ -168,6 +157,9 @@ def _halton(d: int, seed: int, n: int) -> np.ndarray:
     permutations are drawn, and the digits summed, in the order scipy's
     ``qmc.Halton(d, seed=seed).random(n)`` uses, so the points equal it bit
     for bit.  ``seed`` is a non-negative integer (``GridSpec`` checks it).
+
+    While the largest row index n - 1 still has a digit, each digit adds an
+    array; above it every index's digit is 0, so each digit adds one scalar.
     """
     rng = np.random.default_rng(seed)
     primes: list[int] = []
@@ -181,15 +173,14 @@ def _halton(d: int, seed: int, n: int) -> np.ndarray:
         # one permutation per digit that still moves a double: base**-j > 2**-54
         perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
         perms = rng.permuted(perms, axis=1)  # draws as rng.shuffle on each row in turn
-        q = np.arange(n)
-        seq = np.zeros(n)
-        b2r = 1.0 / base
+        q, seq, b2r, top = np.arange(n), np.zeros(n), 1.0 / base, n - 1
         for perm in perms:
-            if q.any():
-                q, r = np.divmod(q, base)
-                seq += perm[r] * b2r
+            if top > 0:
+                seq += np.take(perm, q % base) * b2r
+                q //= base
+                top //= base
             else:  # every higher digit is 0
-                seq += perm[0] * b2r
+                seq += float(perm[0]) * b2r
             b2r /= base
         out[:, col] = seq
     return out
@@ -285,14 +276,14 @@ def check_preconditions(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     domain falls back to containment of the grid points.  Canonical domains
     are boxes, compared by their bounds anchor by anchor over the mean grid.
     """
-    in_null = null.mean_domain.contains(grid)
-    return _preconditions(null, tilted, grid, in_null, _canonical_boxes(null, grid[in_null]))
+    return _preconditions(null, tilted.family, grid, null.mean_domain.contains(grid))[0]
 
 
-def _preconditions(null: ExpFamilyDescriptor, tilted: TiltedFamily, grid: np.ndarray,
-                   in_null: np.ndarray, box_p: DomainDescriptor) -> PreconditionReport:
-    """``check_preconditions`` given the grid's null membership and B_p at its null means."""
-    alt = tilted.family
+def _preconditions(null: ExpFamilyDescriptor, alt: ExpFamilyDescriptor, grid: np.ndarray,
+                   in_null: np.ndarray) -> tuple[PreconditionReport, DomainDescriptor, DomainDescriptor]:
+    """``check_preconditions`` given the grid's null membership, with B_p and B_q at its null means."""
+    anchors = grid[in_null]
+    box_p, box_q = _canonical_boxes(null, anchors), _canonical_boxes(alt, anchors)
     details: dict = {}
     if alt.mean_domain.predicate is None and null.mean_domain.predicate is None:
         mq_in_mp = _box_subset(alt.mean_domain, null.mean_domain)
@@ -301,12 +292,12 @@ def _preconditions(null: ExpFamilyDescriptor, tilted: TiltedFamily, grid: np.nda
         mq_in_mp = bool(np.all(in_null))
         details["mean_containment"] = "sampled"
 
-    anchors = grid[in_null]
-    ok = np.broadcast_to(_box_subset(box_p, _canonical_boxes(alt, anchors)), anchors.shape[:1])
+    ok = np.broadcast_to(_box_subset(box_p, box_q), anchors.shape[:1])
     bp_in_bq = bool(np.all(ok))
     if not bp_in_bq:
         details["canonical_containment_failure_at"] = anchors[np.argmin(ok)].tolist()
-    return PreconditionReport(mq_subset_mp=bool(mq_in_mp), bp_subset_bq=bp_in_bq, details=details)
+    report = PreconditionReport(mq_subset_mp=bool(mq_in_mp), bp_subset_bq=bp_in_bq, details=details)
+    return report, box_p, box_q
 
 
 def check_sigma_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
@@ -316,17 +307,18 @@ def check_sigma_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     The margin at each point is the smallest eigenvalue of the difference
     relative to the spectral norm of Sigma_p (:func:`util.psd_margin`).
     """
-    return _sigma_verdict(null, covariance_at_mean(null, grid), tilted, grid)
+    return _sigma_verdict(null, tilted.family, grid, covariance_at_mean(null, grid),
+                          covariance_at_mean(tilted.family, grid))
 
 
-def _sigma_verdict(null: ExpFamilyDescriptor, cov_p: np.ndarray, tilted: TiltedFamily,
-                   grid: np.ndarray) -> ItemVerdict:
-    """``check_sigma_ordering`` given Sigma_p at the grid."""
+def _sigma_verdict(null: ExpFamilyDescriptor, alt: ExpFamilyDescriptor, grid: np.ndarray,
+                   cov_p: np.ndarray, cov_q: np.ndarray) -> ItemVerdict:
+    """``check_sigma_ordering`` given Sigma_p and Sigma_q at the grid."""
     with np.errstate(invalid="ignore"):  # inf - inf, or inf / inf: refused below
-        eigs, scale = psd_margin(cov_p, covariance_at_mean(tilted.family, grid))
+        eigs, scale = psd_margin(cov_p, cov_q)
         margin = eigs[:, 0] / scale
     if np.isnan(margin).any():
-        raise DomainError(f"covariance ordering of {null.name} against {tilted.family.name} "
+        raise DomainError(f"covariance ordering of {null.name} against {alt.name} "
                           f"is NaN at grid mean {grid[np.isnan(margin)][0].tolist()}")
     return _ordering_verdict("min eigenvalue of Sigma_p - Sigma_q, relative to ||Sigma_p||, >= -tol",
                              margin, grid, -TOL_PSD, at_least=True)
@@ -335,20 +327,27 @@ def _sigma_verdict(null: ExpFamilyDescriptor, cov_p: np.ndarray, tilted: TiltedF
 def check_beta_pairing(null: ExpFamilyDescriptor, tilted: TiltedFamily,
                        pairs: np.ndarray) -> ItemVerdict:
     """Ordering 2: (beta_p - beta_q) . (mu - mu') <= 0 over mean pairs."""
-    mu, mu_prime = pairs[:, 0], pairs[:, 1]
-    bp = canonical_from_mean(null, mu, mu_prime)
-    bq = canonical_from_mean(tilted.family, mu, mu_prime)
+    return _pairing_verdict(pairs, *(canonical_from_mean(fam, pairs[:, 0], pairs[:, 1])
+                                     for fam in (null, tilted.family)))
+
+
+def _pairing_verdict(pairs: np.ndarray, bp: np.ndarray, bq: np.ndarray) -> ItemVerdict:
+    """``check_beta_pairing`` given beta_p and beta_q at the pairs."""
     with np.errstate(over="ignore"):  # a product past the float range is its honest inf
-        values = rowdot(bp - bq, mu - mu_prime)
+        values = rowdot(bp - bq, pairs[:, 0] - pairs[:, 1])
     return _ordering_verdict("(beta_p - beta_q) . (mu - mu') <= tol", values, pairs, TOL_SCALAR)
 
 
 def check_kl_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
                       pairs: np.ndarray) -> ItemVerdict:
     """Ordering 3: D_p(mu || mu') - D_q(mu || mu') <= 0 over mean pairs."""
-    mu, mu_prime = pairs[:, 0], pairs[:, 1]
-    values = kl_between_means(null, mu, mu_prime) - kl_between_means(tilted.family, mu, mu_prime)
-    return _ordering_verdict("D_p(mu || mu') - D_q(mu || mu') <= tol", values, pairs, TOL_SCALAR)
+    return _kl_verdict(pairs, *(kl_between_means(fam, pairs[:, 0], pairs[:, 1])
+                                for fam in (null, tilted.family)))
+
+
+def _kl_verdict(pairs: np.ndarray, kl_p: np.ndarray, kl_q: np.ndarray) -> ItemVerdict:
+    """``check_kl_ordering`` given D_p and D_q at the pairs."""
+    return _ordering_verdict("D_p(mu || mu') - D_q(mu || mu') <= tol", kl_p - kl_q, pairs, TOL_SCALAR)
 
 
 def _probe_axis_values(box: DomainDescriptor, scales: np.ndarray) -> np.ndarray:
@@ -416,15 +415,18 @@ def check_logz_ordering(null: ExpFamilyDescriptor, tilted: TiltedFamily,
     as a +inf gap; probes past the null's own finite range are skipped.
     Locations are [grid mean, probe] pairs; with no probe counted it holds at -inf.
     """
-    return _logz_verdict(null, tilted, grid, _canonical_boxes(null, grid),
-                         covariance_at_mean(null, grid))
+    alt = tilted.family
+    return _logz_verdict(null, alt, grid, _canonical_boxes(null, grid), covariance_at_mean(null, grid),
+                         _canonical_boxes(alt, _require_mean(alt, grid)))
 
 
-def _logz_verdict(null: ExpFamilyDescriptor, tilted: TiltedFamily, grid: np.ndarray,
-                  box_p: DomainDescriptor, cov_p: np.ndarray) -> ItemVerdict:
-    """``check_logz_ordering`` given B_p and Sigma_p at the grid."""
+def _logz_verdict(null: ExpFamilyDescriptor, alt: ExpFamilyDescriptor, grid: np.ndarray,
+                  box_p: DomainDescriptor, cov_p: np.ndarray, box_q: DomainDescriptor) -> ItemVerdict:
+    """``check_logz_ordering`` given B_p, Sigma_p and B_q at the grid."""
     probes = _beta_probe_points(box_p, cov_p)
-    gaps, null_out = f_gap_info(null, tilted, probes, grid[:, None])
+    # one box per grid mean, against that mean's row of probes
+    gaps, null_out = _gap(null, alt, probes, grid[:, None], *(
+        DomainDescriptor(box.lower[..., None, :], box.upper[..., None, :]) for box in (box_p, box_q)))
     counted = ~null_out  # owner-major; NaN padding lies off B_p, so it is null_out
     rule = "logZ_q(beta; mu) - logZ_p(beta; mu) <= tol on B_p(mu)"
     if not np.any(counted):
@@ -488,25 +490,30 @@ def run_condition_battery(pairing, spec: GridSpec | None = None) -> ConditionRep
     alt = tilted.family
     grid = mean_grid(alt.mean_domain, spec, include=tilted.mu_star)
     pairs = mean_pairs(alt.mean_domain, spec)
-    # both draw inside the alternative's mean space; the orderings compare the
-    # two families at means that lie in the null's too, where one B_p and Sigma_p serve all
+    # both draw inside the alternative's mean space; the orderings compare the two
+    # families at means that lie in the null's too, checked here once: the stages
+    # call the families' unchecked kernels, and one B_p, B_q and Sigma_p serve them all
     in_null = null.mean_domain.contains(grid)
-    box_p = _canonical_boxes(null, grid[in_null])
-    pre = _preconditions(null, tilted, grid, in_null, box_p)
+    pre, box_p, box_q = _preconditions(null, alt, grid, in_null)
     grid = grid[in_null]
     pairs = pairs[np.all(null.mean_domain.contains(pairs), axis=1)]
     if grid.shape[0] == 0 or pairs.shape[0] == 0:
         raise DomainError(f"{alt.name}: no grid mean or no mean pair lies in the mean space "
                           f"of {null.name}")
-    cov_p = covariance_at_mean(null, grid)
+    mu, mu_prime = pairs[:, 0], pairs[:, 1]
+    cov_p = _cov(null.cov_map, np.zeros_like(grid), grid)
+    sigma = _sigma_verdict(null, alt, grid, cov_p, _cov(alt.cov_map, np.zeros_like(grid), grid))
+    bp, bq = (np.asarray(fam.beta_map(mu, mu_prime), dtype=float) for fam in (null, alt))
     items = {
-        "covariance_ordering": _sigma_verdict(null, cov_p, tilted, grid),
-        "canonical_pairing": check_beta_pairing(null, tilted, pairs),
-        "kl_ordering": check_kl_ordering(null, tilted, pairs),
-        "log_partition_ordering": _logz_verdict(null, tilted, grid, box_p, cov_p),
+        "covariance_ordering": sigma,
+        "canonical_pairing": _pairing_verdict(pairs, bp, bq),
+        "kl_ordering": _kl_verdict(pairs, _kl(null, bp, mu, mu_prime), _kl(alt, bq, mu, mu_prime)),
+        "log_partition_ordering": _logz_verdict(null, alt, grid, box_p, cov_p, box_q),
     }
     failed = [key for key, verdict in items.items() if not verdict.passed]
-    overall = _verdict(null.stochastic or alt.stochastic, bool(failed), pre.all_passed)
+    # Monte Carlo orderings prove nothing, so they decide first
+    overall = (INCONCLUSIVE if null.stochastic or alt.stochastic else REFUTED if failed
+               else CERTIFIED if pre.all_passed else INCONCLUSIVE_PRECONDITIONS)
     reason = {INCONCLUSIVE: "log-partition estimates are Monte Carlo",
               REFUTED: f"failed: {', '.join(failed)}",
               CERTIFIED: "preconditions and all orderings hold on the grids",
@@ -523,16 +530,13 @@ def run_condition_battery(pairing, spec: GridSpec | None = None) -> ConditionRep
     )
 
 
-def _require_densities(tilted: TiltedFamily, null: ExpFamilyDescriptor, what: str) -> None:
-    if null.carrier_log_density is None or tilted.family.carrier_log_density is None:
-        raise UnsupportedModelError(f"both families need density evaluation for {what}")
-
-
-def _shared_mean(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu) -> np.ndarray:
-    """``mu`` as a vector; it must lie in both mean spaces."""
+def _shared_mean(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu, what: str) -> np.ndarray:
+    """``mu`` as a vector; it must lie in both mean spaces, whose families evaluate densities."""
     mu_vec = null.vec(mu)
     if not null.mean_domain.contains(mu_vec) or not tilted.family.mean_domain.contains(mu_vec):
         raise DomainError(f"mean {mu_vec} must lie in both mean spaces")
+    if null.carrier_log_density is None or tilted.family.carrier_log_density is None:
+        raise UnsupportedModelError(f"both families need density evaluation for {what}")
     return mu_vec
 
 
@@ -543,8 +547,7 @@ def simple_log_evalue(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu, u):
     A family that declares its law refuses, with a DataError, the first
     element of ``u`` outside that law's support; the null's law is checked first.
     """
-    mu_vec = _shared_mean(tilted, null, mu)
-    _require_densities(tilted, null, "e-values")
+    mu_vec = _shared_mean(tilted, null, mu, "e-values")
     batch, single = as_batch(u, null.element_ndim)
     log_p = np.asarray(null.carrier_log_density(batch, mu_vec), dtype=float)
     log_q = np.asarray(tilted.family.carrier_log_density(batch, mu_vec), dtype=float)
@@ -573,8 +576,7 @@ def growth_rate(tilted: TiltedFamily, null: ExpFamilyDescriptor, mu,
     ``n_mc`` and ``seed`` are unused, since no route samples; they stay for
     callers that pass them (``perfbench/workloads.py``).
     """
-    mu_vec = _shared_mean(tilted, null, mu)
-    _require_densities(tilted, null, "growth rates")
+    mu_vec = _shared_mean(tilted, null, mu, "growth rates")
     if tilted.family.law is None or null.law is None:
         raise UnsupportedModelError("growth rate needs both families to declare their laws")
     return law_kl(tilted.family.law(mu_vec), null.law(mu_vec))

@@ -139,9 +139,7 @@ class ExpFamilyDescriptor:
 
     def points(self, x) -> np.ndarray:
         """Coerce a parameter or a ``(..., dim)`` batch of them to floats."""
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
         if arr.shape[-1:] != (self.dim,):
             raise ValueError(f"{self.name}: parameter shape {arr.shape}, expected (..., {self.dim})")
         return arr
@@ -156,22 +154,27 @@ def _require_mean(fam: ExpFamilyDescriptor, mu, label: str = "mean") -> np.ndarr
     return mu
 
 
-def _require_canonical(fam: ExpFamilyDescriptor, beta: np.ndarray, anchor: np.ndarray) -> None:
+def _require_canonical(fam: ExpFamilyDescriptor, beta, anchor) -> tuple[np.ndarray, np.ndarray]:
+    """``beta`` and ``anchor`` as floats; the anchor must lie in the mean domain, beta in B(anchor)."""
+    beta, anchor = fam.points(beta), _require_mean(fam, anchor, "anchor")
     inside = fam.canonical_domain(anchor).contains(beta)
     if not np.all(inside):
         b, a = np.broadcast_arrays(beta, anchor)
         first = tuple(np.argwhere(~np.broadcast_to(inside, b.shape[:-1]))[0])
         raise DomainError(f"{fam.name}: beta {b[first]} outside canonical domain "
                           f"at anchor {a[first]}")
+    return beta, anchor
 
 
-def _logz(fam: ExpFamilyDescriptor, beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+def _logz(fam: ExpFamilyDescriptor, beta: np.ndarray, anchor: np.ndarray,
+          box: DomainDescriptor | None = None) -> np.ndarray:
     """Log-partition over a validated anchor batch; +inf off the canonical domain.
 
-    Anchors reach the descriptor un-broadcast; a beta off the domain is evaluated at 0.
+    Anchors reach the descriptor un-broadcast; a beta off the domain (``box``, if given) is evaluated at 0.
     """
     shape = np.broadcast_shapes(beta.shape, anchor.shape)
-    inside = np.broadcast_to(fam.canonical_domain(anchor).contains(beta), shape[:-1])
+    box = fam.canonical_domain(anchor) if box is None else box
+    inside = np.broadcast_to(box.contains(beta), shape[:-1])
     vals = np.asarray(fam.log_partition(np.where(inside[..., None], beta, 0.0), anchor), dtype=float)
     nan = np.isnan(vals) & inside
     if np.any(nan):
@@ -190,25 +193,17 @@ def _cov(cov_map: Callable, beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
 
 def log_partition_at(fam: ExpFamilyDescriptor, beta, anchor):
     """Anchored log-partition; +inf outside the canonical domain."""
-    beta = fam.points(beta)
-    anchor = _require_mean(fam, anchor, "anchor")
-    return _scalar(_logz(fam, beta, anchor))
+    return _scalar(_logz(fam, fam.points(beta), _require_mean(fam, anchor, "anchor")))
 
 
 def mean_from_canonical(fam: ExpFamilyDescriptor, beta, anchor) -> np.ndarray:
     """Mean of the tilted member, i.e. grad_beta logZ(beta; anchor)."""
-    beta = fam.points(beta)
-    anchor = _require_mean(fam, anchor, "anchor")
-    _require_canonical(fam, beta, anchor)
-    return np.asarray(fam.mean_map(beta, anchor), dtype=float)
+    return np.asarray(fam.mean_map(*_require_canonical(fam, beta, anchor)), dtype=float)
 
 
 def covariance_at_canonical(fam: ExpFamilyDescriptor, beta, anchor) -> np.ndarray:
     """Sufficient-statistic covariance of the tilted member (symmetric PD)."""
-    beta = fam.points(beta)
-    anchor = _require_mean(fam, anchor, "anchor")
-    _require_canonical(fam, beta, anchor)
-    return _cov(fam.cov_map, beta, anchor)
+    return _cov(fam.cov_map, *_require_canonical(fam, beta, anchor))
 
 
 def covariance_at_mean(fam: ExpFamilyDescriptor, mu) -> np.ndarray:
@@ -279,30 +274,31 @@ def _cached_rows(cache: dict[bytes, np.ndarray], rows: np.ndarray,
     ``solve``, as one (n, k) batch.  Returns one solved row per input row.
     """
     flat = np.ascontiguousarray(rows, dtype=float).reshape(-1, np.shape(rows)[-1])
-    keys = [row.tobytes() for row in flat]
-    missing = {key: row for key, row in zip(keys, flat) if key not in cache}
+    keys = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize)))[:, 0].tolist()
+    missing = {key: i for i, key in enumerate(keys) if key not in cache}
     if missing:
-        cache.update(zip(missing, solve(np.array(list(missing.values())))))
+        cache.update(zip(missing, solve(flat[list(missing.values())])))
     return np.array([cache[key] for key in keys])
 
 
 def canonical_from_mean(fam: ExpFamilyDescriptor, mu, anchor) -> np.ndarray:
     """Canonical coordinate of the member with mean ``mu``, relative to ``anchor``."""
-    mu = _require_mean(fam, mu)
-    anchor = _require_mean(fam, anchor, "anchor")
-    return np.asarray(fam.beta_map(mu, anchor), dtype=float)
+    return np.asarray(fam.beta_map(_require_mean(fam, mu), _require_mean(fam, anchor, "anchor")), dtype=float)
 
 
 def kl_between_means(fam: ExpFamilyDescriptor, mu, mu_prime):
     """D(P_mu || P_mu') via duality: beta . mu - logZ(beta; mu')."""
-    mu = _require_mean(fam, mu)
-    mu_prime = _require_mean(fam, mu_prime)
-    beta = np.asarray(fam.beta_map(mu, mu_prime), dtype=float)
+    mu, mu_prime = _require_mean(fam, mu), _require_mean(fam, mu_prime)
+    return _scalar(_kl(fam, np.asarray(fam.beta_map(mu, mu_prime), dtype=float), mu, mu_prime))
+
+
+def _kl(fam: ExpFamilyDescriptor, beta: np.ndarray, mu: np.ndarray, mu_prime: np.ndarray) -> np.ndarray:
+    """``kl_between_means`` at validated means, given beta = beta_map(mu, mu')."""
     logz = _logz(fam, beta, mu_prime)
     if not np.all(np.isfinite(logz)):
         raise ConvergenceError(f"{fam.name}: log-partition divergent inside the mean image")
     with np.errstate(over="ignore"):  # a product past the float range is its honest inf
-        return _scalar(rowdot(beta, mu) - logz)
+        return rowdot(beta, mu) - logz
 
 
 def log_density(fam: ExpFamilyDescriptor, beta, anchor, u):
@@ -413,7 +409,8 @@ def family_from_root_cumulant(
 
     if root_beta is not None:
         def beta_map(mu: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-            return gamma_of(mu) - gamma_of(anchor)
+            gamma = gamma_of(np.stack(np.broadcast_arrays(mu, anchor)))  # both ends in one solve
+            return gamma[0] - gamma[1]
     else:
         # solved at the anchor: differencing two Newton-solved gammas rounds differently
         beta_cache: dict[bytes, np.ndarray] = {}

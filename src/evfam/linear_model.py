@@ -88,10 +88,6 @@ class LinearModelDesign:
     def gram_ff(self) -> np.ndarray:
         return self.nuisance.T @ self.nuisance
 
-    @property
-    def gram_f0(self) -> np.ndarray:
-        return self.nuisance.T @ self.x[:, 0]
-
     @cached_property
     def gram(self) -> np.ndarray:
         """X'X: squared norms and nuisance cross-products of fitted values need only it."""
@@ -103,6 +99,11 @@ class LinearModelDesign:
         from scipy.linalg import cho_factor  # scipy.linalg loads with the linear model only
 
         return cho_factor(self.gram_ff, lower=True)
+
+    @cached_property
+    def nuisance_fit_f0(self) -> np.ndarray:
+        """G_ff^{-1} g_f0, the tested column's fit in the nuisance columns, solved once per design."""
+        return _solve_ff(self, self.nuisance.T @ self.x[:, 0])
 
 
 @dataclass(frozen=True)
@@ -157,13 +158,9 @@ def _solve_ff(design: LinearModelDesign, rhs: np.ndarray) -> np.ndarray:
     return cho_solve(design.gram_ff_cholesky, cols, check_finite=False).T.reshape(rhs.shape)
 
 
-def _nuisance_quadratic(design: LinearModelDesign, mu_f: np.ndarray) -> np.ndarray:
-    return rowdot(mu_f, _solve_ff(design, mu_f))
-
-
 def _mean_domain(design: LinearModelDesign) -> DomainDescriptor:
     def predicate(mu: np.ndarray) -> np.ndarray:
-        return mu[..., 0] > _nuisance_quadratic(design, mu[..., 1:])
+        return mu[..., 0] > rowdot(mu[..., 1:], _solve_ff(design, mu[..., 1:]))
 
     lower = np.full(design.d + 1, -np.inf)
     lower[0] = 0.0
@@ -192,7 +189,7 @@ def params_from_mean(design: LinearModelDesign, theta: float, mu) -> LinearModel
         bad = mu if mu.ndim == 1 else mu[a0 >= 0.0][0]
         raise DomainError(f"mean {bad} outside the linear-model mean space")
     with np.errstate(all="ignore"):
-        gamma_b = np.concatenate([[theta], -_solve_ff(design, design.gram_f0) * theta])
+        gamma_b = np.concatenate([[theta], -design.nuisance_fit_f0 * theta])
         fb = design.x @ gamma_b
         a2 = float(fb @ fb)
         a1 = design.n + 2.0 * (g_a @ gamma_b)

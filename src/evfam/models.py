@@ -516,6 +516,9 @@ def _arm_family(name: str, kind: str, k: int, sigma2: float,
             law=lambda mean: ("poisson", np.broadcast_to(arms_at(mean[0]), (k,))),
         )
     _require_positive(sigma2, "gaussian k-sample", "sigma2")
+    if sigma2 > np.finfo(float).max / k:  # the variance function is k sigma2
+        raise UnsupportedModelError(f"gaussian k-sample: k * sigma2 overflows the float range for "
+                                    f"k={k}, sigma2={float(sigma2)!r}")
     return _nef_from_potentials(
         name,
         variance=lambda m: k * sigma2,
@@ -545,7 +548,8 @@ def ksample_null_family(kind: str, k: int, sigma2: float = 1.0) -> ExpFamilyDesc
 
     The member with total mean m has arm mean m/k; the variance function of
     the total follows from the arm law (m for Poisson arms, m (1 - m/k) for
-    Bernoulli, k sigma2 constant for Gaussian).
+    Bernoulli, k sigma2 constant for Gaussian; a k sigma2 past the float range
+    is refused by name).
     """
     if k < 2:
         raise UnsupportedModelError("k-sample families need k >= 2")
@@ -763,13 +767,17 @@ def gaussian_scale_pairing(m: float, s2: float) -> Pairing:
     with c = 1/(2 s2); its second-moment mean and variance have the closed
     forms coded below, and the inverse mean map solves a quadratic in
     t = c - beta.  The anchor mean is s2 + m^2 and the member at that anchor
-    is the alternative itself.
+    is the alternative itself; an anchor mean past 1/16 of the largest float,
+    where the inverse mean map's 16 mu c^2 m^2 overflows, is refused by name.
     """
     _require_positive(s2, "gaussian scale pairing", "s2")
+    mu_star = s2 + m * m
+    if np.isfinite(mu_star) and mu_star > np.finfo(float).max / 16.0:  # root_beta takes 16 mu
+        raise UnsupportedModelError(f"gaussian scale pairing: the mean of u^2, s2 + m^2, overflows the "
+                                    f"inverse mean map for m={float(m)!r}, s2={float(s2)!r}")
     null = gaussian_scale_family()
     c = 0.5 / s2
     cm2 = c * c * m * m
-    mu_star = s2 + m * m
 
     def root_cumulant(beta: np.ndarray) -> np.ndarray:
         t = c - beta[..., 0]

@@ -43,8 +43,9 @@ from .errors import DomainError, UnsupportedModelError
 from .families import (
     ExpFamilyDescriptor,
     _cached_rows,
+    _logz,
+    _require_mean,
     family_from_root_cumulant,
-    log_partition_at,
 )
 from .util import pointwise
 
@@ -255,13 +256,17 @@ def f_gap_info(null: ExpFamilyDescriptor, tilted: TiltedFamily, beta, anchor):
 
     Returns ``(gap, null_out)``: for one point a float and a bool, for
     ``(..., dim)`` batches two arrays of the leading shape.  ``null_out``
-    marks the points past the null's canonical domain.
+    marks the points past the null's canonical domain.  Each anchor must lie in both mean spaces.
     """
-    logz_p = np.asarray(log_partition_at(null, beta, anchor))
-    logz_q = np.asarray(log_partition_at(tilted.family, beta, anchor))
+    anchor = _require_mean(tilted.family, _require_mean(null, anchor, "anchor"), "anchor")
+    gap, p_out = _gap(null, tilted.family, null.points(beta), anchor)
+    return (float(gap), bool(p_out)) if gap.ndim == 0 else (gap, p_out)
+
+
+def _gap(null: ExpFamilyDescriptor, alt: ExpFamilyDescriptor, beta: np.ndarray, anchor: np.ndarray,
+         box_p: DomainDescriptor | None = None, box_q: DomainDescriptor | None = None):
+    """``f_gap_info`` at validated anchors, as arrays, in B_p ``box_p`` and B_q ``box_q`` if given."""
+    logz_p, logz_q = _logz(null, beta, anchor, box_p), _logz(alt, beta, anchor, box_q)
     p_out = ~np.isfinite(logz_p)
     with np.errstate(invalid="ignore"):
-        gap = np.where(p_out | ~np.isfinite(logz_q), np.inf, logz_q - logz_p)
-    if gap.ndim == 0:
-        return float(gap), bool(p_out)
-    return gap, p_out
+        return np.where(p_out | ~np.isfinite(logz_q), np.inf, logz_q - logz_p), p_out

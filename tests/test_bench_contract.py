@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from evfam import errors, tilt
+from evfam import errors, linear_model, tilt
 from evfam.conditions import GridSpec, growth_rate, run_condition_battery
+from evfam.domains import DomainDescriptor
 from evfam.linear_model import LinearModelDesign, linmodel_pairing
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -94,3 +96,65 @@ def test_linmodel_growth_is_the_reference_closed_form(tmp_path):
     got = growth_rate(pairing.tilted, pairing.null, pairing.tilted.mu_star)
     want = workloads.ref().linmodel_growth(lm["design"], lm["sigma2"], lm["gamma"])
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _count_calls(monkeypatch, counts: Counter, module: str, attr: str) -> None:
+    """Count the calls to ``module.attr`` through every evfam module that binds it by name."""
+    original = getattr(importlib.import_module(module), attr)
+
+    def counted(*args, **kwargs):
+        counts[attr] += 1
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "evfam":
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+
+
+# The work of one in-process catalog check.  The battery checks its grid and
+# pairs once, and its stages call the families' kernels, so no _require_mean
+# runs; at the parent of this change the four read 26 / 12 / 3, 23 / 12 with 20
+# params_from_mean calls, 22 / 12 and 22 / 12.  The Bernoulli root solves its
+# grid, then both ends of every pair in one call; linmodel solves its members
+# once per stage that reads them.
+@pytest.mark.parametrize("label, contains, require_mean, brentq_rows, params_from_mean", [
+    ("ksample-bernoulli", 14, 0, 2, 0),
+    ("linmodel", 11, 0, 0, 14),
+    ("negbinom-vs-poisson", 10, 0, 0, 0),
+    ("gaussian-location", 10, 0, 0, 0),
+])
+def test_one_catalog_check_makes_the_counted_calls(monkeypatch, tmp_path, label, contains,
+                                                   require_mean, brentq_rows, params_from_mean):
+    (op,) = [op for op in workloads.catalog_ops(inputs.make_inputs("catalog-check", 1, tmp_path))
+             if op.label == label]
+    counts: Counter = Counter()
+    for module, attr in (("evfam.families", "_require_mean"), ("evfam.models", "_brentq_rows"),
+                         ("evfam.linear_model", "params_from_mean")):
+        _count_calls(monkeypatch, counts, module, attr)
+    contains_calls = DomainDescriptor.contains
+    monkeypatch.setattr(DomainDescriptor, "contains",
+                        lambda self, x: counts.update(["contains"]) or contains_calls(self, x))
+    assert op.check(op.run(0)) is None
+    assert [counts[key] for key in ("contains", "_require_mean", "_brentq_rows", "params_from_mean")] \
+        == [contains, require_mean, brentq_rows, params_from_mean]
+
+
+def test_linmodel_solves_the_tested_columns_nuisance_fit_once(monkeypatch, tmp_path):
+    # G_ff^-1 g_f0 belongs to the design: the null and alternative families share
+    # one solve, where each params_from_mean call used to make its own
+    lm = inputs.make_inputs("catalog-check", 1, tmp_path)["linmodel"]
+    design = LinearModelDesign(lm["design"])
+    g_f0 = design.nuisance.T @ design.x[:, 0]
+    solve_ff, solves = linear_model._solve_ff, []
+
+    def recording(design, rhs):
+        solves.append(bool(rhs.shape == g_f0.shape and (rhs == g_f0).all()))
+        return solve_ff(design, rhs)
+
+    monkeypatch.setattr(linear_model, "_solve_ff", recording)
+    pairing = linmodel_pairing(design, lm["sigma2"], lm["gamma"])
+    report = run_condition_battery(pairing, spec=GridSpec(points_per_axis=4, n_pairs=16))
+    assert report.overall == "simple-evariable-certified"
+    assert solves.count(True) == 1 and len(solves) > 10

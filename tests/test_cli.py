@@ -324,6 +324,24 @@ def test_evalue_rejects_malformed_data(capsys, tmp_path):
     assert code == 65
 
 
+# evalue reads and checks its data before the battery: a missing file, or one of
+# the wrong width, exits 65 without a battery run, even where the battery would refuse
+@pytest.mark.parametrize("argv, content, message", [
+    (["--model", "negbinom-vs-poisson", "--successes", "4", "--mu", "2"], None,
+     "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    (["--model", "ig-vs-exp", "--lam", "2", "--mu", "1.5"], "1,2\n",
+     "model ig-vs-exp expects one column, got 2"),
+], ids=["missing-file", "refuted-model-wrong-width"])
+def test_evalue_checks_its_data_before_the_battery(capsys, monkeypatch, tmp_path, argv, content,
+                                                    message):
+    monkeypatch.setattr(cli, "run_condition_battery", lambda *a, **k: pytest.fail("battery ran"))
+    data = tmp_path / "obs.csv"
+    if content is not None:
+        data.write_text(content)
+    code, out, err = run(capsys, "evalue", *argv, "--data", str(data))
+    assert (code, out, err) == (65, "", f"evfam: data error: {message.format(path=data)}\n")
+
+
 BAD_CSV_CASES = {
     "second-non-numeric-line": ("value\nother\n1\n", "{path}:2: non-numeric row 'other'"),
     "bad-line-after-data": ("value\n1\nnot-a-number\n", "{path}:3: non-numeric row 'not-a-number'"),
@@ -850,6 +868,24 @@ def test_a_nan_covariance_margin_exits_64_naming_the_mean(capsys, argv, message)
         code, out, err = run(capsys, "check", *argv)
     assert (code, out, err) == (64, "", f"evfam: covariance ordering of {message}\n")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# these warned ("invalid value encountered in multiply" in the Gaussian arm
+# family's inverse potential; divide by zero, invalid multiply and overflow in
+# the gaussian-scale root maps) before their exit 64: each model's float range
+# is now refused by name before any arithmetic
+@pytest.mark.parametrize("argv, message", [
+    (["--model", "ksample-gaussian", "--alt-means", "0.2,1,1.8", "--sigma2", "1e308"],
+     "gaussian k-sample: k * sigma2 overflows the float range for k=3, sigma2=1e+308"),
+    (["--model", "gaussian-scale", "--carrier-mean=-3", "--carrier-var", "1e308"],
+     "gaussian scale pairing: the mean of u^2, s2 + m^2, overflows the inverse mean map "
+     "for m=-3.0, s2=1e+308"),
+], ids=["ksample-gaussian-sigma2", "gaussian-scale-var"])
+def test_a_model_past_its_float_range_exits_64_before_any_warning(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "check", *argv)
+    assert (code, out, err) == (64, "", f"evfam: {message}\n")
 
 
 # the alternative's variance m^3 / lam overflows at lam = 1e-300, and the pairing
