@@ -188,7 +188,7 @@ def _cov(cov_map: Callable, beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     beta, anchor = np.broadcast_arrays(beta, anchor)
     with np.errstate(over="ignore"):
         cov = np.broadcast_to(np.asarray(cov_map(beta, anchor), dtype=float), beta.shape + beta.shape[-1:])
-        return 0.5 * (cov + np.swapaxes(cov, -1, -2))
+        return 0.5 * cov + 0.5 * np.swapaxes(cov, -1, -2)  # halve first: cov + cov' may overflow
 
 
 def log_partition_at(fam: ExpFamilyDescriptor, beta, anchor):

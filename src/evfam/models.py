@@ -23,13 +23,14 @@ members sharing that mean.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .domains import DomainDescriptor, box_domain, full_space, positive_orthant
-from .errors import ConvergenceError, DomainError, UnsupportedModelError
+from .errors import DomainError, UnsupportedModelError
 from .families import ExpFamilyDescriptor, family_from_root_cumulant
 from .tilt import TiltedFamily
 from .util import finite_or, matvec, rowdot
@@ -68,78 +69,30 @@ def _sum_stat(u: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# root finding on batches
+# the Bernoulli k-sample root
 
-def _nan_checked(fx, x: np.ndarray) -> np.ndarray:
-    fx = np.asarray(fx, dtype=float)
-    bad = np.isnan(fx)
-    if bad.any():
-        raise ValueError(f"the function value at x={x[bad][0]!r} is NaN; the solver cannot continue")
-    return fx
+def _bernoulli_gamma(logits: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """The shift gamma with sum_i expit(logits_i + gamma) = mean, for every mean in (0, k).
 
-
-def _brentq_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
-                 xtol: float, rtol: float, maxiter: int) -> np.ndarray:
-    """Brent's method on every row of a batch of brackets [a_i, b_i].
-
-    This is scipy's ``brentq`` C loop (Brent 1973, *Algorithms for
-    Minimization without Derivatives*, ch. 4) ported step for step to
-    arrays: the same branch tests, the same operation order in the
-    interpolation and extrapolation steps and the same ``delta`` nudge, so
-    every row gets the root ``scipy.optimize.brentq`` returns for it, bit for
-    bit.  ``f(x, rows)`` evaluates the function of the batch rows ``rows``
-    at ``x``; it is called only on the rows still iterating.
-
-    A NaN function value or a row whose ends share a sign raises
-    ValueError, as scipy does; a row still iterating after ``maxiter`` steps
-    raises ConvergenceError.
+    With L = log(m / (k - m)), every arm's mean is at most m/k at L - max
+    logits and at least m/k at L - min logits, so that bracket holds the
+    root.  Above k/2 the same sum is solved for the other outcome (logits
+    and gamma negated, target k - m, exact there), so the sum compared is
+    never near k.  53 + ceil(log2 max(W, 1)) halvings, W = max - min
+    logits the bracket width of every mean, leave it under one ulp of a
+    gamma near 1.
     """
-    xpre = np.array(a, dtype=float).ravel()
-    xcur = np.array(b, dtype=float).ravel()
-    rows = np.arange(xpre.size)
-    fpre = _nan_checked(f(xpre, rows), xpre)
-    fcur = _nan_checked(f(xcur, rows), xcur)
-    root = np.where(fpre == 0, xpre, xcur)
-    run = (fpre != 0) & (fcur != 0)
-    if np.any(run & (np.signbit(fpre) == np.signbit(fcur))):
-        raise ValueError("f(a) and f(b) must have different signs")
-    rows, xpre, xcur, fpre, fcur = rows[run], xpre[run], xcur[run], fpre[run], fcur[run]
-    xblk = fblk = spre = scur = np.zeros(rows.size)
-    for _ in range(maxiter):
-        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-        step = xcur - xpre
-        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
-        spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
-        swap = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
-        fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
-
-        delta = (xtol + rtol * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        done = (fcur == 0) | (np.abs(sbis) < delta)
-        if done.any():
-            root[rows[done]] = xcur[done]
-            keep = ~done
-            rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
-                v[keep] for v in (rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis))
-        if not rows.size:
-            return root
-
-        # both candidate steps for every row; np.where keeps the one scipy takes
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            stry = np.where(xpre == xblk,
-                            -fcur * (xcur - xpre) / (fcur - fpre),
-                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
-        lim = 3 * np.abs(sbis) - delta
-        short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) \
-            & (2 * np.abs(stry) < np.where(np.abs(spre) < lim, np.abs(spre), lim))
-        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
-        xpre, fpre = xcur, fcur
-        xcur = np.where(np.abs(scur) > delta, xcur + scur, xcur + np.where(sbis > 0, delta, -delta))
-        fcur = _nan_checked(f(xcur, rows), xcur)
-    raise ConvergenceError(f"Brent solve: {rows.size} roots not converged after {maxiter} iterations")
+    from scipy.special import expit
+    k = logits.size
+    sign, target = np.where(mean > k / 2, -1.0, 1.0), np.minimum(mean, k - mean)
+    shifted = sign[..., None] * logits
+    centre = np.log(target) - np.log(k - target)
+    lo, hi = centre - shifted.max(axis=-1), centre - shifted.min(axis=-1)
+    for _ in range(53 + math.ceil(math.log2(max(float(np.ptp(logits)), 1.0)))):
+        mid = 0.5 * (lo + hi)
+        below = expit(shifted + mid[..., None]).sum(axis=-1) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return sign * (0.5 * (lo + hi))
 
 
 def _require_positive(value: float, owner: str, name: str) -> None:
@@ -624,7 +577,8 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
     ratio prod_i p_{m_i}(u_i) / p_{mbar}(u_i) with mbar the arm average.
     Tilting the product alternative by the total moves Poisson arms
     proportionally, Gaussian arms by a common shift, and Bernoulli arms
-    along coupled logistic curves.
+    along coupled logistic curves expit(logit(p_i) + gamma), whose shift at
+    a total mean is found by bisection (``_bernoulli_gamma``).
     """
     alt_means = np.asarray(alt_means, dtype=float)
     k = alt_means.size
@@ -645,25 +599,6 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
         def arm_means_at(gamma) -> np.ndarray:
             return expit(logits + np.asarray(gamma)[..., None])
 
-        def root_gamma(mu: np.ndarray) -> np.ndarray:
-            target = np.asarray(mu, dtype=float)[..., 0]
-            goal = target.ravel()
-            f = lambda g, rows: arm_means_at(g).sum(axis=-1) - goal[rows]
-            rows = np.arange(goal.size)
-            # each end doubles from -1 or 1 until it brackets its target; a
-            # target outside (0, k) stops at infinity without a bracket
-            lo, hi = np.full(goal.shape, -1.0), np.full(goal.shape, 1.0)
-            run = f(lo, rows) > 0.0
-            while run.any():
-                lo[run] *= 2.0
-                run[run] = np.isfinite(lo[run]) & (f(lo[run], rows[run]) > 0.0)
-            run = f(hi, rows) < 0.0
-            while run.any():
-                hi[run] *= 2.0
-                run[run] = np.isfinite(hi[run]) & (f(hi[run], rows[run]) < 0.0)
-            gamma = _brentq_rows(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=100)
-            return gamma.reshape(target.shape + (1,))
-
         def root_cumulant(beta: np.ndarray) -> np.ndarray:
             return np.sum(_bernoulli_cumulant(alt_means, beta[..., 0, None]), axis=-1)
 
@@ -682,7 +617,7 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
             mean_domain=box_domain([0.0], [float(k)]),
             root_mean=root_mean,
             root_cov=root_cov,
-            root_beta=root_gamma,
+            root_beta=lambda mu: _bernoulli_gamma(logits, mu[..., 0])[..., None],
             element_ndim=1,
             root_law=lambda gamma: ("bernoulli", arm_means_at(gamma[0])),
         )

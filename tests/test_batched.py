@@ -1,10 +1,11 @@
-"""Batch evaluation: domain membership, the battery on the catalog, Brent root
-finding on batches, cold start, and the growth-rate fixes that ride along with
-the batched protocol."""
+"""Batch evaluation: domain membership, the battery on the catalog, the
+Bernoulli k-sample root on batches, cold start, and the growth-rate fixes
+that ride along with the batched protocol."""
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -15,8 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.optimize import brentq
-from scipy.special import expit, logit
 
 from evfam import conditions
 from evfam.conditions import (
@@ -46,7 +45,6 @@ from evfam.linear_model import (
     mean_of_params,
 )
 from evfam.models import (
-    _brentq_rows,
     abm_family,
     abm_vs_poisson,
     gaussian_location_family,
@@ -262,7 +260,8 @@ def test_catalog_battery_pinned(key, overall, grid_points, pair_count, items):
 # log-MGF route runs Newton over finite differences of the log-MGF, the Monte
 # Carlo route Newton over an empirical cumulant, the abm r = 2 null Newton
 # on its own potentials in e = s/(s + m), and the Bernoulli k-sample
-# alternative Brent's method; all must keep every worst value's repr
+# alternative bisection on its closed-form bracket; all must keep every worst
+# value's repr
 
 def _generic_mgf_pairing():
     null = negbinom_family(4.0)
@@ -292,9 +291,9 @@ GENERIC_PINNED = [
     ("abm-newton", PAIRINGS["abm-vs-poisson"], GridSpec(), CERTIFIED, 65, 512,
      [(65, "6.666333348041247e-05"), (512, "-4.342920254106131e-09"),
       (512, "-2.1714453840847867e-09"), (519, "9.094947017729282e-12")]),
-    ("bernoulli-brent", PAIRINGS["ksample-bernoulli"], GridSpec(), CERTIFIED, 65, 512,
-     [(65, "0.00040475666116105937"), (512, "-4.6996804970565646e-08"),
-      (512, "-2.349845417402331e-08"), (455, "0.0")]),
+    ("bernoulli-bisect", PAIRINGS["ksample-bernoulli"], GridSpec(), CERTIFIED, 65, 512,
+     [(65, "0.00040475666116105937"), (512, "-4.699680497065622e-08"),
+      (512, "-2.3498454229751303e-08"), (455, "0.0")]),
 ]
 
 
@@ -386,80 +385,26 @@ def test_linmodel_logz_ordering_hands_over_each_anchor_once():
 
 
 # ---------------------------------------------------------------------------
-# Brent's method on batches, against scipy's brentq one entry at a time
+# the Bernoulli k-sample root, against tests/bernoulli_root_ref.json
+# (tests/make_bernoulli_root_ref.py wrote it: 40-digit mpmath bisection)
 
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-_C = np.random.default_rng(5).uniform(-3.0, 3.0, 64)
-_CUBES = _C ** 3
-_CUBES[::8], _CUBES[1::8] = -125.0, 125.0  # f(a) == 0 and f(b) == 0 rows
-_UPPER = np.random.default_rng(6).uniform(4.0, 6.0, 64)
-
-# f(x, rows), per-row brackets, xtol
-BRENT_CASES = {
-    "cubic-with-roots-at-the-ends": (lambda x, r: x ** 3 - _CUBES[r], -5.0, 5.0, 2e-12),
-    "expm1-tiny-xtol": (lambda x, r: np.expm1(x) - _C[r] ** 2, -1.0, _UPPER, 1e-300),
-    "tanh-reversed-bracket": (lambda x, r: np.tanh(x) - _C[r] / 4.0, 5.0, -5.0, 1e-14),
-    "log-per-row-brackets": (lambda x, r: np.log(x) - _C[r], np.exp(_C - 2.0), _UPPER * 10.0, 1e-300),
-}
+BERNOULLI_ROOT_REF = json.loads(Path(__file__).with_name("bernoulli_root_ref.json").read_text())["cases"]
 
 
-@pytest.mark.parametrize("key", sorted(BRENT_CASES))
-def test_brentq_rows_matches_scipy_bit_for_bit(key):
-    f, a, b, xtol = BRENT_CASES[key]
-    a, b = np.broadcast_to(a, _C.shape), np.broadcast_to(b, _C.shape)
-    got = _brentq_rows(f, a, b, xtol=xtol, rtol=8.9e-16, maxiter=100)
-    want, iterations = [], set()
-    for i in range(_C.size):
-        root, info = brentq(lambda t: float(f(np.array([t]), np.array([i]))[0]), a[i], b[i],
-                            xtol=xtol, rtol=8.9e-16, maxiter=100, full_output=True)
-        want.append(root)
-        iterations.add(info.iterations)
-    assert np.array_equal(_bits(got), _bits(want))
-    assert len(iterations) > 1  # rows leave the batch at different steps
-
-
-def test_brentq_rows_raises_what_scipy_raises_with_typed_convergence():
-    with pytest.raises(ValueError, match="NaN"):
-        _brentq_rows(lambda x, r: np.where(r == 1, np.nan, x), [-1.0, -1.0], [1.0, 1.0],
-                     xtol=1e-14, rtol=8.9e-16, maxiter=100)
-    with pytest.raises(ValueError, match="NaN"):
-        brentq(lambda t: np.nan, -1.0, 1.0)
-    with pytest.raises(ValueError, match="different signs"):
-        _brentq_rows(lambda x, r: x + 2.0 * r, [-1.0, -1.0], [1.0, 1.0],
-                     xtol=1e-14, rtol=8.9e-16, maxiter=100)
-    with pytest.raises(ValueError, match="different signs"):
-        brentq(lambda t: t + 2.0, -1.0, 1.0)
-    # scipy raises an untyped RuntimeError here; evfam's ConvergenceError exits 64
-    with pytest.raises(RuntimeError):
-        brentq(lambda t: t ** 3 - 0.3, -5.0, 5.0, xtol=1e-300, maxiter=3)
-    with pytest.raises(ConvergenceError):
-        _brentq_rows(lambda x, r: x ** 3 - 0.3, [-5.0], [5.0], xtol=1e-300, rtol=8.9e-16, maxiter=3)
-
-
-def _per_entry_gamma(logits: np.ndarray, target: float) -> float:
-    f = lambda g: float(expit(logits + np.asarray(g)[..., None]).sum()) - target
-    lo, hi = -1.0, 1.0
-    while f(lo) > 0.0:
-        lo *= 2.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-    return brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
-
-
-@pytest.mark.parametrize("arms", [(1e-6, 0.5, 1.0 - 1e-6), (1e-6, 0.2, 0.5, 0.9, 1.0 - 1e-6)])
-def test_bernoulli_root_gamma_matches_the_per_entry_path(arms):
-    pair = ksample_pairing("bernoulli", arms)
-    k = len(arms)
-    means = k * np.concatenate([[1e-9, 1e-6], np.linspace(0.01, 0.99, 41), [1.0 - 1e-6, 1.0 - 1e-9]])
-    anchor = pair.tilted.mu_star
-    got = pair.tilted.family.beta_map(means[:, None], anchor)[:, 0]
-    logits = logit(np.asarray(arms))
-    at_anchor = _per_entry_gamma(logits, float(anchor[0]))
-    want = [_per_entry_gamma(logits, m) - at_anchor for m in means]
-    assert np.array_equal(_bits(got), _bits(want))
+@pytest.mark.parametrize("case", BERNOULLI_ROOT_REF,
+                         ids=[f"arms{i}" for i in range(len(BERNOULLI_ROOT_REF))])
+def test_bernoulli_root_gamma_matches_the_per_entry_path(case):
+    # beta = gamma(m) - gamma(mu*) at 45 means out to 1e-9 of either edge, where
+    # a root that compares a sum near k loses up to 1.4e-7
+    pair = ksample_pairing("bernoulli", case["arms"])
+    assert pair.tilted.mu_star.tolist() == [case["anchor"]]
+    means, want = np.array(case["means"]), np.array(case["beta"])
+    got = pair.tilted.family.beta_map(means[:, None], pair.tilted.mu_star)[:, 0]
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
 
 # ---------------------------------------------------------------------------

@@ -119,26 +119,26 @@ def _count_calls(monkeypatch, counts: Counter, module: str, attr: str) -> None:
 # params_from_mean calls, 22 / 12 and 22 / 12.  The Bernoulli root solves its
 # grid, then both ends of every pair in one call; linmodel solves its members
 # once per stage that reads them.
-@pytest.mark.parametrize("label, contains, require_mean, brentq_rows, params_from_mean", [
+@pytest.mark.parametrize("label, contains, require_mean, bernoulli_gamma, params_from_mean", [
     ("ksample-bernoulli", 14, 0, 2, 0),
     ("linmodel", 11, 0, 0, 14),
     ("negbinom-vs-poisson", 10, 0, 0, 0),
     ("gaussian-location", 10, 0, 0, 0),
 ])
 def test_one_catalog_check_makes_the_counted_calls(monkeypatch, tmp_path, label, contains,
-                                                   require_mean, brentq_rows, params_from_mean):
+                                                   require_mean, bernoulli_gamma, params_from_mean):
     (op,) = [op for op in workloads.catalog_ops(inputs.make_inputs("catalog-check", 1, tmp_path))
              if op.label == label]
     counts: Counter = Counter()
-    for module, attr in (("evfam.families", "_require_mean"), ("evfam.models", "_brentq_rows"),
+    for module, attr in (("evfam.families", "_require_mean"), ("evfam.models", "_bernoulli_gamma"),
                          ("evfam.linear_model", "params_from_mean")):
         _count_calls(monkeypatch, counts, module, attr)
     contains_calls = DomainDescriptor.contains
     monkeypatch.setattr(DomainDescriptor, "contains",
                         lambda self, x: counts.update(["contains"]) or contains_calls(self, x))
     assert op.check(op.run(0)) is None
-    assert [counts[key] for key in ("contains", "_require_mean", "_brentq_rows", "params_from_mean")] \
-        == [contains, require_mean, brentq_rows, params_from_mean]
+    assert [counts[key] for key in ("contains", "_require_mean", "_bernoulli_gamma", "params_from_mean")] \
+        == [contains, require_mean, bernoulli_gamma, params_from_mean]
 
 
 def test_linmodel_solves_the_tested_columns_nuisance_fit_once(monkeypatch, tmp_path):

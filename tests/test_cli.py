@@ -854,19 +854,32 @@ def test_gaussian_location_at_a_huge_mean_certifies_without_a_runtime_warning(ca
 
 
 # these printed "invalid value encountered in subtract" (an inf covariance less
-# an inf) or "in divide" (inf / inf) and then exited 2, refuted on a NaN margin
+# an inf) or "in divide" (inf / inf) and then exited 2, refuted on a NaN margin;
+# here a * m^1.5 itself overflows at the named mean
 @pytest.mark.parametrize("argv, message", [
-    (["--model", "ksample-poisson", "--alt-means", "0.5,1e308"],
-     "poisson-2sample against poisson-2sample-alt is NaN at grid mean [1e+308]"),
     (["--model", "tweedie-pair", "--null-a", "1e308", "--null-power", "1.5", "--alt-a", "0.5",
       "--alt-power", "1.5"], "tweedie(a=1e+308,power=1.5) against tweedie(a=0.5,power=1.5) is NaN "
-                             "at grid mean [1.1574228805920566]"),
-], ids=["ksample-poisson-1e308", "tweedie-a-1e308"])
+                             "at grid mean [1.5505157798326221]"),
+], ids=["tweedie-a-1e308"])
 def test_a_nan_covariance_margin_exits_64_naming_the_mean(capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, "check", *argv)
     assert (code, out, err) == (64, "", f"evfam: covariance ordering of {message}\n")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# these exited 64 on a NaN covariance margin: the symmetrized covariance summed
+# cov + cov' past the float range before halving it, though each entry is finite
+@pytest.mark.parametrize("argv", [
+    ["--model", "ksample-poisson", "--alt-means", "0.5,1e308"],
+    ["--model", "ksample-gaussian", "--alt-means", "0.2,1,1.8", "--sigma2", "5e307"],
+], ids=["ksample-poisson-1e308", "ksample-gaussian-sigma2-5e307"])
+def test_a_covariance_near_the_float_range_is_certified_without_a_runtime_warning(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "check", *argv)
+    assert (code, err, json.loads(out)["overall"]) == (0, "", "simple-evariable-certified")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -981,6 +994,15 @@ def test_a_tiny_bernoulli_arm_is_certified_without_a_runtime_warning(capsys):
                              "--alt-means=1e-300,0.5,0.7")
     assert (code, err) == (0, "")
     assert json.loads(out)["overall"] == "simple-evariable-certified"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_equal_bernoulli_arms_are_certified_without_a_runtime_warning(capsys):
+    # the root's bracket then has width 0, and its halving count must not take log2(0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "check", "--model", "ksample-bernoulli", "--alt-means", "0.4,0.4")
+    assert (code, err, json.loads(out)["overall"]) == (0, "", "simple-evariable-certified")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
