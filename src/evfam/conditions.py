@@ -158,8 +158,13 @@ def _halton(d: int, seed: int, n: int) -> np.ndarray:
     ``qmc.Halton(d, seed=seed).random(n)`` uses, so the points equal it bit
     for bit.  ``seed`` is a non-negative integer (``GridSpec`` checks it).
 
-    While the largest row index n - 1 still has a digit, each digit adds an
-    array; above it every index's digit is 0, so each digit adds one scalar.
+    Each axis is built level by level over the digits that vary below n:
+    level j extends the partial sums of the b^j lowest indices to b^(j+1), so
+    entry r adds row r's digit terms in digit order.  Above the top varying
+    digit every row adds the same digit-0 terms.  In base 2 those are distinct
+    powers of 2 down to 2^-53, whose partial sums below 1 are all exact, so
+    they add as one sum; the other axes add theirs one digit at a time, a
+    zero term where an axis has no such digit (x + 0.0 = x for x >= 0).
     """
     rng = np.random.default_rng(seed)
     primes: list[int] = []
@@ -168,22 +173,24 @@ def _halton(d: int, seed: int, n: int) -> np.ndarray:
         if all(candidate % p for p in primes if p * p <= candidate):
             primes.append(candidate)
         candidate += 1
-    out = np.empty((n, d))
+    axes, tails = np.empty((d, n)), np.zeros((d, 53))  # base 2 has the most digits
     for col, base in enumerate(primes):
         # one permutation per digit that still moves a double: base**-j > 2**-54
-        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
-        perms = rng.permuted(perms, axis=1)  # draws as rng.shuffle on each row in turn
-        q, seq, b2r, top = np.arange(n), np.zeros(n), 1.0 / base, n - 1
-        for perm in perms:
-            if top > 0:
-                seq += np.take(perm, q % base) * b2r
-                q //= base
-                top //= base
-            else:  # every higher digit is 0
-                seq += float(perm[0]) * b2r
-            b2r /= base
-        out[:, col] = seq
-    return out
+        digits = math.ceil(54 / math.log2(base)) - 1
+        # draws as rng.shuffle on each row in turn
+        perms = rng.permuted(np.repeat(np.arange(base)[None], digits, axis=0), axis=1)
+        # the scales divide by base in turn: b, b/b = 1, then 1/b, (1/b)/b, ...
+        terms = perms * np.divide.accumulate(np.full(digits + 2, float(base)))[2:, None]
+        sums, width, level = np.zeros(1), 1, 0
+        while width < n:  # digit `level` of some index below n is not 0
+            sums = (sums[None, :] + terms[level, :(n - 1) // width + 1, None]).ravel()[:n]
+            width, level = width * base, level + 1
+        axes[col] = sums
+        tails[col, level:digits] = terms[level:, 0]
+    axes[0] += tails[0].sum()
+    for j in np.flatnonzero(np.any(tails[1:], axis=0)):
+        axes[1:] += tails[1:, j, None]
+    return axes.T.copy()
 
 
 def mean_pairs(domain: DomainDescriptor, spec: GridSpec | None = None) -> np.ndarray:

@@ -266,19 +266,40 @@ def _damped_newton(label: str, target: np.ndarray, mean_of: Callable, cov_of: Ca
                            f"(residual {err[stuck]:.3e})")
 
 
-def _cached_rows(cache: dict[bytes, np.ndarray], rows: np.ndarray,
+class _RowCache:
+    """What one ``solve`` returned, a row per distinct input row, in first-seen order.
+
+    ``slot`` maps an input row's bytes to its solved row in ``solved``, one
+    (capacity, width) array whose capacity doubles as it fills.
+    """
+
+    def __init__(self, width: int) -> None:
+        self.slot: dict[bytes, int] = {}
+        self.solved = np.empty((0, width))
+
+
+def _cached_rows(cache: _RowCache, rows: np.ndarray,
                  solve: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """``solve`` over the rows of a (..., k) batch, each distinct row once per cache.
 
     Rows are keyed by their bytes; only rows not yet in ``cache`` reach
-    ``solve``, as one (n, k) batch.  Returns one solved row per input row.
+    ``solve``, as one (n, k) batch in first-seen order.  Returns a fresh
+    (..., width) array holding each input row's solved row, gathered by one index.
     """
     flat = np.ascontiguousarray(rows, dtype=float).reshape(-1, np.shape(rows)[-1])
     keys = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize)))[:, 0].tolist()
-    missing = {key: i for i, key in enumerate(keys) if key not in cache}
+    slot = cache.slot
+    missing = {key: i for i, key in enumerate(keys) if key not in slot}
     if missing:
-        cache.update(zip(missing, solve(flat[list(missing.values())])))
-    return np.array([cache[key] for key in keys])
+        solved, used = solve(flat.take(list(missing.values()), axis=0)), len(slot)
+        if used + len(solved) > len(cache.solved):
+            grown = np.empty((2 * (used + len(solved)), cache.solved.shape[1]))
+            grown[:used] = cache.solved[:used]
+            cache.solved = grown
+        cache.solved[used:used + len(solved)] = solved
+        slot.update(zip(missing, range(used, used + len(solved))))
+    at = np.fromiter(map(slot.__getitem__, keys), np.intp, len(keys)).reshape(np.shape(rows)[:-1])
+    return cache.solved.take(at, axis=0)
 
 
 def canonical_from_mean(fam: ExpFamilyDescriptor, mu, anchor) -> np.ndarray:
@@ -376,7 +397,7 @@ def family_from_root_cumulant(
             return np.asarray(root_cov(beta), dtype=float)
         return fd_hessian(eval_cumulant, beta)
 
-    gamma_cache: dict[bytes, np.ndarray] = {}
+    gamma_cache = _RowCache(root_domain.dim)
 
     def solve_gammas(targets: np.ndarray) -> np.ndarray:
         if root_beta is not None:
@@ -385,7 +406,7 @@ def family_from_root_cumulant(
                               lambda b, rows: eval_root_cov(b), root_domain)
 
     def gamma_of(anchor: np.ndarray) -> np.ndarray:
-        return _cached_rows(gamma_cache, anchor, solve_gammas).reshape(np.shape(anchor))
+        return _cached_rows(gamma_cache, anchor, solve_gammas)
 
     def log_partition(beta: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         gamma = gamma_of(anchor)
@@ -413,7 +434,7 @@ def family_from_root_cumulant(
             return gamma[0] - gamma[1]
     else:
         # solved at the anchor: differencing two Newton-solved gammas rounds differently
-        beta_cache: dict[bytes, np.ndarray] = {}
+        beta_cache = _RowCache(root_domain.dim)
 
         def solve_betas(rows: np.ndarray) -> np.ndarray:
             mu, anchor = np.split(rows, 2, axis=1)
@@ -423,8 +444,7 @@ def family_from_root_cumulant(
 
         def beta_map(mu: np.ndarray, anchor: np.ndarray) -> np.ndarray:
             mu, anchor = np.broadcast_arrays(mu, anchor)
-            solved = _cached_rows(beta_cache, np.concatenate([mu, anchor], axis=-1), solve_betas)
-            return solved.reshape(mu.shape)
+            return _cached_rows(beta_cache, np.concatenate([mu, anchor], axis=-1), solve_betas)
 
     return ExpFamilyDescriptor(
         name=name,

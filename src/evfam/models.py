@@ -702,14 +702,18 @@ def gaussian_scale_pairing(m: float, s2: float) -> Pairing:
     with c = 1/(2 s2); its second-moment mean and variance have the closed
     forms coded below, and the inverse mean map solves a quadratic in
     t = c - beta.  The anchor mean is s2 + m^2 and the member at that anchor
-    is the alternative itself; an anchor mean past 1/16 of the largest float,
-    where the inverse mean map's 16 mu c^2 m^2 overflows, is refused by name.
+    is the alternative itself.  Two anchor means are refused by name: one past
+    1/16 of the largest float, where the inverse mean map's 16 mu c^2 m^2
+    overflows, and one past sqrt(max / 2), where the null's variance 2 mu^2 does.
     """
     _require_positive(s2, "gaussian scale pairing", "s2")
     mu_star = s2 + m * m
     if np.isfinite(mu_star) and mu_star > np.finfo(float).max / 16.0:  # root_beta takes 16 mu
         raise UnsupportedModelError(f"gaussian scale pairing: the mean of u^2, s2 + m^2, overflows the "
                                     f"inverse mean map for m={float(m)!r}, s2={float(s2)!r}")
+    if math.sqrt(np.finfo(float).max / 2.0) < mu_star < np.inf:
+        raise UnsupportedModelError(f"gaussian scale pairing: the null variance at the mean of u^2, "
+                                    f"2 (s2 + m^2)^2, overflows for m={float(m)!r}, s2={float(s2)!r}")
     null = gaussian_scale_family()
     c = 0.5 / s2
     cm2 = c * c * m * m

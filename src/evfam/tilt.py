@@ -42,6 +42,7 @@ from .domains import DomainDescriptor, box_domain
 from .errors import DomainError, UnsupportedModelError
 from .families import (
     ExpFamilyDescriptor,
+    _RowCache,
     _cached_rows,
     _logz,
     _require_mean,
@@ -218,12 +219,10 @@ def build_tilted_family(
         # caches: 1 + d + d^2 floats per distinct row.  Newton starts, the
         # log-partition's gamma rows and the Jacobian at accepted rows all
         # ask again for rows already evaluated.
-        moment_cache: dict[bytes, np.ndarray] = {}
+        moment_cache = _RowCache(1 + dim + dim * dim)
 
         def cached_moments(beta: np.ndarray) -> np.ndarray:
-            packed = _cached_rows(moment_cache, beta,
-                                  lambda rows: _by_chunks(rows, len(stats), moments))
-            return packed.reshape(beta.shape[:-1] + (1 + dim + dim * dim,))
+            return _cached_rows(moment_cache, beta, lambda rows: _by_chunks(rows, len(stats), moments))
 
         def empirical_cumulant(beta: np.ndarray) -> np.ndarray:
             return cached_moments(beta)[..., 0] - np.log(mc_samples)

@@ -893,12 +893,25 @@ def test_a_covariance_near_the_float_range_is_certified_without_a_runtime_warnin
     (["--model", "gaussian-scale", "--carrier-mean=-3", "--carrier-var", "1e308"],
      "gaussian scale pairing: the mean of u^2, s2 + m^2, overflows the inverse mean map "
      "for m=-3.0, s2=1e+308"),
-], ids=["ksample-gaussian-sigma2", "gaussian-scale-var"])
+    (["--model", "gaussian-scale", "--carrier-mean=-3", "--carrier-var", "1e160"],
+     "gaussian scale pairing: the null variance at the mean of u^2, 2 (s2 + m^2)^2, overflows "
+     "for m=-3.0, s2=1e+160"),
+], ids=["ksample-gaussian-sigma2", "gaussian-scale-var", "gaussian-scale-null-variance"])
 def test_a_model_past_its_float_range_exits_64_before_any_warning(capsys, argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "check", *argv)
     assert (code, out, err) == (64, "", f"evfam: {message}\n")
+
+
+# the null variance 2 (s2 + m^2)^2 is refused past sqrt(max / 2), about 9.48e153;
+# below it, at 1e150, the pairing is certified, as it is in truth
+def test_gaussian_scale_below_its_null_variance_limit_is_certified(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "check", "--model", "gaussian-scale", "--carrier-mean=-3",
+                             "--carrier-var", "1e150")
+    assert (code, err, json.loads(out)["overall"]) == (0, "", "simple-evariable-certified")
 
 
 # the alternative's variance m^3 / lam overflows at lam = 1e-300, and the pairing

@@ -144,6 +144,24 @@ def test_halton_equals_scipy_bit_for_bit(d):
             assert np.array_equal(_halton(d, seed, n).view(np.int64), want.view(np.int64))
 
 
+# each n is at or next to a power of 2 or 3, where an axis of base 2 or 3 gains
+# its last level; at 13 axes (bases up to 41) the axes have taken different
+# numbers of levels, so each tail add mixes digit-0 terms with zeros
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 13])
+def test_halton_equals_scipy_at_each_level_boundary(d):
+    for n in (2, 3, 4, 8, 9, 26, 27, 28, 511, 512, 513, 2047, 2048, 2049):
+        want = qmc.Halton(d=d, seed=11).random(n)
+        assert np.array_equal(_halton(d, 11, n).view(np.int64), want.view(np.int64)), n
+
+
+# mean_pairs draws n rows and then 4n, and keeps the pairs of the first rows
+# first: the longer draw must begin with the shorter one
+@pytest.mark.parametrize("d", [1, 2, 6])
+@pytest.mark.parametrize("n", [1, 3, 64, 129])
+def test_halton_of_4n_rows_begins_with_its_n_rows(d, n):
+    assert np.array_equal(_halton(d, 5, 4 * n)[:n].view(np.int64), _halton(d, 5, n).view(np.int64))
+
+
 @pytest.mark.parametrize("field, value, kind", [
     ("points_per_axis", 0, "positive"), ("points_per_axis", -2, "positive"),
     ("points_per_axis", 2.0, "positive"), ("n_pairs", 0, "positive"),

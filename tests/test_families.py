@@ -9,6 +9,8 @@ import pytest
 from evfam.domains import box_domain, full_space
 from evfam.errors import ConvergenceError, DataError, DomainError, UnsupportedModelError
 from evfam.families import (
+    _cached_rows,
+    _RowCache,
     canonical_from_mean,
     covariance_at_canonical,
     covariance_at_mean,
@@ -205,3 +207,54 @@ def test_log_density_requires_carrier():
     )
     with pytest.raises(UnsupportedModelError):
         log_density(fam, np.zeros(1), np.zeros(1), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the row cache behind the gamma, beta and Monte Carlo moment solves
+
+def _recording_solve(seen: list):
+    """A solve that records each batch it is handed and returns [2 x0, x0 + x1]."""
+    def solve(rows: np.ndarray) -> np.ndarray:
+        seen.append(rows.copy())
+        return np.column_stack([2.0 * rows[:, 0], rows[:, 0] + rows[:, 1]])
+    return solve
+
+
+def test_cached_rows_solves_each_distinct_row_once_in_first_seen_order():
+    cache, seen = _RowCache(2), []
+    solve = _recording_solve(seen)
+    first = np.array([[3.0, 1.0], [1.0, 2.0], [3.0, 1.0], [1.0, 2.0]])
+    second = np.array([[1.0, 2.0], [5.0, 0.5], [3.0, 1.0], [5.0, 0.5], [7.0, 0.25]])
+    got_first, got_second = _cached_rows(cache, first, solve), _cached_rows(cache, second, solve)
+    assert [batch.tolist() for batch in seen] == [[[3.0, 1.0], [1.0, 2.0]], [[5.0, 0.5], [7.0, 0.25]]]
+    for rows, got in ((first, got_first), (second, got_second)):
+        want = np.column_stack([2.0 * rows[:, 0], rows[:, 0] + rows[:, 1]])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    _cached_rows(cache, np.concatenate([first, second]), solve)
+    assert len(seen) == 2
+
+
+def test_cached_rows_keys_rows_by_their_bytes():
+    cache, seen = _RowCache(2), []
+    solve = _recording_solve(seen)
+    rows = np.array([[0.0, 1.0], [-0.0, 1.0], [np.nan, 1.0], [np.nan, 1.0], [0.0, 1.0]])
+    got = _cached_rows(cache, rows, solve)
+    (batch,) = seen
+    assert batch.view(np.int64).tolist() == rows[:3].view(np.int64).tolist()
+    assert np.signbit(got[:, 0]).tolist() == [False, True, False, False, False]
+    assert np.isnan(got[2:4]).all() and not np.isnan(got[[0, 1, 4]]).any()
+    _cached_rows(cache, rows[[2, 1]], solve)
+    assert len(seen) == 1
+
+
+def test_cached_rows_returns_a_fresh_array_in_the_batch_shape():
+    cache, seen = _RowCache(2), []
+    solve = _recording_solve(seen)
+    anchors = np.array([[[1.0, 2.0]], [[3.0, 4.0]], [[1.0, 2.0]]])  # (n, 1, d)
+    got = _cached_rows(cache, anchors, solve)
+    assert got.shape == (3, 1, 2)
+    assert got[:, 0].tolist() == [[2.0, 3.0], [6.0, 7.0], [2.0, 3.0]]
+    got[...] = -1.0
+    assert _cached_rows(cache, anchors, solve)[:, 0].tolist() == [[2.0, 3.0], [6.0, 7.0], [2.0, 3.0]]
+    assert _cached_rows(cache, np.empty((0, 2)), solve).shape == (0, 2)
+    assert len(seen) == 1
