@@ -89,10 +89,11 @@ class GridSpec:
     own Owen-scrambled Halton sequence seeded by ``seed`` (a non-negative
     integer) over the same ranges; it equals
     ``scipy.stats.qmc.Halton(d, seed=seed)`` bit for bit at scipy 1.17.1.
-    Its first ``n_pairs`` rows are drawn, and ``4 * n_pairs`` only when the
-    domain rejects some of them (``mean_pairs``).  A ``points_per_axis``
-    other than None or an integer >= 1, an ``n_pairs`` that is not an
-    integer >= 1 and a negative or non-integer ``seed`` are refused by name.
+    Its first ``n_pairs`` rows are drawn, and ``4 * n_pairs`` if the domain
+    rejects some, at once for a domain with a predicate (``mean_pairs``).  A
+    ``points_per_axis`` other than None or an integer >= 1, an ``n_pairs``
+    that is not an integer >= 1 and a negative or non-integer ``seed`` are
+    refused by name.
     """
 
     points_per_axis: int | None = None
@@ -200,11 +201,12 @@ def mean_pairs(domain: DomainDescriptor, spec: GridSpec | None = None) -> np.nda
     bit for bit to ``scipy.stats.qmc.Halton(2 * dim, seed=spec.seed)`` at
     scipy 1.17.1.  The first ``n_pairs`` rows whose two points both lie in
     the domain are kept, in sequence order: ``n_pairs`` rows are drawn, and
-    ``4 * n_pairs`` (the same rows first) only when the domain rejects some.
+    ``4 * n_pairs`` (the same rows first) if the domain rejects some; only a
+    predicate can, so a domain with one draws ``4 * n_pairs`` rows at once.
     """
     spec = spec or GridSpec()
     lo, hi, log = (np.tile(np.array(col), 2) for col in zip(*_axis_specs(domain)))
-    for n in (spec.n_pairs, 4 * spec.n_pairs):
+    for n in (spec.n_pairs, 4 * spec.n_pairs)[domain.predicate is not None:]:
         raw = _halton(2 * domain.dim, spec.seed, n)
         points = lo + (hi - lo) * raw
         # log axes take the C library's pow one value at a time, so that the

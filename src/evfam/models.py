@@ -206,16 +206,24 @@ def poisson_family() -> ExpFamilyDescriptor:
     )
 
 
-def gamma_family(shape: float) -> ExpFamilyDescriptor:
-    """Gamma with fixed shape; V(m) = m^2 / shape.  shape = 1 is exponential."""
-    _require_positive(shape, "gamma family", "shape")
-    return _nef_from_potentials(
-        f"gamma(shape={shape:g})",
+# V(m) = m^2 / shape: Phi = -shape / m, Psi = shape log(m); the gamma family and
+# the Gaussian-scale null (shape 1/2) use these
+def _gamma_potentials(shape: float) -> dict:
+    return dict(
         variance=lambda m: m * m / shape,
         phi=lambda m: -shape / m,
         phi_inv=lambda x: -shape / x,
         psi=lambda m: shape * np.log(m),
         phi_sup=0.0,
+    )
+
+
+def gamma_family(shape: float) -> ExpFamilyDescriptor:
+    """Gamma with fixed shape; V(m) = m^2 / shape.  shape = 1 is exponential."""
+    _require_positive(shape, "gamma family", "shape")
+    return _nef_from_potentials(
+        f"gamma(shape={shape:g})",
+        **_gamma_potentials(shape),
         mean_domain=positive_orthant(1),
         law=lambda mean: ("gamma", shape, mean[0]),
     )
@@ -377,14 +385,14 @@ def _solve_each(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(matrix, rhs[..., None])[..., 0]
 
 
-def _location_family(name: str, u_cov: np.ndarray, stat_cov: np.ndarray,
+def _location_family(name: str, u_cov: np.ndarray | float, stat_cov: np.ndarray,
                      suff_stat: Callable[[np.ndarray], np.ndarray],
                      u_mean_of: Callable[[np.ndarray], np.ndarray]) -> ExpFamilyDescriptor:
     """Normal observations U with positive definite covariance ``u_cov`` and a linear statistic.
 
     The statistic has covariance ``stat_cov`` whatever the mean, and the
     member whose statistic mean is ``anchor`` is N(``u_mean_of(anchor)``,
-    ``u_cov``).
+    ``u_cov``); a scalar ``u_cov`` v stands for v I, as in a ``law``.
     """
     dim = stat_cov.shape[0]
     return ExpFamilyDescriptor(
@@ -431,17 +439,13 @@ def gaussian_location_family(cov, label: str = "cov") -> ExpFamilyDescriptor:
 def gaussian_scale_family() -> ExpFamilyDescriptor:
     """Centered normals parameterized by variance; statistic t(u) = u^2.
 
-    As a family in the mean of u^2 this has V(m) = 2 m^2, so the potentials
-    are Phi(m) = -1/(2m), Psi(m) = log(m)/2, giving the familiar
-    logZ(beta; v) = -log(1 - 2 beta v)/2 on beta < 1/(2v).
+    As a family in the mean of u^2 this has V(m) = 2 m^2, the gamma family's
+    with shape 1/2, whose potentials Phi(m) = -1/(2m), Psi(m) = log(m)/2 give
+    the familiar logZ(beta; v) = -log(1 - 2 beta v)/2 on beta < 1/(2v).
     """
     return _nef_from_potentials(
         "gaussian-scale",
-        variance=lambda m: 2.0 * m * m,
-        phi=lambda m: -0.5 / m,
-        phi_inv=lambda x: -0.5 / x,
-        psi=lambda m: 0.5 * np.log(m),
-        phi_sup=0.0,
+        **_gamma_potentials(0.5),
         mean_domain=positive_orthant(1),
         suff_stat=lambda u: np.asarray(u, dtype=float).reshape(-1, 1) ** 2,
         law=lambda mean: ("normal", np.zeros(1), mean[0]),
@@ -451,39 +455,30 @@ def gaussian_scale_family() -> ExpFamilyDescriptor:
 # ---------------------------------------------------------------------------
 # k-sample null families (iid arms, statistic = sum of arms)
 
-def _arm_family(name: str, kind: str, k: int, sigma2: float,
-                arms_at: Callable[[np.ndarray], np.ndarray]) -> ExpFamilyDescriptor:
-    """k independent Poisson or Gaussian arms, statistic the arm total.
+def _poisson_arms(name: str, k: int, arms_at: Callable[[np.ndarray], np.ndarray]) -> ExpFamilyDescriptor:
+    """k independent Poisson arms, statistic the total (V(m) = m); ``arms_at(m)`` are the arms at total m."""
+    return _nef_from_potentials(
+        name,
+        **_POISSON_POTENTIALS,
+        mean_domain=positive_orthant(1),
+        suff_stat=_sum_stat,
+        element_ndim=1,
+        law=lambda mean: ("poisson", np.broadcast_to(arms_at(mean[0]), (k,))),
+    )
 
-    ``arms_at(m)`` gives the arm means of the member with total mean m; the
-    total's variance function is m for Poisson arms and k sigma2 for
-    Gaussian arms, whatever the split between arms.
+
+def _gaussian_arms(name: str, k: int, sigma2: float,
+                   arms_at: Callable[[np.ndarray], np.ndarray]) -> ExpFamilyDescriptor:
+    """k independent N(arm, sigma2) arms: their total is a location family with variance k sigma2.
+
+    ``arms_at(m)`` gives the arm means of the member with total mean m.
     """
-    if kind == "poisson":
-        return _nef_from_potentials(
-            name,
-            **_POISSON_POTENTIALS,
-            mean_domain=positive_orthant(1),
-            suff_stat=_sum_stat,
-            element_ndim=1,
-            law=lambda mean: ("poisson", np.broadcast_to(arms_at(mean[0]), (k,))),
-        )
     _require_positive(sigma2, "gaussian k-sample", "sigma2")
     if sigma2 > np.finfo(float).max / k:  # the variance function is k sigma2
         raise UnsupportedModelError(f"gaussian k-sample: k * sigma2 overflows the float range for "
                                     f"k={k}, sigma2={float(sigma2)!r}")
-    return _nef_from_potentials(
-        name,
-        variance=lambda m: k * sigma2,
-        phi=lambda m: m / (k * sigma2),
-        phi_inv=lambda x: k * sigma2 * x,
-        psi=lambda m: m * m / (2.0 * k * sigma2),
-        phi_sup=float("inf"),
-        mean_domain=full_space(1),
-        suff_stat=_sum_stat,
-        element_ndim=1,
-        law=lambda mean: ("normal", np.broadcast_to(arms_at(mean[0]), (k,)), sigma2),  # sigma2 I
-    )
+    return _location_family(name, sigma2, np.full((1, 1), k * sigma2), _sum_stat,
+                            lambda anchor: np.broadcast_to(arms_at(anchor[0]), (k,)))
 
 
 def _bernoulli_cumulant(p, beta) -> np.ndarray:
@@ -506,8 +501,10 @@ def ksample_null_family(kind: str, k: int, sigma2: float = 1.0) -> ExpFamilyDesc
     """
     if k < 2:
         raise UnsupportedModelError("k-sample families need k >= 2")
-    if kind in ("poisson", "gaussian"):
-        return _arm_family(f"{kind}-{k}sample", kind, k, sigma2, lambda m: m / k)
+    if kind == "poisson":
+        return _poisson_arms(f"poisson-{k}sample", k, lambda m: m / k)
+    if kind == "gaussian":
+        return _gaussian_arms(f"gaussian-{k}sample", k, sigma2, lambda m: m / k)
     if kind == "bernoulli":
         from scipy.special import expit
         return _nef_from_potentials(
@@ -588,10 +585,10 @@ def ksample_pairing(kind: str, alt_means, sigma2: float = 1.0) -> Pairing:
 
     if kind == "poisson":
         ratios = alt_means / mu_star
-        family = _arm_family(f"poisson-{k}sample-alt", kind, k, sigma2, lambda m: ratios * m)
+        family = _poisson_arms(f"poisson-{k}sample-alt", k, lambda m: ratios * m)
     elif kind == "gaussian":
         offsets = alt_means - mu_star / k
-        family = _arm_family(f"gaussian-{k}sample-alt", kind, k, sigma2, lambda m: offsets + m / k)
+        family = _gaussian_arms(f"gaussian-{k}sample-alt", k, sigma2, lambda m: offsets + m / k)
     else:  # bernoulli; ksample_null_family rejects every other kind
         from scipy.special import expit, logit
         logits = np.asarray(logit(alt_means), dtype=float)
@@ -702,15 +699,12 @@ def gaussian_scale_pairing(m: float, s2: float) -> Pairing:
     with c = 1/(2 s2); its second-moment mean and variance have the closed
     forms coded below, and the inverse mean map solves a quadratic in
     t = c - beta.  The anchor mean is s2 + m^2 and the member at that anchor
-    is the alternative itself.  Two anchor means are refused by name: one past
-    1/16 of the largest float, where the inverse mean map's 16 mu c^2 m^2
-    overflows, and one past sqrt(max / 2), where the null's variance 2 mu^2 does.
+    is the alternative itself.  An anchor mean past sqrt(max / 2), where the
+    null's variance 2 mu^2 overflows, is refused by name; so is every mean past
+    1/16 of the largest float, where the inverse mean map's 16 mu c^2 m^2 would.
     """
     _require_positive(s2, "gaussian scale pairing", "s2")
     mu_star = s2 + m * m
-    if np.isfinite(mu_star) and mu_star > np.finfo(float).max / 16.0:  # root_beta takes 16 mu
-        raise UnsupportedModelError(f"gaussian scale pairing: the mean of u^2, s2 + m^2, overflows the "
-                                    f"inverse mean map for m={float(m)!r}, s2={float(s2)!r}")
     if math.sqrt(np.finfo(float).max / 2.0) < mu_star < np.inf:
         raise UnsupportedModelError(f"gaussian scale pairing: the null variance at the mean of u^2, "
                                     f"2 (s2 + m^2)^2, overflows for m={float(m)!r}, s2={float(s2)!r}")

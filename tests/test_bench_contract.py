@@ -118,10 +118,11 @@ def _count_calls(monkeypatch, counts: Counter, module: str, attr: str) -> None:
 # runs; at the parent of this change the four read 26 / 12 / 3, 23 / 12 with 20
 # params_from_mean calls, 22 / 12 and 22 / 12.  The Bernoulli root solves its
 # grid, then both ends of every pair in one call; linmodel solves its members
-# once per stage that reads them.
+# once per stage that reads them; its predicate domain draws and checks its
+# fourfold mean pairs once.
 @pytest.mark.parametrize("label, contains, require_mean, bernoulli_gamma, params_from_mean", [
     ("ksample-bernoulli", 14, 0, 2, 0),
-    ("linmodel", 11, 0, 0, 14),
+    ("linmodel", 10, 0, 0, 14),
     ("negbinom-vs-poisson", 10, 0, 0, 0),
     ("gaussian-location", 10, 0, 0, 0),
 ])

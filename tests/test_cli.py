@@ -886,12 +886,13 @@ def test_a_covariance_near_the_float_range_is_certified_without_a_runtime_warnin
 # these warned ("invalid value encountered in multiply" in the Gaussian arm
 # family's inverse potential; divide by zero, invalid multiply and overflow in
 # the gaussian-scale root maps) before their exit 64: each model's float range
-# is now refused by name before any arithmetic
+# is now refused by name before any arithmetic; a gaussian-scale mean past the
+# inverse mean map's range is past the null variance's too, and named by it
 @pytest.mark.parametrize("argv, message", [
     (["--model", "ksample-gaussian", "--alt-means", "0.2,1,1.8", "--sigma2", "1e308"],
      "gaussian k-sample: k * sigma2 overflows the float range for k=3, sigma2=1e+308"),
     (["--model", "gaussian-scale", "--carrier-mean=-3", "--carrier-var", "1e308"],
-     "gaussian scale pairing: the mean of u^2, s2 + m^2, overflows the inverse mean map "
+     "gaussian scale pairing: the null variance at the mean of u^2, 2 (s2 + m^2)^2, overflows "
      "for m=-3.0, s2=1e+308"),
     (["--model", "gaussian-scale", "--carrier-mean=-3", "--carrier-var", "1e160"],
      "gaussian scale pairing: the null variance at the mean of u^2, 2 (s2 + m^2)^2, overflows "

@@ -22,6 +22,8 @@ from evfam.conditions import (
     GridSpec,
     _axis_specs,
     _halton,
+    check_beta_pairing,
+    check_kl_ordering,
     check_preconditions,
     check_sigma_ordering,
     growth_rate,
@@ -109,8 +111,8 @@ def _perfbench_catalog_linmodel(tmp_path):
 
 
 # a box domain accepts every row, so n_pairs rows are all that is drawn; the
-# linear model's predicate rejects some and takes the fourfold draw, whose
-# first rows are the shorter draw's
+# linear model's predicate rejects some, so it draws the fourfold rows at once,
+# whose first rows are the shorter draw's
 @pytest.mark.parametrize("key", ["orthant-1", "orthant-2", "perfbench-linmodel"])
 def test_mean_pairs_draw_n_pairs_rows_first(key, tmp_path, monkeypatch):
     if key == "perfbench-linmodel":
@@ -130,7 +132,7 @@ def test_mean_pairs_draw_n_pairs_rows_first(key, tmp_path, monkeypatch):
     want = _first_accepted_of_a_fourfold_draw(domain, spec)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     if key == "perfbench-linmodel":
-        assert sizes == [spec.n_pairs, 4 * spec.n_pairs]
+        assert sizes == [4 * spec.n_pairs]
     else:
         assert (sizes, got.shape[0]) == ([spec.n_pairs], spec.n_pairs)
 
@@ -317,6 +319,30 @@ def test_every_covariance_check_reads_one_margin(key):
         assert passed == ordering.passed, name
         assert margin == pytest.approx(ordering.worst_value, rel=1e-12), name
     assert ordering.passed == (key not in ("ig-vs-exp-2.5", "gaussian-location-swapped"))
+
+
+# the public pairing and KL checks, on the pairs the battery keeps (the
+# alternative's mean pairs with both points in the null's mean space), are the
+# report's items exactly: certified and refuted, scalar, vector and predicate domains
+HELPER_PAIRINGS = {
+    **SHARED_COVARIANCE_PAIRS,
+    "gaussian-scale": lambda: gaussian_scale_pairing(-3.0, 9.0),
+    "ksample-gaussian": lambda: ksample_pairing("gaussian", (0.2, 1.0, 1.8), sigma2=0.7),
+    "ksample-bernoulli": lambda: ksample_pairing("bernoulli", (0.375, 0.625)),
+    "abm-vs-poisson": lambda: abm_vs_poisson(3.0, 2, 1.0),
+    "tweedie-crossing": lambda: tweedie_pair((1.0, 1.2), (1.0, 1.8)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(HELPER_PAIRINGS))
+def test_pairing_and_kl_checks_are_the_reports_items(key):
+    pair = HELPER_PAIRINGS[key]()
+    report = run_condition_battery(pair, SPEC)
+    pairs = mean_pairs(pair.tilted.family.mean_domain, SPEC)
+    pairs = pairs[np.all(pair.null.mean_domain.contains(pairs), axis=1)]
+    assert pairs.shape[0] == report.pair_count
+    assert check_beta_pairing(pair.null, pair.tilted, pairs) == report.items["canonical_pairing"]
+    assert check_kl_ordering(pair.null, pair.tilted, pairs) == report.items["kl_ordering"]
 
 
 def test_failed_preconditions_are_not_reported_as_stochastic():

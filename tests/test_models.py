@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ from evfam.models import (
     ig_regime,
     ig_vs_exp_pairing,
     inverse_gaussian_family,
+    ksample_null_family,
     ksample_pairing,
     negbinom_family,
     negbinom_vs_poisson,
@@ -355,6 +357,50 @@ def test_gaussian_ksample_growth_closed_form():
     got = growth_rate(pair.tilted, pair.null, np.array([means.sum()]))
     want = float(np.sum((means - means.mean()) ** 2) / (2.0 * 0.7))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+# the arm total is a Gaussian location family with variance v = k sigma2, whose
+# logZ(beta; a) = beta a + v beta^2 / 2 cancels nothing, so it holds within 2 ulp
+# of its terms at means out to 1e8; potentials such as m / v and m^2 / (2 v)
+# would cancel there
+@pytest.mark.parametrize("sigma2", [1.0, 0.3, 2.5])
+def test_ksample_gaussian_log_partition_and_kl_are_exact_to_their_terms(sigma2):
+    fam = ksample_null_family("gaussian", 3, sigma2=sigma2)
+    v, ulp = Fraction(3 * sigma2), Fraction(np.finfo(float).eps)
+    anchors = [-1e8, -12345.678, -1.0, -1e-3, 0.0, 1e-3, 1.0, 12345.678, 1e8]
+    betas = [-7.5, -1e-3, 1e-3, 0.25, 3.0]
+    grid = np.array([(b, a) for a in anchors for b in betas])
+    got = log_partition_at(fam, grid[:, :1], grid[:, 1:])
+    for value, row in zip(got, grid):
+        b, a = map(Fraction, row)
+        terms = abs(b * a) + v * b * b / 2
+        assert abs(Fraction(value) - (b * a + v * b * b / 2)) <= 2 * ulp * terms
+    # D(mu || mu') = (mu - mu')^2 / (2 v), through the duality beta mu - logZ(beta; mu'),
+    # within 2 ulp of that identity's terms
+    means = [-1e8 - 7.0, -1e8, -3.0, 0.5, 1e8, 1e8 + 1.0, 1e8 + 3.0]
+    pairs = np.array([(m, mp) for m in means for mp in means])
+    kl = kl_between_means(fam, pairs[:, :1], pairs[:, 1:])
+    for value, row in zip(kl, pairs):
+        m, mp = map(Fraction, row)
+        beta = (m - mp) / v
+        terms = abs(beta * m) + abs(beta * mp) + v * beta * beta / 2
+        assert abs(Fraction(value) - (m - mp) ** 2 / (2 * v)) <= 2 * ulp * terms
+    if sigma2 == 1.0:  # beta = 1 there: every term is exact, and so is the KL
+        assert (kl_between_means(fam, [1e8 + 3.0], [1e8]), kl_between_means(fam, [1e8], [1e8 + 3.0])) \
+            == (1.5, 1.5)
+
+
+# the Gaussian-scale null is the gamma family with shape 1/2, on the same potentials
+def test_gaussian_scale_null_is_gamma_with_shape_one_half_bit_for_bit():
+    means = np.geomspace(1e-150, 1e150, 61)[:, None]
+    anchors = np.roll(means, 1, axis=0)  # each mean's neighbour, and 1e150 for 1e-150
+    got = {}
+    for key, fam in (("scale", gaussian_scale_family()), ("gamma", gamma_family(0.5))):
+        beta = canonical_from_mean(fam, means, anchors)
+        got[key] = [beta, log_partition_at(fam, beta, anchors), mean_from_canonical(fam, beta, anchors),
+                    covariance_at_mean(fam, means)]
+    for scale, gamma in zip(got["scale"], got["gamma"]):
+        assert np.array_equal(scale.view(np.int64), gamma.view(np.int64))
 
 
 def test_ksample_validates_arm_means():
